@@ -1,4 +1,4 @@
-"""Parallel greedy graph coloring (Jones-Plassmann style).
+"""Parallel greedy graph coloring (Jones-Plassmann priorities).
 
 The batch-parallel local-moving kernel processes vertices in batches that
 share one snapshot of the memberships.  If two *adjacent* vertices decide
@@ -8,13 +8,25 @@ proper coloring (a technique the paper cites from Grappolo [11]) removes
 the problem: within a color class no two vertices are adjacent, so batch
 decisions are exactly as independent as the asynchronous algorithm's.
 
-The coloring itself is the standard parallel maximal-independent-set
-iteration with random priorities: in each round, every uncolored vertex
-that is a local priority maximum among its uncolored neighbors takes the
-round's color.  Rounds only touch the *active* (still uncolored) vertex
-set: their CSR rows are gathered and reduced per row with one
-``maximum.reduceat`` — so per-round work shrinks with the frontier
-instead of re-scanning every edge with a ``np.maximum.at`` scatter.
+The coloring is the Jones-Plassmann one: every vertex draws a random
+priority, and in round ``k`` each uncolored vertex that outranks all of
+its uncolored neighbors takes color ``k``.  A vertex wins in the first
+round in which all of its *higher*-priority neighbors are already colored
+(its lower-priority neighbors cannot win before it does), so the color is
+a fixed function of the priorities::
+
+    color(v) = 1 + max{ color(u) : u ~ v, priority(u) > priority(v) }
+
+and 0 when ``v`` has no higher-priority neighbor.  That is ``v``'s
+longest-path level in the DAG that points every edge from its
+higher-priority end to its lower-priority end.  ``color_graph`` computes
+the levels directly with a Kahn sweep over that DAG: the vertices of
+in-degree 0 are level 0, and each level's out-edges are gathered once to
+decrement their targets' in-degrees, releasing the next level.  Every
+edge is touched once in total — not once per round in which both of its
+ends are still uncolored, as round-by-round maximal-independent-set
+iteration does — which matters on power-law graphs, whose super-graphs
+need 100+ colors.
 """
 
 from __future__ import annotations
@@ -37,52 +49,43 @@ def color_graph(
 
     Colors are dense ``0..k-1``.  If ``max_rounds`` is hit (pathological
     inputs), all remaining vertices are given mutually distinct fresh
-    colors, preserving properness.
+    colors in ascending id order, preserving properness.
     """
     n = graph.num_vertices
     colors = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return colors
-    # Flat (owner, neighbor) edge arrays from the symmetric CSR, self
-    # loops dropped.  An edge only matters while *both* endpoints are
-    # uncolored, so the arrays are compacted in place every round — the
-    # filtering preserves the by-owner grouping, letting the per-owner
-    # maximum stay a single ``reduceat``.  Per-round cost tracks the
-    # shrinking frontier's live edges, not the whole graph.
-    seg, idx = ragged_indices(graph.offsets[:-1], graph.degrees)
-    owner = seg
-    nbr = graph.targets[idx].astype(np.int64)
-    notself = owner != nbr
-    owner, nbr = owner[notself], nbr[notself]
-
     rng = np.random.default_rng(seed)
     priority = rng.permutation(n)
-    uncolored = np.ones(n, dtype=bool)
-    active = np.arange(n, dtype=np.int64)
+    # DAG edges: the CSR entries (owner, nbr) whose owner outranks the
+    # neighbor.  Self loops and the upward half of every edge drop out;
+    # the kept entries stay grouped by owner, so each vertex's out-edges
+    # are one contiguous run.  Duplicate entries count once per entry in
+    # the in-degree and are decremented once per entry.
+    owner, nbr = graph.to_coo()[:2]
+    down = np.repeat(priority, graph.degrees) > priority[nbr]
+    nbr = nbr[down]
+    out_deg = np.bincount(owner[down], minlength=n)
+    del owner, down
+    out_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(out_deg[:-1], out=out_start[1:])
+    indeg = np.bincount(nbr, minlength=n)
+
+    # Kahn sweep: round k colors exactly the level-k vertices, the same
+    # set Jones-Plassmann round k would.
+    frontier = np.flatnonzero(indeg == 0)
     color = 0
-    while active.shape[0] > 0:
+    while frontier.shape[0] > 0:
         if color >= max_rounds:
-            colors[active] = color + np.arange(active.shape[0])
+            remaining = np.flatnonzero(colors < 0)
+            colors[remaining] = color + np.arange(remaining.shape[0])
             break
-        # Max uncolored-neighbor priority per uncolored vertex.  Owners
-        # with no live edges left keep best == -1 and win immediately
-        # (isolated vertices never enter the edge arrays at all).
-        best = np.full(n, -1, dtype=np.int64)
-        if owner.shape[0] > 0:
-            boundary = np.empty(owner.shape[0], dtype=bool)
-            boundary[0] = True
-            np.not_equal(owner[1:], owner[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            best[owner[starts]] = np.maximum.reduceat(priority[nbr], starts)
-        winners = priority[active] > best[active]
-        won = active[winners]
-        colors[won] = color
-        uncolored[won] = False
-        active = active[~winners]
+        colors[frontier] = color
         color += 1
-        if won.shape[0] > 0 and owner.shape[0] > 0:
-            live = uncolored[owner] & uncolored[nbr]
-            owner, nbr = owner[live], nbr[live]
+        _, pos = ragged_indices(out_start[frontier], out_deg[frontier])
+        released, counts = np.unique(nbr[pos], return_counts=True)
+        indeg[released] -= counts
+        frontier = released[indeg[released] == 0]
     return colors
 
 

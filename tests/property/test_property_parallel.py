@@ -4,10 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.builder import build_csr_from_edges
+from repro.parallel.coloring import color_graph, verify_coloring
 from repro.parallel.hashtable import CollisionFreeHashtable
 from repro.parallel.rng import Xorshift32
 from repro.parallel.scan import blocked_exclusive_scan, exclusive_scan
 from repro.parallel.schedule import Schedule, chunk_spans, makespan
+from tests.parallel.test_coloring import _color_graph_reference
 
 
 class TestHashtableVsDict:
@@ -79,6 +82,28 @@ class TestScheduleProperties:
         assert span <= total + 1e-9
         # at least the largest single chunk
         assert span >= float(arr.max()) - 1e-9
+
+
+class TestColoringProperties:
+    @given(st.integers(1, 40),
+           st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                    max_size=200),
+           st.booleans(),
+           st.integers(0, 2**16),
+           st.sampled_from([0, 1, 2, 3, 256]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_and_is_proper(self, n, edges, coalesce,
+                                             seed, max_rounds):
+        edges = [(u % n, v % n) for u, v in edges]
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        g = build_csr_from_edges(src, dst, num_vertices=n,
+                                 coalesce="sum" if coalesce else None)
+        colors = color_graph(g, seed=seed, max_rounds=max_rounds)
+        assert np.array_equal(
+            colors, _color_graph_reference(g, seed=seed, max_rounds=max_rounds)
+        )
+        assert verify_coloring(g, colors)
 
 
 class TestRngProperties:
