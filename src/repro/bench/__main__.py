@@ -20,7 +20,9 @@ Observability / CI flags:
   byte-deterministic ``repro.memory/1`` allocation report — a CI
   artifact next to the trace/profile bundles;
 - ``--update-baselines`` re-records the baseline files after an
-  intentional performance or quality change;
+  intentional performance or quality change.  ``--seed`` applies to the
+  perf baselines (and ``--mem``) only; every golden file is recorded at
+  its :data:`~repro.observability.regression.GOLDEN_FAMILIES` params;
 - ``--kernels`` runs the sort-vs-count kernel microbenchmarks
   (``--quick`` for the smaller CI smoke variant) and verifies both
   kernel engines return identical memberships;
@@ -33,7 +35,6 @@ Observability / CI flags:
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 
@@ -126,60 +127,27 @@ def main(argv: list[str] | None = None) -> int:
         baseline_dir = (Path(args.baseline_dir) if args.baseline_dir
                         else regression.default_baseline_dir())
         if args.update_baselines:
-            baselines = regression.record_baselines(
-                baseline_dir, seed=args.seed,
-            )
-            for b in baselines:
+            for b in regression.record_baselines(baseline_dir,
+                                                 seed=args.seed):
                 print(f"recorded baseline {b.name} "
                       f"(modeled {b.metrics.modeled_seconds:.4f}s, "
                       f"Q={b.metrics.modularity:.4f})")
-            for sb in regression.record_service_baselines(baseline_dir):
-                stats = sb.expected["stats"]
-                print(f"recorded service baseline {sb.name} "
-                      f"(clock={stats['clock_units']} units, "
-                      f"{stats['counters']['queries_served']} queries)")
-            for mb in regression.record_metrics_baselines(baseline_dir):
-                n_fams = len(mb.expected["families"])
-                print(f"recorded metrics baseline {mb.name} "
-                      f"({mb.kind}, {n_fams} instrument families)")
-            for rb in regression.record_reorder_baselines(baseline_dir):
-                print(f"recorded reorder baseline {rb.name} "
-                      f"(graphs={','.join(rb.graphs)}, mode={rb.mode})")
-            for fb in regression.record_fleet_baselines(baseline_dir):
-                runs = fb.expected["runs"]
-                print(f"recorded fleet baseline {fb.name} "
-                      f"({'/'.join(sorted(runs))}, "
-                      f"invariant={fb.expected['invariant']})")
-            for tb in regression.record_reqtrace_baselines(baseline_dir):
-                widths = tb.expected["widths"]
-                print(f"recorded reqtrace baseline {tb.name} "
-                      f"({'/'.join(sorted(widths))}, "
-                      f"kept_match={tb.expected['kept_match']}, "
-                      f"det_invariant={tb.expected['det_keep_invariant']})")
-            for memb in regression.record_memory_baselines(
-                    baseline_dir, seed=args.seed):
-                logical = memb.expected["logical"]
-                print(f"recorded memory baseline {memb.name} "
-                      f"(graph={memb.graph}, clock={logical['clock']}, "
-                      f"peak={logical['peak_bytes']} B)")
+            for family in regression.GOLDEN_FAMILIES:
+                for name, params in family.files.items():
+                    regression.record_golden(baseline_dir, family, name,
+                                             params)
+                    print(f"recorded {family.label} baseline {name}")
         if args.trace_path:
-            bundle = regression.run_trace(seed=args.seed)
-            Path(args.trace_path).write_text(
-                json.dumps(bundle, indent=2, sort_keys=True) + "\n"
-            )
+            regression.write_json(args.trace_path,
+                                  regression.run_trace(seed=args.seed))
             print(f"trace bundle written to {args.trace_path}")
         if args.profile_path:
-            bundle = regression.run_profile(
-                seed=args.seed, num_threads=args.threads)
-            Path(args.profile_path).write_text(
-                json.dumps(bundle, indent=2, sort_keys=True) + "\n"
-            )
+            regression.write_json(args.profile_path, regression.run_profile(
+                seed=args.seed, num_threads=args.threads))
             print(f"profile bundle written to {args.profile_path}")
         if args.mem_path:
-            doc = regression.measure_memory(seed=args.seed)
-            Path(args.mem_path).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
+            regression.write_json(args.mem_path,
+                                  regression.measure_memory(seed=args.seed))
             print(f"memory report written to {args.mem_path}")
         if args.check:
             return regression.run_check(baseline_dir, require_complete=True)

@@ -44,6 +44,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -54,9 +55,39 @@ from repro.core.louvain import louvain
 from repro.datasets.registry import load_graph, registry_names
 from repro.errors import ReproError
 from repro.graph.io_edgelist import read_edgelist
+from repro.graph.io_metis import read_metis
 from repro.graph.io_mtx import read_mtx
+from repro.graph.relabel import community_relabeling
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
+from repro.metrics.summary import summarize_partition
+from repro.observability.health import (
+    HealthEvaluator,
+    default_fleet_slos,
+    default_service_slos,
+)
+from repro.observability.locality import measure_locality
+from repro.observability.memtrack import (
+    MemoryLedger,
+    record_csr,
+    validate_memory_doc,
+)
+from repro.observability.metrics import MetricsRegistry, validate_prometheus
+from repro.observability.profile_report import format_profile_report
+from repro.observability.profiler import (
+    Profiler,
+    chrome_trace_json,
+    to_chrome_trace,
+    validate_chrome_trace,
+)
+from repro.observability.reqtrace import (
+    RequestTracer,
+    merge_chrome_trace,
+    validate_reqtrace,
+)
+from repro.observability.tracer import TRACE_SCHEMA, TRACE_SCHEMA_V1, Tracer
+from repro.parallel.costmodel import PAPER_MACHINE
+from repro.parallel.runtime import Runtime
 
 #: Engine choices shared by every subcommand that runs a detection.
 ENGINE_CHOICES = ("batch", "loop", "threads", "process")
@@ -64,29 +95,96 @@ ENGINE_CHOICES = ("batch", "loop", "threads", "process")
 #: Relabel-mode choices mirrored from :data:`repro.graph.relabel.RELABEL_MODES`.
 RELABEL_CHOICES = ("none", "community", "community-degree")
 
-
-def _add_relabel_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--relabel", choices=list(RELABEL_CHOICES),
-                   default="none",
-                   help="solve on a community-aware relabeled layout "
-                        "(pilot pass derives the layout; memberships are "
-                        "reported in original ids)")
+#: Help text of the positional graph argument.
+_INPUT_HELP = ("graph file (.mtx, .graph or edge list) or a registry "
+               "dataset name")
 
 
-def _add_workers_arg(p: argparse.ArgumentParser) -> None:
+def _add_solve_args(p: argparse.ArgumentParser, *,
+                    relabel: bool = False) -> None:
+    """The detection flags every solving subcommand shares."""
+    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
+                   default="batch")
     p.add_argument("--workers", type=int, default=2,
                    help="worker-process count for --engine process "
                         "(ignored by the other engines; default 2)")
+    if relabel:
+        p.add_argument("--relabel", choices=list(RELABEL_CHOICES),
+                       default="none",
+                       help="solve on a community-aware relabeled layout "
+                            "(pilot pass derives the layout; memberships "
+                            "are reported in original ids)")
+    p.add_argument("--quality", choices=["modularity", "cpm"],
+                   default="modularity")
+    p.add_argument("--max-passes", type=int, default=10)
+    p.add_argument("--seed", type=int, default=42)
 
 
-def _make_runtime(args, **kwargs):
-    """A Runtime sized for the requested engine (process → worker pool)."""
-    from repro.parallel.runtime import Runtime
+def _solve(args, graph, config: LeidenConfig | None = None, *,
+           algo=leiden, **recorders):
+    """One detection run sized by the solve flags.
 
-    if getattr(args, "engine", None) == "process":
-        return Runtime(num_threads=args.workers, executor="process",
-                       seed=args.seed, **kwargs)
-    return Runtime(num_threads=1, seed=args.seed, **kwargs)
+    ``config`` defaults to the flags' :class:`LeidenConfig`;
+    ``recorders`` (tracer, profiler, metrics, memory) attach to the
+    runtime, which — with any worker pool — is closed before returning.
+    """
+    if config is None:
+        config = LeidenConfig(engine=args.engine, quality=args.quality,
+                              max_passes=args.max_passes, seed=args.seed,
+                              relabel=getattr(args, "relabel", "none"))
+    if args.engine == "process":
+        rt = Runtime(num_threads=args.workers, executor="process",
+                     seed=args.seed, **recorders)
+    else:
+        rt = Runtime(num_threads=1, seed=args.seed, **recorders)
+    try:
+        return algo(graph, config, runtime=rt)
+    finally:
+        rt.close()
+
+
+def _write_text(path: Path | None, text: str, what: str) -> None:
+    """Write ``text`` to ``path`` and say so, or print it when no path."""
+    if path is not None:
+        path.write_text(text + "\n")
+        print(f"{what} written to {path}")
+    else:
+        print(text)
+
+
+def _write_json(path: Path | None, doc: dict, what: str,
+                compact: bool) -> None:
+    """Key-sorted JSON, indented unless ``--compact``."""
+    _write_text(path, json.dumps(doc, sort_keys=True,
+                                 indent=None if compact else 2), what)
+
+
+def _write_chrome(path: Path, doc: dict, what: str, compact: bool) -> None:
+    """Validate a Chrome trace-event document, then write it."""
+    validate_chrome_trace(doc)
+    _write_text(path, chrome_trace_json(doc, indent=None if compact else 1),
+                what)
+
+
+def _read_json_docs(paths, validate) -> list | None:
+    """Parse JSON-object documents, checking each with ``validate``.
+
+    On the first bad file, prints ``error: <path>: <reason>`` to stderr
+    and returns ``None`` (the caller exits 2).
+    """
+    docs = []
+    for path in paths:
+        try:
+            doc = json.loads(path.read_text())
+            if not isinstance(doc, dict):
+                raise ValueError(
+                    f"expected a JSON object, got {type(doc).__name__}")
+            validate(doc)
+        except (OSError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return None
+        docs.append(doc)
+    return docs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,15 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="default")
     p.add_argument("--vertex-label", choices=["move", "refine"],
                    default="move")
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    _add_workers_arg(p)
-    _add_relabel_arg(p)
+    _add_solve_args(p, relabel=True)
     p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--max-passes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", type=Path, default=None,
                    help="write one community id per line to this file")
     p.add_argument("--check-connectivity", action="store_true",
@@ -137,8 +228,6 @@ def _load(arg: str):
     if path.suffix == ".mtx":
         return read_mtx(path)
     if path.suffix in (".graph", ".metis"):
-        from repro.graph.io_metis import read_metis
-
         return read_metis(path)
     return read_edgelist(path)
 
@@ -150,16 +239,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
                     "(spans: run → pass → phase; counters: atomics, "
                     "barriers, pruning rate, clock skew, batch sizes)",
     )
-    p.add_argument("input", nargs="?", default=None,
-                   help="graph file (.mtx, .graph or edge list) or a "
-                        "registry dataset name")
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    _add_workers_arg(p)
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--max-passes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("input", nargs="?", default=None, help=_INPUT_HELP)
+    _add_solve_args(p)
     p.add_argument("--threads", type=int, default=64,
                    help="thread count for the modelled-runtime summary")
     p.add_argument("--output", type=Path, default=None,
@@ -179,9 +260,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 def trace_main(argv: list[str] | None = None) -> int:
     """``repro trace`` — run once with tracing on, emit the JSON trace."""
-    from repro.observability.tracer import Tracer
-    from repro.parallel.costmodel import PAPER_MACHINE
-
     parser = build_trace_parser()
     args = parser.parse_args(argv)
     if args.diff is not None:
@@ -189,22 +267,11 @@ def trace_main(argv: list[str] | None = None) -> int:
     if args.input is None:
         parser.error("the following arguments are required: input")
     graph = _load(args.input)
-    config = LeidenConfig(
-        engine=args.engine,
-        quality=args.quality,
-        max_passes=args.max_passes,
-        seed=args.seed,
-    )
     tracer = Tracer()
-    rt = _make_runtime(args, tracer=tracer)
-    try:
-        result = leiden(graph, config, runtime=rt)
-    finally:
-        rt.close()
+    result = _solve(args, graph, tracer=tracer)
     sim = result.ledger.simulate(PAPER_MACHINE, args.threads)
     q = modularity(graph, result.membership)
-    doc = tracer.to_json(
-        indent=None if args.compact else 2,
+    doc = tracer.to_dict(
         experiment=str(args.input),
         seed=args.seed,
         num_threads=args.threads,
@@ -219,37 +286,34 @@ def trace_main(argv: list[str] | None = None) -> int:
             "num_communities": result.num_communities,
         },
     )
-    if args.output is not None:
-        args.output.write_text(doc + "\n")
-        print(f"trace written to {args.output}")
-    else:
-        print(doc)
+    _write_json(args.output, doc, "trace", args.compact)
     return 0
 
 
 def _trace_diff(args) -> int:
     """``repro trace --diff A.json B.json`` — field-level trace delta."""
-    import json
-
     from repro.observability.regression import (
         diff_trace_docs,
         format_trace_diff,
     )
 
+    def check_schema(doc: dict) -> None:
+        if doc.get("schema") not in (TRACE_SCHEMA, TRACE_SCHEMA_V1):
+            raise ValueError(
+                f"unsupported trace schema {doc.get('schema')!r} "
+                f"(expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V1!r})")
+
     path_a, path_b = args.diff
     for p in (path_a, path_b):
         if not p.exists():
             raise SystemExit(f"error: trace file {p} does not exist")
-    doc_a = json.loads(path_a.read_text())
-    doc_b = json.loads(path_b.read_text())
-    rows = diff_trace_docs(doc_a, doc_b)
+    docs = _read_json_docs(args.diff, check_schema)
+    if docs is None:
+        return 2
+    rows = diff_trace_docs(*docs)
     text, diffs = format_trace_diff(
         rows, label_a=str(path_a), label_b=str(path_b))
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"diff written to {args.output}")
-    else:
-        print(text)
+    _write_text(args.output, text, "diff")
     return 1 if (args.strict and diffs) else 0
 
 
@@ -261,17 +325,8 @@ def build_profile_parser() -> argparse.ArgumentParser:
                     "load-imbalance report, optionally exporting the "
                     "per-thread timeline as Chrome trace-event JSON",
     )
-    p.add_argument("input",
-                   help="graph file (.mtx, .graph or edge list) or a "
-                        "registry dataset name")
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    _add_workers_arg(p)
-    _add_relabel_arg(p)
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--max-passes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("input", help=_INPUT_HELP)
+    _add_solve_args(p, relabel=True)
     p.add_argument("--threads", type=int, default=8,
                    help="simulated thread count the timeline is laid "
                         "out at (one Chrome lane per thread)")
@@ -289,47 +344,20 @@ def build_profile_parser() -> argparse.ArgumentParser:
 
 def profile_main(argv: list[str] | None = None) -> int:
     """``repro profile`` — run once with the profiler on, emit report."""
-    from repro.observability.profile_report import format_profile_report
-    from repro.observability.profiler import (
-        Profiler,
-        chrome_trace_json,
-        to_chrome_trace,
-        validate_chrome_trace,
-    )
-    from repro.observability.tracer import Tracer
-
     args = build_profile_parser().parse_args(argv)
     graph = _load(args.input)
-    config = LeidenConfig(
-        engine=args.engine,
-        quality=args.quality,
-        max_passes=args.max_passes,
-        seed=args.seed,
-        relabel=args.relabel,
-    )
     tracer = Tracer()
     profiler = Profiler(num_threads=args.threads)
-    rt = _make_runtime(args, tracer=tracer, profiler=profiler)
-    try:
-        leiden(graph, config, runtime=rt)
-    finally:
-        rt.close()
+    _solve(args, graph, tracer=tracer, profiler=profiler)
     timeline = profiler.timeline()
     trace_doc = tracer.to_dict(experiment=str(args.input), seed=args.seed)
     report = format_profile_report(
         timeline, trace_doc=trace_doc, top=args.top, title=str(args.input))
     if args.chrome is not None:
-        doc = to_chrome_trace(
-            timeline, experiment=str(args.input), seed=args.seed)
-        validate_chrome_trace(doc)
-        args.chrome.write_text(chrome_trace_json(
-            doc, indent=None if args.compact else 1) + "\n")
-        print(f"chrome trace written to {args.chrome}")
-    if args.output is not None:
-        args.output.write_text(report + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(report)
+        _write_chrome(args.chrome, to_chrome_trace(
+            timeline, experiment=str(args.input), seed=args.seed),
+            "chrome trace", args.compact)
+    _write_text(args.output, report, "report")
     return 0
 
 
@@ -341,16 +369,8 @@ def build_metrics_parser() -> argparse.ArgumentParser:
                     "(counters/gauges/histograms with labels; JSON "
                     "repro.metrics/1 or Prometheus text exposition)",
     )
-    p.add_argument("input",
-                   help="graph file (.mtx, .graph or edge list) or a "
-                        "registry dataset name")
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    _add_workers_arg(p)
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--max-passes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("input", help=_INPUT_HELP)
+    _add_solve_args(p)
     p.add_argument("--format", choices=["json", "prom"], default="json",
                    dest="fmt",
                    help="output format: JSON snapshot (default) or "
@@ -364,46 +384,25 @@ def build_metrics_parser() -> argparse.ArgumentParser:
 
 def metrics_main(argv: list[str] | None = None) -> int:
     """``repro metrics`` — run once with instruments on, emit snapshot."""
-    import json
-
-    from repro.observability.metrics import validate_prometheus
-    from repro.observability.regression import collect_leiden_metrics
-
     args = build_metrics_parser().parse_args(argv)
     graph = _load(args.input)
-    config = LeidenConfig(
-        engine=args.engine,
-        quality=args.quality,
-        max_passes=args.max_passes,
-        seed=args.seed,
-    )
-    registry, _tracer, result = collect_leiden_metrics(
-        graph, config, seed=args.seed,
-        num_threads=args.workers if args.engine == "process" else 1,
-        executor="process" if args.engine == "process" else "serial",
-    )
-    q = modularity(graph, result.membership)
+    registry, tracer = MetricsRegistry(), Tracer()
+    result = _solve(args, graph, tracer=tracer, metrics=registry)
+    # The trace's batch/color-class histograms join as trace_* families.
+    registry.merge_tracer(tracer)
     if args.fmt == "prom":
-        doc = registry.to_prometheus()
-        validate_prometheus(doc)
-    else:
-        doc = json.dumps(
-            registry.to_snapshot(
-                experiment=str(args.input),
-                seed=args.seed,
-                modularity=q,
-                num_passes=result.num_passes,
-                num_communities=result.num_communities,
-                total_work=result.ledger.total_work,
-            ),
-            indent=None if args.compact else 2,
-            sort_keys=True,
-        ) + "\n"
-    if args.output is not None:
-        args.output.write_text(doc)
-        print(f"metrics written to {args.output}")
-    else:
-        print(doc, end="")
+        text = registry.to_prometheus()
+        validate_prometheus(text)
+        _write_text(args.output, text.rstrip("\n"), "metrics")
+        return 0
+    _write_json(args.output, registry.to_snapshot(
+        experiment=str(args.input),
+        seed=args.seed,
+        modularity=modularity(graph, result.membership),
+        num_passes=result.num_passes,
+        num_communities=result.num_communities,
+        total_work=result.ledger.total_work,
+    ), "metrics", args.compact)
     return 0
 
 
@@ -471,8 +470,6 @@ def _reject_unknown_profile(name: str, known, *, what: str) -> int:
 
 def serve_main(argv: list[str] | None = None) -> int:
     """``repro serve`` — drive the partition server through a workload."""
-    import json
-
     from repro.service.server import PartitionServer, ServiceConfig
     from repro.service.workload import PROFILES, run_workload
 
@@ -486,26 +483,8 @@ def serve_main(argv: list[str] | None = None) -> int:
             or args.metrics_output is not None
             or args.reqtrace_output is not None
             or args.mem_output is not None):
-        from repro.observability.health import (
-            HealthEvaluator,
-            default_service_slos,
-        )
-        from repro.observability.metrics import MetricsRegistry
-        from repro.observability.profiler import Profiler
-        from repro.observability.tracer import Tracer
-
         with_metrics = args.metrics_output is not None
         with_reqtrace = args.reqtrace_output is not None
-        reqtrace = None
-        if with_reqtrace:
-            from repro.observability.reqtrace import RequestTracer
-
-            reqtrace = RequestTracer(seed=args.seed)
-        memory = None
-        if args.mem_output is not None:
-            from repro.observability.memtrack import MemoryLedger
-
-            memory = MemoryLedger()
         server = PartitionServer(
             service_config,
             tracer=Tracer() if args.trace_output is not None else None,
@@ -514,8 +493,8 @@ def serve_main(argv: list[str] | None = None) -> int:
             metrics=MetricsRegistry() if with_metrics else None,
             health=(HealthEvaluator(default_service_slos())
                     if with_metrics or with_reqtrace else None),
-            reqtrace=reqtrace,
-            memory=memory,
+            reqtrace=RequestTracer(seed=args.seed) if with_reqtrace else None,
+            memory=MemoryLedger() if args.mem_output is not None else None,
         )
     result = run_workload(
         args.workload,
@@ -524,69 +503,36 @@ def serve_main(argv: list[str] | None = None) -> int:
         service_config=service_config,
         verify=not args.no_verify,
     )
-    doc = json.dumps(result.to_json_dict(), sort_keys=True,
-                     indent=None if args.compact else 2)
-    if args.output is not None:
-        args.output.write_text(doc + "\n")
-        print(f"stats written to {args.output}")
-    else:
-        print(doc)
+    experiment = f"serve:{args.workload}"
+    _write_json(args.output, result.to_json_dict(), "stats", args.compact)
     if args.trace_output is not None:
-        args.trace_output.write_text(server.tracer.to_json(
-            indent=None if args.compact else 2,
-            experiment=f"serve:{args.workload}",
-            seed=args.seed,
-        ) + "\n")
-        print(f"trace written to {args.trace_output}")
+        _write_json(args.trace_output, server.tracer.to_dict(
+            experiment=experiment, seed=args.seed), "trace", args.compact)
     if args.profile_output is not None:
-        from repro.observability.profiler import (
-            chrome_trace_json,
-            to_chrome_trace,
-            validate_chrome_trace,
-        )
-
-        doc = to_chrome_trace(
-            server.profiler.timeline(),
-            experiment=f"serve:{args.workload}", seed=args.seed)
+        doc = to_chrome_trace(server.profiler.timeline(),
+                              experiment=experiment, seed=args.seed)
         if args.reqtrace_output is not None:
             # Merged view: solver timeline lanes + request lanes in one
             # Chrome trace, stitched by flow events.
-            from repro.observability.reqtrace import merge_chrome_trace
-
             doc = merge_chrome_trace(doc, server.reqtrace)
-        validate_chrome_trace(doc)
-        args.profile_output.write_text(chrome_trace_json(
-            doc, indent=None if args.compact else 1) + "\n")
-        print(f"profile written to {args.profile_output}")
+        _write_chrome(args.profile_output, doc, "profile", args.compact)
     if args.reqtrace_output is not None:
-        from repro.observability.reqtrace import validate_reqtrace
-
-        doc = server.reqtrace.to_json_dict(
-            experiment=f"serve:{args.workload}")
+        doc = server.reqtrace.to_json_dict(experiment=experiment)
         validate_reqtrace(doc)
-        args.reqtrace_output.write_text(json.dumps(
-            doc, sort_keys=True,
-            indent=None if args.compact else 2) + "\n")
-        print(f"request traces written to {args.reqtrace_output}")
+        _write_json(args.reqtrace_output, doc, "request traces",
+                    args.compact)
     if args.metrics_output is not None:
-        args.metrics_output.write_text(server.metrics.to_json(
-            indent=None if args.compact else 2,
+        _write_json(args.metrics_output, server.metrics.to_snapshot(
             health=server.health.evaluate(server.clock),
-            experiment=f"serve:{args.workload}",
+            experiment=experiment,
             seed=args.seed,
             clock_units=int(server.clock),
-        ) + "\n")
-        print(f"metrics written to {args.metrics_output}")
+        ), "metrics", args.compact)
     if args.mem_output is not None:
-        from repro.observability.memtrack import validate_memory_doc
-
-        mem_doc = server.memory.to_snapshot(
-            experiment=f"serve:{args.workload}", seed=args.seed)
-        validate_memory_doc(mem_doc)
-        args.mem_output.write_text(json.dumps(
-            mem_doc, sort_keys=True,
-            indent=None if args.compact else 2) + "\n")
-        print(f"memory report written to {args.mem_output}")
+        doc = server.memory.to_snapshot(experiment=experiment,
+                                        seed=args.seed)
+        validate_memory_doc(doc)
+        _write_json(args.mem_output, doc, "memory report", args.compact)
     if not args.no_verify and not all(
             result.membership_matches_scratch.values()):
         print("error: served membership diverged from from-scratch solve",
@@ -604,16 +550,8 @@ def build_mem_parser() -> argparse.ArgumentParser:
                     "per-phase peak watermarks; the logical section is "
                     "worker-count-invariant)",
     )
-    p.add_argument("input",
-                   help="graph file (.mtx, .graph or edge list) or a "
-                        "registry dataset name")
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    _add_workers_arg(p)
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--max-passes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("input", help=_INPUT_HELP)
+    _add_solve_args(p)
     p.add_argument("--output", type=Path, default=None,
                    help="write the memory report JSON here instead of "
                         "stdout")
@@ -632,55 +570,24 @@ def build_mem_parser() -> argparse.ArgumentParser:
 
 def mem_main(argv: list[str] | None = None) -> int:
     """``repro mem`` — run once with the memory ledger on, emit report."""
-    import json
-
-    from repro.observability.memtrack import (
-        MemoryLedger,
-        record_csr,
-        validate_memory_doc,
-    )
-    from repro.observability.profiler import (
-        chrome_trace_json,
-        validate_chrome_trace,
-    )
-
     args = build_mem_parser().parse_args(argv)
     graph = _load(args.input)
-    config = LeidenConfig(
-        engine=args.engine,
-        quality=args.quality,
-        max_passes=args.max_passes,
-        seed=args.seed,
-    )
     memory = MemoryLedger()
     # Graph loads are memoized, so the input CSR may predate the ledger;
     # charge it explicitly so the report covers the input arrays.
     record_csr(memory, graph)
-    rt = _make_runtime(args, memory=memory)
-    try:
-        leiden(graph, config, runtime=rt)
-    finally:
-        rt.close()
+    _solve(args, graph, memory=memory)
     doc = memory.to_snapshot(
         experiment=str(args.input),
         seed=args.seed,
         engine=args.engine,
     )
     validate_memory_doc(doc)
-    text = json.dumps(doc, sort_keys=True,
-                      indent=None if args.compact else 2)
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"memory report written to {args.output}")
-    else:
-        print(text)
+    _write_json(args.output, doc, "memory report", args.compact)
     if args.chrome is not None:
-        chrome = memory.to_chrome_trace(
-            experiment=str(args.input), seed=args.seed)
-        validate_chrome_trace(chrome)
-        args.chrome.write_text(chrome_trace_json(
-            chrome, indent=None if args.compact else 1) + "\n")
-        print(f"memory chrome trace written to {args.chrome}")
+        _write_chrome(args.chrome, memory.to_chrome_trace(
+            experiment=str(args.input), seed=args.seed),
+            "memory chrome trace", args.compact)
     if args.rss:
         # Informational only: real RSS is machine- and allocator-
         # dependent, so it never enters the (gated) report document.
@@ -705,22 +612,14 @@ def build_reorder_parser() -> argparse.ArgumentParser:
                     "The JSON report has no wall-clock fields: two runs "
                     "with the same arguments are byte-identical",
     )
-    p.add_argument("input",
-                   help="graph file (.mtx, .graph or edge list) or a "
-                        "registry dataset name")
+    p.add_argument("input", help=_INPUT_HELP)
     p.add_argument("--mode", choices=[m for m in RELABEL_CHOICES
                                       if m != "none"],
                    default="community",
                    help="layout mode: communities contiguous in "
                         "dendrogram order, optionally degree-sorted "
                         "within each community")
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    _add_workers_arg(p)
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--max-passes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    _add_solve_args(p)
     p.add_argument("--perm", type=Path, default=None,
                    help="write the permutation (line i = original id of "
                         "new vertex i) to this file")
@@ -736,24 +635,9 @@ def build_reorder_parser() -> argparse.ArgumentParser:
 
 def reorder_main(argv: list[str] | None = None) -> int:
     """``repro reorder`` — derive a layout, report the locality delta."""
-    import json
-
-    from repro.graph.relabel import community_relabeling
-    from repro.observability.locality import measure_locality
-
     args = build_reorder_parser().parse_args(argv)
     graph = _load(args.input)
-    config = LeidenConfig(
-        engine=args.engine,
-        quality=args.quality,
-        max_passes=args.max_passes,
-        seed=args.seed,
-    )
-    rt = _make_runtime(args)
-    try:
-        result = leiden(graph, config, runtime=rt)
-    finally:
-        rt.close()
+    result = _solve(args, graph)
     levels = (result.dendrogram.memberships()
               if result.dendrogram.num_levels else [result.membership])
     relab = community_relabeling(graph, levels, mode=args.mode)
@@ -787,21 +671,14 @@ def reorder_main(argv: list[str] | None = None) -> int:
     if before.miss_lines:
         doc["miss_lines_saved_pct"] = round(
             100.0 * (1.0 - after.miss_lines / before.miss_lines), 3)
-    text = json.dumps(doc, sort_keys=True,
-                      indent=None if args.compact else 2)
     if args.perm is not None:
-        args.perm.write_text(
-            "\n".join(str(int(v)) for v in relab.perm) + "\n")
-        print(f"permutation written to {args.perm}")
+        _write_text(args.perm, "\n".join(str(int(v)) for v in relab.perm),
+                    "permutation")
     if args.membership is not None:
-        args.membership.write_text(
-            "\n".join(str(int(c)) for c in result.membership) + "\n")
-        print(f"membership written to {args.membership}")
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"reorder report written to {args.output}")
-    else:
-        print(text)
+        _write_text(args.membership,
+                    "\n".join(str(int(c)) for c in result.membership),
+                    "membership")
+    _write_json(args.output, doc, "reorder report", args.compact)
     if not doc["q_invariant"]:  # pragma: no cover - correctness guard
         print("error: modularity changed under relabeling", file=sys.stderr)
         return 1
@@ -833,25 +710,15 @@ def build_reqtrace_parser() -> argparse.ArgumentParser:
 
 def reqtrace_main(argv: list[str] | None = None) -> int:
     """``repro reqtrace`` — inspect request-trace documents."""
-    import json
-
-    from repro.observability.reqtrace import validate_reqtrace
-
     args = build_reqtrace_parser().parse_args(argv)
     want = 2 if args.diff else 1
     if len(args.input) != want:
         print(f"error: expected {want} input document(s), "
               f"got {len(args.input)}", file=sys.stderr)
         return 2
-    docs = []
-    for path in args.input:
-        try:
-            doc = json.loads(path.read_text())
-            validate_reqtrace(doc)
-        except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-        docs.append(doc)
+    docs = _read_json_docs(args.input, validate_reqtrace)
+    if docs is None:
+        return 2
 
     if args.diff:
         # "Kept" = annotated with at least one keep reason, so a full
@@ -991,8 +858,6 @@ def build_fleet_parser() -> argparse.ArgumentParser:
 
 def fleet_main(argv: list[str] | None = None) -> int:
     """``repro fleet`` — drive a sharded fleet through a workload."""
-    import json
-
     from repro.fleet.fleet import FleetConfig, PartitionFleet
     from repro.fleet.workload import FLEET_PROFILES, run_fleet_workload
 
@@ -1023,15 +888,7 @@ def fleet_main(argv: list[str] | None = None) -> int:
                      or args.reqtrace_chrome is not None)
     if (args.metrics_output is not None or with_reqtrace
             or args.mem_output is not None):
-        from repro.observability.health import (
-            HealthEvaluator,
-            default_fleet_slos,
-        )
-        from repro.observability.metrics import MetricsRegistry
-
         if with_reqtrace:
-            from repro.observability.reqtrace import RequestTracer
-
             reqtrace = RequestTracer(seed=args.seed,
                                      mode=args.reqtrace_mode)
         with_metrics = args.metrics_output is not None
@@ -1053,54 +910,30 @@ def fleet_main(argv: list[str] | None = None) -> int:
         kills=kills,
         verify=not args.no_verify,
     )
-    text = json.dumps(result.to_json_dict(), sort_keys=True,
-                      indent=None if args.compact else 2)
-    if args.output is not None:
-        args.output.write_text(text + "\n")
-        print(f"fleet stats written to {args.output}")
-    else:
-        print(text)
+    experiment = f"fleet:{args.profile}"
+    _write_json(args.output, result.to_json_dict(), "fleet stats",
+                args.compact)
     if args.metrics_output is not None:
-        snapshot = fleet.metrics_snapshot(
-            experiment=f"fleet:{args.profile}",
+        _write_json(args.metrics_output, fleet.metrics_snapshot(
+            experiment=experiment,
             seed=args.seed,
             clock_units=int(fleet.clock_units()),
-        )
-        args.metrics_output.write_text(json.dumps(
-            snapshot, sort_keys=True,
-            indent=None if args.compact else 2) + "\n")
-        print(f"fleet metrics written to {args.metrics_output}")
+        ), "fleet metrics", args.compact)
     if args.reqtrace_output is not None:
-        from repro.observability.reqtrace import validate_reqtrace
-
         doc = reqtrace.to_json_dict(
-            experiment=f"fleet:{args.profile}",
+            experiment=experiment,
             shards=int(args.shards), replicas=int(args.replicas))
         validate_reqtrace(doc)
-        args.reqtrace_output.write_text(json.dumps(
-            doc, sort_keys=True,
-            indent=None if args.compact else 2) + "\n")
-        print(f"request traces written to {args.reqtrace_output}")
+        _write_json(args.reqtrace_output, doc, "request traces",
+                    args.compact)
     if args.reqtrace_chrome is not None:
-        from repro.observability.profiler import (
-            chrome_trace_json,
-            validate_chrome_trace,
-        )
-
-        chrome = reqtrace.to_chrome_trace(
-            experiment=f"fleet:{args.profile}", seed=args.seed)
-        validate_chrome_trace(chrome)
-        args.reqtrace_chrome.write_text(chrome_trace_json(
-            chrome, indent=None if args.compact else 1) + "\n")
-        print(f"request-trace chrome view written to "
-              f"{args.reqtrace_chrome}")
+        _write_chrome(args.reqtrace_chrome, reqtrace.to_chrome_trace(
+            experiment=experiment, seed=args.seed),
+            "request-trace chrome view", args.compact)
     if args.mem_output is not None:
-        mem_doc = fleet.memory_snapshot(
-            experiment=f"fleet:{args.profile}", seed=args.seed)
-        args.mem_output.write_text(json.dumps(
-            mem_doc, sort_keys=True,
-            indent=None if args.compact else 2) + "\n")
-        print(f"fleet memory report written to {args.mem_output}")
+        _write_json(args.mem_output, fleet.memory_snapshot(
+            experiment=experiment, seed=args.seed),
+            "fleet memory report", args.compact)
     if not args.no_verify:
         bad = [n for n, ok in result.membership_matches_scratch.items()
                if not ok]
@@ -1113,33 +946,26 @@ def fleet_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-#: First-token subcommands understood by :func:`main`.
-_SUBCOMMANDS = ("run", "trace", "profile", "metrics", "bench", "serve",
-                "reorder", "fleet", "reqtrace", "mem")
+def bench_main(argv: list[str] | None = None) -> int:
+    """``repro bench`` — the evaluation harness (:mod:`repro.bench`)."""
+    from repro.bench.__main__ import main as main_
+
+    return main_(argv)
+
+
+#: First-token subcommands understood by :func:`main`; anything else
+#: (including ``run``) is the detection run.
+_SUBCOMMANDS = {
+    "trace": trace_main, "profile": profile_main, "metrics": metrics_main,
+    "bench": bench_main, "serve": serve_main, "reorder": reorder_main,
+    "fleet": fleet_main, "reqtrace": reqtrace_main, "mem": mem_main,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        from repro.bench.__main__ import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile_main(argv[1:])
-    if argv and argv[0] == "metrics":
-        return metrics_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "reorder":
-        return reorder_main(argv[1:])
-    if argv and argv[0] == "fleet":
-        return fleet_main(argv[1:])
-    if argv and argv[0] == "reqtrace":
-        return reqtrace_main(argv[1:])
-    if argv and argv[0] == "mem":
-        return mem_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     if argv and argv[0] == "run":
         argv = argv[1:]
     parser = build_parser()
@@ -1164,12 +990,8 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         relabel=args.relabel,
     )
-    algo = leiden if args.algorithm == "leiden" else louvain
-    rt = _make_runtime(args)
-    try:
-        result = algo(graph, config, runtime=rt)
-    finally:
-        rt.close()
+    result = _solve(args, graph, config,
+                    algo=leiden if args.algorithm == "leiden" else louvain)
 
     q = modularity(graph, result.membership, resolution=args.resolution)
     print(f"graph: {args.input}")
@@ -1187,8 +1009,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"disconnected communities: {report.num_disconnected} "
               f"({report.fraction:.2e})")
     if args.summary:
-        from repro.metrics.summary import summarize_partition
-
         summary = summarize_partition(graph, result.membership)
         pct = summary.size_percentiles()
         print(f"coverage: {summary.coverage:.4f}")
@@ -1199,10 +1019,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  weakest community {c.community_id}: size {c.size}, "
                   f"conductance {c.conductance:.3f}")
     if args.output is not None:
-        args.output.write_text(
-            "\n".join(str(int(c)) for c in result.membership) + "\n"
-        )
-        print(f"membership written to {args.output}")
+        _write_text(args.output,
+                    "\n".join(str(int(c)) for c in result.membership),
+                    "membership")
     return 0
 
 

@@ -34,10 +34,11 @@ prints.  This package provides:
   exemplars, and the PAGE-triggered flight recorder
   (:data:`~repro.observability.reqtrace.NULL_REQTRACE` disabled
   default);
-- :mod:`repro.observability.regression` — per-experiment performance
-  baselines (``benchmarks/baselines/*.json``) and the comparison logic
-  behind ``repro bench --check``, the CI perf-regression gate, plus the
-  trace-diff and schema-migration helpers.
+- :mod:`repro.observability.regression` — the baselines under
+  ``benchmarks/baselines/`` (threshold-gated perf baselines and the
+  exact-match :data:`~repro.observability.regression.GOLDEN_FAMILIES`)
+  and the comparison logic behind ``repro bench --check``, the CI
+  regression gate, plus the trace-diff and schema-migration helpers.
 """
 
 from repro.observability.health import (
@@ -100,16 +101,11 @@ from repro.observability.tracer import (
 _REGRESSION_EXPORTS = frozenset({
     "BASELINE_SCHEMA",
     "Baseline",
-    "METRICS_BASELINE_SCHEMA",
-    "MetricsBaseline",
-    "REORDER_BASELINE_SCHEMA",
-    "ReorderBaseline",
+    "GOLDEN_FAMILIES",
+    "GoldenFamily",
     "collect_leiden_metrics",
     "measure_metrics",
-    "measure_reorder",
     "measure_service_metrics",
-    "record_metrics_baselines",
-    "record_reorder_baselines",
     "MetricCheck",
     "RunMetrics",
     "Thresholds",
@@ -176,16 +172,11 @@ __all__ = [
     "to_chrome_trace",
     "validate_chrome_trace",
     "BASELINE_SCHEMA",
-    "METRICS_BASELINE_SCHEMA",
-    "MetricsBaseline",
-    "REORDER_BASELINE_SCHEMA",
-    "ReorderBaseline",
+    "GOLDEN_FAMILIES",
+    "GoldenFamily",
     "collect_leiden_metrics",
     "measure_metrics",
-    "measure_reorder",
     "measure_service_metrics",
-    "record_metrics_baselines",
-    "record_reorder_baselines",
     "Baseline",
     "MetricCheck",
     "RunMetrics",

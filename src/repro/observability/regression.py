@@ -1,8 +1,10 @@
-"""Performance baselines and the ``repro bench --check`` regression gate.
+"""Baselines and the ``repro bench --check`` regression gate.
 
-A *baseline* pins the expected outcome of one smoke experiment — one
-(graph, config, seed) triple — as a JSON file under
-``benchmarks/baselines/``.  Four metrics are compared:
+Two kinds of baseline file live under ``benchmarks/baselines/``.
+
+*Perf baselines* (schema ``repro.baseline/1``) pin the outcome of one
+smoke experiment — one (graph, config, seed) triple.  Four metrics are
+compared against relative thresholds:
 
 - ``wall_seconds`` — Python wall clock (noisy across machines, so the
   committed baselines carry a generous threshold);
@@ -13,10 +15,15 @@ A *baseline* pins the expected outcome of one smoke experiment — one
 - ``modularity`` — solution quality (deterministic given the seed; gated
   on *drops* only).
 
-``run_check`` re-runs every committed baseline and exits non-zero when
-any metric regresses past its threshold, printing a readable diff — the
-artifact CI gates on.  ``record_baselines`` refreshes the files after an
-intentional perf or quality change (see docs/OBSERVABILITY.md).
+*Golden baselines* pin a whole deterministic document (service stats,
+metrics snapshots, reorder locality, fleet and reqtrace A/Bs, the
+memory report) and gate on exact equality.  Each family is one
+:class:`GoldenFamily` entry in :data:`GOLDEN_FAMILIES`.
+
+``run_check`` validates every file, re-runs it and exits non-zero on any
+regression, printing a readable diff — the artifact CI gates on.
+``record_baselines`` and ``record_golden`` refresh the files after an
+intentional change (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.core.config import LeidenConfig
@@ -44,87 +51,37 @@ from repro.parallel.runtime import Runtime
 
 __all__ = [
     "BASELINE_SCHEMA",
-    "FLEET_BASELINE_SCHEMA",
-    "MEMORY_BASELINE_SCHEMA",
-    "METRICS_BASELINE_SCHEMA",
-    "REORDER_BASELINE_SCHEMA",
-    "REQTRACE_BASELINE_SCHEMA",
-    "SERVICE_BASELINE_SCHEMA",
+    "GOLDEN_FAMILIES",
     "Baseline",
-    "FleetBaseline",
-    "MemoryBaseline",
-    "ReqtraceBaseline",
+    "GoldenFamily",
     "MetricCheck",
-    "MetricsBaseline",
-    "ReorderBaseline",
     "RunMetrics",
-    "ServiceBaseline",
     "Thresholds",
     "collect_leiden_metrics",
+    "compare_docs",
     "compare_metrics",
-    "compare_service_docs",
     "default_baseline_dir",
     "diff_trace_docs",
+    "expected_baseline_names",
     "format_checks",
     "format_trace_diff",
+    "golden_doc",
+    "load_baseline",
     "measure_experiment",
-    "measure_fleet",
     "measure_memory",
     "measure_metrics",
-    "measure_reorder",
-    "measure_reqtrace",
-    "measure_service",
     "measure_service_metrics",
     "migrate_trace",
     "record_baselines",
-    "record_fleet_baselines",
-    "record_memory_baselines",
-    "record_metrics_baselines",
-    "record_reorder_baselines",
-    "record_reqtrace_baselines",
-    "record_service_baselines",
+    "record_golden",
     "run_check",
     "run_profile",
     "run_trace",
+    "write_json",
 ]
 
 #: Version tag embedded in every baseline file.
 BASELINE_SCHEMA = "repro.baseline/1"
-
-#: Version tag of the service-workload baseline files.  Unlike the perf
-#: baselines, these gate on *exact* equality: the workload stats document
-#: carries no wall-clock fields, so any byte of drift is a real
-#: behavioural change in the serving subsystem.
-SERVICE_BASELINE_SCHEMA = "repro.service-baseline/1"
-
-#: Version tag of the metrics-snapshot baseline files.  Metrics snapshots
-#: contain no wall-clock fields, so these also gate on exact equality.
-METRICS_BASELINE_SCHEMA = "repro.metrics-baseline/1"
-
-#: Version tag of the reorder-locality baseline file.  The document
-#: holds modelled cache-line counts, modelled per-phase seconds,
-#: atomics and exact modularities for the original/scrambled/relabeled
-#: layouts of the largest registry graphs — all counting passes, no
-#: wall clock — so it too gates on exact equality.
-REORDER_BASELINE_SCHEMA = "repro.reorder-baseline/1"
-
-#: Version tag of the fleet-load baseline files.  The document holds
-#: the full 1-shard vs 4-shard A/B (stats, fan-out digests, invariance
-#: verdict) on logical clocks only, so it gates on exact equality.
-FLEET_BASELINE_SCHEMA = "repro.fleet-baseline/1"
-
-#: Version tag of the reqtrace-sampling baseline files.  The document
-#: holds the sampled-vs-full A/B of the request tracer (kept-set
-#: digests, deterministic-keep width invariance, flight-dump counts)
-#: on logical clocks only, so it gates on exact equality.
-REQTRACE_BASELINE_SCHEMA = "repro.reqtrace-baseline/1"
-
-#: Version tag of the memory-ledger baseline files.  The document is a
-#: full ``repro.memory/1`` report of one single-thread detection run —
-#: logical clock, per-component/per-phase watermarks and the complete
-#: event list, no wall-clock fields — so it gates on exact equality:
-#: any drift is a real change in what the pipeline allocates.
-MEMORY_BASELINE_SCHEMA = "repro.memory-baseline/1"
 
 #: Version tag of the multi-experiment bundle written by ``bench --trace``.
 TRACE_BUNDLE_SCHEMA = "repro.trace-bundle/1"
@@ -136,6 +93,12 @@ PROFILE_BUNDLE_SCHEMA = "repro.profile-bundle/1"
 #: network (sparse, many passes), one web graph, one social network —
 #: small enough for CI, diverse enough to exercise every phase.
 DEFAULT_BASELINE_GRAPHS = ("asia_osm", "uk-2002", "com-Orkut")
+
+
+def write_json(path: Path | str, doc: dict) -> None:
+    """Write ``doc`` as indented, key-sorted JSON: the byte format of
+    every baseline file and bench bundle."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def default_baseline_dir() -> Path:
@@ -258,9 +221,7 @@ class Baseline:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self.to_dict())
 
 
 def measure_experiment(
@@ -389,179 +350,9 @@ def record_baselines(
     return out
 
 
-# -- service-workload baselines (exact-match gate) ---------------------------
 
 
-@dataclass(frozen=True)
-class ServiceBaseline:
-    """One committed service workload: profile, seed, exact expectations.
-
-    ``expected`` is the full deterministic workload result document
-    (:meth:`repro.service.workload.WorkloadResult.to_json_dict`).  The
-    gate is exact equality — see :data:`SERVICE_BASELINE_SCHEMA`.
-    """
-
-    name: str
-    profile: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SERVICE_BASELINE_SCHEMA,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServiceBaseline":
-        schema = d.get("schema")
-        if schema != SERVICE_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported service baseline schema {schema!r} "
-                f"(expected {SERVICE_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            profile=str(d["profile"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ServiceBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def measure_service(profile: str = "quick", *, seed: int = 0) -> dict:
-    """Run one service workload; returns its deterministic JSON document."""
-    from repro.service.workload import run_workload
-
-    return run_workload(profile, seed=seed).to_json_dict()
-
-
-def compare_service_docs(
-    expected, actual, prefix: str = ""
-) -> List[Tuple[str, object, object]]:
-    """Recursive exact diff of two JSON documents.
-
-    Returns ``(path, expected, actual)`` triples for every leaf that
-    differs (missing keys surface as ``None`` on the absent side).
-    """
-    diffs: List[Tuple[str, object, object]] = []
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        for k in sorted(set(expected) | set(actual)):
-            diffs.extend(compare_service_docs(
-                expected.get(k), actual.get(k),
-                f"{prefix}.{k}" if prefix else str(k)))
-    elif isinstance(expected, list) and isinstance(actual, list) \
-            and len(expected) == len(actual):
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            diffs.extend(compare_service_docs(e, a, f"{prefix}[{i}]"))
-    elif expected != actual:
-        diffs.append((prefix, expected, actual))
-    return diffs
-
-
-def record_service_baselines(
-    directory: Path | str,
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 0,
-) -> List[ServiceBaseline]:
-    """(Re)write one service baseline file per profile."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[ServiceBaseline] = []
-    for profile in profiles:
-        baseline = ServiceBaseline(
-            name=f"service_{profile}",
-            profile=profile,
-            seed=seed,
-            expected=measure_service(profile, seed=seed),
-        )
-        baseline.save(directory / f"service_{profile}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_service_baseline(baseline: ServiceBaseline, print_fn) -> bool:
-    current = measure_service(baseline.profile, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, profile={baseline.profile}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- metrics-snapshot baselines (exact-match gate) ---------------------------
-
-
-@dataclass(frozen=True)
-class MetricsBaseline:
-    """One committed metrics snapshot: what, seed, exact expectations.
-
-    ``kind`` selects the producer: ``"leiden"`` snapshots an instrumented
-    detection run on registry graph ``target``; ``"service"`` snapshots
-    an instrumented workload of profile ``target`` (with the stock SLO
-    evaluator attached).  The gate is exact equality — snapshots carry no
-    wall-clock fields, so any drift is a real behavioural change.
-    """
-
-    name: str
-    kind: str
-    target: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": METRICS_BASELINE_SCHEMA,
-            "name": self.name,
-            "kind": self.kind,
-            "target": self.target,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsBaseline":
-        schema = d.get("schema")
-        if schema != METRICS_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported metrics baseline schema {schema!r} "
-                f"(expected {METRICS_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            kind=str(d["kind"]),
-            target=str(d["target"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "MetricsBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+# -- golden baselines (exact-match gate) -------------------------------------
 
 
 def collect_leiden_metrics(
@@ -645,339 +436,14 @@ def measure_service_metrics(profile: str = "quick", *, seed: int = 0) -> dict:
     )
 
 
-def record_metrics_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = ("asia_osm",),
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 42,
-    service_seed: int = 0,
-) -> List[MetricsBaseline]:
-    """(Re)write the metrics-snapshot baseline files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[MetricsBaseline] = []
-    for graph_name in graphs:
-        baseline = MetricsBaseline(
-            name=f"metrics_{graph_name}",
-            kind="leiden",
-            target=graph_name,
-            seed=seed,
-            expected=measure_metrics(graph_name, seed=seed),
-        )
-        baseline.save(directory / f"metrics_{graph_name}.json")
-        out.append(baseline)
-    for profile in profiles:
-        baseline = MetricsBaseline(
-            name=f"metrics_service_{profile}",
-            kind="service",
-            target=profile,
-            seed=service_seed,
-            expected=measure_service_metrics(profile, seed=service_seed),
-        )
-        baseline.save(directory / f"metrics_service_{profile}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_metrics_baseline(baseline: MetricsBaseline, print_fn) -> bool:
-    if baseline.kind == "service":
-        current = measure_service_metrics(baseline.target, seed=baseline.seed)
-    else:
-        current = measure_metrics(baseline.target, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, kind={baseline.kind}, "
-             f"target={baseline.target}, seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- reorder-locality baselines (exact-match gate) ---------------------------
-
-#: Graphs the committed reorder-locality baseline covers: the two
-#: largest registry graphs (by vertices + edges).
-DEFAULT_REORDER_GRAPHS = ("com-LiveJournal", "kmer_V1r")
-
-
-@dataclass(frozen=True)
-class ReorderBaseline:
-    """The committed reorder-locality expectations, one doc per graph.
-
-    ``expected`` maps each graph name to the deterministic document of
-    :func:`repro.bench.experiments.ext_reorder_locality.
-    measure_reorder_locality` — modelled locality of the original,
-    scrambled and community-relabeled layouts plus batch-solve
-    summaries.  The gate is exact equality.
-    """
-
-    name: str
-    graphs: Tuple[str, ...]
-    seed: int
-    scramble_seed: int
-    mode: str
-    expected: Dict[str, dict] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": REORDER_BASELINE_SCHEMA,
-            "name": self.name,
-            "graphs": list(self.graphs),
-            "seed": self.seed,
-            "scramble_seed": self.scramble_seed,
-            "mode": self.mode,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReorderBaseline":
-        schema = d.get("schema")
-        if schema != REORDER_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported reorder baseline schema {schema!r} "
-                f"(expected {REORDER_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            graphs=tuple(d["graphs"]),
-            seed=int(d["seed"]),
-            scramble_seed=int(d["scramble_seed"]),
-            mode=str(d["mode"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ReorderBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def measure_reorder(
-    graphs: Sequence[str] = DEFAULT_REORDER_GRAPHS,
-    *,
-    seed: int = 42,
-    scramble_seed: int = 7,
-    mode: str = "community",
-) -> Dict[str, dict]:
-    """Deterministic reorder-locality documents, one per graph."""
-    from repro.bench.experiments.ext_reorder_locality import (
-        measure_reorder_locality,
-    )
-
-    return {
-        name: measure_reorder_locality(
-            name, seed=seed, scramble_seed=scramble_seed, mode=mode)
-        for name in graphs
-    }
-
-
-def record_reorder_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = DEFAULT_REORDER_GRAPHS,
-    *,
-    seed: int = 42,
-    scramble_seed: int = 7,
-    mode: str = "community",
-) -> List[ReorderBaseline]:
-    """(Re)write the reorder-locality baseline file."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    baseline = ReorderBaseline(
-        name="reorder_locality",
-        graphs=tuple(graphs),
-        seed=seed,
-        scramble_seed=scramble_seed,
-        mode=mode,
-        expected=measure_reorder(
-            graphs, seed=seed, scramble_seed=scramble_seed, mode=mode),
-    )
-    baseline.save(directory / "reorder_locality.json")
-    return [baseline]
-
-
-def _check_reorder_baseline(baseline: ReorderBaseline, print_fn) -> bool:
-    current = measure_reorder(
-        baseline.graphs, seed=baseline.seed,
-        scramble_seed=baseline.scramble_seed, mode=baseline.mode)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, graphs={','.join(baseline.graphs)}, "
-             f"mode={baseline.mode}, seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- fleet-load baselines (exact-match gate) ---------------------------------
-
-
-@dataclass(frozen=True)
-class FleetBaseline:
-    """One committed fleet A/B: profile, seed, exact expectations.
-
-    ``expected`` is the deterministic 1-shard vs 4-shard comparison
-    document of :func:`repro.bench.experiments.ext_fleet_load.
-    measure_fleet_load` — both runs' full stats plus the cross-width
-    fan-out invariance verdict.  The gate is exact equality.
-    """
-
-    name: str
-    profile: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": FLEET_BASELINE_SCHEMA,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FleetBaseline":
-        schema = d.get("schema")
-        if schema != FLEET_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported fleet baseline schema {schema!r} "
-                f"(expected {FLEET_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            profile=str(d["profile"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "FleetBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def measure_fleet(profile: str = "quick", *, seed: int = 0) -> dict:
-    """Deterministic fleet A/B document for one ``(profile, seed)``."""
-    from repro.bench.experiments.ext_fleet_load import measure_fleet_load
-
-    return measure_fleet_load(profile, seed=seed)
-
-
-def record_fleet_baselines(
-    directory: Path | str,
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 0,
-) -> List[FleetBaseline]:
-    """(Re)write one fleet baseline file per profile."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[FleetBaseline] = []
-    for profile in profiles:
-        baseline = FleetBaseline(
-            name=f"fleet_{profile}",
-            profile=profile,
-            seed=seed,
-            expected=measure_fleet(profile, seed=seed),
-        )
-        baseline.save(directory / f"fleet_{profile}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_fleet_baseline(baseline: FleetBaseline, print_fn) -> bool:
-    current = measure_fleet(baseline.profile, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, profile={baseline.profile}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- memory-ledger baselines (exact-match gate) ------------------------------
-
-
-@dataclass(frozen=True)
-class MemoryBaseline:
-    """One committed memory report: graph, seed, exact expectations.
-
-    ``expected`` is the full ``repro.memory/1`` document of a
-    single-thread detection run on registry graph ``graph`` —
-    :func:`measure_memory`'s output.  The gate is exact equality: the
-    ledger's clock is an event counter and iteration is sorted, so any
-    byte of drift is a real change in the pipeline's allocations.
-    """
-
-    name: str
-    graph: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": MEMORY_BASELINE_SCHEMA,
-            "name": self.name,
-            "graph": self.graph,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MemoryBaseline":
-        schema = d.get("schema")
-        if schema != MEMORY_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported memory baseline schema {schema!r} "
-                f"(expected {MEMORY_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            graph=str(d["graph"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "MemoryBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def measure_memory(graph_name: str = "asia_osm", *, seed: int = 42) -> dict:
+def measure_memory(graph: str = "asia_osm", *, seed: int = 42) -> dict:
     """Deterministic ``repro.memory/1`` report of one detection run.
 
-    Single-thread run with a :class:`~repro.observability.memtrack.
-    MemoryLedger` attached; the input graph's CSR arrays are charged
-    explicitly (loads are memoized, so construction may predate the
-    ledger).  The document is validated (event replay must reproduce
-    the watermarks) before it is returned.
+    Single-thread run on registry graph ``graph`` with a
+    :class:`~repro.observability.memtrack.MemoryLedger` attached; the
+    input graph's CSR arrays are charged explicitly (loads are memoized,
+    so construction may predate the ledger).  The document is validated
+    (event replay must reproduce the watermarks) before it is returned.
     """
     from repro.observability.memtrack import (
         MemoryLedger,
@@ -985,110 +451,46 @@ def measure_memory(graph_name: str = "asia_osm", *, seed: int = 42) -> dict:
         validate_memory_doc,
     )
 
-    graph = load_graph(graph_name)
+    csr = load_graph(graph)
     memory = MemoryLedger()
-    record_csr(memory, graph)
+    record_csr(memory, csr)
     with Runtime(num_threads=1, seed=seed, memory=memory) as rt:
-        leiden(graph, LeidenConfig(seed=seed), runtime=rt)
-    doc = memory.to_snapshot(experiment=graph_name, seed=seed)
+        leiden(csr, LeidenConfig(seed=seed), runtime=rt)
+    doc = memory.to_snapshot(experiment=graph, seed=seed)
     validate_memory_doc(doc)
     return doc
 
 
-def record_memory_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = ("asia_osm",),
-    *,
-    seed: int = 42,
-) -> List["MemoryBaseline"]:
-    """(Re)write the memory baseline file (``memory_quick.json``)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[MemoryBaseline] = []
-    for i, graph_name in enumerate(graphs):
-        baseline = MemoryBaseline(
-            name="memory_quick" if i == 0 else f"memory_{graph_name}",
-            graph=graph_name,
-            seed=seed,
-            expected=measure_memory(graph_name, seed=seed),
-        )
-        baseline.save(directory / f"{baseline.name}.json")
-        out.append(baseline)
-    return out
+def _service_doc(profile: str, seed: int) -> dict:
+    from repro.service.workload import run_workload
+
+    return run_workload(profile, seed=seed).to_json_dict()
 
 
-def _check_memory_baseline(baseline: "MemoryBaseline", print_fn) -> bool:
-    current = measure_memory(baseline.graph, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, graph={baseline.graph}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
+def _metrics_doc(kind: str, target: str, seed: int) -> dict:
+    if kind == "service":
+        return measure_service_metrics(target, seed=seed)
+    return measure_metrics(target, seed=seed)
 
 
-# -- reqtrace-sampling baselines (exact-match gate) --------------------------
+def _reorder_doc(graphs: List[str], mode: str, seed: int,
+                 scramble_seed: int) -> dict:
+    from repro.bench.experiments.ext_reorder_locality import (
+        measure_reorder_locality,
+    )
+
+    return {name: measure_reorder_locality(
+                name, seed=seed, scramble_seed=scramble_seed, mode=mode)
+            for name in graphs}
 
 
-@dataclass(frozen=True)
-class ReqtraceBaseline:
-    """One committed reqtrace A/B: profile, seed, exact expectations.
+def _fleet_doc(profile: str, seed: int) -> dict:
+    from repro.bench.experiments.ext_fleet_load import measure_fleet_load
 
-    ``expected`` is the deterministic sampled-vs-full comparison
-    document of :func:`repro.bench.experiments.ext_fleet_reqtrace.
-    measure_fleet_reqtrace` — per-width kept-set digests, the
-    mode-agreement verdict, and the deterministic-keep width-invariance
-    verdict.  The gate is exact equality: the tail-sampling rules are
-    pure functions of the request tape, so any drift in the kept set is
-    a behavioural change in tracing or serving.
-    """
-
-    name: str
-    profile: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": REQTRACE_BASELINE_SCHEMA,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReqtraceBaseline":
-        schema = d.get("schema")
-        if schema != REQTRACE_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported reqtrace baseline schema {schema!r} "
-                f"(expected {REQTRACE_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            profile=str(d["profile"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ReqtraceBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+    return measure_fleet_load(profile, seed=seed)
 
 
-def measure_reqtrace(profile: str = "quick", *, seed: int = 0) -> dict:
-    """Deterministic reqtrace A/B document for one ``(profile, seed)``."""
+def _reqtrace_doc(profile: str, seed: int) -> dict:
     from repro.bench.experiments.ext_fleet_reqtrace import (
         measure_fleet_reqtrace,
     )
@@ -1096,60 +498,171 @@ def measure_reqtrace(profile: str = "quick", *, seed: int = 0) -> dict:
     return measure_fleet_reqtrace(profile, seed=seed)
 
 
-def record_reqtrace_baselines(
-    directory: Path | str,
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 0,
-) -> List[ReqtraceBaseline]:
-    """(Re)write one reqtrace baseline file per profile."""
+@dataclass(frozen=True)
+class GoldenFamily:
+    """One family of exact-match baseline files and their producer.
+
+    ``files`` maps each file's ``name`` (stored as ``<name>.json``) to
+    the params it is recorded at; ``produce(**params)`` returns the
+    document the file pins.  Every golden file has the same envelope —
+    ``schema``, ``name``, the params, ``expected`` and ``recorded_with``
+    — so one writer (:func:`record_golden`) and one checker serve every
+    family.  The producers are counting passes on logical clocks with no
+    wall-clock fields, so the gate is exact equality: any drift is a
+    real behavioural change.
+    """
+
+    label: str
+    schema: str
+    produce: Callable[..., dict]
+    files: Dict[str, Dict[str, object]]
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        """Param names every file of the family carries, in print order."""
+        return tuple(next(iter(self.files.values())))
+
+
+#: Every exact-match family, in recording order.  Adding a family is one
+#: entry here: ``--update-baselines`` records its files, ``--check``
+#: requires and re-runs them.
+GOLDEN_FAMILIES: Tuple[GoldenFamily, ...] = (
+    # The full deterministic stats document of one service workload.
+    GoldenFamily("service", "repro.service-baseline/1", _service_doc, {
+        "service_quick": {"profile": "quick", "seed": 0},
+    }),
+    # Metrics snapshots: an instrumented detection run (kind "leiden")
+    # and a service workload with the stock SLO evaluator (kind
+    # "service", embedding the repro.health/1 block).
+    GoldenFamily("metrics", "repro.metrics-baseline/1", _metrics_doc, {
+        "metrics_asia_osm":
+            {"kind": "leiden", "target": "asia_osm", "seed": 42},
+        "metrics_service_quick":
+            {"kind": "service", "target": "quick", "seed": 0},
+    }),
+    # Modelled locality of the original/scrambled/relabeled layouts plus
+    # batch-solve summaries, on the two largest registry graphs.
+    GoldenFamily("reorder", "repro.reorder-baseline/1", _reorder_doc, {
+        "reorder_locality": {"graphs": ["com-LiveJournal", "kmer_V1r"],
+                             "mode": "community", "seed": 42,
+                             "scramble_seed": 7},
+    }),
+    # The 1-shard vs 4-shard fleet A/B and its fan-out invariance verdict.
+    GoldenFamily("fleet", "repro.fleet-baseline/1", _fleet_doc, {
+        "fleet_quick": {"profile": "quick", "seed": 0},
+    }),
+    # The sampled-vs-full request-tracer A/B: kept-set digests per
+    # width, mode agreement and deterministic-keep width invariance.
+    GoldenFamily("reqtrace", "repro.reqtrace-baseline/1", _reqtrace_doc, {
+        "reqtrace_quick": {"profile": "quick", "seed": 0},
+    }),
+    # The full repro.memory/1 report of one single-thread detection run.
+    GoldenFamily("memory", "repro.memory-baseline/1", measure_memory, {
+        "memory_quick": {"graph": "asia_osm", "seed": 42},
+    }),
+)
+
+_GOLDEN_BY_SCHEMA = {family.schema: family for family in GOLDEN_FAMILIES}
+
+
+def golden_doc(family: GoldenFamily, name: str, params: dict,
+               expected: dict) -> dict:
+    """The envelope of one golden baseline file."""
+    return {"schema": family.schema, "name": name, **params,
+            "expected": expected, "recorded_with": __version__}
+
+
+def record_golden(directory: Path | str, family: GoldenFamily, name: str,
+                  params: dict) -> dict:
+    """Run ``family.produce(**params)`` and (re)write ``<name>.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    out: List[ReqtraceBaseline] = []
-    for profile in profiles:
-        baseline = ReqtraceBaseline(
-            name=f"reqtrace_{profile}",
-            profile=profile,
-            seed=seed,
-            expected=measure_reqtrace(profile, seed=seed),
-        )
-        baseline.save(directory / f"reqtrace_{profile}.json")
-        out.append(baseline)
-    return out
+    doc = golden_doc(family, name, params, family.produce(**params))
+    write_json(directory / f"{name}.json", doc)
+    return doc
 
 
-def _check_reqtrace_baseline(baseline: ReqtraceBaseline, print_fn) -> bool:
-    current = measure_reqtrace(baseline.profile, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, profile={baseline.profile}, "
-             f"seed={baseline.seed})")
+def compare_docs(
+    expected, actual, prefix: str = ""
+) -> List[Tuple[str, object, object]]:
+    """Recursive exact diff of two JSON documents.
+
+    Returns ``(path, expected, actual)`` triples for every leaf that
+    differs (missing keys surface as ``None`` on the absent side).
+    """
+    diffs: List[Tuple[str, object, object]] = []
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for k in sorted(set(expected) | set(actual)):
+            diffs.extend(compare_docs(
+                expected.get(k), actual.get(k),
+                f"{prefix}.{k}" if prefix else str(k)))
+    elif isinstance(expected, list) and isinstance(actual, list) \
+            and len(expected) == len(actual):
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            diffs.extend(compare_docs(e, a, f"{prefix}[{i}]"))
+    elif expected != actual:
+        diffs.append((prefix, expected, actual))
+    return diffs
+
+
+def _check_golden(family: GoldenFamily, doc: dict, print_fn) -> bool:
+    params = {k: doc[k] for k in family.params}
+    diffs = compare_docs(doc["expected"], family.produce(**params))
+    shown = ", ".join(
+        f"{k}={','.join(v) if isinstance(v, list) else v}"
+        for k, v in params.items())
+    print_fn(f"{'PASS' if not diffs else 'FAIL'} {doc['name']} "
+             f"(exact match, {shown})")
     for path, exp, act in diffs[:20]:
         print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
     if len(diffs) > 20:
         print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
+    return not diffs
+
+
+def load_baseline(path: Path | str) -> Tuple[Optional[GoldenFamily], dict]:
+    """Parse and validate one baseline file without re-running it.
+
+    Returns ``(family, doc)`` for a golden file and ``(None, doc)`` for a
+    perf baseline.  Raises :class:`ValueError` naming the reason when the
+    file does not parse, its schema is unknown, or a field of its
+    envelope or params is missing.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"unreadable JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    schema = doc.get("schema")
+    if schema == BASELINE_SCHEMA:
+        try:
+            Baseline.from_dict(doc)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad field ({exc})") from None
+        return None, doc
+    family = _GOLDEN_BY_SCHEMA.get(schema)
+    if family is None:
+        raise ValueError(f"unknown schema {schema!r}")
+    missing = [k for k in ("name", *family.params, "expected",
+                           "recorded_with") if k not in doc]
+    if missing:
+        raise ValueError(f"missing field(s) {', '.join(map(repr, missing))}")
+    return family, doc
 
 
 def expected_baseline_names() -> List[str]:
     """Filenames ``--check`` requires to be present in the baseline dir.
 
-    Derived from the recorders' defaults (:func:`record_baselines`,
-    :func:`record_service_baselines`, :func:`record_metrics_baselines`,
-    :func:`record_reorder_baselines`, :func:`record_fleet_baselines`,
-    :func:`record_reqtrace_baselines`, :func:`record_memory_baselines`)
-    — the set ``--update-baselines`` writes and CI commits.
+    The perf graphs (:data:`DEFAULT_BASELINE_GRAPHS`) plus every file of
+    every :data:`GOLDEN_FAMILIES` entry — the set
+    ``--update-baselines`` writes and CI commits.
     """
-    names = [f"{g}.json" for g in DEFAULT_BASELINE_GRAPHS]
-    names.append("service_quick.json")
-    names.append("metrics_asia_osm.json")
-    names.append("metrics_service_quick.json")
-    names.append("reorder_locality.json")
-    names.append("fleet_quick.json")
-    names.append("reqtrace_quick.json")
-    names.append("memory_quick.json")
-    return sorted(names)
+    return sorted([f"{g}.json" for g in DEFAULT_BASELINE_GRAPHS]
+                  + [f"{name}.json" for family in GOLDEN_FAMILIES
+                     for name in family.files])
 
 
 def run_check(
@@ -1164,12 +677,15 @@ def run_check(
     This is the body of ``repro bench --check``: the exit code is the CI
     gate, the printed diff is the human-readable artifact.  Dispatches on
     each file's ``schema`` tag: perf baselines gate on thresholds,
-    service baselines on exact stats equality.
+    golden baselines on exact document equality.
 
-    With ``require_complete`` (the CLI always sets it), a *missing*
-    expected baseline file is a hard error (exit 2), not a silent pass —
-    a gate that skips absent baselines checks nothing.  Library callers
-    checking a deliberately partial directory leave it off.
+    Every file is validated before anything re-runs: an unparseable
+    file, an unknown schema or a missing field prints ``INVALID`` and
+    exits 2.  With ``require_complete`` (the CLI always sets it), a
+    *missing* expected baseline file is a hard error (exit 2) too, not a
+    silent pass — a gate that skips absent baselines checks nothing.
+    Library callers checking a deliberately partial directory leave it
+    off.
     """
     directory = Path(baseline_dir) if baseline_dir else default_baseline_dir()
     paths = sorted(directory.glob("*.json"))
@@ -1188,38 +704,22 @@ def run_check(
                 f"— run `repro bench --update-baselines` and commit the "
                 f"result")
             return 2
-    failures = 0
+    loaded = []
+    invalid = 0
     for path in paths:
-        doc = json.loads(path.read_text())
-        if doc.get("schema") == SERVICE_BASELINE_SCHEMA:
-            if not _check_service_baseline(
-                    ServiceBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == METRICS_BASELINE_SCHEMA:
-            if not _check_metrics_baseline(
-                    MetricsBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == REORDER_BASELINE_SCHEMA:
-            if not _check_reorder_baseline(
-                    ReorderBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == FLEET_BASELINE_SCHEMA:
-            if not _check_fleet_baseline(
-                    FleetBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == REQTRACE_BASELINE_SCHEMA:
-            if not _check_reqtrace_baseline(
-                    ReqtraceBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == MEMORY_BASELINE_SCHEMA:
-            if not _check_memory_baseline(
-                    MemoryBaseline.from_dict(doc), print_fn):
-                failures += 1
+        try:
+            loaded.append(load_baseline(path))
+        except ValueError as exc:
+            print_fn(f"INVALID baseline {path}: {exc}")
+            invalid += 1
+    if invalid:
+        print_fn(f"error: {invalid} baseline file(s) invalid — fix or "
+                 f"re-record them with `repro bench --update-baselines`")
+        return 2
+    failures = 0
+    for family, doc in loaded:
+        if family is not None:
+            failures += not _check_golden(family, doc, print_fn)
             continue
         baseline = Baseline.from_dict(doc)
         current, _ = measure_experiment(

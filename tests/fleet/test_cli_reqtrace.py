@@ -154,6 +154,13 @@ class TestInspector:
         assert main(["reqtrace", str(bad)]) == 2
         assert "schema" in capsys.readouterr().err
 
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert main(["reqtrace", str(bad)]) == 2
+        assert (f"error: {bad}: expected a JSON object, got list"
+                in capsys.readouterr().err)
+
     def test_diff_needs_two_inputs(self, traced_run, capsys):
         assert main(["reqtrace", "--diff", str(traced_run)]) == 2
         assert "expected 2" in capsys.readouterr().err

@@ -5,31 +5,36 @@ import json
 import pytest
 
 from repro.observability.regression import (
-    METRICS_BASELINE_SCHEMA,
-    MetricsBaseline,
+    GOLDEN_FAMILIES,
+    golden_doc,
+    load_baseline,
     measure_metrics,
     measure_service_metrics,
-    record_metrics_baselines,
+    record_golden,
     run_check,
+    write_json,
 )
+
+METRICS = next(f for f in GOLDEN_FAMILIES if f.label == "metrics")
+LEIDEN = {"kind": "leiden", "target": "asia_osm", "seed": 42}
 
 
 class TestMetricsBaselineRoundTrip:
     def test_save_load(self, tmp_path):
-        b = MetricsBaseline(name="metrics_x", kind="leiden", target="x",
-                            seed=3, expected={"families": {}})
+        doc = golden_doc(METRICS, "metrics_x",
+                         {"kind": "leiden", "target": "x", "seed": 3},
+                         {"families": {}})
         path = tmp_path / "metrics_x.json"
-        b.save(path)
-        loaded = MetricsBaseline.load(path)
-        assert loaded == b
+        write_json(path, doc)
+        assert load_baseline(path) == (METRICS, doc)
         assert json.loads(path.read_text())["schema"] == \
-            METRICS_BASELINE_SCHEMA
+            "repro.metrics-baseline/1"
 
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "nope/9", "name": "x"}))
         with pytest.raises(ValueError):
-            MetricsBaseline.load(path)
+            load_baseline(path)
 
 
 class TestMeasureDeterminism:
@@ -47,17 +52,17 @@ class TestMeasureDeterminism:
 
 class TestGate:
     def test_record_then_check_passes(self, tmp_path, capsys):
-        record_metrics_baselines(tmp_path, graphs=("asia_osm",),
-                                 profiles=("tiny",))
+        record_golden(tmp_path, METRICS, "metrics_asia_osm", LEIDEN)
+        record_golden(tmp_path, METRICS, "metrics_service_tiny",
+                      {"kind": "service", "target": "tiny", "seed": 0})
         assert run_check(tmp_path) == 0
         out = capsys.readouterr().out
-        assert "PASS metrics_asia_osm" in out
+        assert ("PASS metrics_asia_osm (exact match, kind=leiden, "
+                "target=asia_osm, seed=42)") in out
         assert "PASS metrics_service_tiny" in out
 
     def test_drifted_snapshot_fails(self, tmp_path, capsys):
-        (baseline,) = record_metrics_baselines(tmp_path, graphs=("asia_osm",),
-                                               profiles=())
-        doc = baseline.to_dict()
+        doc = record_golden(tmp_path, METRICS, "metrics_asia_osm", LEIDEN)
         doc["expected"]["families"]["leiden_passes_total"]["series"][0][
             "value"] += 1
         (tmp_path / "metrics_asia_osm.json").write_text(json.dumps(doc))
@@ -71,7 +76,7 @@ class TestGate:
         from repro.observability.regression import record_baselines
 
         record_baselines(tmp_path, graphs=("asia_osm",), seed=42)
-        record_metrics_baselines(tmp_path, graphs=("asia_osm",), profiles=())
+        record_golden(tmp_path, METRICS, "metrics_asia_osm", LEIDEN)
         assert run_check(tmp_path) == 0
         out = capsys.readouterr().out
         assert "PASS asia_osm" in out

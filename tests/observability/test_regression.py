@@ -1,21 +1,27 @@
 """Tests for the baseline store and the ``bench --check`` perf gate."""
 
 import json
+import re
 
 import pytest
 
 from repro.observability import regression
 from repro.observability.regression import (
     BASELINE_SCHEMA,
+    GOLDEN_FAMILIES,
     Baseline,
     RunMetrics,
     Thresholds,
     compare_metrics,
     format_checks,
+    golden_doc,
+    load_baseline,
     measure_experiment,
     record_baselines,
+    record_golden,
     run_check,
     run_trace,
+    write_json,
 )
 from repro.observability.tracer import Tracer
 
@@ -165,17 +171,173 @@ class TestRunCheck:
         assert "no baselines" in capsys.readouterr().out
 
 
+# -- golden baselines ---------------------------------------------------------
+
+GOLDEN = {family.label: family for family in GOLDEN_FAMILIES}
+
+#: The cheapest file each family can record (tiny profiles, the smallest
+#: graph); a family missing here is tested at its first registry file.
+TINY = {
+    "service": ("service_tiny", {"profile": "tiny", "seed": 0}),
+    "metrics": ("metrics_service_tiny",
+                {"kind": "service", "target": "tiny", "seed": 0}),
+    "reorder": ("reorder_asia_osm", {"graphs": [GRAPH], "mode": "community",
+                                     "seed": 42, "scramble_seed": 7}),
+    "fleet": ("fleet_tiny", {"profile": "tiny", "seed": 0}),
+    "reqtrace": ("reqtrace_tiny", {"profile": "tiny", "seed": 0}),
+}
+
+
+def _tiny(family):
+    return TINY.get(family.label) or next(iter(family.files.items()))
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """``record(family) -> (directory, doc)``: each family recorded once,
+    at its :data:`TINY` params, into its own directory.  The doc is
+    re-read on every call, so a test may tamper with its copy."""
+    paths = {}
+
+    def record(family):
+        if family.label not in paths:
+            directory = tmp_path_factory.mktemp(family.label)
+            name, params = _tiny(family)
+            record_golden(directory, family, name, params)
+            paths[family.label] = directory / f"{name}.json"
+        path = paths[family.label]
+        return path.parent, json.loads(path.read_text())
+
+    return record
+
+
+def _tamper(doc, prefix=""):
+    """Bump the first numeric leaf of ``doc`` in place; returns its path
+    as the gate's ``[REG]`` line prints it (``None`` if there is none)."""
+    items = sorted(doc.items()) if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(doc, dict):
+            path = f"{prefix}.{key}" if prefix else str(key)
+        else:
+            path = f"{prefix}[{key}]"
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            doc[key] = value + 1
+            return path
+        if isinstance(value, (dict, list)):
+            found = _tamper(value, path)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize("family", GOLDEN_FAMILIES, ids=lambda f: f.label)
+class TestGoldenFamilies:
+    """The contract every registry entry meets, one body for all."""
+
+    def test_save_load_roundtrip_is_byte_identical(self, family, tmp_path):
+        name, params = _tiny(family)
+        path = tmp_path / f"{name}.json"
+        write_json(path, golden_doc(family, name, params, {"x": [1, 2.5]}))
+        first = path.read_bytes()
+        loaded_family, doc = load_baseline(path)
+        assert loaded_family is family
+        assert doc == json.loads(first)
+        write_json(path, doc)
+        assert path.read_bytes() == first
+
+    def test_rejects_unknown_schema(self, family, tmp_path, capsys):
+        name, params = _tiny(family)
+        doc = golden_doc(family, name, params, {})
+        doc["schema"] = family.schema.rsplit("/", 1)[0] + "/999"
+        path = tmp_path / f"{name}.json"
+        write_json(path, doc)
+        with pytest.raises(ValueError, match="unknown schema"):
+            load_baseline(path)
+        assert run_check(tmp_path) == 2
+        assert (f"INVALID baseline {path}: unknown schema"
+                in capsys.readouterr().out)
+
+    def test_record_then_check_passes(self, family, recorded, capsys):
+        directory, doc = recorded(family)
+        assert doc["schema"] == family.schema
+        assert run_check(directory) == 0
+        out = capsys.readouterr().out
+        assert f"PASS {doc['name']} (exact match, " in out
+        assert "1/1 baselines within thresholds" in out
+
+    def test_tampered_expected_fails(self, family, recorded, tmp_path,
+                                     capsys):
+        _, doc = recorded(family)
+        path = _tamper(doc["expected"])
+        assert path is not None
+        write_json(tmp_path / f"{doc['name']}.json", doc)
+        assert run_check(tmp_path) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {doc['name']}" in out
+        assert f"  [REG] {path}: " in out
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:100])
+
+
+def _edit(fn):
+    """A file corrupter that applies ``fn`` to the parsed document."""
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        fn(doc)
+        write_json(path, doc)
+    return corrupt
+
+
+class TestInvalidBaselines:
+    """A bad file is reported before anything re-runs, with exit 2."""
+
+    @pytest.mark.parametrize("file,corrupt,reason", [
+        ("asia_osm.json", _edit(lambda d: d.update(schema="repro.baseline/999")),
+         "unknown schema 'repro.baseline/999'"),
+        ("service_quick.json", _truncate, "unreadable JSON"),
+        ("fleet_quick.json", _edit(lambda d: d.pop("profile")),
+         "missing field(s) 'profile'"),
+    ], ids=["unknown-schema", "truncated", "missing-param"])
+    def test_cli_check_reports_invalid_before_rerun(
+            self, tmp_path, capsys, file, corrupt, reason):
+        from repro.bench.__main__ import main as bench_main
+
+        for src in regression.default_baseline_dir().glob("*.json"):
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        corrupt(tmp_path / file)
+        assert bench_main(["--check", "--baselines", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert f"INVALID baseline {tmp_path / file}: {reason}" in out
+        assert "1 baseline file(s) invalid" in out
+        # Nothing was re-measured: no perf or golden verdict printed.
+        assert "PASS" not in out and "FAIL" not in out and "[OK]" not in out
+
+    @pytest.mark.parametrize("corrupt,reason", [
+        (_edit(lambda d: d.pop("metrics")), "missing field 'metrics'"),
+        (_edit(lambda d: d.update(seed="x")), "bad field"),
+        (lambda path: path.write_text("[1, 2]\n"),
+         "expected a JSON object, got list"),
+    ], ids=["missing-field", "bad-field", "non-object"])
+    def test_load_rejects_broken_file(self, tmp_path, corrupt, reason):
+        path = tmp_path / "b.json"
+        _baseline().save(path)
+        corrupt(path)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            load_baseline(path)
+
+
 class TestServiceBaseline:
     def test_save_load_roundtrip(self, tmp_path):
-        b = regression.ServiceBaseline(
-            name="service_tiny", profile="tiny", seed=0,
-            expected={"stats": {"clock_units": 1}})
+        doc = golden_doc(GOLDEN["service"], "service_tiny",
+                         {"profile": "tiny", "seed": 0},
+                         {"stats": {"clock_units": 1}})
         path = tmp_path / "service_tiny.json"
-        b.save(path)
-        loaded = regression.ServiceBaseline.load(path)
-        assert loaded == b
+        write_json(path, doc)
+        assert load_baseline(path) == (GOLDEN["service"], doc)
         assert (json.loads(path.read_text())["schema"]
-                == regression.SERVICE_BASELINE_SCHEMA)
+                == "repro.service-baseline/1")
 
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -183,27 +345,27 @@ class TestServiceBaseline:
                                     "name": "x", "profile": "tiny",
                                     "seed": 0, "expected": {}}))
         with pytest.raises(ValueError, match="schema"):
-            regression.ServiceBaseline.load(path)
+            load_baseline(path)
 
     def test_compare_service_docs_diffs(self):
         exp = {"a": 1, "b": {"c": [1, 2]}, "gone": 3}
         act = {"a": 1, "b": {"c": [1, 5]}, "new": 4}
-        diffs = regression.compare_service_docs(exp, act)
+        diffs = regression.compare_docs(exp, act)
         paths = {p for p, _, _ in diffs}
         assert paths == {"b.c[1]", "gone", "new"}
-        assert regression.compare_service_docs(exp, dict(exp)) == []
+        assert regression.compare_docs(exp, dict(exp)) == []
 
     def test_record_then_check_passes(self, tmp_path, capsys):
-        regression.record_service_baselines(tmp_path, ["tiny"], seed=0)
+        record_golden(tmp_path, GOLDEN["service"], "service_tiny",
+                      {"profile": "tiny", "seed": 0})
         assert run_check(tmp_path) == 0
         out = capsys.readouterr().out
-        assert "PASS service_tiny (exact match" in out
+        assert "PASS service_tiny (exact match, profile=tiny, seed=0)" in out
         assert "1/1 baselines within thresholds" in out
 
     def test_drifted_stats_fail(self, tmp_path, capsys):
-        (recorded,) = regression.record_service_baselines(
-            tmp_path, ["tiny"], seed=0)
-        doc = recorded.to_dict()
+        doc = record_golden(tmp_path, GOLDEN["service"], "service_tiny",
+                            {"profile": "tiny", "seed": 0})
         doc["expected"]["stats"]["clock_units"] += 1
         (tmp_path / "service_tiny.json").write_text(json.dumps(doc))
         assert run_check(tmp_path) == 1
@@ -213,22 +375,22 @@ class TestServiceBaseline:
 
     def test_mixed_dir_dispatches_by_schema(self, tmp_path, capsys):
         record_baselines(tmp_path, [GRAPH])
-        regression.record_service_baselines(tmp_path, ["tiny"], seed=0)
+        record_golden(tmp_path, GOLDEN["service"], "service_tiny",
+                      {"profile": "tiny", "seed": 0})
         assert run_check(tmp_path) == 0
         assert "2/2 baselines within thresholds" in capsys.readouterr().out
 
 
 class TestReqtraceBaseline:
     def test_save_load_roundtrip(self, tmp_path):
-        b = regression.ReqtraceBaseline(
-            name="reqtrace_tiny", profile="tiny", seed=0,
-            expected={"kept_match": True, "widths": {}})
+        doc = golden_doc(GOLDEN["reqtrace"], "reqtrace_tiny",
+                         {"profile": "tiny", "seed": 0},
+                         {"kept_match": True, "widths": {}})
         path = tmp_path / "reqtrace_tiny.json"
-        b.save(path)
-        loaded = regression.ReqtraceBaseline.load(path)
-        assert loaded == b
+        write_json(path, doc)
+        assert load_baseline(path) == (GOLDEN["reqtrace"], doc)
         assert (json.loads(path.read_text())["schema"]
-                == regression.REQTRACE_BASELINE_SCHEMA)
+                == "repro.reqtrace-baseline/1")
 
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -236,33 +398,31 @@ class TestReqtraceBaseline:
                                     "name": "x", "profile": "tiny",
                                     "seed": 0, "expected": {}}))
         with pytest.raises(ValueError, match="schema"):
-            regression.ReqtraceBaseline.load(path)
+            load_baseline(path)
 
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        regression.record_reqtrace_baselines(tmp_path, ["tiny"], seed=0)
-        assert run_check(tmp_path) == 0
+    def test_record_then_check_passes(self, recorded, capsys):
+        directory, _ = recorded(GOLDEN["reqtrace"])
+        assert run_check(directory) == 0
         out = capsys.readouterr().out
-        assert "PASS reqtrace_tiny (exact match" in out
+        assert "PASS reqtrace_tiny (exact match, profile=tiny, seed=0)" in out
 
-    def test_measure_pins_mode_agreement_and_width_invariance(self):
-        doc = regression.measure_reqtrace("tiny", seed=0)
-        assert doc["kept_match"] is True
-        assert doc["det_keep_invariant"] is True
-        assert set(doc["widths"]) == {"shards_1", "shards_4"}
+    def test_measure_pins_mode_agreement_and_width_invariance(self, recorded):
+        _, doc = recorded(GOLDEN["reqtrace"])
+        assert doc["expected"]["kept_match"] is True
+        assert doc["expected"]["det_keep_invariant"] is True
+        assert set(doc["expected"]["widths"]) == {"shards_1", "shards_4"}
 
     def test_expected_names_include_reqtrace(self):
         assert "reqtrace_quick.json" in regression.expected_baseline_names()
 
 
 class TestMemoryBaseline:
-    def test_roundtrip_and_schema(self, tmp_path):
-        baselines = regression.record_memory_baselines(tmp_path, seed=42)
-        assert [b.name for b in baselines] == ["memory_quick"]
-        path = tmp_path / "memory_quick.json"
-        loaded = regression.MemoryBaseline.load(path)
-        assert loaded == baselines[0]
-        assert (json.loads(path.read_text())["schema"]
-                == regression.MEMORY_BASELINE_SCHEMA)
+    def test_roundtrip_and_schema(self, recorded):
+        directory, doc = recorded(GOLDEN["memory"])
+        path = directory / "memory_quick.json"
+        assert load_baseline(path) == (GOLDEN["memory"], doc)
+        assert doc["schema"] == "repro.memory-baseline/1"
+        assert doc["graph"] == GRAPH and doc["seed"] == 42
 
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -270,21 +430,20 @@ class TestMemoryBaseline:
                                     "name": "x", "graph": GRAPH,
                                     "seed": 42, "expected": {}}))
         with pytest.raises(ValueError, match="schema"):
-            regression.MemoryBaseline.load(path)
+            load_baseline(path)
 
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        regression.record_memory_baselines(tmp_path, seed=42)
-        assert run_check(tmp_path) == 0
+    def test_record_then_check_passes(self, recorded, capsys):
+        directory, _ = recorded(GOLDEN["memory"])
+        assert run_check(directory) == 0
         out = capsys.readouterr().out
-        assert "PASS memory_quick (exact match" in out
+        assert "PASS memory_quick (exact match, graph=asia_osm, seed=42)" in out
 
-    def test_tampered_expectation_fails_with_diff(self, tmp_path, capsys):
-        (baseline,) = regression.record_memory_baselines(tmp_path, seed=42)
-        doc = baseline.to_dict()
+    def test_tampered_expectation_fails_with_diff(self, recorded, tmp_path,
+                                                  capsys):
+        _, doc = recorded(GOLDEN["memory"])
         doc["expected"]["logical"]["peak_bytes"] += 1
         doc["expected"]["events"][0]["nbytes"] += 1
-        path = tmp_path / "memory_quick.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        write_json(tmp_path / "memory_quick.json", doc)
         assert run_check(tmp_path) == 1
         out = capsys.readouterr().out
         assert "FAIL memory_quick" in out
@@ -415,11 +574,11 @@ class TestMissingBaselines:
 
     def test_expected_names_cover_all_recorder_families(self):
         names = regression.expected_baseline_names()
-        assert names == sorted(names)
-        for g in regression.DEFAULT_BASELINE_GRAPHS:
-            assert f"{g}.json" in names
-        assert "service_quick.json" in names
-        assert any(n.startswith("metrics_") for n in names)
+        assert names == sorted(
+            [f"{g}.json" for g in regression.DEFAULT_BASELINE_GRAPHS]
+            + [f"{name}.json" for family in GOLDEN_FAMILIES
+               for name in family.files])
+        assert len(set(names)) == len(names) == 10
 
     def test_partial_dir_fails_before_any_rerun(self, tmp_path, capsys):
         # A lone perf baseline: complete enough to re-run, but the gate

@@ -405,6 +405,23 @@ class TestTraceDiff:
         with pytest.raises(SystemExit):
             main(["trace", "--diff", str(a), str(tmp_path / "nope.json")])
 
+    @pytest.mark.parametrize("content,reason", [
+        ('{"schema": "repro.trace/2", "spans": [', "Expecting value"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"schema": "repro.metrics/1"}', "unsupported trace schema"),
+    ], ids=["truncated", "top-level-list", "wrong-schema"])
+    def test_diff_bad_file_exits_2(self, graph_file, tmp_path, capsys,
+                                   content, reason):
+        a, bad = tmp_path / "a.json", tmp_path / "bad.json"
+        self._write_trace(a, graph_file)
+        bad.write_text(content)
+        capsys.readouterr()
+        assert main(["trace", "--diff", str(a), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}: " in captured.err
+        assert reason in captured.err
+        assert captured.out == ""
+
     def test_trace_without_input_or_diff_errors(self):
         with pytest.raises(SystemExit):
             main(["trace"])
