@@ -24,12 +24,11 @@ Observability / CI flags:
   perf baselines (and ``--mem``) only; every golden file is recorded at
   its :data:`~repro.observability.regression.GOLDEN_FAMILIES` params;
 - ``--kernels`` runs the sort-vs-count kernel microbenchmarks
-  (``--quick`` for the smaller CI smoke variant) and verifies both
-  kernel engines return identical memberships;
-- ``--engines`` runs the real-wall-clock engine A/B (threading vs the
-  shared-memory process pool) on registry graphs, verifies both against
-  the batch oracle, and writes the JSON report CI uploads
-  (``--engines-output``, ``--workers``, ``--min-speedup``).
+  (``--quick`` for the smaller CI timing variant);
+- ``--engines`` runs the real-wall-clock engine A/B (``batch`` vs the
+  shared-memory ``process`` pool) on registry graphs, checks the
+  process membership against the batch run, and writes the JSON report
+  CI uploads (``--engines-output``, ``--workers``).
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.cli import positive_int
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="PATH",
                         help="write the profiled smoke-run bundle here "
                              "(Chrome traces + imbalance reports)")
-    parser.add_argument("--threads", type=int, default=8,
+    parser.add_argument("--threads", type=positive_int, default=8,
                         help="simulated thread count for --profile "
                              "timelines")
     parser.add_argument("--mem", default=None, dest="mem_path",
@@ -85,23 +85,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--engines", action="store_true",
                         dest="engines_ab",
                         help="run the wall-clock engine A/B "
-                             "(threading vs process pool)")
+                             "(batch vs process pool)")
     parser.add_argument("--engines-output", default=None, metavar="PATH",
                         help="write the engine A/B JSON report here")
     parser.add_argument("--engines-graphs", default=None, metavar="NAMES",
                         help="comma-separated registry graphs for "
                              "--engines (default: the largest graphs)")
-    parser.add_argument("--workers", type=int, default=4,
+    parser.add_argument("--workers", type=positive_int, default=4,
                         help="worker count for --engines (default 4)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="with --engines: fail when the process "
-                             "engine's speedup over threading falls "
-                             "below this on any graph")
     parser.add_argument("--relabel", default="none",
                         choices=["none", "community", "community-degree"],
-                        help="with --engines: run every engine (and the "
-                             "batch oracle) through the community-aware "
-                             "relabeled solve path")
+                        help="with --engines: run both engines through "
+                             "the community-aware relabeled solve path")
     args = parser.parse_args(argv)
 
     if args.kernels:
@@ -116,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
                   if args.engines_graphs else None)
         return engines_main(
             graphs=graphs, workers=args.workers, seed=args.seed,
-            output=args.engines_output, min_speedup=args.min_speedup,
-            relabel=args.relabel,
+            output=args.engines_output, relabel=args.relabel,
         )
 
     if (args.check or args.trace_path or args.profile_path

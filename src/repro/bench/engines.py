@@ -1,38 +1,35 @@
-"""Engine A/B benchmark: real wall-clock, threading vs process.
+"""Engine A/B benchmark: real wall-clock, batch vs process.
 
-Everything else in the bench suite reports *modelled* seconds, because
-the GIL makes real Python-thread scaling unobservable.  The process
-engine changes that: its workers are separate interpreters over shared
-memory, so its wall-clock is a real measurement worth gating on.  This
-module times the ``threads`` and ``process`` engines end-to-end on
-registry graphs, verifies both memberships against the simulated
-``batch`` oracle, and emits a JSON report CI uploads as an artifact.
+Everything else in the bench suite reports *modelled* seconds.  The
+process engine's workers are separate interpreters over shared memory,
+so its wall-clock is a real measurement.  This module times the
+``batch`` engine (the fastest single-process engine) and the ``process``
+engine end-to-end on registry graphs.  The timed batch run doubles as
+the oracle: the process membership must equal it bitwise at any worker
+count (see :mod:`repro.core.local_move_process`).  The JSON report is
+the artifact CI uploads.
 
-The report schema (``repro.bench.engines/2``)::
+The report schema (``repro.bench.engines/3``)::
 
     {
-      "schema": "repro.bench.engines/2",
-      "workers": 4, "seed": 42,
+      "schema": "repro.bench.engines/3",
+      "workers": 4, "seed": 42, "relabel": "none",
       "graphs": [
         {"name": "kmer_V1r", "vertices": ..., "edges": ...,
-         "engines": {"threads":  {"wall_seconds": ..., "passes": ...,
-                                  "communities": ..., "identical": true,
-                                  "peak_logical_bytes": ...},
+         "engines": {"batch":   {"wall_seconds": ..., "passes": ...,
+                                 "communities": ..., "identical": true,
+                                 "peak_logical_bytes": ...},
                      "process": {...}},
-         "speedup_process_vs_threads": 3.2},
+         "speedup_process_vs_batch": 0.8},
         ...
       ]
     }
 
 ``peak_logical_bytes`` is each run's memory-ledger peak watermark
 (:mod:`repro.observability.memtrack`) — logical bytes, so it is
-worker-count-invariant and comparable across engines.
-
-``identical`` is each engine's membership equality against the batch
-oracle.  Only the process engine *contracts* bitwise equality at any
-worker count (see :mod:`repro.core.local_move_process`); the threading
-engine follows the per-vertex loop semantics and may legitimately settle
-on a different (equally valid) partition, so its flag is informational.
+worker-count-invariant and comparable across engines.  ``identical``
+is each engine's membership equality against the batch run, so the
+batch row's flag is always true.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from repro.parallel.runtime import Runtime
 __all__ = ["DEFAULT_AB_GRAPHS", "run_engine_ab", "format_engine_ab", "main"]
 
 #: Report schema tag.
-ENGINES_SCHEMA = "repro.bench.engines/2"
+ENGINES_SCHEMA = "repro.bench.engines/3"
 
 #: Graphs the A/B runs by default: the two largest registry graphs (by
 #: vertex count) plus one web-crawl representative.
@@ -71,7 +68,11 @@ def largest_registry_graphs(count: int = 2) -> List[str]:
 
 def _run_one(graph, engine: str, *, workers: int, seed: int,
              relabel: str = "none"):
-    """One timed end-to-end run; returns (result, wall_seconds, peak)."""
+    """One timed end-to-end run; returns (result, wall_seconds, peak).
+
+    Only the process engine uses ``workers``; batch runs on the
+    one-thread runtime :func:`~repro.core.leiden.leiden` defaults to.
+    """
     cfg = LeidenConfig(engine=engine, seed=seed, relabel=relabel)
     memory = MemoryLedger()
     record_csr(memory, graph)  # input graph: loads are memoized
@@ -79,7 +80,7 @@ def _run_one(graph, engine: str, *, workers: int, seed: int,
         rt = Runtime(num_threads=workers, executor="process", seed=seed,
                      memory=memory)
     else:
-        rt = Runtime(num_threads=workers, seed=seed, memory=memory)
+        rt = Runtime(num_threads=1, seed=seed, memory=memory)
     try:
         t0 = time.perf_counter()
         result = leiden(graph, cfg, runtime=rt)
@@ -94,44 +95,43 @@ def run_engine_ab(
     *,
     workers: int = 4,
     seed: int = 42,
-    engines: Sequence[str] = ("threads", "process"),
     relabel: str = "none",
 ) -> Dict:
-    """Time the engines on each graph; verify against the batch oracle.
+    """Time batch and process on each graph; batch is the oracle.
 
     ``relabel`` applies the community-aware layout pipeline
-    (:mod:`repro.graph.relabel`) to every engine *and* the oracle, so
-    the bitwise process-vs-batch contract is checked on the relabeled
-    solve path too.
+    (:mod:`repro.graph.relabel`) to both engines, so the bitwise
+    process-vs-batch contract is checked on the relabeled solve path
+    too.
     """
     names = list(graphs) if graphs is not None else list(DEFAULT_AB_GRAPHS)
     rows: List[Dict] = []
     for name in names:
         g = load_graph(name, seed=1)
-        oracle = leiden(
-            g, LeidenConfig(engine="batch", seed=seed, relabel=relabel))
         row: Dict = {
             "name": name,
             "vertices": int(g.num_vertices),
             "edges": int(g.num_edges),
             "engines": {},
         }
-        for engine in engines:
-            result, wall, peak = _run_one(
-                g, engine, workers=workers, seed=seed, relabel=relabel)
+        runs = {
+            engine: _run_one(g, engine, workers=workers, seed=seed,
+                             relabel=relabel)
+            for engine in ("batch", "process")
+        }
+        oracle = runs["batch"][0].membership
+        for engine, (result, wall, peak) in runs.items():
             row["engines"][engine] = {
                 "wall_seconds": round(wall, 4),
                 "passes": int(result.num_passes),
                 "communities": int(result.num_communities),
-                "identical": bool(
-                    np.array_equal(result.membership, oracle.membership)),
+                "identical": bool(np.array_equal(result.membership, oracle)),
                 "peak_logical_bytes": int(peak),
             }
-        th = row["engines"].get("threads")
-        pr = row["engines"].get("process")
-        if th and pr and pr["wall_seconds"] > 0:
-            row["speedup_process_vs_threads"] = round(
-                th["wall_seconds"] / pr["wall_seconds"], 3)
+        batch, proc = row["engines"]["batch"], row["engines"]["process"]
+        if proc["wall_seconds"] > 0:
+            row["speedup_process_vs_batch"] = round(
+                batch["wall_seconds"] / proc["wall_seconds"], 3)
         rows.append(row)
     return {
         "schema": ENGINES_SCHEMA,
@@ -160,10 +160,10 @@ def format_engine_ab(report: Dict) -> str:
                 f"{stats['communities']:>7d} "
                 f"{'ok' if stats['identical'] else 'DIFF':>7s} "
                 f"{peak:>9.2f}")
-        if "speedup_process_vs_threads" in row:
+        if "speedup_process_vs_batch" in row:
             lines.append(
-                f"{'':<18s} speedup process vs threads: "
-                f"{row['speedup_process_vs_threads']:.2f}x")
+                f"{'':<18s} speedup process vs batch: "
+                f"{row['speedup_process_vs_batch']:.2f}x")
     return "\n".join(lines)
 
 
@@ -173,14 +173,12 @@ def main(
     workers: int = 4,
     seed: int = 42,
     output: str | None = None,
-    min_speedup: float | None = None,
     relabel: str = "none",
 ) -> int:
     """CLI entry for ``repro bench --engines``.
 
-    Fails (exit 1) when any engine's membership diverges from the batch
-    oracle, or — with ``min_speedup`` — when the process engine's
-    speedup over threading falls short on any graph.
+    Fails (exit 1) when the process membership diverges from the batch
+    oracle on any graph.
     """
     report = run_engine_ab(
         graphs, workers=workers, seed=seed, relabel=relabel)
@@ -193,17 +191,8 @@ def main(
         print(f"engine A/B report written to {output}")
     failed = False
     for row in report["graphs"]:
-        # Only the process engine contracts oracle equality; the
-        # threading engine's per-vertex semantics may differ legally.
-        stats = row["engines"].get("process")
-        if stats is not None and not stats["identical"]:
+        if not row["engines"]["process"]["identical"]:
             print(f"error: process membership diverged from the "
                   f"batch oracle on {row['name']}")
-            failed = True
-        speedup = row.get("speedup_process_vs_threads")
-        if (min_speedup is not None and speedup is not None
-                and speedup < min_speedup):
-            print(f"error: process speedup {speedup:.2f}x on "
-                  f"{row['name']} is below the {min_speedup:.2f}x gate")
             failed = True
     return 1 if failed else 0

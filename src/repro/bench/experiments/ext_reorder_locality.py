@@ -58,7 +58,7 @@ __all__ = [
 LAYOUTS = ("original", "scrambled", "relabeled")
 
 #: Engines timed in the wall-clock half.
-DEFAULT_ENGINES = ("batch", "threads", "process")
+DEFAULT_ENGINES = ("batch", "process")
 
 #: Seed of the scrambling permutation (independent of the solve seed).
 SCRAMBLE_SEED = 7

@@ -3,9 +3,10 @@
 Times the counting kernel family against the sort family on the batch
 shapes the Leiden phases actually produce (gathered CSR rows of the
 smoke graphs plus synthetic stress shapes), and the bincount scatter
-against ``np.add.at``.  Finishes with end-to-end sort-vs-count wall
-times per smoke graph.  Used to populate ``docs/PERFORMANCE.md`` and as
-the CI kernel-smoke step (``--quick``).
+against ``np.add.at``.  Used to populate ``docs/PERFORMANCE.md`` and as
+the CI kernel-timing step (``--quick``).  That the two families give
+identical memberships end to end is a test
+(``tests/property/test_property_kernels.py``), not a benchmark.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
 from repro.graph.segments import gather_rows
-from repro.parallel.runtime import Runtime
 
 __all__ = ["main"]
 
@@ -80,10 +80,7 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
     # -- pair sums on real batch shapes ----------------------------------
     for gname in SMOKE_GRAPHS:
         graph = load_graph(gname)
-        converged = leiden(
-            graph, LeidenConfig(seed=seed),
-            runtime=Runtime(num_threads=1, seed=seed),
-        ).membership
+        converged = leiden(graph, LeidenConfig(seed=seed)).membership
         for label, member in (("first-iter", None), ("converged", converged)):
             seg, comm, w, nseg, n = _batch_workload(
                 graph, 4096, rng, membership=member
@@ -143,29 +140,6 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
     at_s = _best_of(lambda: np.add.at(target, idx, w), repeats)
     bc_s = _best_of(lambda: scatter_add(target, idx, w, scratch), repeats)
     _print_row("scatter np.add.at vs bincount", sz, at_s, bc_s)
-
-    # -- end to end ------------------------------------------------------
-    print("-" * 72)
-    print("End-to-end Leiden (batch engine), sort vs count workspaces:")
-    for gname in SMOKE_GRAPHS:
-        graph = load_graph(gname)
-        walls = {}
-        members = {}
-        for engine in ("sort", "count"):
-            cfg = LeidenConfig(kernel_engine=engine, seed=seed)
-
-            def run():
-                rt = Runtime(num_threads=1, seed=seed)
-                members[engine] = leiden(graph, cfg, runtime=rt).membership
-
-            walls[engine] = _best_of(run, 1 if quick else 2)
-        identical = np.array_equal(members["sort"], members["count"])
-        _print_row(f"leiden {gname}", graph.num_edges,
-                   walls["sort"], walls["count"])
-        if not identical:
-            print(f"  !! membership mismatch on {gname}")
-            return 1
-    print("memberships identical across kernel engines on all graphs")
     return 0
 
 

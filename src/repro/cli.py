@@ -90,7 +90,7 @@ from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
 #: Engine choices shared by every subcommand that runs a detection.
-ENGINE_CHOICES = ("batch", "loop", "threads", "process")
+ENGINE_CHOICES = ("batch", "loop", "process")
 
 #: Relabel-mode choices mirrored from :data:`repro.graph.relabel.RELABEL_MODES`.
 RELABEL_CHOICES = ("none", "community", "community-degree")
@@ -100,12 +100,21 @@ _INPUT_HELP = ("graph file (.mtx, .graph or edge list) or a registry "
                "dataset name")
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be at least 1, so a bad
+    ``--workers``/``--threads`` exits 2 at parse time."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _add_solve_args(p: argparse.ArgumentParser, *,
                     relabel: bool = False) -> None:
     """The detection flags every solving subcommand shares."""
     p.add_argument("--engine", choices=list(ENGINE_CHOICES),
                    default="batch")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=positive_int, default=2,
                    help="worker-process count for --engine process "
                         "(ignored by the other engines; default 2)")
     if relabel:
@@ -241,7 +250,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", nargs="?", default=None, help=_INPUT_HELP)
     _add_solve_args(p)
-    p.add_argument("--threads", type=int, default=64,
+    p.add_argument("--threads", type=positive_int, default=64,
                    help="thread count for the modelled-runtime summary")
     p.add_argument("--output", type=Path, default=None,
                    help="write the trace JSON here instead of stdout")
@@ -327,7 +336,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", help=_INPUT_HELP)
     _add_solve_args(p, relabel=True)
-    p.add_argument("--threads", type=int, default=8,
+    p.add_argument("--threads", type=positive_int, default=8,
                    help="simulated thread count the timeline is laid "
                         "out at (one Chrome lane per thread)")
     p.add_argument("--top", type=int, default=5,

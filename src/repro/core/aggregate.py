@@ -10,14 +10,13 @@ all present:
    (count + exclusive scan), so edges can be written without a second
    compaction pass — rows keep slack at their tail;
 3. per-community neighbor weights accumulate in per-thread collision-free
-   hashtables (loop engine), a counting-sort/bincount grouping by source
-   community over compacted destination-community keys (batch engine with
-   a counting workspace — the prefix-sum-CSR analogue), or one segmented
-   sort-reduce (batch engine with a sort workspace, the oracle).
+   hashtables (loop engine) or a counting-sort/bincount grouping by source
+   community over compacted destination-community keys (batch engine —
+   the prefix-sum-CSR analogue).
 
-All engines return the same graph (identical offsets/degrees; edge order
-within a row may differ between loop and batch).  The two batch kernel
-families are bitwise-identical to each other.
+Both engines return the same graph (identical offsets/degrees; edge order
+within a row may differ between loop and batch).  The batch path is
+bitwise-identical to one segmented sort-reduce, the tests' oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core._kernels import segment_pair_sums_count, segment_pair_sums_sort
+from repro.core._kernels import segment_pair_sums_count
 from repro.core.local_move import scan_communities
 from repro.core.result import PHASE_AGGREGATE
 from repro.core.workspace import KernelWorkspace
@@ -65,8 +64,8 @@ def aggregate_batch(
     """Vectorized aggregation; returns the holey-CSR super-vertex graph.
 
     ``membership`` must be renumbered to compact ids ``0..k-1``.
-    ``workspace`` selects the kernel family and supplies the preallocated
-    scratch buffers; by default a fresh counting workspace is created.
+    ``workspace`` supplies the preallocated scratch map; by default a
+    fresh one is created.
     """
     k = int(num_communities)
     C = membership
@@ -103,16 +102,14 @@ def aggregate_batch(
     # Self-edges are *included* (``self = true``), so intra-community
     # weight lands on the super-vertex's self-loop.  The counting kernel
     # compacts the destination-community keys and accumulates with
-    # bincount grouped by source community; the sort kernel is the
-    # argsort-over-global-keys oracle.
+    # bincount grouped by source community.  It is called directly, not
+    # through ``ws.pair_sums``: aggregation is not a counted kernel
+    # dispatch, and the committed metric snapshots pin those counts.
     cs = C[src]
     cd = C[dst]
-    if ws.engine == "count":
-        usrc, udst, usum = segment_pair_sums_count(
-            cs, cd, wgt, k, ws._map, dense_grid_limit=ws.dense_grid_limit
-        )
-    else:
-        usrc, udst, usum = segment_pair_sums_sort(cs, cd, wgt, k)
+    usrc, udst, usum = segment_pair_sums_count(
+        cs, cd, wgt, k, ws._map, dense_grid_limit=ws.dense_grid_limit
+    )
     udst = udst.astype(VERTEX_DTYPE)
 
     # Placement into the holey CSR: position = row offset + rank-in-row.

@@ -23,8 +23,7 @@ from repro.errors import ConfigError
 
 _REFINEMENTS = ("greedy", "random")
 _LABELS = ("move", "refine")
-_ENGINES = ("batch", "loop", "threads", "process")
-_KERNEL_ENGINES = ("sort", "count")
+_ENGINES = ("batch", "loop", "process")
 _VARIANTS = ("default", "medium", "heavy")
 _RELABELS = ("none", "community", "community-degree")
 
@@ -63,22 +62,11 @@ class LeidenConfig:
     #: Kernel engine: ``"batch"`` (vectorized, batch-asynchronous — the
     #: production path), ``"loop"`` (per-vertex, exact sequential
     #: semantics with per-thread hashtables — the reference path) or
-    #: ``"threads"`` (real Python threads with lock-guarded atomics for
-    #: the local-moving phase; refinement/aggregation use the reference
-    #: path) or ``"process"`` (worker *processes* over shared-memory
-    #: arenas — the only engine that sidesteps the GIL; local-moving
-    #: fans out to the pool, the remaining phases run the batch path,
-    #: and membership is bitwise-identical to ``"batch"`` at any worker
-    #: count).
+    #: ``"process"`` (worker *processes* over shared-memory arenas — the
+    #: only engine that sidesteps the GIL; local-moving fans out to the
+    #: pool, the remaining phases run the batch path, and membership is
+    #: bitwise-identical to ``"batch"`` at any worker count).
     engine: str = "batch"
-    #: Kernel family the batch engine's workspace drives: ``"count"``
-    #: (counting-sort/bincount kernels over compacted community keys —
-    #: the analogue of the paper's preallocated collision-free
-    #: hashtables, O(E) per batch) or ``"sort"`` (the O(E log E)
-    #: argsort/lexsort kernels retained as the differential-testing
-    #: oracle).  Both produce identical memberships; this is the
-    #: ablation knob for the counting-kernel optimization.
-    kernel_engine: str = "count"
     #: Vertices concurrently in flight per batch (models the set of
     #: vertices the OpenMP threads process concurrently).
     batch_size: int = 4096
@@ -129,10 +117,6 @@ class LeidenConfig:
             raise ConfigError(f"vertex_label must be one of {_LABELS}")
         if self.engine not in _ENGINES:
             raise ConfigError(f"engine must be one of {_ENGINES}")
-        if self.kernel_engine not in _KERNEL_ENGINES:
-            raise ConfigError(
-                f"kernel_engine must be one of {_KERNEL_ENGINES}"
-            )
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.refine_guard not in ("cas", "racy", "none"):

@@ -34,7 +34,6 @@ from repro.core.config import LeidenConfig
 from repro.core.dendrogram import Dendrogram
 from repro.core.local_move import local_move_batch, local_move_loop
 from repro.core.local_move_process import local_move_process
-from repro.core.local_move_threads import local_move_threads
 from repro.core.quality import Quality
 from repro.core.refine import refine_batch, refine_loop
 from repro.core.result import (
@@ -168,9 +167,7 @@ def leiden(
                     # allocated here and reused by every batch of the move,
                     # refine and aggregate phases — the analogue of the
                     # paper's up-front per-thread hashtable allocation.
-                    workspace = rt.workspace(
-                        n, engine=cfg.kernel_engine, phase=PHASE_OTHER
-                    )
+                    workspace = rt.workspace(n, phase=PHASE_OTHER)
                 else:
                     workspace = None
                 K = G.vertex_weights().copy()
@@ -192,18 +189,7 @@ def leiden(
                     ranks = _order_ranks(order)
                 else:
                     order = ranks = None
-                if cfg.engine == "threads":
-                    li, _dq = local_move_threads(
-                        G, C, K, Sigma, tau,
-                        runtime=rt,
-                        max_iterations=cfg.max_iterations,
-                        quality=qual,
-                        quantities=Qv,
-                        unprocessed_mask=(first_unprocessed if pass_index == 0
-                                          else None),
-                        pruning=cfg.vertex_pruning,
-                    )
-                elif cfg.engine == "process":
+                if cfg.engine == "process":
                     li, _dq = local_move_process(
                         G, C, K, Sigma, tau,
                         runtime=rt,

@@ -55,7 +55,6 @@ def _workspace(ctx, n: int, dense_grid_limit: int) -> KernelWorkspace:
     if ws is None or ws.num_vertices != n:
         ws = KernelWorkspace(
             n,
-            engine="count",
             dense_grid_limit=dense_grid_limit,
             scratch_map=ctx["scratch_maps"][ctx.worker_id],
         )

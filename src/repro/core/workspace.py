@@ -10,11 +10,11 @@ threaded through ``local_move_batch``, ``refine_batch`` and
 ``aggregate_batch`` so every batch of every iteration reuses the same
 scratch memory.
 
-The workspace also selects the kernel family (``engine="count"`` — the
-production counting/bincount path — or ``engine="sort"`` — the
-O(E log E) argsort reference retained as a differential-testing oracle)
-and accounts its allocation in the runtime cost model, the way the
-paper's per-thread table allocation shows up in its measured runtimes.
+The workspace dispatches the counting kernel family and accounts its
+allocation in the runtime cost model, the way the paper's per-thread
+table allocation shows up in its measured runtimes.  The O(E log E)
+sort family in :mod:`repro.core._kernels` is the tests' bitwise oracle
+for these kernels, not a production option.
 """
 
 from __future__ import annotations
@@ -26,18 +26,19 @@ from repro.core._kernels import (
     compact_keys,
     scatter_add,
     segment_pair_sums_count,
-    segment_pair_sums_sort,
-    segmented_argmax,
     segmented_argmax_sorted,
 )
 from repro.errors import ConfigError
 from repro.observability.metrics import NULL_REGISTRY
 from repro.observability.tracer import NULL_TRACER
 
-__all__ = ["KERNEL_ENGINES", "KernelWorkspace"]
+__all__ = ["KernelWorkspace"]
 
-#: Kernel families a workspace can drive.
-KERNEL_ENGINES = ("sort", "count")
+#: ``engine`` label of ``kernel_dispatch_total`` and prefix of the
+#: ``kernel_count_<kernel>`` tracer counters.  Only one kernel family
+#: runs in production; the label stays so committed metric snapshots
+#: keep their bytes.
+DISPATCH_ENGINE = "count"
 
 #: Work units charged per preallocated map slot (allocation + first
 #: touch is a fraction of one edge-scan-plus-table-update work unit).
@@ -45,16 +46,13 @@ ALLOC_UNITS_PER_SLOT = 0.0625
 
 
 class KernelWorkspace:
-    """Per-pass scratch buffers plus the kernel-engine dispatch.
+    """Per-pass scratch buffers plus the counting-kernel dispatch.
 
     Parameters
     ----------
     num_vertices:
         Size of the key domain — community ids seen by the kernels are
         ``< num_vertices`` (memberships are kept compact per pass).
-    engine:
-        ``"count"`` (counting-sort/bincount kernels, the production
-        path) or ``"sort"`` (argsort/lexsort kernels, the oracle).
     runtime:
         When given, the workspace's allocation is recorded in the
         runtime's work ledger under ``phase`` — the simulated-thread
@@ -74,16 +72,12 @@ class KernelWorkspace:
         self,
         num_vertices: int,
         *,
-        engine: str = "count",
         runtime=None,
         phase: str = "other",
         dense_grid_limit: int = DENSE_GRID_LIMIT,
         scratch_map: np.ndarray | None = None,
     ) -> None:
-        if engine not in KERNEL_ENGINES:
-            raise ConfigError(f"kernel engine must be one of {KERNEL_ENGINES}")
         self.num_vertices = int(num_vertices)
-        self.engine = engine
         self.dense_grid_limit = int(dense_grid_limit)
         # The compaction map is the "keys" array of a collision-free
         # hashtable covering the whole id domain; only slots named by a
@@ -141,35 +135,31 @@ class KernelWorkspace:
     # -- kernel dispatch ---------------------------------------------------
 
     def _count_dispatch(self, kernel: str) -> None:
-        """Per-kernel dispatch counter (``kernel_<engine>_<kernel>``) so
-        traces show which engine served each phase."""
+        """Per-kernel dispatch counter (``kernel_count_<kernel>``) so
+        traces show how often each kernel served a phase."""
         bound = self._m_bound.get(kernel)
         if bound is None:
-            bound = self._m_dispatch.labels(self.engine, kernel)
+            bound = self._m_dispatch.labels(DISPATCH_ENGINE, kernel)
             self._m_bound[kernel] = bound
         bound.inc()
         if self._tracer.enabled:
-            self._tracer.count(f"kernel_{self.engine}_{kernel}")
+            self._tracer.count(f"kernel_{DISPATCH_ENGINE}_{kernel}")
 
     def pair_sums(self, seg, comm, weights, num_segments: int):
-        """``segment_pair_sums`` through the selected kernel family."""
+        """``segment_pair_sums`` through the counting kernel."""
         self._count_dispatch("pair_sums")
-        if self.engine == "count":
-            return segment_pair_sums_count(
-                seg, comm, weights, num_segments, self._map,
-                dense_grid_limit=self.dense_grid_limit,
-            )
-        return segment_pair_sums_sort(seg, comm, weights, self.num_vertices)
+        return segment_pair_sums_count(
+            seg, comm, weights, num_segments, self._map,
+            dense_grid_limit=self.dense_grid_limit,
+        )
 
     def argmax(self, seg, values):
         """Segmented argmax; ``seg`` is sorted by kernel-output contract."""
         self._count_dispatch("argmax")
-        if self.engine == "count":
-            return segmented_argmax_sorted(seg, values)
-        return segmented_argmax(seg, values)
+        return segmented_argmax_sorted(seg, values)
 
     def scatter_add(self, target, idx, weights) -> None:
-        """Scatter-add with duplicate indices (bincount, both engines)."""
+        """Scatter-add with duplicate indices (bincount)."""
         self._count_dispatch("scatter_add")
         scatter_add(target, idx, weights, self._map)
 
@@ -179,6 +169,4 @@ class KernelWorkspace:
         return compact_keys(keys, self._map)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"KernelWorkspace(n={self.num_vertices}, engine={self.engine})"
-        )
+        return f"KernelWorkspace(n={self.num_vertices})"

@@ -33,15 +33,15 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import ServiceError
 from repro.fleet.ring import HashRing, MovePlan, plan_moves
 from repro.fleet.router import FleetRouter, Shard
 from repro.observability.memtrack import MemoryLedger, merge_memory_snapshots
 from repro.observability.metrics import (
-    MetricsRegistry,
     NULL_REGISTRY,
+    MetricsRegistry,
     exact_percentile,
 )
 from repro.service.requests import DETECT, FAILED, QUERY

@@ -35,11 +35,11 @@ import numpy as np
 from repro.errors import ServiceOverloadError
 from repro.observability.metrics import NULL_REGISTRY
 from repro.observability.reqtrace import NULL_REQTRACE
+from repro.service.fingerprint import partition_key
 from repro.service.requests import (
     DETECT,
     DONE,
     FAILED,
-    NOT_FOUND,
     QUERY,
     UPDATE,
     DetectRequest,
@@ -47,7 +47,6 @@ from repro.service.requests import (
     Ticket,
     UpdateRequest,
 )
-from repro.service.fingerprint import partition_key
 from repro.service.store import DEGRADED
 
 __all__ = ["Shard", "FleetTicket", "FleetRouter", "FANOUT_SCHEMA"]

@@ -171,6 +171,7 @@ __all__ = [
     "exact_percentile",
     "to_chrome_trace",
     "validate_chrome_trace",
+    "validate_prometheus",
     "BASELINE_SCHEMA",
     "GOLDEN_FAMILIES",
     "GoldenFamily",

@@ -19,7 +19,8 @@ provides the equivalent abstractions for a pure-Python reproduction:
   plus real cross-process atomics over shared memory;
 - :mod:`repro.parallel.shm` — shared-memory numpy arenas (owner/attacher);
 - :mod:`repro.parallel.procpool` — the persistent worker-process pool
-  behind the ``process`` engine (the one executor that sidesteps the GIL);
+  behind the ``process`` engine (the only real parallelism: every other
+  engine runs in one process and models its threads);
 - :mod:`repro.parallel.runtime` — the facade tying it all together.
 """
 

@@ -2,16 +2,16 @@
 
 In the OpenMP implementation, community weights ``Σ'`` are updated with
 atomic adds, and the refinement phase guards moves with a compare-and-swap
-(Algorithm 3).  Executed serially (or under the GIL) these are ordinary
-array operations; what matters for the reproduction is (a) preserving the
-exact success/failure semantics of the CAS and (b) *counting* the atomics
-so the machine model can charge for them.
+(Algorithm 3).  Executed serially these are ordinary array operations;
+what matters for the reproduction is (a) preserving the exact
+success/failure semantics of the CAS and (b) *counting* the atomics so
+the machine model can charge for them.
 
-:class:`AtomicArray` covers the serial and thread executors (optionally
-lock-guarded with a ``threading.Lock``).  :class:`SharedAtomicArray` is
-the process-executor variant: the values live in a
-:class:`~repro.parallel.shm.ShmArena` segment mapped by every worker, and
-each operation holds a real ``multiprocessing.Lock`` — genuine
+:class:`AtomicArray` is the in-process variant: phases running in the
+calling process execute their regions serially, so it takes no lock.
+:class:`SharedAtomicArray` is the process-engine variant: the values
+live in a :class:`~repro.parallel.shm.ShmArena` segment mapped by every
+worker, and each operation holds a real ``multiprocessing.Lock`` — genuine
 cross-process atomicity, the same structure OpenMP's ``atomic``/
 ``critical`` pair provides.  The op count also lives in shared memory so
 the parent can fold worker-side atomics into the cost-model ledger after
@@ -20,25 +20,17 @@ a barrier.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 
 class AtomicArray:
-    """A float64 array with atomic add / CAS and an operation counter.
+    """A float64 array with atomic add / CAS and an operation counter."""
 
-    ``thread_safe=True`` takes a real lock around each operation, making
-    the structure usable from Python threads; the default skips the lock
-    since the simulated runtime executes regions serially.
-    """
+    __slots__ = ("values", "op_count")
 
-    __slots__ = ("values", "op_count", "_lock")
-
-    def __init__(self, values: np.ndarray, *, thread_safe: bool = False) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         self.op_count = 0
-        self._lock = threading.Lock() if thread_safe else None
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -51,11 +43,6 @@ class AtomicArray:
 
     def add(self, idx: int, delta: float) -> float:
         """Atomic ``values[idx] += delta``; returns the new value."""
-        if self._lock is not None:
-            with self._lock:
-                self.values[idx] += delta
-                self.op_count += 1
-                return float(self.values[idx])
         self.values[idx] += delta
         self.op_count += 1
         return float(self.values[idx])
@@ -63,11 +50,6 @@ class AtomicArray:
     def add_many(self, idx: np.ndarray, deltas) -> None:
         """Batch of atomic adds (duplicate indices accumulate, as atomics do)."""
         idx = np.asarray(idx)
-        if self._lock is not None:
-            with self._lock:
-                np.add.at(self.values, idx, deltas)
-                self.op_count += int(idx.shape[0])
-            return
         np.add.at(self.values, idx, deltas)
         self.op_count += int(idx.shape[0])
 
@@ -78,12 +60,6 @@ class AtomicArray:
         ``atomicCAS`` convention: success iff the return equals
         ``expected``).
         """
-        if self._lock is not None:
-            with self._lock:
-                return self._cas_unlocked(idx, expected, new)
-        return self._cas_unlocked(idx, expected, new)
-
-    def _cas_unlocked(self, idx: int, expected: float, new: float) -> float:
         old = float(self.values[idx])
         self.op_count += 1
         if old == expected:

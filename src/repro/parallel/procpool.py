@@ -1,11 +1,10 @@
 """Persistent worker-process pool for the ``process`` engine.
 
-CPython's GIL makes the ``threads`` executor a correctness exerciser, not
-a speedup: every interpreter instruction serializes.  This pool is the
-real shared-memory executor the paper's OpenMP runtime corresponds to —
-N long-lived worker *processes*, each with its own interpreter (hence its
-own GIL), all mapping the same :class:`~repro.parallel.shm.ShmArena`
-segments.
+CPython's GIL serializes every interpreter instruction, so Python
+threads cannot give a speedup.  This pool is the real shared-memory
+executor the paper's OpenMP runtime corresponds to — N long-lived worker
+*processes*, each with its own interpreter (hence its own GIL), all
+mapping the same :class:`~repro.parallel.shm.ShmArena` segments.
 
 Design points:
 
@@ -35,13 +34,13 @@ Design points:
 from __future__ import annotations
 
 import importlib
+import multiprocessing as mp
 import os
 import queue as queue_mod
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-import multiprocessing as mp
 import numpy as np
 
 from repro.errors import ConfigError

@@ -1,17 +1,16 @@
-"""Runtime facade: thread count, schedule, executors and accounting.
+"""Runtime facade: thread count, schedule, worker pool and accounting.
 
 A :class:`Runtime` is passed through every phase of the algorithms.  It
 owns the work ledger (for modelled time), the per-thread RNGs and
-hashtables, and an executor that can run chunked loops either serially
-(default — deterministic, used by the simulated machine) or on real
-Python threads (`executor="threads"`, useful to exercise the thread-safe
-code paths even though the GIL serializes them).
+hashtables and — for the ``process`` engine — the persistent
+worker-process pool, and it builds the per-pass kernel workspaces.
+Every phase executes in the calling process except the process
+engine's local-moving, which fans out through :meth:`Runtime.procpool`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -26,7 +25,9 @@ from repro.parallel.rng import Xorshift32
 from repro.parallel.schedule import DEFAULT_CHUNK, Schedule, chunk_spans
 from repro.parallel.simthread import SimulatedTime, WorkLedger
 
-_EXECUTORS = ("serial", "threads", "process")
+#: Accepted ``executor`` values.  Nothing dispatches on the value any
+#: more: the process engine reaches its pool through :meth:`procpool`.
+_EXECUTORS = ("serial", "process")
 
 
 class Runtime:
@@ -35,17 +36,18 @@ class Runtime:
     Parameters
     ----------
     num_threads:
-        Thread count the run models (and uses, with ``executor="threads"``).
+        Thread count the run models; also the :meth:`procpool` worker
+        count.
     schedule:
         Loop schedule; the paper uses OpenMP ``dynamic`` (chunked).
     seed:
         Seed for the master xorshift32; per-thread generators are spawned
         from it.
     executor:
-        ``"serial"`` (deterministic, default), ``"threads"`` or
-        ``"process"`` (worker processes over shared memory; phases use
-        :meth:`procpool` — ``map_chunks`` still runs serially because
-        arbitrary closures cannot cross process boundaries).
+        ``"serial"`` (default) or ``"process"``.  Accepted for
+        compatibility and validated; it selects nothing — the engine
+        (:attr:`LeidenConfig.engine`) decides whether :meth:`procpool`
+        is used.
     machine:
         Machine model used by :meth:`simulate`; defaults to the paper's
         dual-Xeon testbed.
@@ -117,7 +119,6 @@ class Runtime:
         self.seed = int(seed)
         self.master_rng = Xorshift32(seed)
         self.thread_rngs: List[Xorshift32] = self.master_rng.spawn(self.num_threads)
-        self._pool: ThreadPoolExecutor | None = None
         self._procpool = None
 
     # -- per-thread resources ------------------------------------------------
@@ -126,56 +127,16 @@ class Runtime:
         """One collision-free hashtable per thread (Algorithms 2-4)."""
         return [CollisionFreeHashtable(capacity) for _ in range(self.num_threads)]
 
-    def workspace(self, num_vertices: int, *, engine: str = "count",
-                  phase: str = "other"):
+    def workspace(self, num_vertices: int, *, phase: str = "other"):
         """A :class:`~repro.core.workspace.KernelWorkspace` whose scratch
         allocation is accounted in this runtime's ledger — the batch
         engine's analogue of :meth:`hashtables` (one up-front allocation
         per pass instead of per-thread tables)."""
         from repro.core.workspace import KernelWorkspace
 
-        return KernelWorkspace(
-            num_vertices, engine=engine, runtime=self, phase=phase
-        )
+        return KernelWorkspace(num_vertices, runtime=self, phase=phase)
 
     # -- execution -------------------------------------------------------------
-
-    def map_chunks(
-        self,
-        n_items: int,
-        body: Callable[[int, int, int], None],
-        *,
-        schedule: Schedule | None = None,
-    ) -> None:
-        """Run ``body(start, stop, thread_id)`` over chunks of ``[0, n_items)``.
-
-        With the serial executor, chunks run in order with a synthetic
-        round-robin thread id; with the thread executor they are submitted
-        to a real pool of ``num_threads`` workers.
-        """
-        sched = schedule or self.schedule
-        spans = chunk_spans(n_items, sched, self.num_threads)
-        if not spans:
-            return
-        # The process executor parallelizes through named pool kernels
-        # (closures don't cross process boundaries) — chunked closure
-        # loops run serially there, exactly like the simulated machine.
-        if self.executor in ("serial", "process") or self.num_threads == 1:
-            for c, (lo, hi) in enumerate(spans):
-                body(lo, hi, c % self.num_threads)
-            return
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(body, lo, hi, c % self.num_threads)
-            for c, (lo, hi) in enumerate(spans)
-        ]
-        for f in futures:
-            f.result()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.num_threads)
-        return self._pool
 
     def procpool(self, num_workers: int | None = None):
         """The runtime's persistent worker-process pool (lazily created).
@@ -201,10 +162,7 @@ class Runtime:
         return self._procpool
 
     def close(self) -> None:
-        """Shut down the thread pool and process pool, if created."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut down the process pool, if created."""
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None

@@ -1,11 +1,52 @@
-"""Shared fixtures: small graphs with known structure."""
+"""Shared fixtures: small graphs with known structure, and the
+sort-kernel oracle switch."""
 
 from __future__ import annotations
+
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro.core import aggregate
+from repro.core._kernels import segment_pair_sums_sort, segmented_argmax
+from repro.core.workspace import KernelWorkspace
 from repro.graph.builder import build_csr_from_edges
+
+
+@contextmanager
+def sort_kernels():
+    """Run the batch phases on the sort kernel family inside the block.
+
+    The sort family (argsort/lexsort, O(E log E)) is the bitwise oracle
+    for the production count family.  This patches
+    ``KernelWorkspace.pair_sums``, ``KernelWorkspace.argmax`` and the
+    aggregation's ``segment_pair_sums_count`` with it, and yields a
+    :class:`~collections.Counter` of oracle calls per kernel so a test
+    can assert that the oracle really ran.  Worker processes of the
+    ``process`` engine do not see the patch.
+    """
+    calls: Counter = Counter()
+
+    def pair_sums(self, seg, comm, weights, num_segments):
+        calls["pair_sums"] += 1
+        return segment_pair_sums_sort(seg, comm, weights, self.num_vertices)
+
+    def argmax(self, seg, values):
+        calls["argmax"] += 1
+        return segmented_argmax(seg, values)
+
+    def aggregate_pair_sums(seg, comm, weights, num_segments, scratch_map,
+                            **_):
+        calls["aggregate"] += 1
+        return segment_pair_sums_sort(seg, comm, weights, num_segments)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KernelWorkspace, "pair_sums", pair_sums)
+        mp.setattr(KernelWorkspace, "argmax", argmax)
+        mp.setattr(aggregate, "segment_pair_sums_count", aggregate_pair_sums)
+        yield calls
 
 
 def two_cliques_graph(clique_size: int = 5):

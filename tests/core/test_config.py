@@ -18,10 +18,6 @@ class TestDefaults:
         assert cfg.vertex_label == "move"
         assert cfg.threshold_scaling
         assert cfg.refine_guard == "cas"
-        assert cfg.kernel_engine == "count"
-
-    def test_sort_kernel_engine_accepted(self):
-        assert LeidenConfig(kernel_engine="sort").kernel_engine == "sort"
 
     def test_hashable(self):
         assert hash(LeidenConfig()) == hash(LeidenConfig())
@@ -40,8 +36,8 @@ class TestValidation:
         {"refinement": "hybrid"},
         {"vertex_label": "both"},
         {"engine": "gpu"},
-        {"kernel_engine": "hash"},
-        {"kernel_engine": "COUNT"},
+        {"engine": "threads"},
+        {"engine": "BATCH"},
         {"batch_size": 0},
         {"resolution": 0.0},
         {"refine_guard": "lock"},

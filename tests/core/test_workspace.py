@@ -4,23 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core._kernels import segment_pair_sums_sort, segmented_argmax
-from repro.core.workspace import KERNEL_ENGINES, KernelWorkspace
+from repro.core.workspace import KernelWorkspace
 from repro.errors import ConfigError
 from repro.parallel.runtime import Runtime
 
 
 class TestConstruction:
-    def test_default_engine_is_count(self):
-        assert KernelWorkspace(10).engine == "count"
-
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_valid_engines(self, engine):
-        assert KernelWorkspace(10, engine=engine).engine == engine
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ConfigError):
-            KernelWorkspace(10, engine="hash")
-
     def test_zero_vertices_allowed(self):
         ws = KernelWorkspace(0)
         assert ws._map.shape[0] >= 1
@@ -29,6 +18,14 @@ class TestConstruction:
         ws = KernelWorkspace(123)
         assert ws._map.shape == (123,)
         assert ws._map.dtype == np.int64
+
+    @pytest.mark.parametrize("scratch_map", [
+        np.empty(10, dtype=np.int32),
+        np.empty(9, dtype=np.int64),
+    ], ids=["not-int64", "too-short"])
+    def test_rejects_bad_scratch_map(self, scratch_map):
+        with pytest.raises(ConfigError, match="scratch_map"):
+            KernelWorkspace(10, scratch_map=scratch_map)
 
 
 class TestAllocationAccounting:
@@ -149,52 +146,37 @@ class TestDispatch:
         w = rng.uniform(0, 2, size).astype(np.float32)
         return seg, comm, w
 
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_pair_sums_matches_sort_reference(self, engine):
+    def test_pair_sums_matches_sort_reference(self):
         seg, comm, w = self._case()
-        ws = KernelWorkspace(30, engine=engine)
+        ws = KernelWorkspace(30)
         got = ws.pair_sums(seg, comm, w, 12)
         ref = segment_pair_sums_sort(seg, comm, w, 30)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
 
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_argmax_matches_lexsort_reference(self, engine):
+    def test_argmax_matches_lexsort_reference(self):
         rng = np.random.default_rng(3)
         seg = np.sort(rng.integers(0, 9, 120))
         vals = rng.integers(-2, 3, 120).astype(np.float64)
-        ws = KernelWorkspace(20, engine=engine)
+        ws = KernelWorkspace(20)
         gs, gi = ws.argmax(seg, vals)
         rs, ri = segmented_argmax(seg, vals)
         assert np.array_equal(gs, rs)
         assert np.array_equal(gi, ri)
 
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_scatter_add_matches_add_at(self, engine):
+    def test_scatter_add_matches_add_at(self):
         rng = np.random.default_rng(7)
         target = rng.uniform(0, 1, 25)
         expected = target.copy()
         idx = rng.integers(0, 25, 80)
         w = rng.uniform(-1, 1, 80)
         np.add.at(expected, idx, w)
-        KernelWorkspace(25, engine=engine).scatter_add(target, idx, w)
+        KernelWorkspace(25).scatter_add(target, idx, w)
         assert np.allclose(target, expected)
-
-    def test_scatter_add_identical_across_engines(self):
-        """Both engines share the bincount scatter — bitwise equal."""
-        rng = np.random.default_rng(13)
-        idx = rng.integers(0, 40, 200)
-        w = rng.uniform(-1, 1, 200).astype(np.float64)
-        results = []
-        for engine in KERNEL_ENGINES:
-            target = np.zeros(40)
-            KernelWorkspace(40, engine=engine).scatter_add(target, idx, w)
-            results.append(target)
-        assert results[0].tobytes() == results[1].tobytes()
 
     def test_workspace_reusable_across_batches(self):
         """One workspace, many calls — the per-pass reuse pattern."""
-        ws = KernelWorkspace(50, engine="count")
+        ws = KernelWorkspace(50)
         for seed in range(8):
             seg, comm, w = self._case(seed=seed, size=150)
             comm = comm % 50

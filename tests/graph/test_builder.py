@@ -1,6 +1,5 @@
 """Tests for the edge-list -> CSR build pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphStructureError

@@ -7,10 +7,8 @@ registry-scale versions live in ``benchmarks/``.
 import pytest
 
 from repro.baselines import IMPLEMENTATIONS
-from repro.bench.harness import run_once
-from repro.bench.harness import run_leiden_config
+from repro.bench.harness import run_leiden_config, run_once
 from repro.core.config import LeidenConfig
-from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
 from repro.metrics.modularity import modularity
 

@@ -85,12 +85,6 @@ class TestEngineEquivalence:
 
 
 class TestRuntimeIntegration:
-    def test_thread_executor_end_to_end(self):
-        g = GRAPHS["social"]
-        with Runtime(num_threads=4, executor="threads") as rt:
-            res = leiden(g, LeidenConfig(seed=5), runtime=rt)
-        assert res.num_communities >= 1
-
     def test_shared_runtime_accumulates_ledger(self):
         g = GRAPHS["road"]
         rt = Runtime(num_threads=2)

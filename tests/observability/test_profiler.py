@@ -13,10 +13,10 @@ from repro.observability.profile_report import (
     format_profile_report,
 )
 from repro.observability.profiler import (
-    NULL_PROFILER,
     CAT_BARRIER,
     CAT_CHUNK,
     CAT_SERIAL,
+    NULL_PROFILER,
     Profiler,
     chrome_trace_json,
     to_chrome_trace,
@@ -271,15 +271,9 @@ class TestReport:
 
 class TestKernelDispatchCounters:
     def test_count_engine_counts_kernels(self):
-        _, tracer, _, _ = profiled_run(engine="batch", kernel_engine="count")
+        _, tracer, _, _ = profiled_run(engine="batch")
         totals = tracer.counter_totals()
         assert totals["kernel_count_pair_sums"] > 0
         assert totals["kernel_count_argmax"] > 0
         assert totals["kernel_count_scatter_add"] > 0
         assert not any(k.startswith("kernel_sort_") for k in totals)
-
-    def test_sort_engine_counts_kernels(self):
-        _, tracer, _, _ = profiled_run(engine="batch", kernel_engine="sort")
-        totals = tracer.counter_totals()
-        assert totals["kernel_sort_pair_sums"] > 0
-        assert not any(k.startswith("kernel_count_") for k in totals)

@@ -1,7 +1,5 @@
 """Tests for atomic-op emulation."""
 
-import threading
-
 import numpy as np
 
 from repro.parallel.atomics import AtomicArray
@@ -37,18 +35,3 @@ class TestAtomicArray:
         a = AtomicArray(np.arange(3, dtype=np.float64))
         assert len(a) == 3
         assert a[2] == 2.0
-
-    def test_thread_safe_adds(self):
-        a = AtomicArray(np.zeros(1), thread_safe=True)
-
-        def worker():
-            for _ in range(1000):
-                a.add(0, 1.0)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert a.load(0) == 4000.0
-        assert a.op_count == 4000

@@ -6,7 +6,6 @@ from repro.parallel.costmodel import (
     GPU_MACHINE,
     IMPLEMENTATION_PROFILES,
     PAPER_MACHINE,
-    MachineModel,
 )
 
 

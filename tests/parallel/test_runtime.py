@@ -1,7 +1,5 @@
 """Tests for the runtime facade."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,16 @@ class TestConstruction:
     def test_rejects_bad_executor(self):
         with pytest.raises(ConfigError):
             Runtime(executor="gpu")
+        with pytest.raises(ConfigError):
+            Runtime(executor="threads")
+
+    def test_process_executor_still_accepted(self):
+        """Callers pass ``executor="process"`` beside the process engine;
+        the value selects nothing, and no pool starts until
+        :meth:`Runtime.procpool`."""
+        with Runtime(2, executor="process") as rt:
+            assert rt.executor == "process"
+            assert rt._procpool is None
 
     def test_thread_rngs_spawned(self):
         rt = Runtime(4, seed=9)
@@ -34,37 +42,6 @@ class TestConstruction:
         tables = rt.hashtables(10)
         assert len(tables) == 3
         assert all(t.capacity == 10 for t in tables)
-
-
-class TestMapChunks:
-    def test_serial_covers_all(self):
-        rt = Runtime(2, schedule=Schedule("dynamic", 3))
-        seen = []
-        rt.map_chunks(10, lambda lo, hi, t: seen.extend(range(lo, hi)))
-        assert seen == list(range(10))
-
-    def test_threads_executor_covers_all(self):
-        rt = Runtime(4, executor="threads", schedule=Schedule("dynamic", 5))
-        seen = set()
-        lock = threading.Lock()
-
-        def body(lo, hi, tid):
-            with lock:
-                seen.update(range(lo, hi))
-
-        with rt:
-            rt.map_chunks(100, body)
-        assert seen == set(range(100))
-
-    def test_empty_loop(self):
-        rt = Runtime()
-        rt.map_chunks(0, lambda *a: pytest.fail("must not be called"))
-
-    def test_thread_ids_within_range(self):
-        rt = Runtime(3, schedule=Schedule("dynamic", 2))
-        tids = []
-        rt.map_chunks(12, lambda lo, hi, t: tids.append(t))
-        assert all(0 <= t < 3 for t in tids)
 
 
 class TestAccounting:

@@ -1,7 +1,5 @@
 """Tests for server-side metrics instruments and SLO health wiring."""
 
-import pytest
-
 from repro.core.config import LeidenConfig
 from repro.dynamic.batch import random_batch
 from repro.observability.health import (
@@ -10,7 +8,7 @@ from repro.observability.health import (
     default_service_slos,
 )
 from repro.observability.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.service.requests import DetectRequest, QueryRequest
+from repro.service.requests import DetectRequest
 from repro.service.server import PartitionServer, ServiceConfig
 from tests.conftest import ring_of_cliques_graph, two_cliques_graph
 

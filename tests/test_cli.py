@@ -425,3 +425,55 @@ class TestTraceDiff:
     def test_trace_without_input_or_diff_errors(self):
         with pytest.raises(SystemExit):
             main(["trace"])
+
+
+class TestCountFlags:
+    """``--workers`` and ``--threads`` below 1 exit 2 at parse time, with
+    argparse's one-line error instead of a traceback from deep inside."""
+
+    @staticmethod
+    def _exit_code(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["asia_osm", "--engine", "process"],
+        ["run", "asia_osm"],
+        ["trace", "asia_osm"],
+        ["profile", "asia_osm"],
+        ["metrics", "asia_osm"],
+        ["mem", "asia_osm"],
+        ["reorder", "asia_osm"],
+        ["bench", "--engines"],
+    ])
+    def test_workers_below_one_exits_2(self, argv, capsys):
+        code, err = self._exit_code(argv + ["--workers", "0"], capsys)
+        assert code == 2
+        assert "argument --workers: must be >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "asia_osm"],
+        ["profile", "asia_osm"],
+        ["bench", "--profile", "bundle.json"],
+    ])
+    def test_threads_below_one_exits_2(self, argv, capsys):
+        code, err = self._exit_code(argv + ["--threads", "0"], capsys)
+        assert code == 2
+        assert "argument --threads: must be >= 1" in err
+        assert "Traceback" not in err
+
+    def test_negative_and_non_integer_rejected(self, capsys):
+        code, err = self._exit_code(["run", "asia_osm", "--workers", "-2"],
+                                    capsys)
+        assert code == 2 and "must be >= 1" in err
+        code, err = self._exit_code(["trace", "asia_osm", "--threads", "x"],
+                                    capsys)
+        assert code == 2 and "argument --threads" in err
+
+    def test_threads_engine_is_gone(self, capsys):
+        code, err = self._exit_code(["asia_osm", "--engine", "threads"],
+                                    capsys)
+        assert code == 2
+        assert "invalid choice: 'threads'" in err
