@@ -36,8 +36,14 @@ class Dendrogram:
             k = int(arr.max()) + 1
             if arr.min() < 0:
                 raise GraphStructureError("community ids must be non-negative")
-            present = np.unique(arr)
-            if present.shape[0] != k:
+            # More ids than entries cannot all be present: say so before
+            # allocating the marks.
+            surjective = k <= arr.shape[0]
+            if surjective:
+                present = np.zeros(k, dtype=bool)
+                present[arr] = True
+                surjective = bool(present.all())
+            if not surjective:
                 raise GraphStructureError("level mapping must be surjective onto 0..k-1")
         if self._levels and arr.shape[0] != self.num_communities(-1):
             raise GraphStructureError(

@@ -44,10 +44,11 @@ from repro.core.result import (
     LeidenResult,
     PassStats,
 )
+from repro.errors import GraphStructureError
 from repro.graph.csr import CSRGraph
 from repro.graph.reorder import order_ranks as _order_ranks
 from repro.graph.reorder import vertex_order as _vertex_order
-from repro.metrics.partition import renumber_membership
+from repro.metrics.partition import check_membership, renumber_membership
 from repro.observability import memtrack
 from repro.parallel.rng import Xorshift32
 from repro.parallel.runtime import Runtime
@@ -86,26 +87,32 @@ def leiden(
     vertex-id array) seeds the first pass's pruning flags so only the
     given vertices are initially reconsidered — together these are the
     primitives :mod:`repro.dynamic` builds its incremental update
-    strategies on.
+    strategies on.  Both are checked before any work starts: a
+    membership of the wrong length or with a negative id, a mask of the
+    wrong shape, or a vertex id outside ``[0, n)`` raises
+    :class:`~repro.errors.GraphStructureError`.
     """
     if validate_input:
         from repro.graph.validate import validate_csr
 
         validate_csr(graph, require_positive_weights=False)
+    n0 = graph.num_vertices
+    if initial_membership is not None:
+        initial_membership = check_membership(initial_membership, n0)
+    first_unprocessed = _affected_mask(affected, n0)
     cfg = config or LeidenConfig()
     if cfg.relabel != "none":
         return _leiden_relabeled(
             graph, cfg,
             runtime=runtime,
             initial_membership=initial_membership,
-            affected=affected,
+            affected=first_unprocessed,
         )
     rt = runtime or Runtime(num_threads=1, seed=cfg.seed)
     tracer = rt.tracer
     rng = Xorshift32(cfg.seed)
     qual = Quality(cfg.quality, cfg.resolution)
 
-    n0 = graph.num_vertices
     C_top = np.arange(n0, dtype=VERTEX_DTYPE)
     dendrogram = Dendrogram()
     passes: list[PassStats] = []
@@ -118,10 +125,7 @@ def leiden(
     if initial_membership is None:
         init_membership: np.ndarray | None = None
     else:
-        init_membership, _ = renumber_membership(
-            np.asarray(initial_membership, dtype=VERTEX_DTYPE)
-        )
-    first_unprocessed = _affected_mask(affected, n0)
+        init_membership, _ = renumber_membership(initial_membership)
     tau = cfg.initial_tolerance()
     # CPM tracks node sizes through aggregation (super-vertices count the
     # original vertices they contain); modularity ignores them.
@@ -295,8 +299,9 @@ def leiden(
                 C_top = C_ref_ren[C_top]
                 pw[PHASE_OTHER] += time.perf_counter() - t0
                 rt.record_parallel(np.ones(max(n, 1)), phase=PHASE_OTHER)
+                # C_top maps onto all num_comms refined communities.
                 _close_pass(
-                    passes, pass_index, n, int(np.unique(C_top).shape[0]),
+                    passes, pass_index, n, num_comms,
                     li, lj, tau, pw, pass_ledger,
                 )
                 rt.ledger = saved_ledger
@@ -337,8 +342,10 @@ def leiden(
             if cfg.vertex_label == "move" and cfg.use_refinement:
                 # Each super-vertex (refined community) starts in the
                 # community its members held after the local-moving phase.
-                _, first_member = np.unique(C_ref_ren, return_index=True)
-                bound_labels = C_B[first_member]
+                # Refinement merges only within a bound, so all members
+                # write the same label.
+                bound_labels = np.empty(num_comms, dtype=C_B.dtype)
+                bound_labels[C_ref_ren] = C_B
                 init_membership, _ = renumber_membership(bound_labels)
             else:
                 init_membership = None
@@ -371,7 +378,7 @@ def leiden(
         # Final renumbering keeps ids compact regardless of the exit path.
         C_top, _ = renumber_membership(C_top)
         wall = time.perf_counter() - t_start
-        final_comms = int(np.unique(C_top).shape[0])
+        final_comms = int(C_top.max()) + 1 if n0 else 0
         run_span.set(passes=len(passes), communities=final_comms)
         m_comms.set(final_comms)
     finally:
@@ -430,8 +437,7 @@ def _leiden_relabeled(
     try:
         # -- layout source: warm partition or pilot pass -----------------
         if initial_membership is not None:
-            warm, _ = renumber_membership(
-                np.asarray(initial_membership, dtype=VERTEX_DTYPE))
+            warm, _ = renumber_membership(initial_membership)
             levels = [warm]
             pilot = None
         else:
@@ -456,8 +462,7 @@ def _leiden_relabeled(
             runtime=rt,
             initial_membership=(relab.to_relabeled(warm)
                                 if warm is not None else None),
-            affected=(_affected_mask(affected, graph.num_vertices)[relab.perm]
-                      if affected is not None else None),
+            affected=affected[relab.perm] if affected is not None else None,
         )
     finally:
         if own_runtime:
@@ -489,16 +494,25 @@ def _leiden_relabeled(
 
 
 def _affected_mask(affected, n: int):
-    """Normalize the ``affected`` argument to a boolean mask or None."""
+    """Validate the ``affected`` argument and normalize it to a boolean
+    mask or None."""
     if affected is None:
         return None
     arr = np.asarray(affected)
     if arr.dtype == bool:
-        if arr.shape[0] != n:
-            raise ValueError("affected mask length must equal vertex count")
+        if arr.shape != (n,):
+            raise GraphStructureError(
+                f"affected mask has shape {arr.shape} for {n} vertices")
         return arr
+    if arr.ndim != 1 or (arr.size
+                         and not np.issubdtype(arr.dtype, np.integer)):
+        raise GraphStructureError(
+            "affected must be a boolean mask or a 1-D array of vertex ids")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise GraphStructureError(
+            f"affected vertex ids must lie in [0, {n})")
     mask = np.zeros(n, dtype=bool)
-    mask[arr] = True
+    mask[arr.astype(np.intp)] = True
     return mask
 
 

@@ -16,6 +16,35 @@ The paper evaluates two selection rules (Figures 1-2):
   noise draws exactly ∝ ΔQ.
 
 One sweep over the vertices is performed per pass.
+
+The batch engine's CAS commit
+-----------------------------
+``refine_batch`` decides a batch's moves against the state at the batch
+start, then serializes the commits as if the movers ran one at a time in
+ascending id order.  A *mover* has a best in-bound move with ΔQ > 0; its
+*own* label is its sub-community and its *target* is the sub-community
+it picked.  Mover ``k`` commits if nothing joined its own label and no
+earlier commit in the batch vacated its target, or if a ``racy`` race
+forces it; a commit joins the target and vacates the own label.
+
+Call two movers *conflicting* when one's target is the other's own
+label.  Then mover ``k`` commits iff it is forced, or its own label was
+not joined before the batch and no lower-index committed mover conflicts
+with it: the commits are the lexicographically-first independent set of
+the conflict graph, forced movers always in.  ``leiden()`` starts
+refinement from singletons, so own labels are the movers' ids, distinct
+and ascending, and each mover conflicts through its target with at most
+one other: the conflict graph is a functional graph in mover positions.
+
+Large batches compute that set in rounds.  A round decides, at once,
+every undecided mover that has a committed lower-index neighbour (out)
+or only decided ones (in).  A decided mover never changes, so the rounds
+can stop at any point and a sequential pass over the still-undecided
+movers, in id order, finishes the same set.  Rounds stop when few movers
+remain or when a round decided a small share of them (a chain decides
+about one per round).  Small batches, and batches whose own labels
+repeat (a caller-supplied membership with zero-weight members), commit
+through the one-at-a-time loop, which stays the reference.
 """
 
 from __future__ import annotations
@@ -37,6 +66,21 @@ __all__ = ["refine_batch", "refine_loop", "scan_bounded"]
 #: Bookkeeping work units charged per visited vertex on top of its degree.
 VERTEX_COST = 4.0
 _TINY = 1e-300
+
+#: Batches with fewer movers commit through the sequential loop: below
+#: about 300 movers the vectorized commit costs more than the loop.
+ROUND_MIN_MOVERS = 512
+#: Rounds stop once fewer undecided movers remain (a round costs about
+#: as much as 130 steps of the tail) ...
+ROUND_MIN_UNDECIDED = 128
+#: ... or once a round decided less than this share of the movers that
+#: were undecided when it began (a chain decides ~1 mover per round).
+ROUND_MIN_SHARE = 0.25
+
+# Mover states of the vectorized commit.  Each is the weight a mover adds
+# to the pressure on its higher-index conflicting movers: one committed
+# neighbour outweighs any number of undecided ones.
+_OUT, _UNDECIDED, _IN = 0.0, 1.0, 2.0 ** 32
 
 
 def refine_batch(
@@ -161,39 +205,15 @@ def refine_batch(
             commit = np.ones(movers.shape[0], dtype=bool)
         else:
             # Emulated CAS (lines 10-11), serialized in ascending id
-            # order.  Two conditions gate a commit:
-            # - nothing joined the mover's own sub-community (the CAS);
-            # - the target community was not *vacated* by an earlier
-            #   commit in this batch — i.e. the vertex whose community
-            #   the mover scanned is still there.  This closes the
-            #   pile-into-an-emptied-label race that would otherwise let
-            #   two mutual non-neighbors form a disconnected pair.
-            # Under "racy", a small rate of commits slip past the
+            # order; under "racy", a small rate of commits slip past the
             # serialization (BSP epoch races).
-            commit = np.zeros(movers.shape[0], dtype=bool)
-            joined_local = joined  # alias; persists across batches
-            vacated_marks = []
-            mown_list = mown.tolist()
-            mcomm_list = mcomm.tolist()
             if race_rate > 0.0:
                 if rng is None:
                     rng = Xorshift32()
-                races = rng.floats_fast(len(mown_list)) < race_rate
+                races = rng.floats_fast(movers.shape[0]) < race_rate
             else:
                 races = None
-            for k in range(len(mown_list)):
-                own, target = mown_list[k], mcomm_list[k]
-                ok = not joined_local[own] and not vacated[target]
-                if ok or (races is not None and races[k]):
-                    commit[k] = True
-                    joined_local[target] = True
-                    vacated[own] = True
-                    vacated_marks.append(own)
-            # vacated[] is a within-batch notion: after the batch the
-            # memberships are updated, so later scans cannot reference a
-            # vacated label at all.
-            for own in vacated_marks:
-                vacated[own] = False
+            commit = _commit(mown, mcomm, joined, vacated, races, ws._map)
         decided_moves += int(movers.shape[0])
         if commit.any():
             cv = movers[commit]
@@ -227,6 +247,115 @@ def refine_batch(
     if runtime.profiler.enabled:
         runtime.profiler.mark("refine_splits", total_moves)
     return total_moves
+
+
+def _commit(mown, mcomm, joined, vacated, races, scratch) -> np.ndarray:
+    """Commit mask of one batch's movers under the CAS rule; marks the
+    committed targets in ``joined``.  ``scratch`` is an int64 map with a
+    slot per label whose contents do not matter."""
+    if mown.shape[0] >= ROUND_MIN_MOVERS:
+        commit = _commit_rounds(mown, mcomm, joined, races, scratch)
+        if commit is not None:
+            joined[mcomm[commit]] = True
+            return commit
+    return _commit_sequential(mown, mcomm, joined, vacated, races)
+
+
+def _commit_sequential(mown, mcomm, joined, vacated, races) -> np.ndarray:
+    """The commit rule, one mover at a time in ascending id order.
+
+    Two gates: nothing joined the mover's own sub-community (the CAS),
+    and no earlier commit in the batch vacated its target, i.e. the
+    vertex whose community the mover scanned is still there.  The second
+    closes the pile-into-an-emptied-label race that would let two mutual
+    non-neighbours form a disconnected pair.  ``vacated`` must be
+    all-false on entry and is all-false on return.
+    """
+    commit = np.zeros(mown.shape[0], dtype=bool)
+    vacated_marks = []
+    mown_list = mown.tolist()
+    mcomm_list = mcomm.tolist()
+    for k in range(len(mown_list)):
+        own, target = mown_list[k], mcomm_list[k]
+        ok = not joined[own] and not vacated[target]
+        if ok or (races is not None and races[k]):
+            commit[k] = True
+            joined[target] = True
+            vacated[own] = True
+            vacated_marks.append(own)
+    # vacated[] is a within-batch notion: after the batch the
+    # memberships are updated, so later scans cannot reference a
+    # vacated label at all.
+    for own in vacated_marks:
+        vacated[own] = False
+    return commit
+
+
+def _commit_rounds(mown, mcomm, joined, races, scratch):
+    """The commit rule as the lexicographically-first independent set of
+    the conflict graph; ``None`` when an own label repeats.
+
+    Mover ``k``'s conflict edge goes to ``t[k]``, the mover whose own
+    label ``k`` targets.  Each round decides every undecided mover whose
+    lower-index neighbours are decided or include a committed one; the
+    rounds stop when they stop paying and :func:`_commit_tail` finishes
+    the rest in id order.
+    """
+    k_movers = mown.shape[0]
+    own = mown.astype(np.intp)
+    idx = np.arange(k_movers, dtype=np.intp)
+    scratch[own] = idx
+    if not np.array_equal(scratch[own], idx):
+        return None
+    # A stale slot read for a target that is nobody's own label is
+    # clipped into range; the clipped position then names a mover whose
+    # own label differs from the target, because own labels are distinct.
+    t = scratch[mcomm.astype(np.intp)]
+    np.clip(t, 0, k_movers - 1, out=t)
+    hit = mown[t] == mcomm
+    t[~hit] = -1
+    src = np.flatnonzero(hit)
+    lo = np.minimum(src, t[src])
+    hi = np.maximum(src, t[src])
+    # A mover's state is the weight it adds to the pressure on its
+    # higher-index neighbours.
+    state = np.where(joined[own], _OUT, _UNDECIDED)
+    if races is not None:
+        state[races] = _IN
+    undecided = state == _UNDECIDED
+    left = int(np.count_nonzero(undecided))
+    stalled = False
+    while left:
+        pressure = np.bincount(hi, weights=state[lo], minlength=k_movers)
+        if left < ROUND_MIN_UNDECIDED or stalled:
+            _commit_tail(state, undecided, t, pressure)
+            break
+        np.putmask(state, undecided & (pressure >= _IN), _OUT)
+        np.putmask(state, undecided & (pressure == 0.0), _IN)
+        undecided = state == _UNDECIDED
+        before, left = left, int(np.count_nonzero(undecided))
+        stalled = before - left < ROUND_MIN_SHARE * before
+        keep = undecided[hi]
+        lo, hi = lo[keep], hi[keep]
+    return state == _IN
+
+
+def _commit_tail(state, undecided, t, pressure) -> None:
+    """Decide the ``undecided`` movers in id order; ``pressure`` must be
+    current for ``state``."""
+    rest = np.flatnonzero(undecided)
+    # barred: movers with a committed lower-index conflicting mover,
+    # seeded from the rounds and extended by each commit here with the
+    # owner of its target.  That owner j is taken only if j < k, as the
+    # movers are visited in id order.
+    barred = set(rest[pressure[rest] >= _IN].tolist())
+    taken = set()
+    for k, j in zip(rest.tolist(), t[rest].tolist()):
+        if k not in barred and j not in taken:
+            taken.add(k)
+            barred.add(j)
+    state[rest] = _OUT
+    state[list(taken)] = _IN
 
 
 def scan_bounded(

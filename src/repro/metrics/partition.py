@@ -9,6 +9,10 @@ import numpy as np
 from repro.errors import GraphStructureError
 from repro.types import VERTEX_DTYPE
 
+#: :func:`renumber_membership` takes its O(n) path when every id is below
+#: this multiple of the input length.
+DENSE_RENUMBER_SPAN = 4
+
 
 def check_membership(membership, num_vertices: int) -> np.ndarray:
     """Validate and coerce a membership array; community ids must be >= 0."""
@@ -48,9 +52,19 @@ def renumber_membership(membership) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(renumbered, old_ids)`` where ``old_ids[new] == old``.
     Renumbering is by ascending old id, which is deterministic and
-    order-independent — the parallel renumbering GVE uses.
+    order-independent — the parallel renumbering GVE uses.  Ids below
+    :data:`DENSE_RENUMBER_SPAN` times the input length are marked in a
+    flag array and renumbered by its prefix sum, in O(n); others (and
+    negative ids) go through ``np.unique``.
     """
     C = np.asarray(membership, dtype=VERTEX_DTYPE)
+    top = int(C.max()) if C.shape[0] else -1
+    if 0 <= top < DENSE_RENUMBER_SPAN * C.shape[0] and C.min() >= 0:
+        present = np.zeros(top + 1, dtype=bool)
+        present[C] = True
+        new_ids = np.cumsum(present, dtype=VERTEX_DTYPE)
+        new_ids -= 1
+        return new_ids[C], np.flatnonzero(present).astype(VERTEX_DTYPE)
     old_ids, renumbered = np.unique(C, return_inverse=True)
     return renumbered.astype(VERTEX_DTYPE), old_ids.astype(VERTEX_DTYPE)
 

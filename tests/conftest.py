@@ -1,5 +1,5 @@
 """Shared fixtures: small graphs with known structure, and the
-sort-kernel oracle switch."""
+sort-kernel and sequential-commit oracle switches."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core import aggregate
+from repro.core import aggregate, refine
 from repro.core._kernels import segment_pair_sums_sort, segmented_argmax
 from repro.core.workspace import KernelWorkspace
 from repro.graph.builder import build_csr_from_edges
@@ -46,6 +46,26 @@ def sort_kernels():
         mp.setattr(KernelWorkspace, "pair_sums", pair_sums)
         mp.setattr(KernelWorkspace, "argmax", argmax)
         mp.setattr(aggregate, "segment_pair_sums_count", aggregate_pair_sums)
+        yield calls
+
+
+@contextmanager
+def sequential_commit():
+    """Commit every refinement batch through the one-at-a-time loop.
+
+    The loop is the reference for the vectorized commit of
+    ``refine_batch``.  This patches the batch commit with it and yields a
+    :class:`~collections.Counter` whose ``"commit"`` entry counts the
+    batches it decided, so a test can assert that the oracle really ran.
+    """
+    calls: Counter = Counter()
+
+    def commit(mown, mcomm, joined, vacated, races, scratch):
+        calls["commit"] += 1
+        return refine._commit_sequential(mown, mcomm, joined, vacated, races)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "_commit", commit)
         yield calls
 
 

@@ -33,6 +33,29 @@ class TestAddLevel:
         with pytest.raises(GraphStructureError):
             Dendrogram().add_level(np.zeros((2, 2), dtype=np.int32))
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_large_surjective_level(self, copies):
+        k = 100_000
+        level = np.random.default_rng(0).permutation(
+            np.arange(copies * k) % k)
+        d = Dendrogram()
+        d.add_level(level)
+        assert d.num_communities(0) == k
+
+    @pytest.mark.parametrize("missing", [50_000, 99_998])
+    def test_large_level_missing_one_id(self, missing):
+        # k = 100_000 ids with one gone: a middle one, or the one just
+        # below the highest (which stays, so k is unchanged).
+        k = 100_000
+        ids = np.delete(np.arange(k), missing)
+        level = np.random.default_rng(1).permutation(np.repeat(ids, 2))
+        with pytest.raises(GraphStructureError, match="surjective"):
+            Dendrogram().add_level(level)
+
+    def test_id_beyond_length_rejected(self):
+        with pytest.raises(GraphStructureError, match="surjective"):
+            Dendrogram().add_level([0, 2 ** 31 - 1])
+
 
 class TestFlatten:
     def test_single_level(self):

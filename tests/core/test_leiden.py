@@ -1,12 +1,16 @@
 """End-to-end tests for the Leiden driver (Algorithm 1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.core.result import ALL_PHASES
+from repro.datasets.registry import load_graph
 from repro.datasets.sbm import planted_partition
+from repro.errors import GraphStructureError
 from repro.metrics.comparison import adjusted_rand_index
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
@@ -200,3 +204,130 @@ class TestInputValidation:
         g = CSRGraph.from_coo([0, 1], [1, 2], num_vertices=3)
         res = leiden(g)  # silently tolerated, as the paper's code would
         assert res.membership.shape == (3,)
+
+
+class TestWarmStartValidation:
+    """``initial_membership`` and ``affected`` fail with a typed error
+    before any work is done, on both the plain and the relabel path."""
+
+    N = 12000  # asia_osm
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = load_graph("asia_osm", seed=1)
+        assert g.num_vertices == self.N
+        return g
+
+    @pytest.fixture(params=["none", "community"])
+    def cfg(self, request):
+        return LeidenConfig(relabel=request.param)
+
+    def test_membership_one_short(self, graph, cfg):
+        with pytest.raises(GraphStructureError, match="11999 entries"):
+            leiden(graph, cfg,
+                   initial_membership=np.zeros(self.N - 1, dtype=np.int32))
+
+    def test_membership_negative_id(self, graph, cfg):
+        warm = np.zeros(self.N, dtype=np.int32)
+        warm[-1] = -1
+        with pytest.raises(GraphStructureError, match="non-negative"):
+            leiden(graph, cfg, initial_membership=warm)
+
+    def test_affected_id_past_the_end(self, graph, cfg):
+        with pytest.raises(GraphStructureError, match="lie in"):
+            leiden(graph, cfg, affected=[0, self.N + 5])
+
+    def test_affected_negative_id(self, graph, cfg):
+        # A negative index would wrap to vertex N-1.
+        with pytest.raises(GraphStructureError, match="lie in"):
+            leiden(graph, cfg, affected=[-1])
+
+    def test_affected_mask_wrong_length(self, graph, cfg):
+        with pytest.raises(GraphStructureError, match="shape"):
+            leiden(graph, cfg, affected=np.ones(self.N - 3, dtype=bool))
+
+    def test_affected_float_ids(self, graph, cfg):
+        with pytest.raises(GraphStructureError, match="vertex ids"):
+            leiden(graph, cfg, affected=[0.5])
+
+    def test_valid_warm_start_still_runs(self, graph, cfg):
+        base = leiden(graph, cfg)
+        res = leiden(graph, cfg, initial_membership=base.membership.tolist(),
+                     affected=[0, self.N - 1])
+        assert res.membership.shape == (self.N,)
+        empty = leiden(graph, cfg, affected=[])
+        assert empty.membership.shape == (self.N,)
+
+
+def _digest(values):
+    data = np.ascontiguousarray(values, dtype=np.int64).tobytes()
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+class TestPinnedSolves:
+    """Membership and dendrogram digests of default-config solves.  The
+    pass bookkeeping (renumbering, community counts, move-label seeding)
+    must reproduce them bit for bit."""
+
+    PINNED = {
+        ("asia_osm", "move", None): (
+            "d9984c7e766883bff540dfec700ffb73",
+            ("c885d3e063dadb5d95ad5d178a67e9a8",
+             "7626aab21e7df595ddb0bbbd2525358a",
+             "b9c2f34789780bafe0ef322a9a18beac",
+             "857cb1d89ec378ec361a68d94b430c86",
+             "1ed654686ca04919af7a0b1814cee961",
+             "e72c2963373a43be4cb1bcdce01d1dc3",
+             "e5bde2131d5cff7e969fc1f48866b0cb")),
+        ("asia_osm", "refine", None): (
+            "5f864e3f4aaf5ba9fd036f041dde6f68",
+            ("c885d3e063dadb5d95ad5d178a67e9a8",
+             "f7388102e8fe0f062a9c76734f811e36",
+             "4c46728e44451d4fa34d3277c00a2900",
+             "4f65e3fb4a98e4ab271d4e883d22e79f",
+             "7c2797a0b09d327ab4dcbdbac5c86fb2",
+             "f7b8ec178848ef822aa4218048256379",
+             "6c2ff8fcb6d1c76b5ffd14606e5f08ff")),
+        ("uk-2002", "move", None): (
+            "c74ca9fc2183d9daa634a7ea88cdeca4",
+            ("c82baebaa16f8ec7e974a37ef76eec4e",
+             "e1949dd49f4a827e2a644d2f3a9222f6",
+             "a5c9946424c68d6fcec8299cbecf93ee",
+             "65c34b91843fb8b8d3a20b66b65dc203",
+             "15fcfb1b99866b209ebd5c3c373db1b8")),
+        ("uk-2002", "refine", None): (
+            "c74ca9fc2183d9daa634a7ea88cdeca4",
+            ("c82baebaa16f8ec7e974a37ef76eec4e",
+             "e1949dd49f4a827e2a644d2f3a9222f6",
+             "a5c9946424c68d6fcec8299cbecf93ee",
+             "65c34b91843fb8b8d3a20b66b65dc203",
+             "15fcfb1b99866b209ebd5c3c373db1b8")),
+        # Pass budget exhausted: move labels add the seeded level on top.
+        ("asia_osm", "move", 3): (
+            "f285e37123e82c5454144b8f5065d7f5",
+            ("c885d3e063dadb5d95ad5d178a67e9a8",
+             "7626aab21e7df595ddb0bbbd2525358a",
+             "b9c2f34789780bafe0ef322a9a18beac",
+             "5e6c81d319b7e7bb512eef5393e986a0")),
+        ("uk-2002", "move", 3): (
+            "5e3d4fe7b69b1be0c692d7e9f1507d56",
+            ("c82baebaa16f8ec7e974a37ef76eec4e",
+             "e1949dd49f4a827e2a644d2f3a9222f6",
+             "a5c9946424c68d6fcec8299cbecf93ee",
+             "484fd0f96b23de0130478a419d7c1b80")),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED, key=str), ids=str)
+    def test_digests(self, key):
+        name, label, max_passes = key
+        cfg = LeidenConfig(vertex_label=label)
+        if max_passes is not None:
+            cfg = cfg.with_(max_passes=max_passes)
+        res = leiden(load_graph(name, seed=1), cfg)
+        membership, levels = self.PINNED[key]
+        assert tuple(_digest(lvl) for lvl in res.dendrogram) == levels
+        assert _digest(res.membership) == membership
+        assert res.num_communities == len(np.unique(res.membership))
+        for p in res.passes:
+            upto = res.dendrogram.flatten(upto=p.index + 1)
+            assert p.num_communities == len(np.unique(upto))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphStructureError
 from repro.metrics.partition import (
+    DENSE_RENUMBER_SPAN,
     check_membership,
     community_sizes,
     count_communities,
@@ -64,6 +67,80 @@ class TestRenumber:
         a, _ = renumber_membership([3, 1, 3])
         b, _ = renumber_membership([3, 1, 3])
         assert np.array_equal(a, b)
+
+
+def _unique_oracle(C):
+    old, ren = np.unique(np.asarray(C, dtype=np.int32), return_inverse=True)
+    return ren.astype(np.int32), old.astype(np.int32)
+
+
+def _assert_matches_oracle(C):
+    got, want = renumber_membership(C), _unique_oracle(C)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int32
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@st.composite
+def memberships(draw):
+    """Id arrays on both sides of the dense/``np.unique`` choice."""
+    n = draw(st.integers(0, 300))
+    span = DENSE_RENUMBER_SPAN * max(n, 1)
+    kind = draw(st.sampled_from(
+        ["dense", "under-bound", "at-bound", "far", "negative"]))
+    if kind == "dense":
+        ids = st.integers(0, max(n - 1, 0))
+    elif kind == "under-bound":
+        ids = st.integers(max(span - 8, 0), span - 1)
+    elif kind == "at-bound":
+        ids = st.integers(span, span + 8)
+    elif kind == "far":
+        ids = st.integers(0, 2 ** 31 - 1)
+    else:
+        ids = st.integers(-2 ** 31, 50)
+    return np.array(draw(st.lists(ids, min_size=n, max_size=n)),
+                    dtype=np.int32)
+
+
+class TestRenumberOracle:
+    """``renumber_membership`` equals the ``np.unique`` oracle in values
+    and dtypes whichever path it takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(C=memberships())
+    def test_matches_unique(self, C):
+        _assert_matches_oracle(C)
+
+    @pytest.mark.parametrize("C", [
+        [], [0], [7], [-3], [2 ** 31 - 1], [5, -1, 5, 0],
+        # just under / at the bound for three ids
+        [0, DENSE_RENUMBER_SPAN * 3 - 1, 2], [0, DENSE_RENUMBER_SPAN * 3, 2],
+    ])
+    def test_edge_cases(self, C):
+        _assert_matches_oracle(C)
+
+    @pytest.mark.parametrize("C, dense", [
+        ([0, DENSE_RENUMBER_SPAN * 3 - 1, 2], True),
+        ([0, DENSE_RENUMBER_SPAN * 3, 2], False),
+        ([5, -1, 5], False),
+        ([], False),
+    ])
+    def test_path_choice(self, monkeypatch, C, dense):
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        renumber_membership(C)
+        assert bool(calls) != dense
+
+    def test_large_dense(self):
+        rng = np.random.default_rng(0)
+        _assert_matches_oracle(rng.integers(0, 50_000, 100_000))
 
 
 class TestGroups:
