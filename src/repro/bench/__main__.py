@@ -23,8 +23,9 @@ Observability / CI flags:
   intentional performance or quality change.  ``--seed`` applies to the
   perf baselines (and ``--mem``) only; every golden file is recorded at
   its :data:`~repro.observability.regression.GOLDEN_FAMILIES` params;
-- ``--kernels`` runs the sort-vs-count kernel microbenchmarks
-  (``--quick`` for the smaller CI timing variant);
+- ``--kernels`` times the production kernels against their sort
+  oracles and exits 1 if any pair's outputs differ bitwise (``--quick``
+  for the smaller CI timing variant);
 - ``--engines`` runs the real-wall-clock engine A/B (``batch`` vs the
   shared-memory ``process`` pool) on registry graphs, checks the
   process membership against the batch run, and writes the JSON report
@@ -78,8 +79,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="re-record the baseline files from the "
                              "current code")
     parser.add_argument("--kernels", action="store_true",
-                        help="run the sort-vs-count kernel "
-                             "microbenchmarks")
+                        help="time the production kernels against "
+                             "their sort oracles")
     parser.add_argument("--quick", action="store_true",
                         help="smaller/faster --kernels run (CI smoke)")
     parser.add_argument("--engines", action="store_true",

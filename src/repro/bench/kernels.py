@@ -1,12 +1,15 @@
 """Kernel microbenchmarks: ``repro bench --kernels``.
 
-Times the counting kernel family against the sort family on the batch
-shapes the Leiden phases actually produce (gathered CSR rows of the
-smoke graphs plus synthetic stress shapes), and the bincount scatter
-against ``np.add.at``.  Used to populate ``docs/PERFORMANCE.md`` and as
-the CI kernel-timing step (``--quick``).  That the two families give
-identical memberships end to end is a test
-(``tests/property/test_property_kernels.py``), not a benchmark.
+Times the production pair-sum kernel (:func:`segment_pair_sums_packed`)
+against its sort oracle on the shapes the Leiden phases actually
+produce — gathered CSR rows of the smoke graphs, the whole-graph pass-0
+aggregation of ``uk-2002`` and ``com-Orkut``, and synthetic stress
+shapes — plus the ``reduceat`` argmax against the lexsort oracle and the
+bincount scatter against ``np.add.at``.  Every timed pair must give
+bitwise-identical outputs, or the run exits 1.  Used to populate
+``docs/PERFORMANCE.md`` and as the CI kernel-timing step (``--quick``).
+That whole solves give identical memberships on either family is a
+test (``tests/property/test_property_kernels.py``), not a benchmark.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from repro.core._kernels import (
     scatter_add,
-    segment_pair_sums_count,
+    segment_pair_sums_packed,
     segment_pair_sums_sort,
     segmented_argmax,
     segmented_argmax_sorted,
@@ -31,22 +34,32 @@ __all__ = ["main"]
 
 SMOKE_GRAPHS = ("asia_osm", "uk-2002", "com-Orkut")
 
+#: Graphs whose pass-0 aggregation is timed as one whole-graph call.
+AGGREGATION_GRAPHS = ("uk-2002", "com-Orkut")
 
-def _best_of(fn, repeats: int) -> float:
+
+def _best_of(fn, repeats: int):
+    """Best wall time of ``repeats`` calls, and the last call's output."""
     best = float("inf")
+    out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
+
+
+def _same_bits(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
 
 
 def _batch_workload(graph, batch_size: int, rng, membership=None):
     """One local-move-shaped batch: gathered rows of random vertices.
 
     ``membership=None`` is the first-iteration shape (singletons, every
-    neighbor a distinct community — the count family's worst case);
-    passing a converged membership gives the steady-state shape.
+    neighbor a distinct community); passing a converged membership gives
+    the steady-state shape.
     """
     n = graph.num_vertices
     vs = rng.choice(n, size=min(batch_size, n), replace=False)
@@ -61,10 +74,11 @@ def _batch_workload(graph, batch_size: int, rng, membership=None):
     return seg, comm, w, vs.shape[0], n
 
 
-def _print_row(name, e, sort_s, count_s):
-    speed = sort_s / count_s if count_s > 0 else float("inf")
-    print(f"{name:34s} | {e:>9,} | {sort_s * 1e3:8.2f} | "
-          f"{count_s * 1e3:8.2f} | {speed:5.2f}x")
+def _print_row(name, e, oracle_s, prod_s, same):
+    speed = oracle_s / prod_s if prod_s > 0 else float("inf")
+    print(f"{name:36s} | {e:>9,} | {oracle_s * 1e3:8.2f} | "
+          f"{prod_s * 1e3:8.2f} | {speed:5.2f}x | "
+          f"{'ok' if same else 'DIFFERS'}")
 
 
 def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
@@ -72,34 +86,43 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
     if quick:
         repeats = 2
     print("Kernel microbenchmarks (best of "
-          f"{repeats}; times in ms)")
-    print(f"{'workload':34s} | {'elems':>9s} | {'sort':>8s} | "
-          f"{'count':>8s} | ratio")
-    print("-" * 72)
+          f"{repeats}; times in ms; oracle = sort family)")
+    print(f"{'workload':36s} | {'elems':>9s} | {'oracle':>8s} | "
+          f"{'prod':>8s} | ratio | bits")
+    print("-" * 82)
+    differs = 0
 
-    # -- pair sums on real batch shapes ----------------------------------
+    def pair_sums_row(name, seg, comm, w, nseg, ncomm):
+        nonlocal differs
+        sort_s, ref = _best_of(
+            lambda: segment_pair_sums_sort(seg, comm, w, ncomm), repeats)
+        prod_s, got = _best_of(
+            lambda: segment_pair_sums_packed(seg, comm, w, nseg, ncomm),
+            repeats)
+        same = _same_bits(ref, got)
+        differs += not same
+        _print_row(name, seg.shape[0], sort_s, prod_s, same)
+
+    # -- pair sums on real batch shapes, and pass-0 aggregation ----------
     for gname in SMOKE_GRAPHS:
         graph = load_graph(gname)
-        converged = leiden(graph, LeidenConfig(seed=seed)).membership
-        for label, member in (("first-iter", None), ("converged", converged)):
+        result = leiden(graph, LeidenConfig(seed=seed))
+        for label, member in (("first-iter", None),
+                              ("converged", result.membership)):
             seg, comm, w, nseg, n = _batch_workload(
                 graph, 4096, rng, membership=member
             )
-            if seg.shape[0] == 0:
-                continue
-            scratch = np.empty(n, dtype=np.int64)
-            sort_s = _best_of(
-                lambda s=seg, c=comm, ww=w, nn=n:
-                    segment_pair_sums_sort(s, c, ww, nn),
-                repeats,
-            )
-            count_s = _best_of(
-                lambda s=seg, c=comm, ww=w, ns=nseg, sc=scratch:
-                    segment_pair_sums_count(s, c, ww, ns, sc),
-                repeats,
-            )
-            _print_row(f"pair_sums {gname} {label}", seg.shape[0],
-                       sort_s, count_s)
+            if seg.shape[0]:
+                pair_sums_row(f"pair_sums {gname} {label}",
+                              seg, comm, w, nseg, n)
+        if gname in AGGREGATION_GRAPHS:
+            # The pass-0 aggregate call: (C[src], C[dst]) over every edge,
+            # C the first dendrogram level (pass 0's refined membership).
+            C = result.dendrogram.level(0)
+            k = int(C.max()) + 1
+            src, dst, w = graph.to_coo()
+            pair_sums_row(f"aggregate {gname} pass 0",
+                          C[src], C[dst], w, k, k)
 
     # -- pair sums, synthetic stress shapes ------------------------------
     e = 100_000 if quick else 1_000_000
@@ -110,36 +133,38 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
         seg = np.sort(rng.integers(0, nseg, e))
         comm = rng.integers(0, ncomm, e)
         w = rng.uniform(0, 1, e).astype(np.float32)
-        scratch = np.empty(ncomm, dtype=np.int64)
-        sort_s = _best_of(
-            lambda s=seg, c=comm, ww=w, nc=ncomm:
-                segment_pair_sums_sort(s, c, ww, nc),
-            repeats,
-        )
-        count_s = _best_of(
-            lambda s=seg, c=comm, ww=w, ns=nseg, sc=scratch:
-                segment_pair_sums_count(s, c, ww, ns, sc),
-            repeats,
-        )
-        _print_row(f"pair_sums {label}", e, sort_s, count_s)
+        pair_sums_row(f"pair_sums {label}", seg, comm, w, nseg, ncomm)
 
     # -- segmented argmax ------------------------------------------------
     sz = 50_000 if quick else 500_000
     seg = np.sort(rng.integers(0, 4096, sz))
     vals = rng.uniform(-1, 1, sz)
-    lex_s = _best_of(lambda: segmented_argmax(seg, vals), repeats)
-    red_s = _best_of(lambda: segmented_argmax_sorted(seg, vals), repeats)
-    _print_row("argmax lexsort vs reduceat", sz, lex_s, red_s)
+    lex_s, ref = _best_of(lambda: segmented_argmax(seg, vals), repeats)
+    red_s, got = _best_of(lambda: segmented_argmax_sorted(seg, vals),
+                          repeats)
+    same = _same_bits(ref, got)
+    differs += not same
+    _print_row("argmax lexsort vs reduceat", sz, lex_s, red_s, same)
 
     # -- scatter: np.add.at vs bincount ----------------------------------
+    # Timed only: bincount sums duplicates in its own order, so only
+    # exact (integer-valued) weights give equal bits; the check uses them.
     sz = 50_000 if quick else 500_000
     idx = rng.integers(0, 4096, sz)
-    w = rng.uniform(-1, 1, sz)
+    w = rng.integers(-4, 5, sz).astype(np.float64)
     target = np.zeros(4096)
+    at_target = np.zeros(4096)
     scratch = np.empty(4096, dtype=np.int64)
-    at_s = _best_of(lambda: np.add.at(target, idx, w), repeats)
-    bc_s = _best_of(lambda: scatter_add(target, idx, w, scratch), repeats)
-    _print_row("scatter np.add.at vs bincount", sz, at_s, bc_s)
+    at_s, _ = _best_of(lambda: np.add.at(at_target, idx, w), repeats)
+    bc_s, _ = _best_of(lambda: scatter_add(target, idx, w, scratch),
+                       repeats)
+    same = target.tobytes() == at_target.tobytes()
+    differs += not same
+    _print_row("scatter np.add.at vs bincount", sz, at_s, bc_s, same)
+
+    if differs:
+        print(f"FAIL: {differs} timed pair(s) gave different outputs")
+        return 1
     return 0
 
 

@@ -4,34 +4,29 @@ The batch engine processes a *batch* of vertices at once — the set of
 vertices the OpenMP threads would have in flight concurrently.  Per batch
 it needs two primitives:
 
-- :func:`segment_pair_sums` — the vectorized equivalent of filling the
-  per-thread hashtables: total edge weight from each batch vertex to each
-  adjacent community (``K_{i→c}`` for all *c* at once);
-- :func:`segmented_argmax` — "best community linked to i" across a batch.
+- :func:`segment_pair_sums_packed` — the vectorized equivalent of
+  filling the per-thread hashtables: total edge weight from each batch
+  vertex to each adjacent community (``K_{i→c}`` for all *c* at once);
+- :func:`segmented_argmax_sorted` — "best community linked to i" across
+  a batch, over the pair sums' sorted output.
 
-Two interchangeable kernel families implement them:
+The production pair sums pack each edge's ``(segment, community, input
+position)`` into one int64 key and sort the keys with ``np.sort``.
+Because every key is unique, whichever sort numpy picks gives the
+stable ``(seg, comm)`` order; the position field recovers the input
+order and ``np.add.reduceat`` sums each run of equal pairs.
 
-- the **sort** family (``*_sort`` / the historical default) builds
-  ``seg * n + comm`` int64 keys and pays an O(E log E) ``argsort`` /
-  ``lexsort`` per batch — the reference implementation and
-  differential-testing oracle;
-- the **count** family (``*_count`` / ``*_sorted``) is the faithful
-  analogue of the paper's preallocated collision-free hashtables: the
-  ≤E distinct adjacent communities of a batch are first *compacted* to a
-  dense ``0..u`` range through a scatter map (:func:`compact_keys`),
-  weights then accumulate with ``bincount`` over the small
-  ``num_segments * u`` grid — O(E + grid), no comparison sort — falling
-  back to a stable counting/radix argsort on the *compacted* key (far
-  smaller magnitude, hence fewer radix passes) when the grid would
-  outgrow the edge count.
-
-Both families are element-exact equivalents: same pairs, same order
-(ascending ``(seg, comm)``), bitwise-identical sums (``bincount`` and the
-stable sort + ``reduceat`` add same-key weights in input order) and the
-same tie-breaking.  The count family expects its scratch map from a
-:class:`repro.core.workspace.KernelWorkspace`, which preallocates it once
-per Leiden pass exactly like the paper allocates its per-thread
-hashtables once up front.
+The **sort** family (``*_sort``, :func:`segmented_argmax`) builds
+``seg * n + comm`` keys and pays a stable ``argsort`` / ``lexsort`` per
+batch.  It is the tests' oracle and the packed kernel's path for inputs
+whose fields need more than 63 bits.  The two are bitwise equal: same
+pairs, same order (ascending ``(seg, comm)``), the same ``reduceat``
+over the same weights in the same order, and the same tie-breaking.
+The summation matters as much as the order: ``reduceat`` adds a run's
+first weight to the sum of the rest, which it sums pairwise, so
+``[a, b, c]`` gives ``a + (b + c)`` where a sequential ``bincount``
+gives ``(a + b) + c``.  With one kernel and one summation, a chunk of a
+batch gets exactly the batch's sums for its own rows.
 """
 
 from __future__ import annotations
@@ -43,26 +38,21 @@ import numpy as np
 from repro.types import ACCUM_DTYPE
 
 __all__ = [
-    "DENSE_GRID_LIMIT",
     "compact_keys",
     "group_starts",
     "scatter_add",
     "segment_pair_sums",
-    "segment_pair_sums_count",
+    "segment_pair_sums_packed",
     "segment_pair_sums_sort",
     "segmented_argmax",
     "segmented_argmax_sorted",
 ]
 
-#: Hard cap on the dense ``bincount`` accumulation grid (entries).  Above
-#: it the count kernels switch to the compacted-key stable sort, keeping
-#: peak scratch memory bounded regardless of batch shape.
-DENSE_GRID_LIMIT = 1 << 23
-
-#: Dense accumulation is used while ``grid <= DENSE_GRID_FACTOR * E``:
-#: below that the zero/scan cost of the grid is dominated by the O(E)
-#: scatter passes, exactly like a collision-free hashtable whose capacity
-#: is a small multiple of its occupancy.
+#: :func:`scatter_add` accumulates over the whole target while
+#: ``len(target) <= DENSE_GRID_FACTOR * len(idx)``: below that the
+#: zero/scan cost of the target-sized ``bincount`` is dominated by the
+#: O(E) scatter passes, exactly like a collision-free hashtable whose
+#: capacity is a small multiple of its occupancy.
 DENSE_GRID_FACTOR = 4
 
 
@@ -169,58 +159,45 @@ def segment_pair_sums_sort(
     return ukey // num_communities, ukey % num_communities, sums
 
 
-def segment_pair_sums_count(
+def segment_pair_sums_packed(
     seg: np.ndarray,
     comm: np.ndarray,
     weights: np.ndarray,
     num_segments: int,
-    scratch_map: Optional[np.ndarray] = None,
-    *,
-    num_communities: Optional[int] = None,
-    dense_grid_limit: int = DENSE_GRID_LIMIT,
+    num_communities: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """O(E) counting-sort implementation over *compacted* community keys.
+    """Production pair sums: one sort of packed ``(seg, comm, position)`` keys.
 
-    Element-exact equivalent of :func:`segment_pair_sums_sort` (same
-    pairs, same order, bitwise-identical sums).  ``seg`` need not be
-    sorted; ``num_segments`` bounds its values.  ``scratch_map`` is the
-    workspace compaction map (int64, one slot per community id); pass
-    ``num_communities`` instead to let the kernel allocate one.
+    Bitwise equal to :func:`segment_pair_sums_sort` (same pairs, same
+    order, same sums).  Each edge's key packs its segment, its community
+    and its input position into one int64, so every key is unique: any
+    sort numpy picks yields the stable ``(seg, comm)`` order, the low
+    field recovers the input positions and ``reduceat`` sums each run
+    exactly as the oracle does.  ``seg`` need not be sorted;
+    ``num_segments`` and ``num_communities`` bound ``seg`` and ``comm``.
+    Inputs whose fields need more than 63 bits go to the oracle itself.
     """
     num = seg.shape[0]
     if num == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=ACCUM_DTYPE)
-    compact, uniques = compact_keys(
-        comm, scratch_map, domain=num_communities
-    )
-    u = uniques.shape[0]
-    key = seg.astype(np.int64) * np.int64(u) + compact
-    grid = int(num_segments) * u
-    if grid <= max(DENSE_GRID_FACTOR * num, 1024) and grid <= dense_grid_limit:
-        # Dense accumulation: the batch's collision-free hashtables, all
-        # at once.  Occupancy (not the sum) selects live pairs so that
-        # zero-weight groups survive exactly as they do under the sort.
-        occupancy = np.bincount(key, minlength=grid)
-        sums = np.bincount(key, weights=weights, minlength=grid)
-        live = np.flatnonzero(occupancy)
-        pair_seg = live // u
-        pair_comm = uniques[live - pair_seg * u].astype(np.int64)
-        return pair_seg, pair_comm, sums[live]
-    # Counting-sort fallback: a stable radix argsort over the *compacted*
-    # key — far smaller magnitude than seg * n + comm, so fewer passes —
-    # keeps worst-case batches (huge distinct-community counts) bounded.
-    if grid <= np.iinfo(np.int32).max:
-        key = key.astype(np.int32)
-    order = np.argsort(key, kind="stable")
-    ksort = key[order]
-    wsort = weights[order].astype(ACCUM_DTYPE)
-    starts = group_starts(ksort)
-    sums = np.add.reduceat(wsort, starts)
-    ukey = ksort[starts].astype(np.int64)
-    pair_seg = ukey // u
-    pair_comm = uniques[ukey - pair_seg * u].astype(np.int64)
-    return pair_seg, pair_comm, sums
+    pb = (num - 1).bit_length()
+    cb = (int(num_communities) - 1).bit_length()
+    sb = (int(num_segments) - 1).bit_length()
+    if sb + cb + pb > 63:
+        return segment_pair_sums_sort(seg, comm, weights, num_communities)
+    key = seg.astype(np.int64)
+    key <<= cb
+    key |= comm
+    key <<= pb
+    key |= np.arange(num, dtype=np.int64)
+    key.sort()
+    order = key & ((1 << pb) - 1)
+    key >>= pb
+    starts = group_starts(key)
+    sums = np.add.reduceat(weights[order].astype(ACCUM_DTYPE), starts)
+    ukey = key[starts]
+    return ukey >> cb, ukey & ((1 << cb) - 1), sums
 
 
 def segmented_argmax(

@@ -10,9 +10,9 @@ all present:
    (count + exclusive scan), so edges can be written without a second
    compaction pass — rows keep slack at their tail;
 3. per-community neighbor weights accumulate in per-thread collision-free
-   hashtables (loop engine) or a counting-sort/bincount grouping by source
-   community over compacted destination-community keys (batch engine —
-   the prefix-sum-CSR analogue).
+   hashtables (loop engine) or in one packed-key pair-sum over the
+   ``(source community, destination community)`` of every edge (batch
+   engine — the prefix-sum-CSR analogue).
 
 Both engines return the same graph (identical offsets/degrees; edge order
 within a row may differ between loop and batch).  The batch path is
@@ -25,10 +25,9 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core._kernels import segment_pair_sums_count
+from repro.core._kernels import segment_pair_sums_packed
 from repro.core.local_move import scan_communities
 from repro.core.result import PHASE_AGGREGATE
-from repro.core.workspace import KernelWorkspace
 from repro.graph.csr import CSRGraph
 from repro.parallel.runtime import Runtime
 from repro.parallel.scan import csr_offsets_from_counts
@@ -58,20 +57,14 @@ def aggregate_batch(
     num_communities: int,
     *,
     runtime: Runtime,
-    workspace: KernelWorkspace | None = None,
     phase: str = PHASE_AGGREGATE,
 ) -> CSRGraph:
     """Vectorized aggregation; returns the holey-CSR super-vertex graph.
 
     ``membership`` must be renumbered to compact ids ``0..k-1``.
-    ``workspace`` supplies the preallocated scratch map; by default a
-    fresh one is created.
     """
     k = int(num_communities)
     C = membership
-    ws = workspace if workspace is not None else KernelWorkspace(
-        graph.num_vertices
-    )
     src, dst, wgt = graph.to_coo()
 
     # Community-vertices CSR (work: one pass over vertices + scan).  Its
@@ -100,16 +93,13 @@ def aggregate_batch(
     # Group edge weights by (community(src), community(dst)) — the batch
     # equivalent of scanning every member's edges into H_t (lines 11-16).
     # Self-edges are *included* (``self = true``), so intra-community
-    # weight lands on the super-vertex's self-loop.  The counting kernel
-    # compacts the destination-community keys and accumulates with
-    # bincount grouped by source community.  It is called directly, not
-    # through ``ws.pair_sums``: aggregation is not a counted kernel
-    # dispatch, and the committed metric snapshots pin those counts.
+    # weight lands on the super-vertex's self-loop.  The kernel is called
+    # directly, not through ``KernelWorkspace.pair_sums``: aggregation is
+    # not a counted kernel dispatch, and the committed metric snapshots
+    # pin those counts.
     cs = C[src]
     cd = C[dst]
-    usrc, udst, usum = segment_pair_sums_count(
-        cs, cd, wgt, k, ws._map, dense_grid_limit=ws.dense_grid_limit
-    )
+    usrc, udst, usum = segment_pair_sums_packed(cs, cd, wgt, k, k)
     udst = udst.astype(VERTEX_DTYPE)
 
     # Placement into the holey CSR: position = row offset + rank-in-row.

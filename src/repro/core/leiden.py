@@ -167,10 +167,10 @@ def leiden(
             t0 = time.perf_counter()
             with tracer.span("init"):
                 if cfg.engine in _BATCH_LIKE:
-                    # One workspace per pass: the kernel scratch buffers are
-                    # allocated here and reused by every batch of the move,
-                    # refine and aggregate phases — the analogue of the
-                    # paper's up-front per-thread hashtable allocation.
+                    # One workspace per pass: the kernel scratch map is
+                    # allocated here and reused by every batch of the move
+                    # and refine phases — the analogue of the paper's
+                    # up-front per-thread hashtable allocation.
                     workspace = rt.workspace(n, phase=PHASE_OTHER)
                 else:
                     workspace = None
@@ -326,10 +326,7 @@ def leiden(
             with tracer.span("aggregate") as ag_span, \
                     memtrack.phase_scope(PHASE_AGGREGATE):
                 if cfg.engine in _BATCH_LIKE:
-                    G = aggregate_batch(
-                        G, C_ref_ren, num_comms, runtime=rt,
-                        workspace=workspace,
-                    )
+                    G = aggregate_batch(G, C_ref_ren, num_comms, runtime=rt)
                 else:
                     G = aggregate_loop(G, C_ref_ren, num_comms, runtime=rt)
                 sizes = np.bincount(C_ref_ren, weights=sizes, minlength=num_comms)

@@ -67,9 +67,9 @@ def local_move_batch(
     """Vectorized local-moving phase; mutates ``membership`` and
     ``community_weights`` in place.
 
-    ``workspace`` supplies the preallocated kernel scratch buffers and
-    selects the kernel family (counting vs. sort); by default a fresh
-    counting workspace is created for the call.
+    ``workspace`` supplies the preallocated kernel scratch map and
+    dispatches the kernels; by default a fresh workspace is created for
+    the call.
 
     ``order_ranks`` (an inverse permutation) orders the vertices *within*
     each color class; by default ascending vertex id.

@@ -3,9 +3,9 @@
 This is the first engine that actually sidesteps the GIL: the per-batch
 ``scanCommunities`` + argmax work — the dominant cost of Algorithm 2 —
 is fanned out to a persistent :class:`~repro.parallel.procpool.
-ProcessPool` whose workers map the CSR arrays, membership, Σ' and kernel
-scratch from :class:`~repro.parallel.shm.ShmArena` segments (numpy
-views, zero-copy).  Task messages carry only chunk bounds.
+ProcessPool` whose workers map the CSR arrays, membership and Σ' from
+:class:`~repro.parallel.shm.ShmArena` segments (numpy views,
+zero-copy).  Task messages carry only chunk bounds.
 
 Determinism contract — the reason membership is *bitwise identical* to
 the simulated batch oracle at any worker count:
@@ -16,9 +16,10 @@ the simulated batch oracle at any worker count:
 2. within one batch every worker evaluates its chunk against the same
    frozen ``C``/``Σ`` snapshot (the parent only mutates state between
    batch barriers), and the chunk computation is the exact per-chunk
-   restriction of the batch kernels — per-(vertex, community) sums
-   accumulate in CSR edge order, candidate order and argmax tie-breaks
-   are per-vertex, so chunk boundaries cannot change any output bit;
+   restriction of the batch kernels — a per-(vertex, community) sum is
+   one ``reduceat`` run over that vertex's edges in CSR order, whatever
+   else shares the call, and candidate order and argmax tie-breaks are
+   per-vertex, so chunk boundaries cannot change any output bit;
 3. the parent applies the returned moves in batch position order with
    the same ``scatter_add`` the batch engine uses.
 
@@ -78,8 +79,6 @@ def _build_arena(
         arena.create("batch", (max(n, 1),), np.int64)
         arena.create("best_community", (max(n, 1),), np.int64)
         arena.create("best_delta", (max(n, 1),), np.float64)
-        arena.create("scratch_maps", (pool.num_workers, max(n, 1)), np.int64,
-                     per_worker=pool.num_workers)
         arena.create("worker_stats", (pool.num_workers, 2), np.float64,
                      per_worker=pool.num_workers)
         arena.create("worker_stats__ops", (1,), np.float64)
@@ -114,8 +113,8 @@ def local_move_process(
     ``community_weights`` in place.  Returns ``(iterations, last_dq)``.
 
     Semantically equivalent (bitwise, on the membership) to
-    :func:`~repro.core.local_move.local_move_batch` with the counting
-    kernels; see the module docstring for why.
+    :func:`~repro.core.local_move.local_move_batch`; see the module
+    docstring for why.
     """
     n = graph.num_vertices
     if n == 0:
@@ -180,7 +179,6 @@ def local_move_process(
         "m": float(m),
         "quality": qual.kind,
         "resolution": float(qual.resolution),
-        "dense_grid_limit": int(ws.dense_grid_limit),
     }
     split = Schedule("static", 1)
     with _build_arena(graph, pool, C, K, Q, Sigma,

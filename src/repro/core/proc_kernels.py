@@ -20,16 +20,16 @@ arena key            contents
 ``batch``            vertex ids of the batch in flight
 ``best_community``   per-batch-position output: argmax community (or -1)
 ``best_delta``       per-batch-position output: its ΔQ
-``scratch_maps``     ``(num_workers, n)`` kernel compaction maps — the
-                     per-worker collision-free-hashtable scratch, in shm
 ``worker_stats``     ``(num_workers, 2)`` [edges scanned, tasks] tallies
 ==================== =====================================================
 
 The scan kernel is the exact per-chunk restriction of
-:func:`repro.core.local_move.local_move_batch`'s batch body.  Both
-kernel families sum per-``(vertex, community)`` weights in CSR edge
-order, candidate order per vertex is ascending community id, and the
-quality delta is elementwise — so a chunk's outputs are bitwise
+:func:`repro.core.local_move.local_move_batch`'s batch body.  It calls
+the same packed-key pair sums, which sum each vertex's per-community
+weights with ``reduceat`` over that vertex's edges in CSR order — a sum
+that depends only on the vertex's own edges, never on which other rows
+share the call.  Candidate order per vertex is ascending community id
+and the quality delta is elementwise, so a chunk's outputs are bitwise
 identical to the corresponding slice of a whole-batch evaluation, which
 is what makes the process engine's membership independent of worker
 count and bitwise-equal to the simulated batch oracle.
@@ -39,27 +39,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core._kernels import (
+    segment_pair_sums_packed,
+    segmented_argmax_sorted,
+)
 from repro.core.quality import Quality
-from repro.core.workspace import KernelWorkspace
 from repro.graph.segments import gather_rows
 from repro.parallel.atomics import SharedAtomicArray
 from repro.parallel.procpool import pool_kernel
 from repro.types import ACCUM_DTYPE
 
 __all__ = ["move_scan"]
-
-
-def _workspace(ctx, n: int, dense_grid_limit: int) -> KernelWorkspace:
-    """Per-worker workspace over this worker's shm scratch slab."""
-    ws = ctx.scratch.get("move_ws")
-    if ws is None or ws.num_vertices != n:
-        ws = KernelWorkspace(
-            n,
-            dense_grid_limit=dense_grid_limit,
-            scratch_map=ctx["scratch_maps"][ctx.worker_id],
-        )
-        ctx.scratch["move_ws"] = ws
-    return ws
 
 
 @pool_kernel("move_scan")
@@ -71,7 +61,6 @@ def move_scan(
     m: float,
     quality: str,
     resolution: float,
-    dense_grid_limit: int,
 ) -> int:
     """Best move per vertex for batch positions ``[lo, hi)``.
 
@@ -94,7 +83,6 @@ def move_scan(
     best_c[lo:hi] = -1
     best_dq[lo:hi] = 0.0
     n = int(C.shape[0])
-    ws = _workspace(ctx, n, int(dense_grid_limit))
 
     seg, dst, w = gather_rows(offsets, degrees, targets, weights, vs)
     edges = int(seg.shape[0])
@@ -103,7 +91,8 @@ def move_scan(
         seg, dst, w = seg[notself], dst[notself], w[notself]
     if seg.shape[0]:
         # scanCommunities for the chunk: K_{i→c} per adjacent community.
-        pseg, pcomm, psum = ws.pair_sums(seg, C[dst], w, vs.shape[0])
+        pseg, pcomm, psum = segment_pair_sums_packed(
+            seg, C[dst], w, vs.shape[0], n)
         d = C[vs]
         kid = np.zeros(vs.shape[0], dtype=ACCUM_DTYPE)
         own = pcomm == d[pseg]
@@ -119,7 +108,7 @@ def move_scan(
                 kic, kid[cseg], K[mv_all], Q[mv_all],
                 Sigma[cc], Sigma[d[cseg]], m,
             )
-            bseg, bidx = ws.argmax(cseg, dq)
+            bseg, bidx = segmented_argmax_sorted(cseg, dq)
             best_c[lo + bseg] = cc[bidx]
             best_dq[lo + bseg] = dq[bidx]
 

@@ -6,7 +6,8 @@ Two kinds of baseline file live under ``benchmarks/baselines/``.
 smoke experiment — one (graph, config, seed) triple.  Four metrics are
 compared against relative thresholds:
 
-- ``wall_seconds`` — Python wall clock (noisy across machines, so the
+- ``wall_seconds`` — Python wall clock, the best of
+  :data:`BASELINE_SOLVES` solves (noisy across machines, so the
   committed baselines carry a generous threshold);
 - ``modeled_seconds`` — simulated-clock cost on the paper machine at the
   baseline's thread count (deterministic: counted work through the
@@ -67,6 +68,7 @@ __all__ = [
     "format_trace_diff",
     "golden_doc",
     "load_baseline",
+    "measure_baseline",
     "measure_experiment",
     "measure_memory",
     "measure_metrics",
@@ -320,6 +322,42 @@ def format_checks(name: str, checks: Sequence[MetricCheck]) -> str:
     return "\n".join([head] + [c.describe() for c in checks])
 
 
+#: Solves per perf-baseline measurement; ``wall_seconds`` is their best.
+#: One solve of a small graph is at the mercy of the host: a single
+#: preempted solve could fail the wall-clock gate on its own.
+BASELINE_SOLVES = 3
+
+
+def measure_baseline(
+    graph_name: str,
+    *,
+    seed: int,
+    num_threads: int,
+    config: Optional[dict] = None,
+    print_fn=print,
+) -> Tuple[RunMetrics, bool]:
+    """One perf-baseline measurement: :data:`BASELINE_SOLVES` solves.
+
+    Returns the metrics with the best wall time, and whether the
+    deterministic metrics were equal across the solves; when they were
+    not, prints a ``FAIL`` line — the solve is not reproducible, and
+    no wall time can stand in for that.
+    """
+    runs = [
+        measure_experiment(graph_name, seed=seed, num_threads=num_threads,
+                           config=config)[0]
+        for _ in range(BASELINE_SOLVES)
+    ]
+    first = runs[0]
+    stable = all(replace(r, wall_seconds=first.wall_seconds) == first
+                 for r in runs[1:])
+    if not stable:
+        print_fn(f"FAIL {graph_name}: deterministic metrics differ across "
+                 f"{BASELINE_SOLVES} solves")
+    best = min(r.wall_seconds for r in runs)
+    return replace(first, wall_seconds=best), stable
+
+
 def record_baselines(
     directory: Path | str,
     graphs: Sequence[str] = DEFAULT_BASELINE_GRAPHS,
@@ -327,14 +365,16 @@ def record_baselines(
     seed: int = 42,
     num_threads: int = 64,
     thresholds: Optional[Thresholds] = None,
+    print_fn=print,
 ) -> List[Baseline]:
     """(Re)write one baseline file per graph; returns the new baselines."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     out: List[Baseline] = []
     for graph_name in graphs:
-        metrics, _ = measure_experiment(
-            graph_name, seed=seed, num_threads=num_threads
+        metrics, _ = measure_baseline(
+            graph_name, seed=seed, num_threads=num_threads,
+            print_fn=print_fn,
         )
         baseline = Baseline(
             name=graph_name,
@@ -722,15 +762,16 @@ def run_check(
             failures += not _check_golden(family, doc, print_fn)
             continue
         baseline = Baseline.from_dict(doc)
-        current, _ = measure_experiment(
+        current, stable = measure_baseline(
             baseline.graph,
             seed=baseline.seed,
             num_threads=baseline.num_threads,
             config=baseline.config,
+            print_fn=print_fn,
         )
         checks = compare_metrics(baseline, current, thresholds=thresholds)
         print_fn(format_checks(baseline.name, checks))
-        if not all(c.ok for c in checks):
+        if not (stable and all(c.ok for c in checks)):
             failures += 1
     total = len(paths)
     print_fn(f"{total - failures}/{total} baselines within thresholds")

@@ -74,7 +74,7 @@ def pool_kernel(name: str) -> Callable[[Callable], Callable]:
     """Register a module-level function as a pool kernel.
 
     The kernel is called as ``fn(ctx, **payload)`` where ``ctx`` is the
-    :class:`WorkerContext` (attached arena + per-worker scratch).  Its
+    :class:`WorkerContext` (attached arena + shared lock).  Its
     return value must be cheap to pickle (scalars / small tuples) — bulk
     output belongs in shared arrays.
     """
@@ -87,16 +87,15 @@ def pool_kernel(name: str) -> Callable[[Callable], Callable]:
 
 
 class WorkerContext:
-    """What a kernel sees: the attached arena, the pool's shared lock
+    """What a kernel sees: the attached arena and the pool's shared lock
     (for :class:`~repro.parallel.atomics.SharedAtomicArray` critical
-    sections) and worker-local scratch."""
+    sections)."""
 
     def __init__(self, worker_id: int, num_workers: int, lock=None) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers
         self.lock = lock
         self.arena: Optional[AttachedArena] = None
-        self.scratch: Dict[str, object] = {}
 
     def __getitem__(self, key: str):
         if self.arena is None:
@@ -172,14 +171,12 @@ def _worker_main(
                 if ctx.arena is not None:
                     ctx.arena.close()
                 ctx.arena = AttachedArena(spec)
-                ctx.scratch.clear()
                 done_queue.put(("bound", worker_id))
                 _sync(barrier)
             elif kind == "release":
                 if ctx.arena is not None:
                     ctx.arena.close()
                     ctx.arena = None
-                ctx.scratch.clear()
                 done_queue.put(("released", worker_id))
                 _sync(barrier)
             elif kind == "task":

@@ -1,7 +1,7 @@
 """Shared-memory numpy arenas for the process-parallel executor.
 
 The process engine's whole premise is *zero-copy* state sharing: the CSR
-arrays, membership, community weights and kernel scratch live in
+arrays, membership, community weights and per-batch outputs live in
 :mod:`multiprocessing.shared_memory` segments, and every worker process
 maps numpy views onto the same physical pages.  Task messages then carry
 only chunk bounds and scalar parameters — never array payloads.
@@ -114,7 +114,7 @@ class ShmArena:
         """Allocate a zero-initialized array under ``key``.
 
         ``per_worker`` declares that the segment is a per-worker
-        replication (e.g. the ``(workers, n)`` scratch grid): the memory
+        replication (e.g. the ``(workers, 2)`` worker tallies): the memory
         ledger then records one worker's share as the logical size with
         ``replicas=per_worker``, keeping logical totals invariant under
         the worker count while the physical section scales.

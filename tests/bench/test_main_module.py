@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro.bench`` entry point."""
 
 
+import numpy as np
+
 import repro.bench.__main__ as bench_main
 
 
@@ -52,3 +54,31 @@ class TestMain:
         assert bench_main.main(["--output", str(md), "--seed", "7"]) == 0
         assert written["seed"] == 7
         assert written["md"] == str(md)
+
+
+class TestKernelsTiming:
+    """``bench --kernels`` times the production kernels against their
+    oracles and gates on bitwise-equal outputs."""
+
+    def test_quick_run_passes(self, capsys):
+        assert bench_main.main(["--kernels", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "aggregate uk-2002 pass 0" in out
+        assert "aggregate com-Orkut pass 0" in out
+        assert "DIFFERS" not in out
+
+    def test_differing_outputs_exit_1(self, monkeypatch, capsys):
+        import repro.bench.kernels as kernels
+
+        real = kernels.segment_pair_sums_packed
+
+        def off_by_one_ulp(*args):
+            seg, comm, sums = real(*args)
+            return seg, comm, np.nextafter(sums, np.inf)
+
+        monkeypatch.setattr(kernels, "segment_pair_sums_packed",
+                            off_by_one_ulp)
+        assert bench_main.main(["--kernels", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "DIFFERS" in out
+        assert "FAIL:" in out

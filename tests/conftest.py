@@ -13,6 +13,7 @@ from repro.core import aggregate, refine
 from repro.core._kernels import segment_pair_sums_sort, segmented_argmax
 from repro.core.workspace import KernelWorkspace
 from repro.graph.builder import build_csr_from_edges
+from repro.graph.csr import CSRGraph
 
 
 @contextmanager
@@ -20,9 +21,9 @@ def sort_kernels():
     """Run the batch phases on the sort kernel family inside the block.
 
     The sort family (argsort/lexsort, O(E log E)) is the bitwise oracle
-    for the production count family.  This patches
+    for the production kernels.  This patches
     ``KernelWorkspace.pair_sums``, ``KernelWorkspace.argmax`` and the
-    aggregation's ``segment_pair_sums_count`` with it, and yields a
+    aggregation's ``segment_pair_sums_packed`` with it, and yields a
     :class:`~collections.Counter` of oracle calls per kernel so a test
     can assert that the oracle really ran.  Worker processes of the
     ``process`` engine do not see the patch.
@@ -37,15 +38,15 @@ def sort_kernels():
         calls["argmax"] += 1
         return segmented_argmax(seg, values)
 
-    def aggregate_pair_sums(seg, comm, weights, num_segments, scratch_map,
-                            **_):
+    def aggregate_pair_sums(seg, comm, weights, num_segments,
+                            num_communities):
         calls["aggregate"] += 1
-        return segment_pair_sums_sort(seg, comm, weights, num_segments)
+        return segment_pair_sums_sort(seg, comm, weights, num_communities)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(KernelWorkspace, "pair_sums", pair_sums)
         mp.setattr(KernelWorkspace, "argmax", argmax)
-        mp.setattr(aggregate, "segment_pair_sums_count", aggregate_pair_sums)
+        mp.setattr(aggregate, "segment_pair_sums_packed", aggregate_pair_sums)
         yield calls
 
 
@@ -67,6 +68,25 @@ def sequential_commit():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "_commit", commit)
         yield calls
+
+
+def wide_exponent_weights(graph, seed: int = 0, decades: int = 16):
+    """``graph`` with symmetric float32 weights spread over ``decades``.
+
+    Both directions of an edge get the same weight.  Sums of such
+    weights are not exact, so their bits depend on the summation order:
+    the inputs that tell two kernels' summations apart.
+    """
+    src, dst, _ = graph.to_coo()
+    n = max(graph.num_vertices, 1)
+    pair = np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst)
+    uniq, inv = np.unique(pair, return_inverse=True)
+    rng = np.random.default_rng(seed)
+    per_pair = rng.uniform(1.0, 2.0, uniq.shape[0]) * 10.0 ** rng.uniform(
+        -decades / 2, decades / 2, uniq.shape[0])
+    weights = per_pair[inv].astype(graph.weights.dtype)
+    return CSRGraph(graph.offsets, graph.targets, weights,
+                    degrees=graph.degrees, validate=False)
 
 
 def two_cliques_graph(clique_size: int = 5):

@@ -7,11 +7,12 @@ from repro.core._kernels import (
     compact_keys,
     scatter_add,
     segment_pair_sums,
-    segment_pair_sums_count,
+    segment_pair_sums_packed,
     segment_pair_sums_sort,
     segmented_argmax,
     segmented_argmax_sorted,
 )
+from repro.core.workspace import KernelWorkspace
 
 
 class TestSegmentPairSums:
@@ -233,49 +234,49 @@ def _random_pair_case(rng, *, num_segments=None, num_communities=None,
     return seg, comm, w, n_seg, n_comm
 
 
+def _assert_same_bits(a, b, msg=None):
+    """Three kernel outputs equal in dtype and bytes."""
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype, msg
+        assert x.tobytes() == y.tobytes(), msg
+
+
 class TestCountSortEquivalence:
-    """The counting kernels are *element-exact* equivalents of the sort
-    kernels: same pairs, same order, bitwise-identical sums."""
+    """The production pair sums (:func:`segment_pair_sums_packed`, still
+    dispatched under the ``count`` label) and the sorted argmax are
+    *element-exact* equivalents of the sort kernels: same pairs, same
+    order, bitwise-identical sums."""
 
     def test_fuzz_pair_sums(self):
         rng = np.random.default_rng(2024)
         for trial in range(60):
             seg, comm, w, n_seg, n_comm = _random_pair_case(rng)
             a = segment_pair_sums_sort(seg, comm, w, n_comm)
-            b = segment_pair_sums_count(
-                seg, comm, w, n_seg, num_communities=n_comm
-            )
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y), trial
-            # bitwise, not approx
-            assert a[2].tobytes() == b[2].tobytes()
+            b = segment_pair_sums_packed(seg, comm, w, n_seg, n_comm)
+            _assert_same_bits(a, b, trial)
 
     def test_fuzz_pair_sums_fallback_path(self):
-        """dense_grid_limit=0 forces the compacted-argsort fallback."""
+        """Bounds whose fields need more than 63 bits take the sort
+        fallback; small arrays under large bounds reach it."""
         rng = np.random.default_rng(77)
         for trial in range(40):
-            seg, comm, w, n_seg, n_comm = _random_pair_case(rng)
+            seg, comm, w, _, n_comm = _random_pair_case(rng)
             a = segment_pair_sums_sort(seg, comm, w, n_comm)
-            b = segment_pair_sums_count(
-                seg, comm, w, n_seg, num_communities=n_comm,
-                dense_grid_limit=0,
-            )
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y), trial
-            assert a[2].tobytes() == b[2].tobytes()
+            # 41 + 23 bits of bounds alone exceed 63, whatever E is
+            b = segment_pair_sums_packed(seg, comm, w, 1 << 41, 1 << 23)
+            _assert_same_bits(a, b, trial)
 
     def test_single_community(self):
         seg = np.array([0, 0, 1, 2, 2])
         comm = np.zeros(5, dtype=np.int64)
         w = np.array([0.1, 0.2, 0.3, 0.4, 0.5], dtype=np.float32)
         a = segment_pair_sums_sort(seg, comm, w, 1)
-        b = segment_pair_sums_count(seg, comm, w, 3, num_communities=1)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        b = segment_pair_sums_packed(seg, comm, w, 3, 1)
+        _assert_same_bits(a, b)
 
     def test_empty_batch(self):
         e = np.empty(0, dtype=np.int64)
-        b = segment_pair_sums_count(e, e, np.empty(0), 4, num_communities=9)
+        b = segment_pair_sums_packed(e, e, np.empty(0), 4, 9)
         assert all(arr.shape == (0,) for arr in b)
 
     def test_zero_weight_pairs_survive(self):
@@ -284,7 +285,7 @@ class TestCountSortEquivalence:
         comm = np.array([3, 3, 5])
         w = np.array([1.5, -1.5, 0.0])
         a = segment_pair_sums_sort(seg, comm, w, 6)
-        b = segment_pair_sums_count(seg, comm, w, 2, num_communities=6)
+        b = segment_pair_sums_packed(seg, comm, w, 2, 6)
         assert a[0].tolist() == b[0].tolist() == [0, 1]
         assert a[2].tolist() == b[2].tolist() == [0.0, 0.0]
 
@@ -294,9 +295,10 @@ class TestCountSortEquivalence:
         seg = rng.integers(0, 10, 200)  # NOT sorted
         comm = rng.integers(0, 12, 200)
         w = rng.uniform(0, 1, 200).astype(np.float32)
-        b = segment_pair_sums_count(seg, comm, w, 10, num_communities=12)
+        b = segment_pair_sums_packed(seg, comm, w, 10, 12)
         keys = b[0] * 12 + b[1]
         assert np.all(np.diff(keys) > 0)
+        _assert_same_bits(segment_pair_sums_sort(seg, comm, w, 12), b)
         oracle = {}
         for s, c, x in zip(seg.tolist(), comm.tolist(), w.tolist()):
             oracle[(s, c)] = oracle.get((s, c), 0.0) + x
@@ -329,8 +331,93 @@ class TestCountSortEquivalence:
                 rng, self_heavy=True
             )
             a = segment_pair_sums_sort(seg, comm, w, n_comm)
-            b = segment_pair_sums_count(
-                seg, comm, w, n_seg, num_communities=n_comm
-            )
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y), trial
+            b = segment_pair_sums_packed(seg, comm, w, n_seg, n_comm)
+            _assert_same_bits(a, b, trial)
+
+
+def _wide(rng, size, decades=16):
+    """float32 weights with random signs spread over ``decades``."""
+    mag = rng.uniform(1.0, 2.0, size) * 10.0 ** rng.uniform(
+        -decades / 2, decades / 2, size)
+    return (mag * rng.choice([-1.0, 1.0], size)).astype(np.float32)
+
+
+def _grouped_batch(rng, num_segments, communities, *, lo=8, hi=40):
+    """A move-scan-shaped batch: every segment holds a few groups of
+    ``lo``–``hi`` edges to one community each, interleaved within the
+    segment; ``seg`` is sorted, as ``gather_rows`` returns it."""
+    segs, comms = [], []
+    for s in range(num_segments):
+        groups = rng.choice(communities, replace=False, size=int(
+            rng.integers(1, min(3, len(communities)) + 1)))
+        row = np.concatenate([
+            np.full(int(rng.integers(lo, hi + 1)), c, dtype=np.int64)
+            for c in groups])
+        comms.append(rng.permutation(row))
+        segs.append(np.full(row.shape[0], s, dtype=np.int64))
+    seg = np.concatenate(segs)
+    return seg, np.concatenate(comms), _wide(rng, seg.shape[0])
+
+
+class TestProductionSumsEqualOracle:
+    """Production pair sums equal the sort oracle bitwise on groups of
+    8–40 edges whose float32 weights span 16 decades — sums that are
+    not exact, so any other summation order or scheme shows in the
+    bits.  Called through ``KernelWorkspace.pair_sums``, the kernel the
+    move and refine scans dispatch."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_wide_exponent_groups(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 64
+        few = rng.choice(n, size=int(rng.integers(3, 9)), replace=False)
+        seg, comm, w = _grouped_batch(rng, int(rng.integers(4, 65)), few)
+        got = KernelWorkspace(n).pair_sums(seg, comm, w, int(seg[-1]) + 1)
+        _assert_same_bits(segment_pair_sums_sort(seg, comm, w, n), got)
+
+
+class TestChunkInvariance:
+    """A chunk of a batch gets exactly the batch's sums for its own rows.
+
+    This is what makes the process engine equal ``batch`` at any worker
+    count: a worker's chunk is a contiguous range of batch positions,
+    renumbered from 0.  Half the batches put many distinct communities
+    in their second half, so the whole batch and its first half have
+    very different shapes."""
+
+    @staticmethod
+    def _batch(rng, n):
+        first, second = int(rng.integers(8, 33)), int(rng.integers(8, 33))
+        few = rng.choice(n, size=int(rng.integers(2, 6)), replace=False)
+        seg_a, comm_a, w_a = _grouped_batch(rng, first, few)
+        if rng.random() < 0.5:
+            # second half: every edge its own community
+            sizes = rng.integers(20, 60, second)
+            seg_b = np.repeat(np.arange(second, dtype=np.int64), sizes)
+            comm_b = rng.choice(n, size=seg_b.shape[0], replace=False)
+            w_b = _wide(rng, seg_b.shape[0])
+        else:
+            seg_b, comm_b, w_b = _grouped_batch(rng, second, few)
+        return (np.concatenate([seg_a, seg_b + first]),
+                np.concatenate([comm_a, comm_b]),
+                np.concatenate([w_a, w_b]), first + second)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_chunks_equal_batch_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 << 14
+        seg, comm, w, rows = self._batch(rng, n)
+        ws = KernelWorkspace(n)
+        pseg, pcomm, psum = ws.pair_sums(seg, comm, w, rows)
+        cuts = np.unique(np.concatenate([
+            [0, rows], rng.integers(1, rows, int(rng.integers(1, 5)))]))
+        if seed % 3 == 0:
+            cuts = np.array([0, rows // 2, rows])  # the halves
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            mask = (seg >= lo) & (seg < hi)
+            cseg, ccomm, csum = ws.pair_sums(
+                seg[mask] - lo, comm[mask], w[mask], hi - lo)
+            rows_of = (pseg >= lo) & (pseg < hi)
+            assert np.array_equal(cseg + lo, pseg[rows_of]), (lo, hi)
+            assert np.array_equal(ccomm, pcomm[rows_of]), (lo, hi)
+            assert csum.tobytes() == psum[rows_of].tobytes(), (lo, hi)

@@ -22,7 +22,11 @@ from repro.core.local_move_process import local_move_process
 from repro.datasets.registry import load_graph, registry_names
 from repro.parallel.runtime import Runtime
 from repro.types import VERTEX_DTYPE
-from tests.conftest import random_graph, two_cliques_graph
+from tests.conftest import (
+    random_graph,
+    two_cliques_graph,
+    wide_exponent_weights,
+)
 
 FULL_REGISTRY = os.environ.get("REPRO_FULL_REGISTRY") == "1"
 
@@ -132,3 +136,13 @@ class TestEndToEndOracle:
         got = run_leiden(g, "process", workers=2)
         assert np.array_equal(got.membership, oracle.membership)
         assert got.num_communities == oracle.num_communities
+
+    @pytest.mark.parametrize("name", ["asia_osm", "uk-2002"])
+    def test_wide_exponent_weights(self, name):
+        """Symmetric float32 weights over 16 decades: the pair sums are
+        not exact, so equal memberships need the worker chunks to sum
+        exactly like the whole batch."""
+        g = wide_exponent_weights(load_graph(name, seed=1))
+        oracle = run_leiden(g, "batch")
+        got = run_leiden(g, "process", workers=2)
+        assert np.array_equal(got.membership, oracle.membership)

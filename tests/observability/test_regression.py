@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -169,6 +170,44 @@ class TestRunCheck:
     def test_missing_baseline_dir(self, tmp_path, capsys):
         assert run_check(tmp_path / "nowhere") == 2
         assert "no baselines" in capsys.readouterr().out
+
+    def test_wall_time_is_best_of_the_solves(self, tmp_path, monkeypatch):
+        """Both the recorder and the gate take the best wall time of
+        ``BASELINE_SOLVES`` solves, so one slow solve cannot fail it."""
+        real = regression.measure_experiment
+        walls = iter([3.0, 1.0, 2.0] * 2)
+
+        def jittery(*args, **kwargs):
+            metrics, result = real(*args, **kwargs)
+            return replace(metrics, wall_seconds=next(walls)), result
+
+        monkeypatch.setattr(regression, "measure_experiment", jittery)
+        assert regression.BASELINE_SOLVES == 3
+        (recorded,) = record_baselines(tmp_path, [GRAPH],
+                                       thresholds=Thresholds())
+        assert recorded.metrics.wall_seconds == 1.0
+        assert run_check(tmp_path) == 0
+
+    def test_unreproducible_solves_fail(self, tmp_path, capsys, monkeypatch):
+        """Deterministic metrics that differ across the solves print a
+        FAIL line and fail the gate, whatever the thresholds say."""
+        record_baselines(tmp_path, [GRAPH])
+        real = regression.measure_experiment
+        calls = iter(range(100))
+
+        def drifting(*args, **kwargs):
+            metrics, result = real(*args, **kwargs)
+            bump = 1.0 + 1e-9 * next(calls)
+            return replace(metrics,
+                           total_work=metrics.total_work * bump), result
+
+        monkeypatch.setattr(regression, "measure_experiment", drifting)
+        assert run_check(tmp_path) == 1
+        out = capsys.readouterr().out
+        assert ("FAIL asia_osm: deterministic metrics differ across 3 "
+                "solves") in out
+        assert "PASS asia_osm" in out  # within thresholds, still failed
+        assert "0/1 baselines within thresholds" in out
 
 
 # -- golden baselines ---------------------------------------------------------
