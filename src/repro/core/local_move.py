@@ -19,11 +19,16 @@ drawn from the classes of a proper graph coloring (a parallel-Louvain
 technique the paper cites from Grappolo): adjacent vertices never share a
 snapshot, which removes the community-swap oscillations synchronous
 updates suffer from.
+
+:func:`move_loop` is the batch iteration itself, shared with the
+``process`` engine (:mod:`repro.core.local_move_process`): the two differ
+only in who scans a batch.  :func:`scan_batch` is that scan, and the
+process engine's workers run it on their chunks of a batch.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -38,10 +43,216 @@ from repro.parallel.hashtable import CollisionFreeHashtable
 from repro.parallel.runtime import Runtime
 from repro.types import ACCUM_DTYPE
 
-__all__ = ["local_move_batch", "local_move_loop", "scan_communities"]
+__all__ = ["local_move_batch", "local_move_loop", "move_loop", "scan_batch",
+           "scan_communities"]
 
 #: Bookkeeping work units charged per visited vertex on top of its degree.
 VERTEX_COST = 4.0
+
+#: A batch's moves: batch positions, target communities and their ΔQ.
+Moves = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def scan_batch(vs, offsets, degrees, targets, weights, C, K, Q, Sigma, m,
+               quality: Quality, pair_sums, argmax):
+    """``scanCommunities`` and the best move of each vertex in ``vs``.
+
+    Every vertex is evaluated against the same snapshot of ``C``/``Σ``
+    (Algorithm 2, lines 7-10).  ``pair_sums(seg, comm, w, num_segments)``
+    and ``argmax(seg, values)`` are the kernels: the dispatching methods
+    of a :class:`KernelWorkspace` in the parent, the raw kernels in a
+    pool worker.  Each output of a vertex depends on that vertex's own
+    edges only, so scanning a chunk of ``vs`` gives the batch's outputs
+    for the chunk's positions bit for bit.
+
+    Returns ``(seg, dst, best)``: the batch's non-self edges as batch
+    positions and targets, and ``best = (bseg, bc, bdq)`` — every
+    position with a candidate community, its best candidate and that
+    move's ΔQ (positive or not) — or ``None`` when no vertex has one.
+    """
+    seg, dst, w = gather_rows(offsets, degrees, targets, weights, vs)
+    notself = dst != vs[seg]
+    seg, dst, w = seg[notself], dst[notself], w[notself]
+    if seg.shape[0] == 0:
+        return seg, dst, None
+    # K_{i→c} for every adjacent community.
+    pseg, pcomm, psum = pair_sums(seg, C[dst], w, vs.shape[0])
+    d = C[vs]
+    kid = np.zeros(vs.shape[0], dtype=ACCUM_DTYPE)
+    own = pcomm == d[pseg]
+    kid[pseg[own]] = psum[own]
+    cand = ~own
+    if not cand.any():
+        return seg, dst, None
+    cseg = pseg[cand]
+    cc = pcomm[cand]
+    mv_all = vs[cseg]
+    dq = quality.delta(
+        psum[cand], kid[cseg], K[mv_all], Q[mv_all],
+        Sigma[cc], Sigma[d[cseg]], m,
+    )
+    bseg, bidx = argmax(cseg, dq)
+    return seg, dst, (bseg, cc[bidx], dq[bidx])
+
+
+def move_loop(
+    graph: CSRGraph,
+    colors: np.ndarray,
+    membership: np.ndarray,
+    vertex_weights: np.ndarray,
+    quantities: np.ndarray,
+    community_weights: np.ndarray,
+    tolerance: float,
+    *,
+    runtime: Runtime,
+    quality: Quality,
+    workspace: KernelWorkspace | None,
+    max_iterations: int,
+    batch_size: int,
+    unprocessed_mask: np.ndarray | None,
+    pruning: bool,
+    order_ranks: np.ndarray | None,
+    phase: str,
+    pool_scan: Optional[Callable[[np.ndarray, np.ndarray],
+                                 Optional[Moves]]] = None,
+) -> Tuple[int, float]:
+    """Algorithm 2's iterations over the batches of ``colors``' classes;
+    mutates ``membership`` and ``community_weights`` in place.
+
+    Every batch is scanned inline by :func:`scan_batch` through the
+    workspace's kernels, unless ``pool_scan(vs, degrees[vs])`` takes it:
+    then it returns the batch's positive moves, ascending by position,
+    and ``None`` when it leaves the batch to the inline scan.  Moves are
+    applied in batch position order either way.
+
+    Returns ``(iterations, last_iteration_delta_q)``.
+    """
+    n = graph.num_vertices
+    m = graph.m
+    C = membership
+    K = vertex_weights
+    Q = quantities
+    Sigma = community_weights
+    offsets = graph.offsets[:-1]
+    degrees = graph.degrees
+    targets = graph.targets
+    weights = graph.weights
+    ws = workspace if workspace is not None else KernelWorkspace(n)
+
+    tracer = runtime.tracer
+    metrics = runtime.metrics
+    m_pruned = metrics.counter(
+        "leiden_pruning_vertices_total",
+        "vertices visited vs. skipped by flag-based pruning", ("outcome",))
+    mp_visited = m_pruned.labels("visited")
+    mp_skipped = m_pruned.labels("skipped")
+    m_moves = metrics.counter(
+        "leiden_local_moves_total", "community moves applied")
+    m_iters = metrics.counter(
+        "leiden_move_iterations_total", "local-moving iterations executed")
+    m_dq = metrics.counter(
+        "leiden_move_delta_q_total", "summed delta-Q of applied moves")
+    classes = color_classes(colors)
+    if order_ranks is not None:
+        classes = [cls[np.argsort(order_ranks[cls], kind="stable")]
+                   for cls in classes]
+    runtime.record_parallel(degrees.astype(np.float64), phase=phase)
+    if tracer.enabled:
+        tracer.count("color_classes", len(classes))
+        for cls in classes:
+            tracer.observe("color_class_size", cls.shape[0])
+
+    if unprocessed_mask is None:
+        processed = np.zeros(n, dtype=bool)
+    else:
+        processed = ~np.asarray(unprocessed_mask, dtype=bool)
+    iterations = 0
+    total_dq = 0.0
+    for it in range(max_iterations):
+        iterations = it + 1
+        if not pruning and it > 0:
+            processed[:] = False
+        total_dq = 0.0
+        moves = 0
+        visited_iter = 0
+        iter_costs = []
+        for cls in classes:
+            pending = cls[~processed[cls]]
+            visited_iter += int(pending.shape[0])
+            if metrics.enabled:
+                mp_visited.inc(pending.shape[0])
+                mp_skipped.inc(cls.shape[0] - pending.shape[0])
+            if tracer.enabled:
+                tracer.count("pruning_visited", pending.shape[0])
+                tracer.count("pruning_skipped",
+                             cls.shape[0] - pending.shape[0])
+            for lo in range(0, pending.shape[0], batch_size):
+                vs = pending[lo : lo + batch_size]
+                if tracer.enabled:
+                    tracer.observe("batch_size", vs.shape[0])
+                processed[vs] = True  # prune (Algorithm 2, line 6)
+                deg = degrees[vs]
+                iter_costs.append(deg.astype(np.float64) + VERTEX_COST)
+                pooled = pool_scan(vs, deg) if pool_scan is not None else None
+                if pooled is not None:
+                    mseg, mc, mdq = pooled
+                    if mseg.shape[0] == 0:
+                        continue
+                else:
+                    seg, dst, best = scan_batch(
+                        vs, offsets, degrees, targets, weights, C, K, Q,
+                        Sigma, m, quality, ws.pair_sums, ws.argmax)
+                    if best is None:
+                        continue
+                    bseg, bc, bdq = best
+                    keep = bdq > 0.0
+                    if not keep.any():
+                        continue
+                    mseg, mc, mdq = bseg[keep], bc[keep], bdq[keep]
+                mv = vs[mseg]
+                mc = mc.astype(C.dtype)
+                kmv = Q[mv]
+                # Σ updates are the atomic adds of Algorithm 2, line 12
+                # (bincount-based scatter; ufunc.at is far slower).
+                ws.scatter_add(
+                    Sigma,
+                    np.concatenate([C[mv], mc]),
+                    np.concatenate([-kmv, kmv]),
+                )
+                C[mv] = mc
+                total_dq += float(mdq.sum())
+                moves += int(mv.shape[0])
+                # Mark neighbors of movers as unprocessed (line 14).  The
+                # movers share a color class, so none is another's
+                # neighbor.  A pooled batch's edges stayed in the workers.
+                if pooled is not None:
+                    seg, dst, _ = gather_rows(
+                        offsets, degrees, targets, weights, mv)
+                    processed[dst[dst != mv[seg]]] = False
+                else:
+                    mflag = np.zeros(vs.shape[0], dtype=bool)
+                    mflag[mseg] = True
+                    processed[dst[mflag[seg]]] = False
+        if iter_costs:
+            runtime.record_parallel(
+                np.concatenate(iter_costs), phase=phase, atomics=2.0 * moves
+            )
+        if metrics.enabled:
+            m_iters.inc()
+            m_moves.inc(moves)
+            m_dq.inc(total_dq)
+        if tracer.enabled:
+            tracer.count("move_iterations")
+            tracer.count("local_moves", moves)
+            # Convergence monitor: per-iteration ΔQ and vertices visited
+            # (pruning effectiveness) as ordered series on the open span.
+            tracer.record("move_delta_q", total_dq)
+            tracer.record("move_visited", visited_iter)
+        if runtime.profiler.enabled:
+            runtime.profiler.mark("move_delta_q", total_dq)
+        if total_dq <= tolerance:
+            break
+    return iterations, total_dq
 
 
 def local_move_batch(
@@ -90,142 +301,23 @@ def local_move_batch(
 
     Returns ``(iterations, last_iteration_delta_q)``.
     """
-    n = graph.num_vertices
-    if n == 0:
+    if graph.num_vertices == 0 or graph.m <= 0:
         return 1, 0.0
-    m = graph.m
-    if m <= 0:
-        return 1, 0.0
-    C = membership
-    K = vertex_weights
-    Sigma = community_weights
-    offsets = graph.offsets[:-1]
-    degrees = graph.degrees
-    targets = graph.targets
-    weights = graph.weights
-    qual = quality or Quality("modularity", resolution)
-    Q = K if quantities is None else quantities
-    ws = workspace if workspace is not None else KernelWorkspace(n)
-
-    tracer = runtime.tracer
-    metrics = runtime.metrics
-    m_pruned = metrics.counter(
-        "leiden_pruning_vertices_total",
-        "vertices visited vs. skipped by flag-based pruning", ("outcome",))
-    mp_visited = m_pruned.labels("visited")
-    mp_skipped = m_pruned.labels("skipped")
-    m_moves = metrics.counter(
-        "leiden_local_moves_total", "community moves applied")
-    m_iters = metrics.counter(
-        "leiden_move_iterations_total", "local-moving iterations executed")
-    m_dq = metrics.counter(
-        "leiden_move_delta_q_total", "summed delta-Q of applied moves")
-    classes = color_classes(color_graph(graph, seed=color_seed))
-    if order_ranks is not None:
-        classes = [cls[np.argsort(order_ranks[cls], kind="stable")]
-                   for cls in classes]
-    runtime.record_parallel(degrees.astype(np.float64), phase=phase)
-    if tracer.enabled:
-        tracer.count("color_classes", len(classes))
-        for cls in classes:
-            tracer.observe("color_class_size", cls.shape[0])
-
-    if unprocessed_mask is None:
-        processed = np.zeros(n, dtype=bool)
-    else:
-        processed = ~np.asarray(unprocessed_mask, dtype=bool)
-    iterations = 0
-    total_dq = 0.0
-    for it in range(max_iterations):
-        iterations = it + 1
-        if not pruning and it > 0:
-            processed[:] = False
-        total_dq = 0.0
-        moves = 0
-        visited_iter = 0
-        iter_costs = []
-        for cls in classes:
-            pending = cls[~processed[cls]]
-            visited_iter += int(pending.shape[0])
-            if metrics.enabled:
-                mp_visited.inc(pending.shape[0])
-                mp_skipped.inc(cls.shape[0] - pending.shape[0])
-            if tracer.enabled:
-                tracer.count("pruning_visited", pending.shape[0])
-                tracer.count("pruning_skipped",
-                             cls.shape[0] - pending.shape[0])
-            for lo in range(0, pending.shape[0], batch_size):
-                vs = pending[lo : lo + batch_size]
-                if tracer.enabled:
-                    tracer.observe("batch_size", vs.shape[0])
-                processed[vs] = True  # prune (Algorithm 2, line 6)
-                iter_costs.append(degrees[vs].astype(np.float64) + VERTEX_COST)
-                seg, dst, w = gather_rows(offsets, degrees, targets, weights, vs)
-                if seg.shape[0] == 0:
-                    continue
-                notself = dst != vs[seg]
-                seg, dst, w = seg[notself], dst[notself], w[notself]
-                if seg.shape[0] == 0:
-                    continue
-                # scanCommunities: K_{i→c} for every adjacent community.
-                pseg, pcomm, psum = ws.pair_sums(seg, C[dst], w, vs.shape[0])
-                d = C[vs]
-                kid = np.zeros(vs.shape[0], dtype=ACCUM_DTYPE)
-                own = pcomm == d[pseg]
-                kid[pseg[own]] = psum[own]
-                cand = ~own
-                if not cand.any():
-                    continue
-                cseg = pseg[cand]
-                cc = pcomm[cand]
-                kic = psum[cand]
-                mv_all = vs[cseg]
-                dq = qual.delta(
-                    kic, kid[cseg], K[mv_all], Q[mv_all],
-                    Sigma[cc], Sigma[d[cseg]], m,
-                )
-                bseg, bidx = ws.argmax(cseg, dq)
-                keep = dq[bidx] > 0.0
-                if not keep.any():
-                    continue
-                mseg = bseg[keep]
-                mv = vs[mseg]
-                mc = cc[bidx[keep]].astype(C.dtype)
-                kmv = Q[mv]
-                # Σ updates are the atomic adds of Algorithm 2, line 12
-                # (bincount-based scatter; ufunc.at is far slower).
-                ws.scatter_add(
-                    Sigma,
-                    np.concatenate([d[mseg], mc]),
-                    np.concatenate([-kmv, kmv]),
-                )
-                C[mv] = mc
-                total_dq += float(dq[bidx[keep]].sum())
-                moves += int(mv.shape[0])
-                # Mark neighbors of movers as unprocessed (line 14).
-                mflag = np.zeros(vs.shape[0], dtype=bool)
-                mflag[mseg] = True
-                processed[dst[mflag[seg]]] = False
-        if iter_costs:
-            runtime.record_parallel(
-                np.concatenate(iter_costs), phase=phase, atomics=2.0 * moves
-            )
-        if metrics.enabled:
-            m_iters.inc()
-            m_moves.inc(moves)
-            m_dq.inc(total_dq)
-        if tracer.enabled:
-            tracer.count("move_iterations")
-            tracer.count("local_moves", moves)
-            # Convergence monitor: per-iteration ΔQ and vertices visited
-            # (pruning effectiveness) as ordered series on the open span.
-            tracer.record("move_delta_q", total_dq)
-            tracer.record("move_visited", visited_iter)
-        if runtime.profiler.enabled:
-            runtime.profiler.mark("move_delta_q", total_dq)
-        if total_dq <= tolerance:
-            break
-    return iterations, total_dq
+    return move_loop(
+        graph, color_graph(graph, seed=color_seed), membership,
+        vertex_weights,
+        vertex_weights if quantities is None else quantities,
+        community_weights, tolerance,
+        runtime=runtime,
+        quality=quality or Quality("modularity", resolution),
+        workspace=workspace,
+        max_iterations=max_iterations,
+        batch_size=batch_size,
+        unprocessed_mask=unprocessed_mask,
+        pruning=pruning,
+        order_ranks=order_ranks,
+        phase=phase,
+    )
 
 
 def scan_communities(

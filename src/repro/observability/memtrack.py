@@ -17,8 +17,8 @@ baseline):
 - iteration is sorted everywhere (components, phases, live handles) —
   no dict-order or ``PYTHONHASHSEED`` dependence;
 - **logical** bytes are width-invariant: a producer that allocates one
-  buffer *per worker* (the shm scratch slabs) records one worker's
-  share as the logical size and the worker count as ``replicas``.  The
+  buffer *per worker* records one worker's share as the logical size
+  and the worker count as ``replicas``.  The
   replica-scaled total is tracked separately in the ``physical``
   section, which is the only part of the report allowed to vary with
   worker/shard count.

@@ -15,8 +15,7 @@ provides the equivalent abstractions for a pure-Python reproduction:
   execution (the GIL makes real thread scaling unobservable in Python);
 - :mod:`repro.parallel.costmodel` — the machine model (cores, SMT, memory
   contention, NUMA) that converts ledger work into modelled seconds;
-- :mod:`repro.parallel.atomics` — atomic-op emulation with accounting,
-  plus real cross-process atomics over shared memory;
+- :mod:`repro.parallel.atomics` — atomic-op emulation with accounting;
 - :mod:`repro.parallel.shm` — shared-memory numpy arenas (owner/attacher);
 - :mod:`repro.parallel.procpool` — the persistent worker-process pool
   behind the ``process`` engine (the only real parallelism: every other
@@ -24,7 +23,7 @@ provides the equivalent abstractions for a pure-Python reproduction:
 - :mod:`repro.parallel.runtime` — the facade tying it all together.
 """
 
-from repro.parallel.atomics import AtomicArray, SharedAtomicArray
+from repro.parallel.atomics import AtomicArray
 from repro.parallel.costmodel import (
     IMPLEMENTATION_PROFILES,
     PAPER_MACHINE,
@@ -48,7 +47,6 @@ from repro.parallel.simthread import Region, WorkLedger
 __all__ = [
     "AttachedArena",
     "ProcessPool",
-    "SharedAtomicArray",
     "ShmArena",
     "TaskResult",
     "WorkerCrashError",

@@ -17,9 +17,9 @@ Design points:
   reduction value.
 - **real synchronization** — dispatch and completion ride
   ``multiprocessing`` queues; the end-of-phase barrier is the parent
-  draining one completion token per task.  Worker-side mutual exclusion
-  (when a kernel must update shared state) uses
-  :class:`~repro.parallel.atomics.SharedAtomicArray`'s process lock.
+  draining one completion token per task.  Kernels take no lock: each
+  writes only its own chunk of the shared outputs, and the parent
+  mutates shared state only between barriers.
 - **deterministic seeded dispatch order** — tasks are enqueued in a
   seeded xorshift32 permutation (:func:`~repro.parallel.schedule.
   seeded_chunk_order`).  Which worker runs which chunk is racy by
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing as mp
-import os
 import queue as queue_mod
 import threading
 import time
@@ -74,7 +73,7 @@ def pool_kernel(name: str) -> Callable[[Callable], Callable]:
     """Register a module-level function as a pool kernel.
 
     The kernel is called as ``fn(ctx, **payload)`` where ``ctx`` is the
-    :class:`WorkerContext` (attached arena + shared lock).  Its
+    :class:`WorkerContext` (worker id + attached arena).  Its
     return value must be cheap to pickle (scalars / small tuples) — bulk
     output belongs in shared arrays.
     """
@@ -87,14 +86,11 @@ def pool_kernel(name: str) -> Callable[[Callable], Callable]:
 
 
 class WorkerContext:
-    """What a kernel sees: the attached arena and the pool's shared lock
-    (for :class:`~repro.parallel.atomics.SharedAtomicArray` critical
-    sections)."""
+    """What a kernel sees: its worker id and the attached arena."""
 
-    def __init__(self, worker_id: int, num_workers: int, lock=None) -> None:
+    def __init__(self, worker_id: int, num_workers: int) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers
-        self.lock = lock
         self.arena: Optional[AttachedArena] = None
 
     def __getitem__(self, key: str):
@@ -145,7 +141,6 @@ def _worker_main(
     kernel_modules: Sequence[str],
     task_queue,
     done_queue,
-    lock=None,
     barrier=None,
 ) -> None:
     """Worker loop: bind/release arenas, execute named kernels.
@@ -156,7 +151,7 @@ def _worker_main(
     sibling's copy while that sibling is still attaching.
     """
     global _WORKER_CTX
-    ctx = WorkerContext(worker_id, num_workers, lock)
+    ctx = WorkerContext(worker_id, num_workers)
     _WORKER_CTX = ctx
     for module in kernel_modules:
         importlib.import_module(module)
@@ -245,9 +240,6 @@ class ProcessPool:
         self._order_rng = Xorshift32(seed)
         self._tasks = self._ctx.Queue()
         self._done = self._ctx.Queue()
-        #: Shared cross-process lock handed to every worker — the mutual
-        #: exclusion primitive behind :class:`SharedAtomicArray` updates.
-        self.lock = self._ctx.Lock()
         #: Real cross-process barrier serializing control broadcasts: every
         #: worker must handle exactly one copy of a bind/release message.
         self.barrier = self._ctx.Barrier(self.num_workers)
@@ -269,7 +261,7 @@ class ProcessPool:
             p = self._ctx.Process(
                 target=_worker_main,
                 args=(w, self.num_workers, self.kernel_modules,
-                      self._tasks, self._done, self.lock, self.barrier),
+                      self._tasks, self._done, self.barrier),
                 daemon=True,
                 name=f"repro-worker-{w}",
             )
@@ -424,8 +416,3 @@ class ProcessPool:
         state = "closed" if self._closed else (
             "running" if self._workers else "cold")
         return f"ProcessPool(workers={self.num_workers}, {state})"
-
-
-def default_worker_count() -> int:
-    """A sensible worker count for benches: physical cores, capped at 4."""
-    return max(1, min(4, os.cpu_count() or 1))

@@ -88,9 +88,7 @@ class ShmArena:
     memory:
         A :class:`~repro.observability.memtrack.MemoryLedger` the arena
         records its segments to (``None`` disables recording).  Segment
-        bytes are logical-ledger events; pass ``per_worker`` on
-        :meth:`create` for arrays whose leading axis is the worker
-        count, so the logical report stays worker-count-invariant.
+        bytes are logical-ledger events.
     phase:
         Phase label the arena's allocation events carry.
     """
@@ -109,16 +107,8 @@ class ShmArena:
 
     # -- allocation --------------------------------------------------------
 
-    def create(self, key: str, shape, dtype, *,
-               per_worker: int = 1) -> np.ndarray:
-        """Allocate a zero-initialized array under ``key``.
-
-        ``per_worker`` declares that the segment is a per-worker
-        replication (e.g. the ``(workers, 2)`` worker tallies): the memory
-        ledger then records one worker's share as the logical size with
-        ``replicas=per_worker``, keeping logical totals invariant under
-        the worker count while the physical section scales.
-        """
+    def create(self, key: str, shape, dtype) -> np.ndarray:
+        """Allocate a zero-initialized array under ``key``."""
         if self._closed:
             raise ValueError("arena is closed")
         if key in self._segments:
@@ -136,10 +126,8 @@ class ShmArena:
         self._spec[key] = (seg.name, shape, dt.str)
         memory = self._memory
         if memory is not None and memory.enabled:
-            replicas = max(int(per_worker), 1)
             self._mem_handles[key] = memory.alloc(
-                "shm", key, nbytes // replicas, phase=self._phase,
-                dtype=dt.name, replicas=replicas)
+                "shm", key, nbytes, phase=self._phase, dtype=dt.name)
         return arr
 
     def from_array(self, key: str, source: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared fixtures: small graphs with known structure, and the
-sort-kernel and sequential-commit oracle switches."""
+"""Shared fixtures: small graphs with known structure, the sort-kernel
+and sequential-commit oracle switches, and the process engine's pool
+gate."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core import aggregate, refine
+from repro.core import aggregate, local_move_process, refine
 from repro.core._kernels import segment_pair_sums_sort, segmented_argmax
 from repro.core.workspace import KernelWorkspace
 from repro.graph.builder import build_csr_from_edges
@@ -68,6 +69,34 @@ def sequential_commit():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "_commit", commit)
         yield calls
+
+
+@contextmanager
+def pool_gate(min_edges: int):
+    """Run the process engine with ``POOL_MIN_EDGES = min_edges``.
+
+    Yields a list that gets one ``(path, edges)`` entry per move batch
+    the process engine runs inside the block, in order: ``path`` is
+    ``"pool"`` or ``"inline"`` and ``edges`` the batch's degree total, so
+    a test can assert which side of the gate every batch took.  At
+    ``min_edges=0`` every batch goes to the pool.  Batch-engine solves
+    are not recorded.
+    """
+    batches: list = []
+    move_loop = local_move_process.move_loop
+
+    def recording_loop(*args, pool_scan, **kwargs):
+        def scan(vs, deg):
+            moves = pool_scan(vs, deg)
+            batches.append(("inline" if moves is None else "pool",
+                            int(deg.sum())))
+            return moves
+        return move_loop(*args, pool_scan=scan, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_move_process, "POOL_MIN_EDGES", min_edges)
+        mp.setattr(local_move_process, "move_loop", recording_loop)
+        yield batches
 
 
 def wide_exponent_weights(graph, seed: int = 0, decades: int = 16):

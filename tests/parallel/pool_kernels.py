@@ -7,7 +7,6 @@ resolve identically under fork and spawn start methods.
 import os
 import time
 
-from repro.parallel.atomics import SharedAtomicArray
 from repro.parallel.procpool import pool_kernel
 
 
@@ -22,14 +21,6 @@ def t_fill(ctx, *, lo, hi, value):
     """Write ``value`` into the bound output chunk (zero-copy check)."""
     ctx["out"][lo:hi] = value
     return hi - lo
-
-
-@pool_kernel("t_accumulate")
-def t_accumulate(ctx, *, index, amount):
-    """Lock-guarded shared-counter update through SharedAtomicArray."""
-    counter = SharedAtomicArray.attach(ctx, "counter", ctx.lock)
-    counter.add(index, amount)
-    return amount
 
 
 @pool_kernel("t_sleep")

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel.atomics import SharedAtomicArray
 from repro.parallel.procpool import (
     ProcessPool,
     WorkerCrashError,
-    default_worker_count,
     worker_context,
 )
 from repro.parallel.shm import ShmArena
@@ -55,21 +53,6 @@ class TestRun:
                 pool.release()
             assert np.all(out[:10] == 3.0)
             assert np.all(out[10:] == 5.0)
-
-    def test_shared_atomic_counter_across_processes(self):
-        with ShmArena() as arena, make_pool(2) as pool:
-            counter = SharedAtomicArray(
-                arena.from_array("counter", np.zeros(2)),
-                arena.create("counter__ops", (1,), np.float64),
-                pool.lock,
-            )
-            pool.bind(arena.spec())
-            pool.run("t_accumulate", [
-                {"index": i % 2, "amount": 1.0} for i in range(10)
-            ])
-            pool.release()
-            assert counter.values[0] + counter.values[1] == 10.0
-            assert counter.op_count == 10
 
     def test_dispatch_deterministic_for_same_seed(self):
         payloads = [{"lo": i, "hi": i + 1} for i in range(6)]
@@ -148,9 +131,6 @@ class TestLifecycle:
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigError):
             ProcessPool(0)
-
-    def test_default_worker_count_bounds(self):
-        assert 1 <= default_worker_count() <= 4
 
     def test_worker_context_outside_worker_raises(self):
         with pytest.raises(RuntimeError, match="outside a pool worker"):
