@@ -2,11 +2,14 @@
 
 Times the production pair-sum kernel (:func:`segment_pair_sums_packed`)
 against its sort oracle on the shapes the Leiden phases actually
-produce — gathered CSR rows of the smoke graphs, the whole-graph pass-0
-aggregation of ``uk-2002`` and ``com-Orkut``, and synthetic stress
+produce — gathered CSR rows of the smoke graphs and synthetic stress
 shapes — plus the ``reduceat`` argmax against the lexsort oracle and the
-bincount scatter against ``np.add.at``.  Every timed pair must give
-bitwise-identical outputs, or the run exits 1.  Used to populate
+bincount scatter against ``np.add.at``.  The pass-0 aggregation of
+``uk-2002`` and ``com-Orkut`` times the range-wise
+:func:`~repro.core.aggregate.aggregate_batch` against one whole-graph
+sort-oracle call (:func:`aggregate_one_shot`) and prints each side's
+tracemalloc peak.  Every timed pair must give bitwise-identical outputs,
+or the run exits 1.  Used to populate
 ``docs/PERFORMANCE.md`` and as the CI kernel-timing step (``--quick``).
 That whole solves give identical memberships on either family is a
 test (``tests/property/test_property_kernels.py``), not a benchmark.
@@ -15,6 +18,7 @@ test (``tests/property/test_property_kernels.py``), not a benchmark.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -25,16 +29,20 @@ from repro.core._kernels import (
     segmented_argmax,
     segmented_argmax_sorted,
 )
+from repro.core.aggregate import aggregate_batch
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
 from repro.graph.segments import gather_rows
+from repro.parallel.runtime import Runtime
+from repro.parallel.scan import csr_offsets_from_counts
+from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
-__all__ = ["main"]
+__all__ = ["aggregate_one_shot", "main"]
 
 SMOKE_GRAPHS = ("asia_osm", "uk-2002", "com-Orkut")
 
-#: Graphs whose pass-0 aggregation is timed as one whole-graph call.
+#: Graphs whose pass-0 aggregation is timed against one whole-graph call.
 AGGREGATION_GRAPHS = ("uk-2002", "com-Orkut")
 
 
@@ -47,6 +55,40 @@ def _best_of(fn, repeats: int):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def aggregate_one_shot(graph, membership, num_communities):
+    """Pass aggregation as one whole-graph sort-oracle call.
+
+    Sums every edge's ``(C[src], C[dst])`` pair in edge-list order with
+    :func:`segment_pair_sums_sort` and places the rows in the holey CSR.
+    Returns ``(offsets, degrees, targets, weights)``, the bitwise
+    reference of :func:`~repro.core.aggregate.aggregate_batch`, which
+    sums one range of communities at a time.
+    """
+    k = int(num_communities)
+    src, dst, w = graph.to_coo()
+    cs = membership[src]
+    offsets = csr_offsets_from_counts(np.bincount(cs, minlength=k))
+    usrc, udst, usum = segment_pair_sums_sort(cs, membership[dst], w, k)
+    degrees = np.bincount(usrc, minlength=k)
+    pos = offsets[usrc] + np.arange(usrc.shape[0]) - (
+        np.cumsum(degrees) - degrees)[usrc]
+    targets = np.zeros(int(offsets[-1]), dtype=VERTEX_DTYPE)
+    weights = np.zeros(int(offsets[-1]), dtype=WEIGHT_DTYPE)
+    targets[pos] = udst
+    weights[pos] = usum
+    return offsets, degrees, targets, weights
+
+
+def _traced_peak(fn) -> int:
+    """Bytes at the tracemalloc peak of one ``fn()`` call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _same_bits(a, b) -> bool:
@@ -74,11 +116,11 @@ def _batch_workload(graph, batch_size: int, rng, membership=None):
     return seg, comm, w, vs.shape[0], n
 
 
-def _print_row(name, e, oracle_s, prod_s, same):
+def _print_row(name, e, oracle_s, prod_s, same, note=""):
     speed = oracle_s / prod_s if prod_s > 0 else float("inf")
     print(f"{name:36s} | {e:>9,} | {oracle_s * 1e3:8.2f} | "
           f"{prod_s * 1e3:8.2f} | {speed:5.2f}x | "
-          f"{'ok' if same else 'DIFFERS'}")
+          f"{'ok' if same else 'DIFFERS'}{note}")
 
 
 def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
@@ -86,7 +128,8 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
     if quick:
         repeats = 2
     print("Kernel microbenchmarks (best of "
-          f"{repeats}; times in ms; oracle = sort family)")
+          f"{repeats}; times in ms; oracle = sort family; aggregate "
+          "rows also print the tracemalloc peak, oracle/prod)")
     print(f"{'workload':36s} | {'elems':>9s} | {'oracle':>8s} | "
           f"{'prod':>8s} | ratio | bits")
     print("-" * 82)
@@ -116,13 +159,28 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
                 pair_sums_row(f"pair_sums {gname} {label}",
                               seg, comm, w, nseg, n)
         if gname in AGGREGATION_GRAPHS:
-            # The pass-0 aggregate call: (C[src], C[dst]) over every edge,
-            # C the first dendrogram level (pass 0's refined membership).
+            # Pass-0 aggregation, C the first dendrogram level (pass 0's
+            # refined membership): range-wise against one whole-graph
+            # sort-oracle call.
             C = result.dendrogram.level(0)
             k = int(C.max()) + 1
-            src, dst, w = graph.to_coo()
-            pair_sums_row(f"aggregate {gname} pass 0",
-                          C[src], C[dst], w, k, k)
+            runtime = Runtime()
+
+            def ranges():
+                g = aggregate_batch(graph, C, k, runtime=runtime)
+                return g.offsets, g.degrees, g.targets, g.weights
+
+            def one_shot():
+                return aggregate_one_shot(graph, C, k)
+
+            sort_s, ref = _best_of(one_shot, repeats)
+            prod_s, got = _best_of(ranges, repeats)
+            same = _same_bits(ref, got)
+            differs += not same
+            _print_row(f"aggregate {gname} pass 0", graph.num_edges,
+                       sort_s, prod_s, same,
+                       f" | peak {_traced_peak(one_shot) / 2**20:.1f}/"
+                       f"{_traced_peak(ranges) / 2**20:.1f} MiB")
 
     # -- pair sums, synthetic stress shapes ------------------------------
     e = 100_000 if quick else 1_000_000

@@ -10,9 +10,17 @@ all present:
    (count + exclusive scan), so edges can be written without a second
    compaction pass — rows keep slack at their tail;
 3. per-community neighbor weights accumulate in per-thread collision-free
-   hashtables (loop engine) or in one packed-key pair-sum over the
-   ``(source community, destination community)`` of every edge (batch
-   engine — the prefix-sum-CSR analogue).
+   hashtables (loop engine) or in one packed-key pair-sum per contiguous
+   *range* of communities (batch engine — the prefix-sum-CSR analogue).
+
+The batch engine splits the communities at the holey offsets into ranges
+of about :data:`AGGREGATE_RANGE_EDGES` edges and sums one range at a
+time from its members' rows, as Algorithm 4's parallel loop over
+communities does, so its working set is one range, not the whole graph.
+A community's members are listed in ascending vertex order, so every
+``(source community, destination community)`` pair meets its edges in
+the order a whole-graph edge list would, and the range's ``reduceat``
+gives the bits of one whole-graph call.
 
 Both engines return the same graph (identical offsets/degrees; edge order
 within a row may differ between loop and batch).  The batch path is
@@ -29,11 +37,24 @@ from repro.core._kernels import segment_pair_sums_packed
 from repro.core.local_move import scan_communities
 from repro.core.result import PHASE_AGGREGATE
 from repro.graph.csr import CSRGraph
+from repro.graph.segments import ragged_indices
 from repro.parallel.runtime import Runtime
 from repro.parallel.scan import csr_offsets_from_counts
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
-__all__ = ["aggregate_batch", "aggregate_loop", "community_vertices_csr"]
+__all__ = [
+    "AGGREGATE_RANGE_EDGES",
+    "aggregate_batch",
+    "aggregate_loop",
+    "community_ranges",
+    "community_vertices_csr",
+]
+
+#: The batch engine sums one range of communities holding about this
+#: many edges at a time (a range holds at least one community).  The
+#: pass's transient is then a few times one range's edges on top of the
+#: output (docs/PERFORMANCE.md, "Aggregation by community ranges").
+AGGREGATE_RANGE_EDGES = 1 << 16
 
 
 def community_vertices_csr(
@@ -51,6 +72,48 @@ def community_vertices_csr(
     return offsets, vertices
 
 
+def community_ranges(offsets: np.ndarray, max_edges: int) -> np.ndarray:
+    """Bounds ``[0, ..., k]`` of the ranges the communities are summed in.
+
+    ``offsets`` are the ``k + 1`` holey-CSR row offsets.  Range ``j``
+    starts at the first community whose row starts at or after
+    ``j * max_edges``, so every range holds at least one community and
+    about ``max_edges`` edges; a community larger than that is a range
+    of its own.
+    """
+    k = offsets.shape[0] - 1
+    cuts = np.searchsorted(
+        offsets[:k], np.arange(max_edges, int(offsets[-1]), max_edges))
+    return np.unique(np.concatenate(([0], cuts, [k])))
+
+
+def _aggregate_range(graph: CSRGraph, C: np.ndarray, members: np.ndarray,
+                     c0: int, c1: int, k: int, out: tuple) -> int:
+    """Write super-vertices ``c0..c1-1``'s rows; return the pairs written.
+
+    ``members`` lists the range's vertices community by community, each
+    community's in ascending order; ``out`` is the holey output
+    ``(offsets, targets, weights, degrees)``.  Self-edges are *included*
+    (``self = true``), so intra-community weight lands on the
+    super-vertex's self-loop.  The kernel is called directly, not through
+    ``KernelWorkspace.pair_sums``: aggregation is not a counted kernel
+    dispatch, and the committed metric snapshots pin those counts.
+    """
+    seg, idx = ragged_indices(graph.offsets[members], graph.degrees[members])
+    usrc, udst, usum = segment_pair_sums_packed(
+        (C[members] - c0)[seg], C[graph.targets[idx]], graph.weights[idx],
+        c1 - c0, k)
+    # Placement into the holey CSR: position = row offset + rank-in-row.
+    offsets, targets, weights, degrees = out
+    deg = np.bincount(usrc, minlength=c1 - c0)
+    pos = (offsets[c0:c1] - (np.cumsum(deg) - deg))[usrc] + np.arange(
+        usrc.shape[0])
+    targets[pos] = udst
+    weights[pos] = usum
+    degrees[c0:c1] = deg
+    return int(usrc.shape[0])
+
+
 def aggregate_batch(
     graph: CSRGraph,
     membership: np.ndarray,
@@ -65,23 +128,24 @@ def aggregate_batch(
     """
     k = int(num_communities)
     C = membership
-    src, dst, wgt = graph.to_coo()
 
     # Community-vertices CSR (work: one pass over vertices + scan).  Its
     # member ordering doubles as the cost-model ordering below — no
     # second argsort of the membership.
-    _cv_offsets, cv_vertices = community_vertices_csr(C, k)
+    cv_offsets, cv_vertices = community_vertices_csr(C, k)
     runtime.record_parallel(
         np.ones(graph.num_vertices), phase=phase, atomics=float(graph.num_vertices)
     )
     runtime.record_serial(float(k), phase=phase)
 
     # Overestimated super-vertex degrees: total degree of each community
-    # (lines 8-9) — this is what makes the CSR holey.
-    comm_total_degree = np.bincount(C[src], minlength=k).astype(OFFSET_DTYPE)
-    offsets = csr_offsets_from_counts(comm_total_degree)
+    # (lines 8-9) — this is what makes the CSR holey.  Degree sums stay
+    # exact in float64 far past any representable edge count.
+    offsets = csr_offsets_from_counts(np.bincount(
+        C, weights=graph.degrees, minlength=k).astype(OFFSET_DTYPE))
+    capacity = int(offsets[-1])
 
-    if src.shape[0] == 0:
+    if capacity == 0:
         return CSRGraph(
             offsets,
             np.empty(0, dtype=VERTEX_DTYPE),
@@ -90,33 +154,20 @@ def aggregate_batch(
             validate=False,
         )
 
-    # Group edge weights by (community(src), community(dst)) — the batch
-    # equivalent of scanning every member's edges into H_t (lines 11-16).
-    # Self-edges are *included* (``self = true``), so intra-community
-    # weight lands on the super-vertex's self-loop.  The kernel is called
-    # directly, not through ``KernelWorkspace.pair_sums``: aggregation is
-    # not a counted kernel dispatch, and the committed metric snapshots
-    # pin those counts.
-    cs = C[src]
-    cd = C[dst]
-    usrc, udst, usum = segment_pair_sums_packed(cs, cd, wgt, k, k)
-    udst = udst.astype(VERTEX_DTYPE)
-
-    # Placement into the holey CSR: position = row offset + rank-in-row.
-    degrees = np.bincount(usrc, minlength=k).astype(OFFSET_DTYPE)
-    group_boundary = np.empty(usrc.shape[0], dtype=bool)
-    group_boundary[0] = True
-    np.not_equal(usrc[1:], usrc[:-1], out=group_boundary[1:])
-    group_id = np.cumsum(group_boundary) - 1
-    group_first = np.flatnonzero(group_boundary)
-    rank = np.arange(usrc.shape[0], dtype=np.int64) - group_first[group_id]
-    positions = offsets[usrc] + rank
-
-    capacity = int(offsets[-1])
+    # Group edge weights by (community(src), community(dst)), one range
+    # of communities at a time — the batch equivalent of scanning every
+    # member's edges into H_t (lines 11-16).
     targets = np.zeros(capacity, dtype=VERTEX_DTYPE)
     weights = np.zeros(capacity, dtype=WEIGHT_DTYPE)
-    targets[positions] = udst
-    weights[positions] = usum.astype(WEIGHT_DTYPE)
+    degrees = np.zeros(k, dtype=OFFSET_DTYPE)
+    out = (offsets, targets, weights, degrees)
+    bounds = community_ranges(offsets, AGGREGATE_RANGE_EDGES)
+    edge_writes = 0
+    for c0, c1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if offsets[c1] > offsets[c0]:
+            edge_writes += _aggregate_range(
+                graph, C, cv_vertices[cv_offsets[c0]:cv_offsets[c1]],
+                c0, c1, k, out)
 
     # Work: every community scans its members' full edge lists, then
     # writes its deduplicated neighbor set atomically.  Costs are
@@ -128,9 +179,9 @@ def aggregate_batch(
     # per-community items would overstate imbalance on the 1000x-smaller
     # stand-ins whose largest communities span whole chunks.
     runtime.record_parallel(
-        graph.degrees[cv_vertices].astype(np.float64) + 1.0,
+        np.add(graph.degrees[cv_vertices], 1.0),
         phase=phase,
-        atomics=float(usrc.shape[0]),
+        atomics=float(edge_writes),
     )
     runtime.record_serial(float(k), phase=phase)
     if runtime.metrics.enabled:
@@ -138,10 +189,10 @@ def aggregate_batch(
         mr.counter("leiden_aggregate_super_vertices_total",
                    "super-vertices produced by aggregation").inc(k)
         mr.counter("leiden_aggregate_edge_writes_total",
-                   "deduplicated super-edge writes").inc(usrc.shape[0])
+                   "deduplicated super-edge writes").inc(edge_writes)
     if runtime.tracer.enabled:
         runtime.tracer.count("aggregate_super_vertices", k)
-        runtime.tracer.count("aggregate_edge_writes", usrc.shape[0])
+        runtime.tracer.count("aggregate_edge_writes", edge_writes)
 
     return CSRGraph(offsets, targets, weights, degrees=degrees, validate=False)
 

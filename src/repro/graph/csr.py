@@ -298,19 +298,25 @@ class CSRGraph:
                 self._fingerprint = h.hexdigest()
         return self._fingerprint
 
-    def to_coo(self) -> Tuple[VertexArray, VertexArray, WeightArray]:
-        """Return ``(sources, targets, weights)`` arrays of the real edges."""
-        if not self.is_holey:
-            counts = np.diff(self.offsets)
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=VERTEX_DTYPE), counts
-            )
-            return src, self.targets.copy(), self.weights.copy()
-        mask = self._used_mask()
+    def endpoints(self) -> Tuple[VertexArray, VertexArray]:
+        """``(sources, targets)`` of the real edges, without the weights.
+
+        When rows carry no slack, ``targets`` is the graph's own array,
+        not a copy: read it, never write it.
+        """
         src = np.repeat(
             np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.degrees
         )
-        return src, self.targets[mask], self.weights[mask]
+        if not self.is_holey:
+            return src, self.targets
+        return src, self.targets[self._used_mask()]
+
+    def to_coo(self) -> Tuple[VertexArray, VertexArray, WeightArray]:
+        """Return ``(sources, targets, weights)`` arrays of the real edges."""
+        src, dst = self.endpoints()
+        if not self.is_holey:
+            return src, dst.copy(), self.weights.copy()
+        return src, dst, self.weights[self._used_mask()]
 
     def compact(self) -> "CSRGraph":
         """Return an equivalent dense (non-holey) CSR graph."""

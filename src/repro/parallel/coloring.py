@@ -56,13 +56,15 @@ def color_graph(
     if n == 0:
         return colors
     rng = np.random.default_rng(seed)
-    priority = rng.permutation(n)
+    # Priorities are a permutation of 0..n-1, so int32 compares them
+    # exactly with half the bytes of the edge-length arrays below.
+    priority = rng.permutation(n).astype(np.int32)
     # DAG edges: the CSR entries (owner, nbr) whose owner outranks the
     # neighbor.  Self loops and the upward half of every edge drop out;
     # the kept entries stay grouped by owner, so each vertex's out-edges
     # are one contiguous run.  Duplicate entries count once per entry in
     # the in-degree and are decremented once per entry.
-    owner, nbr = graph.to_coo()[:2]
+    owner, nbr = graph.endpoints()
     down = np.repeat(priority, graph.degrees) > priority[nbr]
     nbr = nbr[down]
     out_deg = np.bincount(owner[down], minlength=n)
@@ -103,6 +105,6 @@ def color_classes(colors: np.ndarray) -> list[np.ndarray]:
 
 def verify_coloring(graph: CSRGraph, colors: np.ndarray) -> bool:
     """True iff no edge connects two vertices of the same color."""
-    src, dst, _ = graph.to_coo()
+    src, dst = graph.endpoints()
     notself = src != dst
     return not bool(np.any(colors[src[notself]] == colors[dst[notself]]))

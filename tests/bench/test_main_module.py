@@ -66,6 +66,10 @@ class TestKernelsTiming:
         assert "aggregate uk-2002 pass 0" in out
         assert "aggregate com-Orkut pass 0" in out
         assert "DIFFERS" not in out
+        rows = [line for line in out.splitlines()
+                if line.startswith("aggregate ")]
+        assert len(rows) == 2
+        assert all(" MiB" in line for line in rows)
 
     def test_differing_outputs_exit_1(self, monkeypatch, capsys):
         import repro.bench.kernels as kernels
@@ -81,4 +85,26 @@ class TestKernelsTiming:
         assert bench_main.main(["--kernels", "--quick"]) == 1
         out = capsys.readouterr().out
         assert "DIFFERS" in out
+        assert "FAIL:" in out
+
+    def test_differing_aggregation_exits_1(self, monkeypatch, capsys):
+        """The range-wise aggregation is checked against the one-shot
+        oracle bit for bit.  Super-edge weights are stored as float32,
+        so the perturbation is one float32 ulp."""
+        import repro.core.aggregate as aggregate
+
+        real = aggregate.segment_pair_sums_packed
+
+        def off_by_one_ulp(*args):
+            seg, comm, sums = real(*args)
+            up = np.nextafter(sums.astype(np.float32), np.float32(np.inf))
+            return seg, comm, up.astype(sums.dtype)
+
+        monkeypatch.setattr(aggregate, "segment_pair_sums_packed",
+                            off_by_one_ulp)
+        assert bench_main.main(["--kernels", "--quick"]) == 1
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines()
+                if line.startswith("aggregate ")]
+        assert rows and all("DIFFERS" in line for line in rows)
         assert "FAIL:" in out

@@ -1,6 +1,6 @@
 """Shared fixtures: small graphs with known structure, the sort-kernel
-and sequential-commit oracle switches, and the process engine's pool
-gate."""
+and sequential-commit oracle switches, the process engine's pool gate
+and the aggregation's range size."""
 
 from __future__ import annotations
 
@@ -97,6 +97,31 @@ def pool_gate(min_edges: int):
         mp.setattr(local_move_process, "POOL_MIN_EDGES", min_edges)
         mp.setattr(local_move_process, "move_loop", recording_loop)
         yield batches
+
+
+@contextmanager
+def aggregate_ranges(edges: int):
+    """Run the batch aggregation with ``AGGREGATE_RANGE_EDGES = edges``.
+
+    Yields a list that gets one ``(c0, c1, edges)`` entry per community
+    range an aggregation inside the block splits its communities into,
+    in order: communities ``c0..c1-1`` and their total degree, so a test
+    can count the ranges and the non-empty ones.
+    """
+    ranges: list = []
+    community_ranges = aggregate.community_ranges
+
+    def recording_ranges(offsets, max_edges):
+        bounds = community_ranges(offsets, max_edges)
+        ranges.extend(
+            (c0, c1, int(offsets[c1] - offsets[c0]))
+            for c0, c1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        return bounds
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aggregate, "AGGREGATE_RANGE_EDGES", edges)
+        mp.setattr(aggregate, "community_ranges", recording_ranges)
+        yield ranges
 
 
 def wide_exponent_weights(graph, seed: int = 0, decades: int = 16):

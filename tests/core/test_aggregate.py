@@ -1,18 +1,44 @@
-"""Tests for the aggregation phase (both engines)."""
+"""Tests for the aggregation phase (both engines).
+
+Set ``REPRO_FULL_REGISTRY=1`` (the CI cron job does) to run the
+range-invariance oracle on every registry graph instead of the smoke
+pair.
+"""
+
+import os
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.kernels import aggregate_one_shot
 from repro.core.aggregate import (
+    AGGREGATE_RANGE_EDGES,
     aggregate_batch,
     aggregate_loop,
+    community_ranges,
     community_vertices_csr,
 )
+from repro.core.config import LeidenConfig
+from repro.core.leiden import leiden
+from repro.datasets.registry import load_graph, registry_names
+from repro.graph.builder import build_csr_from_edges
 from repro.metrics.modularity import modularity
 from repro.metrics.partition import renumber_membership
 from repro.parallel.runtime import Runtime
 from repro.types import VERTEX_DTYPE
-from tests.conftest import random_graph, two_cliques_graph
+from tests.conftest import (
+    aggregate_ranges,
+    random_graph,
+    sort_kernels,
+    two_cliques_graph,
+    wide_exponent_weights,
+)
+
+FULL_REGISTRY = os.environ.get("REPRO_FULL_REGISTRY") == "1"
 
 
 def aggregate(graph, membership, engine):
@@ -33,6 +59,32 @@ class TestCommunityVerticesCsr:
         C = np.array([0, 2], dtype=VERTEX_DTYPE)
         offsets, _ = community_vertices_csr(C, 3)
         assert offsets.tolist() == [0, 1, 1, 2]
+
+    @given(st.integers(0, 300), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_members_in_ascending_order(self, n, k, seed):
+        """The vertex list is the stable argsort of the membership: each
+        community's members ascend, which keeps every super-edge's
+        summation order equal to the whole-graph edge order."""
+        C = np.random.default_rng(seed).integers(0, k, n).astype(VERTEX_DTYPE)
+        _, vertices = community_vertices_csr(C, k)
+        assert vertices.dtype == VERTEX_DTYPE
+        assert np.array_equal(vertices, np.argsort(C, kind="stable"))
+
+
+class TestCommunityRanges:
+    def test_ranges_cover_all_communities(self):
+        offsets = np.array([0, 0, 3, 3, 5, 9, 10])
+        assert community_ranges(offsets, 1).tolist() == [0, 2, 4, 5, 6]
+        assert community_ranges(offsets, 4).tolist() == [0, 4, 5, 6]
+        assert community_ranges(offsets, 10).tolist() == [0, 6]
+
+    def test_large_community_is_its_own_range(self):
+        offsets = np.array([0, 1, 100, 101, 102])
+        assert community_ranges(offsets, 8).tolist() == [0, 2, 4]
+
+    def test_no_communities(self):
+        assert community_ranges(np.zeros(1, dtype=np.int64), 8).tolist() == [0]
 
 
 @pytest.mark.parametrize("engine", ["batch", "loop"])
@@ -116,3 +168,99 @@ class TestEngineEquivalence:
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.degrees, b.degrees)
         assert a == b
+
+
+def _range_sizes(graph):
+    """1, 7, the default, and one range holding every edge."""
+    return (1, 7, AGGREGATE_RANGE_EDGES, max(graph.num_edges, 1))
+
+
+def _assert_range_invariant(graph, C, k):
+    """Every range size writes the bits of one whole-graph oracle call,
+    and the sort oracle runs once per range that holds an edge."""
+    ref = aggregate_one_shot(graph, C, k)
+    for size in _range_sizes(graph):
+        for oracle in (False, True):
+            with aggregate_ranges(size) as ranges, (
+                    sort_kernels() if oracle else nullcontext()) as calls:
+                sup = aggregate_batch(graph, C, k, runtime=Runtime())
+            got = (sup.offsets, sup.degrees, sup.targets, sup.weights)
+            for r, g in zip(ref, got):
+                assert g.dtype == r.dtype
+                assert g.tobytes() == r.tobytes(), size
+            if graph.num_edges == 0:
+                assert ranges == []
+                continue
+            assert [c0 for c0, _, _ in ranges] == [0] + [
+                c1 for _, c1, _ in ranges[:-1]]
+            assert ranges[-1][1] == k
+            assert all(c1 > c0 for c0, c1, _ in ranges)
+            if size >= graph.num_edges:
+                assert len(ranges) == 1
+            if oracle:
+                assert calls["aggregate"] == sum(e > 0 for _, _, e in ranges)
+
+
+@st.composite
+def graph_and_membership(draw):
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    loops = rng.random(m) < draw(st.sampled_from([0.0, 0.3]))
+    dst = np.where(loops, src, dst)
+    graph = wide_exponent_weights(
+        build_csr_from_edges(src, dst, num_vertices=n),
+        seed=draw(st.integers(0, 100)))
+    C, ids = renumber_membership(
+        rng.integers(0, draw(st.integers(1, n)), n).astype(VERTEX_DTYPE))
+    return graph, C, int(ids.shape[0])
+
+
+class TestRangeInvariance:
+    """The range-wise aggregation equals one whole-graph call bitwise at
+    every range size, with weights whose sums are inexact."""
+
+    @given(graph_and_membership())
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_graphs(self, case):
+        _assert_range_invariant(*case)
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(registry_names()) if FULL_REGISTRY else ("asia_osm", "uk-2002"))
+    def test_registry_pass0(self, name):
+        graph = load_graph(name)
+        C = leiden(graph, LeidenConfig(seed=42)).dendrogram.level(0)
+        _assert_range_invariant(
+            wide_exponent_weights(graph), C, int(C.max()) + 1)
+
+
+class TestRangeMemory:
+    def test_transient_bounded_by_one_range(self):
+        """With many ranges, the traced transient is the output plus a
+        few dozen bytes per edge of the widest range and per vertex —
+        not per edge of the graph, as the whole-graph sums cost."""
+        graph = random_graph(n=20000, avg_degree=14, seed=7, weighted=True)
+        n = graph.num_vertices
+        C, ids = renumber_membership(
+            np.random.default_rng(7).integers(0, 2000, n).astype(VERTEX_DTYPE))
+        k = int(ids.shape[0])
+        runtime = Runtime()
+        # A first call pays one-time allocations (lazy imports, numpy
+        # caches) that are no part of the pass's transient.
+        aggregate_batch(graph, C, k, runtime=runtime)
+        with aggregate_ranges(4096) as ranges:
+            tracemalloc.start()
+            try:
+                sup = aggregate_batch(graph, C, k, runtime=runtime)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(ranges) >= 8
+        output = sum(a.nbytes for a in (
+            sup.offsets, sup.degrees, sup.targets, sup.weights))
+        widest = max(e for _, _, e in ranges)
+        assert peak - output < 128 * widest + 64 * n
+        assert 128 * widest + 64 * n < 8 * graph.num_edges

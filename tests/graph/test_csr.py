@@ -144,6 +144,17 @@ class TestHoley:
         assert dst.tolist() == [1, 1, 0]
         assert wgt.tolist() == [1.0, 2.0, 3.0]
 
+    def test_holey_endpoints_drop_slack(self):
+        src, dst = make_holey().endpoints()
+        assert src.tolist() == [0, 0, 1]
+        assert dst.tolist() == [1, 1, 0]
+
+    def test_dense_endpoints_share_targets(self, path10):
+        src, dst = path10.endpoints()
+        assert dst is path10.targets
+        assert src.tolist() == np.repeat(
+            np.arange(10), np.diff(path10.offsets)).tolist()
+
     def test_compact_equivalence(self):
         g = make_holey()
         c = g.compact()
