@@ -7,8 +7,6 @@ both.  ``python -m repro.bench`` runs them all in paper order.
 
 from repro.bench.experiments import (
     ext_dynamic_update,
-    ext_fleet_load,
-    ext_fleet_reqtrace,
     ext_louvain_vs_leiden,
     ext_reorder_locality,
     ext_service_load,
@@ -38,15 +36,11 @@ ALL_EXPERIMENTS = [
     ("Extension: dynamic updates", ext_dynamic_update),
     ("Extension: service load", ext_service_load),
     ("Extension: reorder locality", ext_reorder_locality),
-    ("Extension: fleet load", ext_fleet_load),
-    ("Extension: fleet reqtrace", ext_fleet_reqtrace),
 ]
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ext_dynamic_update",
-    "ext_fleet_load",
-    "ext_fleet_reqtrace",
     "ext_louvain_vs_leiden",
     "ext_reorder_locality",
     "ext_service_load",

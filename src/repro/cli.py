@@ -38,13 +38,14 @@ Subcommands:
   byte-deterministic ``repro.memory/1`` allocation report; ``--chrome``
   writes the memory counter lanes as Chrome trace JSON, ``--rss``
   prints the informational logical-vs-real ratio.  ``repro serve
-  --mem`` / ``repro fleet --mem`` write the serving-side reports.
+  --mem`` writes the serving-side report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.core.louvain import louvain
 from repro.datasets.registry import load_graph, registry_names
-from repro.errors import ReproError
+from repro.errors import GraphFormatError
 from repro.graph.io_edgelist import read_edgelist
 from repro.graph.io_metis import read_metis
 from repro.graph.io_mtx import read_mtx
@@ -61,11 +62,7 @@ from repro.graph.relabel import community_relabeling
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
 from repro.metrics.summary import summarize_partition
-from repro.observability.health import (
-    HealthEvaluator,
-    default_fleet_slos,
-    default_service_slos,
-)
+from repro.observability.health import HealthEvaluator, default_service_slos
 from repro.observability.locality import measure_locality
 from repro.observability.memtrack import (
     MemoryLedger,
@@ -79,11 +76,6 @@ from repro.observability.profiler import (
     chrome_trace_json,
     to_chrome_trace,
     validate_chrome_trace,
-)
-from repro.observability.reqtrace import (
-    RequestTracer,
-    merge_chrome_trace,
-    validate_reqtrace,
 )
 from repro.observability.tracer import TRACE_SCHEMA, TRACE_SCHEMA_V1, Tracer
 from repro.parallel.costmodel import PAPER_MACHINE
@@ -102,10 +94,19 @@ _INPUT_HELP = ("graph file (.mtx, .graph or edge list) or a registry "
 
 def positive_int(text: str) -> int:
     """argparse ``type`` for counts that must be at least 1, so a bad
-    ``--workers``/``--threads`` exits 2 at parse time."""
+    ``--workers``/``--threads``/``--max-passes`` exits 2 at parse time."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse ``type`` for a finite float above 0 (``--resolution``);
+    ``nan``, ``inf`` and non-positive values exit 2 at parse time."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
     return value
 
 
@@ -125,7 +126,7 @@ def _add_solve_args(p: argparse.ArgumentParser, *,
                             "are reported in original ids)")
     p.add_argument("--quality", choices=["modularity", "cpm"],
                    default="modularity")
-    p.add_argument("--max-passes", type=int, default=10)
+    p.add_argument("--max-passes", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=42)
 
 
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-label", choices=["move", "refine"],
                    default="move")
     _add_solve_args(p, relabel=True)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=positive_float, default=1.0)
     p.add_argument("--output", type=Path, default=None,
                    help="write one community id per line to this file")
     p.add_argument("--check-connectivity", action="store_true",
@@ -235,10 +236,15 @@ def _load(arg: str):
         raise SystemExit(f"error: {arg!r} is neither a file nor a dataset "
                          f"name (use --list to see dataset names)")
     if path.suffix == ".mtx":
-        return read_mtx(path)
-    if path.suffix in (".graph", ".metis"):
-        return read_metis(path)
-    return read_edgelist(path)
+        reader = read_mtx
+    elif path.suffix in (".graph", ".metis"):
+        reader = read_metis
+    else:
+        reader = read_edgelist
+    try:
+        return reader(path)
+    except GraphFormatError as exc:
+        raise SystemExit(f"error: {arg}: {exc}") from None
 
 
 def build_trace_parser() -> argparse.ArgumentParser:
@@ -448,12 +454,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "SLO evaluator attached and write their "
                         "byte-deterministic snapshot JSON (including the "
                         "repro.health/1 block) here")
-    p.add_argument("--reqtrace", type=Path, default=None,
-                   dest="reqtrace_output",
-                   help="also run with the request tracer attached and "
-                        "write the repro.reqtrace/1 document here; when "
-                        "--profile is also given, the Chrome trace gains "
-                        "the request lanes (merged view)")
     p.add_argument("--mem", type=Path, default=None, dest="mem_output",
                    help="also run with the memory ledger attached and "
                         "write the byte-deterministic repro.memory/1 "
@@ -464,19 +464,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _reject_unknown_profile(name: str, known, *, what: str) -> int:
-    """Report an unknown workload profile and return exit code 2.
-
-    Same shape as the bench ``--check`` MISSING output: one line per
-    valid name, then a final ``error:`` summary on stderr.
-    """
-    for valid in sorted(known):
-        print(f"VALID {what} profile {valid}", file=sys.stderr)
-    print(f"error: unknown {what} profile {name!r} — pick one of the "
-          f"profiles listed above", file=sys.stderr)
-    return 2
-
-
 def serve_main(argv: list[str] | None = None) -> int:
     """``repro serve`` — drive the partition server through a workload."""
     from repro.service.server import PartitionServer, ServiceConfig
@@ -484,16 +471,19 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     args = build_serve_parser().parse_args(argv)
     if args.workload not in PROFILES:
-        return _reject_unknown_profile(
-            args.workload, PROFILES, what="workload")
+        # Same shape as the bench ``--check`` MISSING output: one line
+        # per valid name, then a final ``error:`` summary on stderr.
+        for valid in sorted(PROFILES):
+            print(f"VALID workload profile {valid}", file=sys.stderr)
+        print(f"error: unknown workload profile {args.workload!r} — pick "
+              f"one of the profiles listed above", file=sys.stderr)
+        return 2
     service_config = ServiceConfig(coalesce_updates=not args.no_coalesce)
     server = None
     if (args.trace_output is not None or args.profile_output is not None
             or args.metrics_output is not None
-            or args.reqtrace_output is not None
             or args.mem_output is not None):
         with_metrics = args.metrics_output is not None
-        with_reqtrace = args.reqtrace_output is not None
         server = PartitionServer(
             service_config,
             tracer=Tracer() if args.trace_output is not None else None,
@@ -501,8 +491,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                       else None),
             metrics=MetricsRegistry() if with_metrics else None,
             health=(HealthEvaluator(default_service_slos())
-                    if with_metrics or with_reqtrace else None),
-            reqtrace=RequestTracer(seed=args.seed) if with_reqtrace else None,
+                    if with_metrics else None),
             memory=MemoryLedger() if args.mem_output is not None else None,
         )
     result = run_workload(
@@ -518,18 +507,9 @@ def serve_main(argv: list[str] | None = None) -> int:
         _write_json(args.trace_output, server.tracer.to_dict(
             experiment=experiment, seed=args.seed), "trace", args.compact)
     if args.profile_output is not None:
-        doc = to_chrome_trace(server.profiler.timeline(),
-                              experiment=experiment, seed=args.seed)
-        if args.reqtrace_output is not None:
-            # Merged view: solver timeline lanes + request lanes in one
-            # Chrome trace, stitched by flow events.
-            doc = merge_chrome_trace(doc, server.reqtrace)
-        _write_chrome(args.profile_output, doc, "profile", args.compact)
-    if args.reqtrace_output is not None:
-        doc = server.reqtrace.to_json_dict(experiment=experiment)
-        validate_reqtrace(doc)
-        _write_json(args.reqtrace_output, doc, "request traces",
-                    args.compact)
+        _write_chrome(args.profile_output, to_chrome_trace(
+            server.profiler.timeline(), experiment=experiment,
+            seed=args.seed), "profile", args.compact)
     if args.metrics_output is not None:
         _write_json(args.metrics_output, server.metrics.to_snapshot(
             health=server.health.evaluate(server.clock),
@@ -694,267 +674,6 @@ def reorder_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def build_reqtrace_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro reqtrace",
-        description="Inspect repro.reqtrace/1 documents (written by "
-                    "'repro fleet --reqtrace' / 'repro serve "
-                    "--reqtrace'): summarize retention, list the "
-                    "slowest requests, print one trace, or diff the "
-                    "kept sets of two documents",
-    )
-    p.add_argument("input", type=Path, nargs="+",
-                   help="reqtrace JSON document (two with --diff)")
-    p.add_argument("--slowest", type=int, default=None, metavar="N",
-                   help="list the N slowest kept requests (latency "
-                        "desc, seq asc on ties)")
-    p.add_argument("--trace-id", default=None, metavar="ID",
-                   help="print the full JSON of one kept trace")
-    p.add_argument("--diff", action="store_true",
-                   help="compare the kept sets (traces with keep "
-                        "reasons) of two documents; exit 1 when they "
-                        "differ")
-    return p
-
-
-def reqtrace_main(argv: list[str] | None = None) -> int:
-    """``repro reqtrace`` — inspect request-trace documents."""
-    args = build_reqtrace_parser().parse_args(argv)
-    want = 2 if args.diff else 1
-    if len(args.input) != want:
-        print(f"error: expected {want} input document(s), "
-              f"got {len(args.input)}", file=sys.stderr)
-        return 2
-    docs = _read_json_docs(args.input, validate_reqtrace)
-    if docs is None:
-        return 2
-
-    if args.diff:
-        # "Kept" = annotated with at least one keep reason, so a full
-        # document diffs cleanly against its sampled twin (the A/B the
-        # ext_fleet_reqtrace bench pins).
-        kept = [{t["trace_id"]: t for t in d["traces"]
-                 if t.get("keep_reasons")} for d in docs]
-        a, b = kept
-        only_a = sorted(set(a) - set(b))
-        only_b = sorted(set(b) - set(a))
-        changed = sorted(
-            tid for tid in set(a) & set(b)
-            if (a[tid]["status"], a[tid]["latency_units"])
-            != (b[tid]["status"], b[tid]["latency_units"]))
-        for tid in only_a:
-            print(f"ONLY-A {tid} seq={a[tid]['seq']}")
-        for tid in only_b:
-            print(f"ONLY-B {tid} seq={b[tid]['seq']}")
-        for tid in changed:
-            print(f"CHANGED {tid} "
-                  f"a=({a[tid]['status']},{a[tid]['latency_units']}) "
-                  f"b=({b[tid]['status']},{b[tid]['latency_units']})")
-        if only_a or only_b or changed:
-            print(f"kept sets differ: {len(only_a)} only-A, "
-                  f"{len(only_b)} only-B, {len(changed)} changed")
-            return 1
-        print(f"kept sets identical ({len(a)} traces)")
-        return 0
-
-    doc = docs[0]
-    if args.trace_id is not None:
-        for t in doc["traces"]:
-            if t["trace_id"] == args.trace_id:
-                print(json.dumps(t, sort_keys=True, indent=2))
-                return 0
-        print(f"error: trace {args.trace_id!r} not in document "
-              f"(dropped by sampling, or never minted)", file=sys.stderr)
-        return 1
-    if args.slowest is not None:
-        ranked = sorted(doc["traces"],
-                        key=lambda t: (-t["latency_units"], t["seq"]))
-        for t in ranked[:args.slowest]:
-            reasons = ",".join(t.get("keep_reasons", [])) or "-"
-            print(f"{t['trace_id']} seq={t['seq']} kind={t['kind']} "
-                  f"status={t['status']} "
-                  f"latency={t['latency_units']:.0f} "
-                  f"spans={len(t['spans'])} keep={reasons}")
-        return 0
-    totals = doc["totals"]
-    sampling = doc["sampling"]
-    print(f"schema: {doc['schema']}")
-    print(f"mode: {sampling.get('mode')}  seed: {doc['meta'].get('seed')}")
-    print(f"requests: {totals.get('requests')}  kept: {totals.get('kept')}"
-          f"  dropped: {totals.get('dropped')}  spans: "
-          f"{totals.get('spans')}")
-    by_reason = totals.get("by_reason", {})
-    if by_reason:
-        print("kept by reason: " + ", ".join(
-            f"{r}={n}" for r, n in sorted(by_reason.items())))
-    dumps = doc["flight"].get("dumps", [])
-    print(f"flight dumps: {len(dumps)}")
-    for d in dumps:
-        print(f"  {d['reason']} at {d['at_units']:.0f} "
-              f"({len(d['traces'])} traces)")
-    return 0
-
-
-def build_fleet_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="Run a seeded hot-key Zipfian workload against a "
-                    "sharded partition-server fleet (consistent-hash "
-                    "routing, replicated writes, cross-shard query "
-                    "fan-out, replica failover) and emit the "
-                    "deterministic stats JSON — no wall-clock fields, "
-                    "so two runs with the same arguments are "
-                    "byte-identical",
-    )
-    p.add_argument("--shards", type=int, default=3,
-                   help="number of partition-server shards")
-    p.add_argument("--replicas", type=int, default=1,
-                   help="replication factor R (placement width is "
-                        "min(R, shards))")
-    p.add_argument("--virtual-nodes", type=int, default=64,
-                   help="virtual nodes per shard on the hash ring")
-    p.add_argument("--profile", default="quick",
-                   help="fleet workload profile name (see "
-                        "FLEET_PROFILES; unknown names exit 2 with the "
-                        "valid list)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kill", action="append", default=[],
-                   metavar="SHARD:AT",
-                   help="fault script: kill SHARD (a shard id, a shard "
-                        "index, or 'primary' = the hottest key's "
-                        "primary) just before steady-state query AT; "
-                        "repeatable")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the served-vs-from-scratch and replica "
-                        "consistency checks")
-    p.add_argument("--output", type=Path, default=None,
-                   help="write the result JSON here instead of stdout")
-    p.add_argument("--metrics", type=Path, default=None,
-                   dest="metrics_output",
-                   help="also run with per-shard metric registries and "
-                        "the fleet SLO evaluator attached and write the "
-                        "merged fleet snapshot JSON (repro.metrics/1, "
-                        "with the repro.health/1 block) here")
-    p.add_argument("--reqtrace", type=Path, default=None,
-                   dest="reqtrace_output",
-                   help="attach the request tracer (+ fleet SLO "
-                        "evaluator) and write the repro.reqtrace/1 "
-                        "document — per-request causal spans, "
-                        "deterministic trace ids, tail-sampling "
-                        "annotations and flight-recorder dumps — here; "
-                        "byte-identical across double runs")
-    p.add_argument("--reqtrace-chrome", type=Path, default=None,
-                   help="also write the merged Chrome-trace view of the "
-                        "kept request traces (one lane per shard plus "
-                        "the router lane, flow events stitching "
-                        "cross-shard hops); open in a Chrome trace "
-                        "viewer")
-    p.add_argument("--reqtrace-mode", choices=("full", "sampled"),
-                   default="full",
-                   help="trace retention: keep every finished trace "
-                        "(full) or only the deterministic tail sample "
-                        "(sampled)")
-    p.add_argument("--mem", type=Path, default=None, dest="mem_output",
-                   help="also run with a per-shard memory ledger "
-                        "attached and write the merged fleet "
-                        "repro.memory/1 report (per-shard logical "
-                        "sections summed; shard iteration sorted, so "
-                        "byte-deterministic) here")
-    p.add_argument("--compact", action="store_true",
-                   help="single-line JSON (default: indented)")
-    return p
-
-
-def fleet_main(argv: list[str] | None = None) -> int:
-    """``repro fleet`` — drive a sharded fleet through a workload."""
-    from repro.fleet.fleet import FleetConfig, PartitionFleet
-    from repro.fleet.workload import FLEET_PROFILES, run_fleet_workload
-
-    args = build_fleet_parser().parse_args(argv)
-    if args.profile not in FLEET_PROFILES:
-        return _reject_unknown_profile(
-            args.profile, FLEET_PROFILES, what="fleet workload")
-    kills = []
-    for spec in args.kill:
-        target, sep, at = spec.rpartition(":")
-        if not sep or not at.isdigit():
-            print(f"error: bad --kill spec {spec!r}; expected SHARD:AT "
-                  f"(e.g. 'primary:10' or '1:10')", file=sys.stderr)
-            return 2
-        kills.append((target, int(at)))
-    try:
-        fleet_config = FleetConfig(
-            num_shards=args.shards,
-            replicas=args.replicas,
-            virtual_nodes=args.virtual_nodes,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fleet = None
-    reqtrace = None
-    with_reqtrace = (args.reqtrace_output is not None
-                     or args.reqtrace_chrome is not None)
-    if (args.metrics_output is not None or with_reqtrace
-            or args.mem_output is not None):
-        if with_reqtrace:
-            reqtrace = RequestTracer(seed=args.seed,
-                                     mode=args.reqtrace_mode)
-        with_metrics = args.metrics_output is not None
-        fleet = PartitionFleet(
-            fleet_config,
-            metrics=MetricsRegistry() if with_metrics else None,
-            # The SLO evaluator always rides along here: it feeds the
-            # health block of the metrics snapshot *and* the flight
-            # recorder's PAGE trigger.
-            health=HealthEvaluator(default_fleet_slos()),
-            reqtrace=reqtrace,
-            memory=args.mem_output is not None,
-        )
-    result = run_fleet_workload(
-        args.profile,
-        seed=args.seed,
-        fleet=fleet,
-        fleet_config=fleet_config,
-        kills=kills,
-        verify=not args.no_verify,
-    )
-    experiment = f"fleet:{args.profile}"
-    _write_json(args.output, result.to_json_dict(), "fleet stats",
-                args.compact)
-    if args.metrics_output is not None:
-        _write_json(args.metrics_output, fleet.metrics_snapshot(
-            experiment=experiment,
-            seed=args.seed,
-            clock_units=int(fleet.clock_units()),
-        ), "fleet metrics", args.compact)
-    if args.reqtrace_output is not None:
-        doc = reqtrace.to_json_dict(
-            experiment=experiment,
-            shards=int(args.shards), replicas=int(args.replicas))
-        validate_reqtrace(doc)
-        _write_json(args.reqtrace_output, doc, "request traces",
-                    args.compact)
-    if args.reqtrace_chrome is not None:
-        _write_chrome(args.reqtrace_chrome, reqtrace.to_chrome_trace(
-            experiment=experiment, seed=args.seed),
-            "request-trace chrome view", args.compact)
-    if args.mem_output is not None:
-        _write_json(args.mem_output, fleet.memory_snapshot(
-            experiment=experiment, seed=args.seed),
-            "fleet memory report", args.compact)
-    if not args.no_verify:
-        bad = [n for n, ok in result.membership_matches_scratch.items()
-               if not ok]
-        bad += [n for n, ok in result.replicas_consistent.items()
-                if not ok]
-        if bad:
-            print("error: fleet verification failed for "
-                  f"{sorted(set(bad))}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def bench_main(argv: list[str] | None = None) -> int:
     """``repro bench`` — the evaluation harness (:mod:`repro.bench`)."""
     from repro.bench.__main__ import main as main_
@@ -967,7 +686,7 @@ def bench_main(argv: list[str] | None = None) -> int:
 _SUBCOMMANDS = {
     "trace": trace_main, "profile": profile_main, "metrics": metrics_main,
     "bench": bench_main, "serve": serve_main, "reorder": reorder_main,
-    "fleet": fleet_main, "reqtrace": reqtrace_main, "mem": mem_main,
+    "mem": mem_main,
 }
 
 

@@ -17,6 +17,7 @@ The paper's variant ladder (Figures 1 and 2):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
@@ -97,12 +98,17 @@ class LeidenConfig:
     refine_guard: str = "cas"
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0:
-            raise ConfigError("tolerance must be non-negative")
-        if self.tolerance_drop <= 1:
-            raise ConfigError("tolerance_drop must exceed 1")
-        if self.strict_tolerance < 0:
-            raise ConfigError("strict_tolerance must be non-negative")
+        # isfinite first: every comparison with NaN is false, so a bare
+        # bound check would let NaN (and inf) through.
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ConfigError("tolerance must be finite and non-negative")
+        if not (math.isfinite(self.tolerance_drop)
+                and self.tolerance_drop > 1):
+            raise ConfigError("tolerance_drop must be finite and exceed 1")
+        if not (math.isfinite(self.strict_tolerance)
+                and self.strict_tolerance >= 0):
+            raise ConfigError(
+                "strict_tolerance must be finite and non-negative")
         if self.aggregation_tolerance is not None and not (
             0 < self.aggregation_tolerance <= 1
         ):
@@ -128,8 +134,8 @@ class LeidenConfig:
             raise ConfigError(
                 "vertex_order must be 'natural', 'degree', 'degree-desc', "
                 "'random' or 'bfs'")
-        if self.resolution <= 0:
-            raise ConfigError("resolution must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ConfigError("resolution must be finite and positive")
         if self.relabel not in _RELABELS:
             raise ConfigError(f"relabel must be one of {_RELABELS}")
 

@@ -24,6 +24,7 @@ supplies the per-vertex quantity that moves carry between communities
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class Quality:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"quality must be one of {_KINDS}")
-        if self.resolution <= 0:
-            raise ConfigError("resolution must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ConfigError("resolution must be finite and positive")
 
     def vertex_quantity(self, vertex_weights, node_sizes):
         """Per-vertex amount that moves add/remove from the community

@@ -27,13 +27,6 @@ prints.  This package provides:
   (:data:`~repro.observability.metrics.NULL_REGISTRY`);
 - :mod:`repro.observability.health` — rolling-window SLO burn-rate
   evaluation (OK/WARN/PAGE) on the partition server's logical clock;
-- :mod:`repro.observability.reqtrace` — request-scoped distributed
-  tracing over the fleet's logical clocks: deterministic trace ids,
-  causal spans per hop (admission, queue wait, dedup join, serve,
-  refresh, failover, reply), deterministic tail-sampling, histogram
-  exemplars, and the PAGE-triggered flight recorder
-  (:data:`~repro.observability.reqtrace.NULL_REQTRACE` disabled
-  default);
 - :mod:`repro.observability.regression` — the baselines under
   ``benchmarks/baselines/`` (threshold-gated perf baselines and the
   exact-match :data:`~repro.observability.regression.GOLDEN_FAMILIES`)
@@ -67,24 +60,11 @@ from repro.observability.metrics import (
 )
 from repro.observability.profiler import (
     NULL_PROFILER,
-    PID_FLEET,
     PROFILE_SCHEMA,
     Profiler,
     Timeline,
     to_chrome_trace,
     validate_chrome_trace,
-)
-from repro.observability.reqtrace import (
-    NULL_REQTRACE,
-    REQTRACE_SCHEMA,
-    FlightRecorder,
-    NullRequestTracer,
-    RequestTracer,
-    TailSamplingConfig,
-    merge_chrome_trace,
-    mint_trace_id,
-    select_kept,
-    validate_reqtrace,
 )
 from repro.observability.tracer import (
     NULL_TRACER,
@@ -141,19 +121,8 @@ __all__ = [
     "measure_locality",
     "NULL_PROFILER",
     "NULL_REGISTRY",
-    "NULL_REQTRACE",
     "NULL_TRACER",
-    "PID_FLEET",
     "PROFILE_SCHEMA",
-    "REQTRACE_SCHEMA",
-    "FlightRecorder",
-    "NullRequestTracer",
-    "RequestTracer",
-    "TailSamplingConfig",
-    "merge_chrome_trace",
-    "mint_trace_id",
-    "select_kept",
-    "validate_reqtrace",
     "Counter",
     "Gauge",
     "Histogram",

@@ -40,7 +40,6 @@ __all__ = [
     "HEALTH_SCHEMA",
     "SLObjective",
     "HealthEvaluator",
-    "default_fleet_slos",
     "default_service_slos",
 ]
 
@@ -165,50 +164,6 @@ def default_service_slos() -> Tuple[SLObjective, ...]:
             short_window=512,
             warn_burn=1.0,
             page_burn=8.0,
-        ),
-    )
-
-
-def default_fleet_slos() -> Tuple[SLObjective, ...]:
-    """The stock fleet-level objectives attached by ``repro fleet``.
-
-    Signals are fed by the fleet router on the fleet logical clock
-    (the sum of the shard clocks): the *hottest-shard* view of query
-    latency, the fleet-wide error ratio, and the max/mean routed-load
-    imbalance gauge — >2x skew burns budget, sustained >2x pages.
-    """
-    return (
-        SLObjective(
-            name="fleet_query_latency_p99",
-            signal="fleet_query_latency_units",
-            kind="latency",
-            target=64.0,
-            budget=0.01,
-            long_window=4096,
-            short_window=512,
-            warn_burn=1.0,
-            page_burn=8.0,
-        ),
-        SLObjective(
-            name="fleet_error_ratio",
-            signal="fleet_request_errors",
-            kind="ratio",
-            budget=0.02,
-            long_window=4096,
-            short_window=512,
-            warn_burn=1.0,
-            page_burn=8.0,
-        ),
-        SLObjective(
-            name="fleet_shard_imbalance",
-            signal="fleet_shard_imbalance",
-            kind="latency",
-            target=2.0,
-            budget=0.25,
-            long_window=4096,
-            short_window=512,
-            warn_burn=1.0,
-            page_burn=4.0,
         ),
     )
 

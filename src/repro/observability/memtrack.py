@@ -1,13 +1,13 @@
 """Deterministic memory ledger: logical allocation events + watermarks.
 
 The observability stack already gives the pipeline a *time* axis (work
-ledger, profiler, request traces); this module adds the *memory* axis.
+ledger, tracer, profiler); this module adds the *memory* axis.
 A :class:`MemoryLedger` records logical allocate/resize/free events —
 component, phase, dtype, bytes — on its own logical clock (a monotonic
 event sequence number, never wall time), maintains live-byte totals and
 peak watermarks per component and per phase, and emits a
 byte-deterministic schema-versioned ``repro.memory/1`` report plus
-Chrome-trace counter lanes that merge into the profiler/reqtrace views.
+Chrome-trace counter lanes that merge into the profiler's view.
 
 Determinism contract (the reason the report can be an exact-match CI
 baseline):
@@ -21,7 +21,7 @@ baseline):
   and the worker count as ``replicas``.  The
   replica-scaled total is tracked separately in the ``physical``
   section, which is the only part of the report allowed to vary with
-  worker/shard count.
+  worker count.
 
 Like the tracer/profiler/metrics layers, everything is zero-cost when
 disabled: producers default to the shared :data:`NULL_LEDGER` and guard
@@ -47,7 +47,6 @@ __all__ = [
     "activate",
     "active_ledger",
     "export_to_metrics",
-    "merge_memory_snapshots",
     "record_csr",
     "validate_memory_doc",
 ]
@@ -56,7 +55,7 @@ __all__ = [
 MEMORY_SCHEMA = "repro.memory/1"
 
 #: Chrome-trace process id of the memory counter lanes (the profiler
-#: owns pids 0-3; see :mod:`repro.observability.profiler`).
+#: owns pids 0-2; see :mod:`repro.observability.profiler`).
 PID_MEMORY = 4
 
 #: Default cap on retained per-event detail.  Accounting (live/peak)
@@ -393,9 +392,8 @@ class MemoryLedger:
     def merge_into_chrome(self, doc: dict) -> dict:
         """Append the memory counter lanes to an existing Chrome doc.
 
-        Used by ``repro profile --mem`` (and the serve/fleet Chrome
-        views) to put the memory axis next to the time axis in one
-        Perfetto load.  Mutates and returns ``doc``.
+        Puts the memory axis next to a profiler timeline's time axis in
+        one Perfetto load.  Mutates and returns ``doc``.
         """
         doc["traceEvents"] = list(doc.get("traceEvents", ()))
         doc["traceEvents"].extend(self.chrome_events())
@@ -544,57 +542,6 @@ def export_to_metrics(ledger, registry) -> None:
     registry.gauge(
         "mem_peak_bytes_total", "logical peak bytes, all components",
     ).set(float(ledger.peak_bytes()))
-
-
-# -- fleet merging -------------------------------------------------------------
-
-
-def merge_memory_snapshots(shards: Dict[str, dict], **meta) -> dict:
-    """Merge per-shard ``repro.memory/1`` docs into one fleet document.
-
-    Logical live/peak bytes are *summed* across shards per component and
-    per phase (the sum of per-shard peaks upper-bounds the true
-    fleet-wide peak; exact joint peaks would need a global clock the
-    shards deliberately do not share).  Shard iteration is sorted, so
-    the merged document is byte-deterministic.
-    """
-    components: Dict[str, Dict[str, int]] = {}
-    phases: Dict[str, Dict[str, int]] = {}
-    totals = {"clock": 0, "live_bytes": 0, "peak_bytes": 0}
-    physical = {"live_bytes": 0, "peak_bytes": 0,
-                "attached_bytes": 0, "attach_events": 0}
-    shard_docs = {}
-    for name in sorted(shards):
-        doc = shards[name]
-        logical = doc["logical"]
-        totals["clock"] += logical["clock"]
-        totals["live_bytes"] += logical["live_bytes"]
-        totals["peak_bytes"] += logical["peak_bytes"]
-        for key in physical:
-            physical[key] += doc.get("physical", {}).get(key, 0)
-        for comp, stats in logical["components"].items():
-            agg = components.setdefault(
-                comp, {"live_bytes": 0, "peak_bytes": 0, "allocs": 0,
-                       "frees": 0, "resizes": 0})
-            for key in agg:
-                agg[key] += stats.get(key, 0)
-        for phase, stats in logical["phases"].items():
-            agg = phases.setdefault(
-                phase, {"live_bytes": 0, "peak_bytes": 0})
-            for key in agg:
-                agg[key] += stats.get(key, 0)
-        shard_docs[name] = logical
-    return {
-        "schema": MEMORY_SCHEMA,
-        "meta": {**meta, "merged_shards": len(shard_docs)},
-        "logical": {
-            **totals,
-            "components": {c: components[c] for c in sorted(components)},
-            "phases": {p: phases[p] for p in sorted(phases)},
-        },
-        "physical": physical,
-        "shards": shard_docs,
-    }
 
 
 # -- validation ----------------------------------------------------------------

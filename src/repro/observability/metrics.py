@@ -181,8 +181,8 @@ class _Bound:
     def set(self, value: float) -> None:
         self._inst._set(self._key, value)
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
-        self._inst._observe(self._key, value, exemplar)
+    def observe(self, value: float) -> None:
+        self._inst._observe(self._key, value)
 
 
 class _Instrument:
@@ -282,7 +282,7 @@ class _Instrument:
     def _set(self, key, value) -> None:
         raise MetricsError(f"{self.kind} {self.name!r} does not support set()")
 
-    def _observe(self, key, value, exemplar=None) -> None:
+    def _observe(self, key, value) -> None:
         raise MetricsError(
             f"{self.kind} {self.name!r} does not support observe()")
 
@@ -389,7 +389,7 @@ class Gauge(_Instrument):
 class _HistogramData:
     """One histogram series: exponent buckets plus exact summary stats."""
 
-    __slots__ = ("count", "sum", "min", "max", "buckets", "exemplars")
+    __slots__ = ("count", "sum", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
@@ -397,15 +397,6 @@ class _HistogramData:
         self.min = math.inf
         self.max = -math.inf
         self.buckets: Dict[int, int] = {}
-        #: Per-bucket representative sample: exponent -> (value, trace_id).
-        #: Deterministic keep rule: the largest value wins, first-seen on
-        #: ties — so merges and double runs pick identical exemplars.
-        self.exemplars: Dict[int, Tuple[float, str]] = {}
-
-    def keep_exemplar(self, exp: int, value: float, trace_id: str) -> None:
-        cur = self.exemplars.get(exp)
-        if cur is None or value > cur[0]:
-            self.exemplars[exp] = (float(value), str(trace_id))
 
 
 class Histogram(_Instrument):
@@ -434,11 +425,11 @@ class Histogram(_Instrument):
     def _has_series(self, key):
         return key in self._data
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
+    def observe(self, value: float) -> None:
         self._check_unlabeled()
-        self._observe((), value, exemplar)
+        self._observe((), value)
 
-    def _observe(self, key, value, exemplar=None):
+    def _observe(self, key, value):
         v = float(value)
         d = self._data[key]
         d.count += 1
@@ -449,29 +440,17 @@ class Histogram(_Instrument):
             d.max = v
         b = bucket_of(v)
         d.buckets[b] = d.buckets.get(b, 0) + 1
-        if exemplar is not None:
-            d.keep_exemplar(b, v, exemplar)
 
-    def _inject(
-        self,
-        key: Tuple[str, ...],
-        buckets: Dict[int, int],
-        stats: Optional[Dict[str, float]] = None,
-        exemplars: Optional[Dict[int, Tuple[float, str]]] = None,
-    ) -> None:
-        """Merge pre-bucketed observations (the tracer re-export path).
+    def _inject(self, buckets: Dict[int, int],
+                stats: Optional[Dict[str, float]] = None) -> None:
+        """Merge pre-bucketed observations into the unlabeled series (the
+        tracer re-export path).
 
         ``stats`` carries exact ``count/sum/min/max`` when the producer
         retained them; otherwise the count comes from the buckets and
-        sum/min/max stay at their bucket-estimate defaults.  ``exemplars``
-        (the registry-merge path) fold in under the same largest-value
-        keep rule as live observations.
+        sum/min/max stay at their bucket-estimate defaults.
         """
-        if not self._has_series(key):
-            self.labels(*key)
-        d = self._data.get(key)
-        if d is None:  # routed to overflow by the cardinality bound
-            d = self._data[(OVERFLOW_LABEL,) * len(self.labelnames)]
+        d = self._data[()]
         added = 0
         for exp, c in buckets.items():
             d.buckets[exp] = d.buckets.get(exp, 0) + int(c)
@@ -483,10 +462,6 @@ class Histogram(_Instrument):
             d.max = max(d.max, float(stats["max"]))
         else:
             d.sum += sum(bucket_estimate(e) * c for e, c in buckets.items())
-        if exemplars:
-            for exp in sorted(exemplars):
-                v, tid = exemplars[exp]
-                d.keep_exemplar(exp, v, tid)
 
     def percentile(self, q: float, *label_values) -> float:
         """Bucket-estimate percentile of one series."""
@@ -495,9 +470,8 @@ class Histogram(_Instrument):
         return bucket_percentile(d.buckets, q) if d is not None else 0.0
 
     def _series_dicts(self):
-        out = []
-        for key, d in sorted(self._data.items()):
-            series = {
+        return [
+            {
                 "labels": dict(zip(self.labelnames, key)),
                 "count": d.count,
                 "sum": d.sum,
@@ -505,13 +479,8 @@ class Histogram(_Instrument):
                 "max": d.max if d.count else 0.0,
                 "buckets": {str(e): c for e, c in sorted(d.buckets.items())},
             }
-            if d.exemplars:
-                series["exemplars"] = {
-                    str(e): {"trace_id": tid, "value": v}
-                    for e, (v, tid) in sorted(d.exemplars.items())
-                }
-            out.append(series)
-        return out
+            for key, d in sorted(self._data.items())
+        ]
 
     def _prometheus_lines(self):
         lines: List[str] = []
@@ -522,14 +491,7 @@ class Histogram(_Instrument):
                 le = "0" if exp == BUCKET_ZERO else _fmt_value(2.0 ** exp)
                 body = _label_body(
                     self.labelnames + ("le",), key + (le,))
-                line = f"{self.name}_bucket{body} {cum}"
-                ex = d.exemplars.get(exp)
-                if ex is not None:
-                    # OpenMetrics-style exemplar suffix, buckets only.
-                    v, tid = ex
-                    tid = _escape_label_value(tid)
-                    line += f' # {{trace_id="{tid}"}} {_fmt_value(v)}'
-                lines.append(line)
+                lines.append(f"{self.name}_bucket{body} {cum}")
             body = _label_body(self.labelnames + ("le",), key + ("+Inf",))
             lines.append(f"{self.name}_bucket{body} {d.count}")
             base = _label_body(self.labelnames, key)
@@ -624,45 +586,9 @@ class MetricsRegistry:
                 prefix + name,
                 help=f"tracer observation histogram {name!r} (re-export)",
             )
-            hist._inject((), buckets[name], stats.get(name))
+            hist._inject(buckets[name], stats.get(name))
             names.append(hist.name)
         return names
-
-    # -- registry merge (fleet aggregation) --------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> List[str]:
-        """Fold every instrument of ``other`` into this registry.
-
-        The fleet aggregation path: per-shard registries merge into one
-        snapshot.  Same-name instruments must agree on kind and label
-        set (the usual registry conflict rule applies).  Counters and
-        histogram series *sum* per label key; gauges also sum — the
-        fleet-meaningful reading of per-shard gauges like store bytes
-        or queue depth is their total.  Returns the instrument names
-        merged, sorted.
-        """
-        names: List[str] = []
-        for inst in other.instruments():
-            cls = type(inst)
-            mine = self._get_or_create(
-                cls, inst.name, inst.help, inst.labelnames,
-                inst.max_series)
-            if isinstance(inst, Histogram):
-                for key, d in sorted(inst._data.items()):
-                    if d.count:
-                        mine._inject(key, d.buckets, {
-                            "sum": d.sum, "min": d.min, "max": d.max},
-                            d.exemplars)
-                    elif not mine._has_series(key):
-                        mine.labels(*key)
-            else:
-                for key, v in sorted(inst._values.items()):
-                    # labels() handles overflow routing past the bound.
-                    bound = mine.labels(*key)
-                    mine._values[bound._key] += float(v)
-            mine.overflowed += inst.overflowed
-            names.append(inst.name)
-        return sorted(names)
 
     # -- derived metrics ---------------------------------------------------
 
@@ -759,7 +685,7 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         return None
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
+    def observe(self, value: float) -> None:
         return None
 
     def value(self, *label_values) -> float:
@@ -853,11 +779,6 @@ _SAMPLE_RE = re.compile(
 _LABEL_PAIR_RE = re.compile(
     r'^(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"$'
 )
-#: OpenMetrics-style exemplar suffix: ``# {trace_id="..."} <value>``.
-_EXEMPLAR_RE = re.compile(
-    r"^(?P<labels>\{[^{}]*\})"
-    r" (?P<value>[+-]?(?:Inf|NaN|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?))$"
-)
 
 
 def _parse_labels(body: str, line_no: int) -> Dict[str, str]:
@@ -888,17 +809,12 @@ def validate_prometheus(text: str) -> Dict[str, int]:
     Verifies comment/sample line syntax, that every sample belongs to a
     ``# TYPE``-declared family, and histogram integrity per series
     (cumulative non-decreasing buckets, a ``+Inf`` bucket equal to
-    ``_count``).  OpenMetrics-style exemplar suffixes
-    (``# {trace_id="..."} <value>``) are accepted on histogram
-    ``_bucket`` samples only — an exemplar on any other line is a
-    violation.  Raises :class:`ValueError` on the first violation;
-    returns ``{"families": n, "samples": n, "lines": n, "exemplars": n}``
-    — the CI smoke step prints this as evidence the exposition parses
-    cleanly.
+    ``_count``).  Raises :class:`ValueError` on the first violation;
+    returns ``{"families": n, "samples": n, "lines": n}`` — the CI smoke
+    step prints this as evidence the exposition parses cleanly.
     """
     types: Dict[str, str] = {}
     samples = 0
-    exemplars = 0
     hist: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Dict[str, object]] = {}
     lines = text.splitlines()
     for i, line in enumerate(lines, start=1):
@@ -923,8 +839,7 @@ def validate_prometheus(text: str) -> Dict[str, int]:
             continue
         if line.startswith("#"):
             continue  # free-form comment
-        body, sep, exemplar_part = line.partition(" # ")
-        m = _SAMPLE_RE.match(body)
+        m = _SAMPLE_RE.match(line)
         if m is None:
             raise ValueError(f"line {i}: malformed sample line {line!r}")
         samples += 1
@@ -939,17 +854,6 @@ def validate_prometheus(text: str) -> Dict[str, int]:
         if family not in types:
             raise ValueError(
                 f"line {i}: sample {name!r} precedes its # TYPE declaration")
-        if sep:
-            if types[family] != "histogram" or not name.endswith("_bucket"):
-                raise ValueError(
-                    f"line {i}: exemplar on non-histogram-bucket sample "
-                    f"{name!r}")
-            em = _EXEMPLAR_RE.match(exemplar_part)
-            if em is None:
-                raise ValueError(
-                    f"line {i}: malformed exemplar {exemplar_part!r}")
-            _parse_labels(em.group("labels"), i)
-            exemplars += 1
         if types[family] == "histogram":
             key = (family,
                    tuple(sorted((k, v) for k, v in labels.items()
@@ -982,5 +886,4 @@ def validate_prometheus(text: str) -> Dict[str, int]:
             raise ValueError(
                 f"histogram {family}{dict(key)}: +Inf bucket "
                 f"{st['inf']} != _count {st['count']}")
-    return {"families": len(types), "samples": samples, "lines": len(lines),
-            "exemplars": exemplars}
+    return {"families": len(types), "samples": samples, "lines": len(lines)}

@@ -43,7 +43,6 @@ from repro.parallel.schedule import Schedule
 
 __all__ = [
     "PROFILE_SCHEMA",
-    "PID_FLEET",
     "Mark",
     "NULL_PROFILER",
     "NullProfiler",
@@ -71,15 +70,9 @@ CAT_WORKER = "worker"
 
 #: Chrome trace process ids: the simulated machine, the service lane and
 #: the process-engine worker lanes (real wall-clock, one lane per worker).
-#: ``PID_FLEET`` holds the request-trace lanes (one per shard plus the
-#: router) emitted by :mod:`repro.observability.reqtrace`; lanes under it
-#: carry properly *nested* spans (a refresh span inside a serve span), so
-#: the validator applies a containment rule there instead of the strict
-#: non-overlap rule of the machine lanes.
 PID_MACHINE = 0
 PID_SERVICE = 1
 PID_WORKERS = 2
-PID_FLEET = 3
 
 
 @dataclass(frozen=True)
@@ -550,15 +543,10 @@ def validate_chrome_trace(doc: dict) -> Dict[str, object]:
 
     Checks the structural contract this module guarantees: required
     top-level keys, required per-event fields per phase type,
-    non-negative timestamps/durations, and per-lane time ordering.
-    Machine/service/worker lanes (pid below :data:`PID_FLEET`) require
-    strictly non-overlapping duration events; request-trace lanes
-    (pid >= :data:`PID_FLEET`) allow properly *nested* spans — each
-    event must be disjoint from or fully contained in the enclosing
-    open span.  Flow events (``s``/``t``/``f``, the cross-shard hop
-    stitches) require an ``id`` and carry no duration.  Raises
-    ``ValueError`` on the first violation; returns summary statistics
-    (event count, lanes, flows, duration) on success — what the CI
+    non-negative timestamps/durations, and per-lane time ordering: the
+    duration events of every lane must be strictly non-overlapping.
+    Raises ``ValueError`` on the first violation; returns summary
+    statistics (event count, lanes, duration) on success — what the CI
     profile smoke step asserts on.
     """
     if not isinstance(doc, dict):
@@ -575,15 +563,13 @@ def validate_chrome_trace(doc: dict) -> Dict[str, object]:
     if not isinstance(events, list) or not events:
         raise ValueError("traceEvents must be a non-empty list")
     lanes: Dict[Tuple[int, int], float] = {}
-    stacks: Dict[Tuple[int, int], List[float]] = {}
-    flow_ids = set()
     named_lanes = 0
     end = 0.0
     for i, ev in enumerate(events):
         if not isinstance(ev, dict) or "ph" not in ev:
             raise ValueError(f"event {i} is not an object with 'ph'")
         ph = ev["ph"]
-        if ph not in ("M", "X", "C", "i", "s", "t", "f"):
+        if ph not in ("M", "X", "C", "i"):
             raise ValueError(f"event {i} has unknown phase type {ph!r}")
         if ph == "M":
             if ev.get("name") == "thread_name":
@@ -594,13 +580,6 @@ def validate_chrome_trace(doc: dict) -> Dict[str, object]:
                 raise ValueError(f"event {i} ({ph}) missing {key!r}")
         if ev["ts"] < 0:
             raise ValueError(f"event {i} has negative ts")
-        if ph in ("s", "t", "f"):
-            if "id" not in ev:
-                raise ValueError(f"event {i} (flow {ph}) missing 'id'")
-            if "dur" in ev:
-                raise ValueError(f"event {i} (flow {ph}) carries 'dur'")
-            flow_ids.add(ev["id"])
-            continue
         if ph != "X":
             continue
         if "dur" not in ev or ev["dur"] < 0:
@@ -608,28 +587,12 @@ def validate_chrome_trace(doc: dict) -> Dict[str, object]:
         lane = (ev["pid"], ev["tid"])
         ts = ev["ts"]
         ev_end = ts + ev["dur"]
-        if ev["pid"] >= PID_FLEET:
-            # Request lanes nest (refresh inside serve inside a trace):
-            # pop every span already closed at ts, then require the
-            # event to fit inside whatever span is still open.
-            st = stacks.setdefault(lane, [])
-            while st and ts >= st[-1] - 1e-6:
-                st.pop()
-            if st and ev_end > st[-1] + 1e-6:
-                raise ValueError(
-                    f"event {i} partially overlaps enclosing span on "
-                    f"lane {lane}")
-            st.append(ev_end)
-            lanes[lane] = max(lanes.get(lane, 0.0), ev_end)
-        else:
-            # Machine lanes interleave in emission order only within a
-            # lane when the category is an execution interval; regions
-            # are sequential, so all X events must be non-overlapping.
-            prev_end = lanes.get(lane, 0.0)
-            if ts < prev_end - 1e-6:
-                raise ValueError(
-                    f"event {i} overlaps previous event on lane {lane}")
-            lanes[lane] = ev_end
+        # Regions, requests and worker tasks are sequential within a
+        # lane, so its duration events must not overlap.
+        if ts < lanes.get(lane, 0.0) - 1e-6:
+            raise ValueError(
+                f"event {i} overlaps previous event on lane {lane}")
+        lanes[lane] = ev_end
         end = max(end, ev_end)
     if named_lanes < int(other.get("num_threads", 1)):
         raise ValueError("missing thread_name metadata for some lanes")
@@ -637,7 +600,6 @@ def validate_chrome_trace(doc: dict) -> Dict[str, object]:
         "events": len(events),
         "lanes": len(lanes),
         "named_lanes": named_lanes,
-        "flows": len(flow_ids),
         "duration_us": end,
     }
 

@@ -17,8 +17,8 @@ compared against relative thresholds:
   on *drops* only).
 
 *Golden baselines* pin a whole deterministic document (service stats,
-metrics snapshots, reorder locality, fleet and reqtrace A/Bs, the
-memory report) and gate on exact equality.  Each family is one
+metrics snapshots, reorder locality, the memory report) and gate on
+exact equality.  Each family is one
 :class:`GoldenFamily` entry in :data:`GOLDEN_FAMILIES`.
 
 ``run_check`` validates every file, re-runs it and exits non-zero on any
@@ -524,20 +524,6 @@ def _reorder_doc(graphs: List[str], mode: str, seed: int,
             for name in graphs}
 
 
-def _fleet_doc(profile: str, seed: int) -> dict:
-    from repro.bench.experiments.ext_fleet_load import measure_fleet_load
-
-    return measure_fleet_load(profile, seed=seed)
-
-
-def _reqtrace_doc(profile: str, seed: int) -> dict:
-    from repro.bench.experiments.ext_fleet_reqtrace import (
-        measure_fleet_reqtrace,
-    )
-
-    return measure_fleet_reqtrace(profile, seed=seed)
-
-
 @dataclass(frozen=True)
 class GoldenFamily:
     """One family of exact-match baseline files and their producer.
@@ -586,15 +572,6 @@ GOLDEN_FAMILIES: Tuple[GoldenFamily, ...] = (
         "reorder_locality": {"graphs": ["com-LiveJournal", "kmer_V1r"],
                              "mode": "community", "seed": 42,
                              "scramble_seed": 7},
-    }),
-    # The 1-shard vs 4-shard fleet A/B and its fan-out invariance verdict.
-    GoldenFamily("fleet", "repro.fleet-baseline/1", _fleet_doc, {
-        "fleet_quick": {"profile": "quick", "seed": 0},
-    }),
-    # The sampled-vs-full request-tracer A/B: kept-set digests per
-    # width, mode agreement and deterministic-keep width invariance.
-    GoldenFamily("reqtrace", "repro.reqtrace-baseline/1", _reqtrace_doc, {
-        "reqtrace_quick": {"profile": "quick", "seed": 0},
     }),
     # The full repro.memory/1 report of one single-thread detection run.
     GoldenFamily("memory", "repro.memory-baseline/1", measure_memory, {

@@ -121,12 +121,6 @@ class Ticket:
     #: How many duplicate DETECT submissions were coalesced onto this
     #: ticket (0 for every other request).
     coalesced: int = 0
-    #: Request-trace context riding this ticket (a
-    #: :class:`~repro.fleet.tracectx.TraceContext`), or ``None`` when
-    #: request tracing is off.  Duck-typed: the server records spans via
-    #: ``trace.span(...)`` behind a ``trace is not None`` guard and never
-    #: serializes it, so responses stay byte-identical either way.
-    trace: Optional[object] = None
 
     @property
     def kind(self) -> str:

@@ -178,15 +178,6 @@ class PartitionServer:
         clock; when attached, :meth:`stats` gains a ``health`` block.
         Defaults to ``None`` (off — keeps the stats document identical
         to an uninstrumented server's).
-    reqtrace:
-        :class:`~repro.observability.reqtrace.RequestTracer` for
-        *standalone* request tracing (``repro serve --reqtrace``): the
-        server mints a trace per submission, records queue-wait / serve
-        / refresh spans on its :attr:`lane`, links DETECT-dedup
-        followers to their leader's trace, and finishes each trace at
-        completion.  Leave ``None`` under a fleet — there the router
-        owns the trace lifecycle and the server only appends spans to
-        whatever context rides each ticket.
     """
 
     def __init__(
@@ -198,7 +189,6 @@ class PartitionServer:
         fault_hook: Optional[Callable[[str, int], None]] = None,
         metrics=None,
         health=None,
-        reqtrace=None,
         memory=None,
     ) -> None:
         from repro.observability.profiler import NULL_PROFILER
@@ -208,19 +198,7 @@ class PartitionServer:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.health = health
-        self.reqtrace = reqtrace
         self.memory = memory
-        #: Request-trace lane name of this server's spans (the fleet
-        #: overwrites it with the shard id, so merged Chrome views get
-        #: one lane per shard).
-        self.lane = "server"
-        #: DETECT-dedup follower contexts by leader ticket id (standalone
-        #: tracing only): finished alongside the leader's completion.
-        self._trace_followers: Dict[int, List[object]] = {}
-        #: ``{mode, frontier_frac, affected}`` of the most recent
-        #: :meth:`_refresh_once` — picked up by ``_flush`` for the
-        #: refresh spans of member tickets' traces.
-        self._last_refresh_info: Dict[str, object] = {}
         self.store = PartitionStore(self.config.store_budget_bytes,
                                     metrics=self.metrics,
                                     memory=memory)
@@ -293,22 +271,6 @@ class PartitionServer:
             self._m_detect_dedups.inc(
                 self.queue.coalesced_detects - dedups_before)
             self._m_queue_depth.set(self.queue.depth)
-        if self.reqtrace is not None and self.reqtrace.enabled:
-            # Standalone tracing: this server owns the trace lifecycle.
-            key = getattr(request, "key", None)
-            if key is None:
-                key = request.store_key() if request.kind == DETECT else ""
-            ctx = self.reqtrace.begin(request.kind, key, self.clock)
-            if ticket.trace is None:
-                ticket.trace = ctx
-            else:
-                # DETECT dedup: the queue returned an in-flight leader.
-                # The follower's trace records the join and links to the
-                # leader; it finishes alongside the leader's completion.
-                ctx.span("dedup_join", self.lane, self.clock, self.clock,
-                         link=ticket.trace.trace_id,
-                         leader_seq=ticket.trace.seq)
-                self._trace_followers.setdefault(ticket.id, []).append(ctx)
         return ticket
 
     def step(self) -> Optional[Ticket]:
@@ -320,11 +282,6 @@ class PartitionServer:
         tracer = self.tracer
         t0 = perf_counter() if tracer.enabled else 0.0
         u0 = self.clock
-        trace = ticket.trace
-        if trace is not None:
-            trace.span("queue_wait", self.lane,
-                       float(ticket.enqueued_at), float(u0))
-        hits0 = self.counters["detect_cache_hits"]
         with tracer.span(f"service.{req.kind}"):
             if req.kind == DETECT:
                 self._process_detect(ticket)
@@ -337,16 +294,6 @@ class PartitionServer:
             if tracer.enabled:
                 tracer.observe("service_request_seconds",
                                perf_counter() - t0)
-        if trace is not None:
-            attrs = {"status": ticket.status}
-            state = ticket.response.get("state") if ticket.response else None
-            if state is not None:
-                attrs["state"] = state
-            if req.kind == DETECT:
-                attrs["cache_hit"] = (
-                    self.counters["detect_cache_hits"] > hits0)
-            trace.span(f"serve.{req.kind}", self.lane,
-                       float(u0), float(self.clock), **attrs)
         if self.profiler.enabled:
             # Request-latency event on the service lane, measured on the
             # logical clock (work units) — deterministic like the stats.
@@ -420,29 +367,12 @@ class PartitionServer:
             tracer.observe("service_latency_units", float(lat))
         if self.metrics.enabled:
             self._m_requests.labels(ticket.kind, status).inc()
-            self._m_latency.labels(ticket.kind).observe(
-                float(lat),
-                ticket.trace.trace_id if ticket.trace is not None else None)
+            self._m_latency.labels(ticket.kind).observe(float(lat))
         if self.health is not None:
             self.health.record_value(
                 f"{ticket.kind}_latency_units", self.clock, float(lat))
             self.health.record_event(
                 "request_errors", self.clock, status == FAILED)
-        if self.reqtrace is not None and self.reqtrace.enabled \
-                and ticket.trace is not None:
-            # Standalone tracing: seal the trace (and any dedup
-            # followers riding this ticket) at completion.  Under a
-            # fleet ``self.reqtrace`` is None and the router seals.
-            self.reqtrace.finish(
-                ticket.trace, status=status, clock=self.clock,
-                latency_units=float(lat))
-            for ctx in self._trace_followers.pop(ticket.id, ()):
-                self.reqtrace.finish(
-                    ctx, status=status, clock=self.clock,
-                    latency_units=float(lat))
-            if self.health is not None:
-                self.reqtrace.observe_health(
-                    self.health.state(self.clock), self.clock)
 
     def _record_memory_health(self) -> None:
         """Feed the ``mem_peak_to_budget`` SLO after a store mutation:
@@ -563,14 +493,6 @@ class PartitionServer:
             entry.pending.append(t.request.batch)
             self._pending_tickets.setdefault(req.key, []).append(t)
             self.counters["updates_accepted"] += 1
-            if t is not ticket and t.trace is not None:
-                # Coalesced members ride the head request's refresh;
-                # they never pass through ``step`` so their queue wait
-                # ends here, at micro-batch admission.
-                t.trace.span("coalesce_accept", self.lane,
-                             float(t.enqueued_at), float(self.clock),
-                             head_seq=(ticket.trace.seq
-                                       if ticket.trace is not None else None))
         entry.state = STALE
         if len(entry.pending) >= self.config.max_pending_updates:
             self._flush(req.key)
@@ -600,27 +522,18 @@ class PartitionServer:
         graph, membership = entry.graph, entry.membership
         status = DONE
         last_was_full = False
-        #: ``(start, end, info)`` per refresh solve — replayed onto every
-        #: member ticket's trace below (each trace is its own document,
-        #: so the shared flush appears in each).
-        refresh_spans: List[tuple] = []
         with self.tracer.span("service.flush", key=key,
                               batches=len(batches)):
             for batch in batches:
-                b0 = self.clock
                 try:
                     graph, membership, incremental = self._refresh_once(
                         graph, membership, batch)
                     last_was_full = not incremental
-                    refresh_spans.append(
-                        (b0, self.clock, self._last_refresh_info))
                 except _ComputeFailed:
                     # Keep serving the last good partition; the
                     # remaining batches of this flush are dropped.
                     entry.state = DEGRADED
                     status = FAILED
-                    refresh_spans.append(
-                        (b0, self.clock, {"mode": "degraded"}))
                     break
         if status == DONE:
             entry.graph = graph
@@ -638,12 +551,6 @@ class PartitionServer:
         self.store.put(entry)
         self._record_memory_health()
         for t in tickets:
-            if t.trace is not None:
-                for b0, b1, info in refresh_spans:
-                    t.trace.span(
-                        "refresh", self.lane, float(b0), float(b1),
-                        coalesced_members=len(tickets),
-                        flush_batches=len(batches), **info)
             t.response = {"key": key, "version": entry.version,
                           "state": entry.state}
             self._complete(t, status)
@@ -665,11 +572,6 @@ class PartitionServer:
                 lambda rt: leiden(updated, self.config.leiden, runtime=rt))
             self.counters["full_recomputes"] += 1
             self._m_refreshes.labels("full").inc()
-            self._last_refresh_info = {
-                "mode": "full",
-                "frontier_frac": round(float(frontier_frac), 6),
-                "affected": int(updated.num_vertices),
-            }
             return updated, result.membership, False
         warm = self._pad_membership(membership, updated.num_vertices)
         mask = affected_vertices(updated, warm, batch,
@@ -683,11 +585,6 @@ class PartitionServer:
         if self.tracer.enabled:
             self.tracer.observe("service_affected_fraction",
                                 float(mask.mean()) if mask.shape[0] else 0.0)
-        self._last_refresh_info = {
-            "mode": "incremental",
-            "frontier_frac": round(float(frontier_frac), 6),
-            "affected": int(mask.sum()),
-        }
         return updated, result.membership, True
 
     @staticmethod

@@ -41,6 +41,15 @@ class TestValidation:
         {"batch_size": 0},
         {"resolution": 0.0},
         {"refine_guard": "lock"},
+        # Non-finite floats: every ``<``/``<=`` check is false for NaN.
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
+        {"tolerance_drop": float("nan")},
+        {"tolerance_drop": float("inf")},
+        {"strict_tolerance": float("nan")},
+        {"strict_tolerance": float("inf")},
+        {"resolution": float("nan")},
+        {"resolution": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.core.quality import Quality, cpm_quality
 from repro.errors import ConfigError
-from repro.metrics.modularity import delta_modularity, modularity
+from repro.metrics.modularity import delta_modularity
 from repro.types import VERTEX_DTYPE
 from tests.conftest import random_graph, ring_of_cliques_graph, two_cliques_graph
 
@@ -18,8 +18,10 @@ class TestQualityObject:
             Quality("conductance")
 
     def test_rejects_bad_resolution(self):
-        with pytest.raises(ConfigError):
-            Quality("cpm", 0.0)
+        for kind in ("modularity", "cpm"):
+            for bad in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ConfigError):
+                    Quality(kind, bad)
 
     def test_vertex_quantity_selection(self):
         K = np.array([2.0, 3.0])

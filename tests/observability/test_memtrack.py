@@ -1,7 +1,5 @@
 """Tests for the deterministic memory ledger (repro.observability.memtrack)."""
 
-import json
-
 import pytest
 
 from repro.core.config import LeidenConfig
@@ -14,7 +12,6 @@ from repro.observability.memtrack import (
     NullLedger,
     activate,
     active_ledger,
-    merge_memory_snapshots,
     record_csr,
     validate_memory_doc,
 )
@@ -275,31 +272,6 @@ class TestRecordCsr:
 
     def test_disabled_ledger_is_free(self):
         assert record_csr(NULL_LEDGER, two_cliques_graph()) == []
-
-
-class TestMergeSnapshots:
-    def _shard(self, n):
-        led = MemoryLedger()
-        led.alloc("store", "k", 100 * n, phase="service")
-        led.attach("procpool", "m", 10, replicas=n)
-        return led.to_snapshot()
-
-    def test_sums_components_and_phases(self):
-        merged = merge_memory_snapshots(
-            {"s0": self._shard(1), "s1": self._shard(2)}, seed=0)
-        assert merged["schema"] == MEMORY_SCHEMA
-        assert merged["meta"]["merged_shards"] == 2
-        assert merged["logical"]["live_bytes"] == 300
-        assert merged["logical"]["components"]["store"]["allocs"] == 2
-        assert merged["logical"]["phases"]["service"]["live_bytes"] == 300
-        assert merged["physical"]["attached_bytes"] == 30
-        assert set(merged["shards"]) == {"s0", "s1"}
-
-    def test_shard_order_does_not_matter(self):
-        a = {"s0": self._shard(1), "s1": self._shard(2)}
-        b = {"s1": self._shard(2), "s0": self._shard(1)}
-        assert (json.dumps(merge_memory_snapshots(a), sort_keys=True)
-                == json.dumps(merge_memory_snapshots(b), sort_keys=True))
 
 
 class TestEndToEnd:

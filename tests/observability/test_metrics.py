@@ -228,62 +228,16 @@ class TestExposition:
         with pytest.raises(ValueError):
             validate_prometheus(text)
 
-    def test_exemplar_golden(self):
-        r = MetricsRegistry()
-        h = r.histogram("lat", "latency")
-        h.observe(1.0, "aaaaaaaaaaaaaaaa")
-        h.observe(3.0)  # no exemplar: bucket line stays bare
-        h.observe(100.0, "bbbbbbbbbbbbbbbb")
-        h.observe(120.0, "cccccccccccccccc")  # larger value wins the bucket
-        assert r.to_prometheus() == (
-            "# HELP lat latency\n"
-            "# TYPE lat histogram\n"
-            'lat_bucket{le="2"} 1 # {trace_id="aaaaaaaaaaaaaaaa"} 1\n'
-            'lat_bucket{le="4"} 2\n'
-            'lat_bucket{le="128"} 4 # {trace_id="cccccccccccccccc"} 120\n'
-            'lat_bucket{le="+Inf"} 4\n'
-            "lat_sum 224\n"
-            "lat_count 4\n"
-        )
-
-    def test_exemplar_keep_rule_first_seen_wins_ties(self):
-        r = MetricsRegistry()
-        h = r.histogram("lat")
-        h.observe(100.0, "aaaaaaaaaaaaaaaa")
-        h.observe(100.0, "bbbbbbbbbbbbbbbb")  # equal value: keeps first
-        assert 'trace_id="aaaaaaaaaaaaaaaa"' in r.to_prometheus()
-        assert "bbbb" not in r.to_prometheus()
-
-    def test_validator_counts_exemplars(self):
-        r = MetricsRegistry()
-        h = r.histogram("lat", "", ("kind",))
-        h.labels("q").observe(2.0, "deadbeefdeadbeef")
-        report = validate_prometheus(r.to_prometheus())
-        assert report["exemplars"] == 1
-
-    def test_validator_rejects_exemplar_off_bucket_lines(self):
-        for line in ('c_total 1 # {trace_id="aaaaaaaaaaaaaaaa"} 1',
-                     'h_sum 4 # {trace_id="aaaaaaaaaaaaaaaa"} 4'):
-            family = ("# TYPE c_total counter\n" if line.startswith("c")
-                      else "# TYPE h histogram\n"
-                           'h_bucket{le="+Inf"} 1\n')
-            with pytest.raises(ValueError, match="non-histogram-bucket"):
-                validate_prometheus(family + line + "\n")
-
-    def test_validator_rejects_malformed_exemplar(self):
+    def test_validator_rejects_exemplar_suffix(self):
+        # Histograms carry no exemplars, so an OpenMetrics-style
+        # `` # {...} <value>`` suffix is just a malformed sample line.
         text = ("# TYPE h histogram\n"
-                'h_bucket{le="2"} 1 # trace_id=nolabels\n'
-                'h_bucket{le="+Inf"} 1\n')
-        with pytest.raises(ValueError, match="malformed exemplar"):
+                'h_bucket{le="2"} 1 # {trace_id="aaaaaaaaaaaaaaaa"} 1\n'
+                'h_bucket{le="+Inf"} 1\n'
+                "h_sum 1\n"
+                "h_count 1\n")
+        with pytest.raises(ValueError, match="malformed sample line"):
             validate_prometheus(text)
-
-    def test_exemplars_survive_snapshot_roundtrip(self):
-        r = MetricsRegistry()
-        r.histogram("lat").observe(5.0, "feedfacefeedface")
-        doc = r.to_snapshot(seed=0)
-        series = doc["families"]["lat"]["series"][0]
-        assert series["exemplars"] == {
-            "3": {"trace_id": "feedfacefeedface", "value": 5.0}}
 
     def test_label_values_escaped(self):
         r = MetricsRegistry()
@@ -376,81 +330,3 @@ class TestNullRegistry:
     def test_runtime_defaults_to_null_registry(self):
         rt = Runtime(num_threads=1, seed=0)
         assert rt.metrics is NULL_REGISTRY
-
-
-class TestRegistryMerge:
-    def test_counters_sum_per_label_key(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("req_total", "reqs", ("kind",)).labels("query").inc(3)
-        b.counter("req_total", "reqs", ("kind",)).labels("query").inc(4)
-        b.counter("req_total", "reqs", ("kind",)).labels("detect").inc(1)
-        merged = MetricsRegistry()
-        names = merged.merge(a)
-        names += merged.merge(b)
-        assert "req_total" in names
-        inst = merged.get("req_total")
-        assert inst.value("query") == 7.0
-        assert inst.value("detect") == 1.0
-
-    def test_gauges_sum(self):
-        # Documented fleet semantics: per-shard gauges (bytes, depth)
-        # aggregate as their total.
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("store_bytes").set(100)
-        b.gauge("store_bytes").set(250)
-        merged = MetricsRegistry()
-        merged.merge(a)
-        merged.merge(b)
-        assert merged.get("store_bytes").value() == 350.0
-
-    def test_histograms_merge_buckets_and_exact_stats(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        ha = a.histogram("lat", "latency", ("kind",))
-        hb = b.histogram("lat", "latency", ("kind",))
-        for v in (1.0, 2.0, 4.0):
-            ha.labels("q").observe(v)
-        for v in (8.0, 16.0):
-            hb.labels("q").observe(v)
-        merged = MetricsRegistry()
-        merged.merge(a)
-        merged.merge(b)
-        d = merged.get("lat")._data[("q",)]
-        assert d.count == 5
-        assert d.sum == 31.0
-        assert d.min == 1.0
-        assert d.max == 16.0
-
-    def test_empty_series_preserved_without_observations(self):
-        a = MetricsRegistry()
-        a.histogram("lat", "", ("kind",)).labels("idle")
-        merged = MetricsRegistry()
-        merged.merge(a)
-        assert merged.get("lat")._data[("idle",)].count == 0
-
-    def test_kind_conflict_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("thing")
-        b.gauge("thing")
-        merged = MetricsRegistry()
-        merged.merge(a)
-        with pytest.raises(MetricsError):
-            merged.merge(b)
-
-    def test_merge_into_populated_registry(self):
-        merged = MetricsRegistry()
-        merged.counter("hits_total").inc(2)
-        other = MetricsRegistry()
-        other.counter("hits_total").inc(5)
-        merged.merge(other)
-        assert merged.get("hits_total").value() == 7.0
-
-    def test_merged_snapshot_deterministic(self):
-        def build():
-            shard = MetricsRegistry()
-            shard.counter("req_total", "", ("kind",)).labels("q").inc(2)
-            shard.histogram("lat").observe(3.0)
-            merged = MetricsRegistry()
-            merged.merge(shard)
-            return json.dumps(merged.to_snapshot(seed=0), sort_keys=True)
-
-        assert build() == build()

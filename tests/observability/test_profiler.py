@@ -17,6 +17,7 @@ from repro.observability.profiler import (
     CAT_CHUNK,
     CAT_SERIAL,
     NULL_PROFILER,
+    PROFILE_SCHEMA,
     Profiler,
     chrome_trace_json,
     to_chrome_trace,
@@ -193,6 +194,31 @@ class TestChromeExport:
                 break
         with pytest.raises(ValueError):
             validate_chrome_trace(bad)
+
+    @staticmethod
+    def _doc(*events):
+        """A minimal valid document around ``events``."""
+        return {"traceEvents": [{"ph": "M", "name": "thread_name",
+                                 "pid": 0, "tid": 0,
+                                 "args": {"name": "thread 0"}}, *events],
+                "otherData": {"schema": PROFILE_SCHEMA, "num_threads": 1}}
+
+    def test_validator_rejects_nested_spans_on_every_pid(self):
+        # Every producer's lanes are sequential, so a span inside another
+        # is an overlap on pid 3 as on the machine lanes.
+        outer = {"ph": "X", "name": "serve", "pid": 3, "tid": 0,
+                 "ts": 0.0, "dur": 10.0}
+        inner = {"ph": "X", "name": "refresh", "pid": 3, "tid": 0,
+                 "ts": 2.0, "dur": 3.0}
+        validate_chrome_trace(self._doc(outer))
+        with pytest.raises(ValueError, match="overlaps previous event"):
+            validate_chrome_trace(self._doc(outer, inner))
+
+    def test_validator_rejects_flow_events(self):
+        flow = {"ph": "s", "name": "hop", "pid": 0, "tid": 0, "ts": 0.0,
+                "id": 1}
+        with pytest.raises(ValueError, match="unknown phase type 's'"):
+            validate_chrome_trace(self._doc(flow))
 
     def test_service_requests_get_their_own_lane(self):
         profiler = Profiler(num_threads=2)

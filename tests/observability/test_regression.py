@@ -222,8 +222,6 @@ TINY = {
                 {"kind": "service", "target": "tiny", "seed": 0}),
     "reorder": ("reorder_asia_osm", {"graphs": [GRAPH], "mode": "community",
                                      "seed": 42, "scramble_seed": 7}),
-    "fleet": ("fleet_tiny", {"profile": "tiny", "seed": 0}),
-    "reqtrace": ("reqtrace_tiny", {"profile": "tiny", "seed": 0}),
 }
 
 
@@ -336,8 +334,8 @@ class TestInvalidBaselines:
         ("asia_osm.json", _edit(lambda d: d.update(schema="repro.baseline/999")),
          "unknown schema 'repro.baseline/999'"),
         ("service_quick.json", _truncate, "unreadable JSON"),
-        ("fleet_quick.json", _edit(lambda d: d.pop("profile")),
-         "missing field(s) 'profile'"),
+        ("memory_quick.json", _edit(lambda d: d.pop("graph")),
+         "missing field(s) 'graph'"),
     ], ids=["unknown-schema", "truncated", "missing-param"])
     def test_cli_check_reports_invalid_before_rerun(
             self, tmp_path, capsys, file, corrupt, reason):
@@ -418,41 +416,6 @@ class TestServiceBaseline:
                       {"profile": "tiny", "seed": 0})
         assert run_check(tmp_path) == 0
         assert "2/2 baselines within thresholds" in capsys.readouterr().out
-
-
-class TestReqtraceBaseline:
-    def test_save_load_roundtrip(self, tmp_path):
-        doc = golden_doc(GOLDEN["reqtrace"], "reqtrace_tiny",
-                         {"profile": "tiny", "seed": 0},
-                         {"kept_match": True, "widths": {}})
-        path = tmp_path / "reqtrace_tiny.json"
-        write_json(path, doc)
-        assert load_baseline(path) == (GOLDEN["reqtrace"], doc)
-        assert (json.loads(path.read_text())["schema"]
-                == "repro.reqtrace-baseline/1")
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "repro.reqtrace-baseline/9",
-                                    "name": "x", "profile": "tiny",
-                                    "seed": 0, "expected": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            load_baseline(path)
-
-    def test_record_then_check_passes(self, recorded, capsys):
-        directory, _ = recorded(GOLDEN["reqtrace"])
-        assert run_check(directory) == 0
-        out = capsys.readouterr().out
-        assert "PASS reqtrace_tiny (exact match, profile=tiny, seed=0)" in out
-
-    def test_measure_pins_mode_agreement_and_width_invariance(self, recorded):
-        _, doc = recorded(GOLDEN["reqtrace"])
-        assert doc["expected"]["kept_match"] is True
-        assert doc["expected"]["det_keep_invariant"] is True
-        assert set(doc["expected"]["widths"]) == {"shards_1", "shards_4"}
-
-    def test_expected_names_include_reqtrace(self):
-        assert "reqtrace_quick.json" in regression.expected_baseline_names()
 
 
 class TestMemoryBaseline:
@@ -617,7 +580,7 @@ class TestMissingBaselines:
             [f"{g}.json" for g in regression.DEFAULT_BASELINE_GRAPHS]
             + [f"{name}.json" for family in GOLDEN_FAMILIES
                for name in family.files])
-        assert len(set(names)) == len(names) == 10
+        assert len(set(names)) == len(names) == 8
 
     def test_partial_dir_fails_before_any_rerun(self, tmp_path, capsys):
         # A lone perf baseline: complete enough to re-run, but the gate

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,12 +151,10 @@ class TestBenchSubcommand:
         assert "recorded service baseline" in out
         assert "recorded metrics baseline" in out
         assert "recorded reorder baseline" in out
-        assert "recorded fleet baseline" in out
-        assert "recorded reqtrace baseline" in out
         assert "recorded memory baseline" in out
         assert main(["bench", "--check",
                      "--baselines", str(tmp_path)]) == 0
-        assert "10/10 baselines within thresholds" in capsys.readouterr().out
+        assert "8/8 baselines within thresholds" in capsys.readouterr().out
 
     def test_bench_trace_writes_bundle(self, tmp_path, capsys):
         out_file = tmp_path / "bundle.json"
@@ -223,6 +225,51 @@ class TestServeSubcommand:
                          "--metrics", str(p)]) == 0
         assert paths[0].read_text() == paths[1].read_text()
 
+    def test_serve_profile_chrome_validates(self, tmp_path, capsys):
+        from repro.observability.profiler import validate_chrome_trace
+
+        chrome = tmp_path / "serve.chrome.json"
+        assert main(["serve", "--workload", "tiny", "--seed", "0",
+                     "--no-verify", "--output", str(tmp_path / "s.json"),
+                     "--profile", str(chrome)]) == 0
+        doc = json.loads(chrome.read_text())
+        assert validate_chrome_trace(doc)["events"] > 0
+        assert any(e.get("cat") == "request" for e in doc["traceEvents"])
+
+    def test_serve_unknown_profile_exits_2_with_list(self, capsys):
+        assert main(["serve", "--workload", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "VALID workload profile tiny" in err
+        assert "VALID workload profile quick" in err
+        assert "VALID workload profile smoke" in err
+        assert "error: unknown workload profile 'bogus'" in err
+
+    def test_serve_reqtrace_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workload", "tiny", "--reqtrace", "x.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --reqtrace" in capsys.readouterr().err
+
+
+class TestRetiredSubcommands:
+    """``fleet`` and ``reqtrace`` are no subcommands: the first token is
+    the run's graph argument, so their flags fail run's parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--shards", "3"],
+        ["reqtrace", "doc.json", "--slowest", "5"],
+    ])
+    def test_flags_fall_through_to_run(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gve-leiden: error: unrecognized arguments" in err
+
+    def test_bare_name_is_an_unknown_graph(self):
+        with pytest.raises(SystemExit, match="neither a file nor a dataset"):
+            main(["fleet"])
+
 
 class TestMemSubcommand:
     def test_mem_json_to_stdout(self, graph_file, capsys):
@@ -287,18 +334,6 @@ class TestMemSubcommand:
         doc = json.loads(a.read_text())
         assert doc["schema"] == "repro.memory/1"
         assert doc["logical"]["components"]["store"]["allocs"] > 0
-
-    def test_fleet_mem_output_merges_shards(self, tmp_path, capsys):
-        mem = tmp_path / "fleet_mem.json"
-        assert main(["fleet", "--profile", "tiny", "--seed", "0",
-                     "--no-verify", "--output",
-                     str(tmp_path / "stats.json"),
-                     "--mem", str(mem)]) == 0
-        capsys.readouterr()
-        doc = json.loads(mem.read_text())
-        assert doc["schema"] == "repro.memory/1"
-        assert doc["meta"]["merged_shards"] >= 1
-        assert set(doc["shards"])  # per-shard logical sections present
 
 
 class TestMetricsSubcommand:
@@ -428,8 +463,10 @@ class TestTraceDiff:
 
 
 class TestCountFlags:
-    """``--workers`` and ``--threads`` below 1 exit 2 at parse time, with
-    argparse's one-line error instead of a traceback from deep inside."""
+    """``--workers``, ``--threads`` and ``--max-passes`` below 1, and a
+    ``--resolution`` that is not a finite number above 0, exit 2 at parse
+    time, with argparse's one-line error instead of a traceback from
+    deep inside."""
 
     @staticmethod
     def _exit_code(argv, capsys):
@@ -464,6 +501,28 @@ class TestCountFlags:
         assert "argument --threads: must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "asia_osm"],
+        ["trace", "asia_osm"],
+        ["profile", "asia_osm"],
+        ["metrics", "asia_osm"],
+        ["mem", "asia_osm"],
+        ["reorder", "asia_osm"],
+    ])
+    def test_max_passes_below_one_exits_2(self, argv, capsys):
+        code, err = self._exit_code(argv + ["--max-passes", "0"], capsys)
+        assert code == 2
+        assert "argument --max-passes: must be >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_resolution_not_positive_finite_exits_2(self, value, capsys):
+        code, err = self._exit_code(
+            ["run", "asia_osm", f"--resolution={value}"], capsys)
+        assert code == 2
+        assert "argument --resolution: must be a finite number > 0" in err
+        assert "Traceback" not in err
+
     def test_negative_and_non_integer_rejected(self, capsys):
         code, err = self._exit_code(["run", "asia_osm", "--workers", "-2"],
                                     capsys)
@@ -477,3 +536,30 @@ class TestCountFlags:
                                     capsys)
         assert code == 2
         assert "invalid choice: 'threads'" in err
+
+
+class TestMalformedGraphFiles:
+    """A file a reader rejects exits 1 with one ``error:`` line naming
+    the file, as a missing file does, and no traceback."""
+
+    @pytest.mark.parametrize("name,text,reason", [
+        ("trunc.mtx",
+         "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1.0\n",
+         "declared 2 entries but found 1"),
+        ("short.graph", "3 2\n2\n1 3\n", "expected 3 vertex lines"),
+        ("bad.txt", "0 1\n1 x\n", "line 2:"),
+    ], ids=["mtx", "metis", "edgelist"])
+    def test_reader_error_is_one_line(self, tmp_path, name, text, reason):
+        path = tmp_path / name
+        path.write_text(text)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: ")
+        assert reason in lines[0]
