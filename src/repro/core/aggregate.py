@@ -37,7 +37,7 @@ from repro.core._kernels import segment_pair_sums_packed
 from repro.core.local_move import scan_communities
 from repro.core.result import PHASE_AGGREGATE
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import ragged_indices
+from repro.graph.segments import ragged_positions
 from repro.parallel.runtime import Runtime
 from repro.parallel.scan import csr_offsets_from_counts
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
@@ -99,15 +99,16 @@ def _aggregate_range(graph: CSRGraph, C: np.ndarray, members: np.ndarray,
     ``KernelWorkspace.pair_sums``: aggregation is not a counted kernel
     dispatch, and the committed metric snapshots pin those counts.
     """
-    seg, idx = ragged_indices(graph.offsets[members], graph.degrees[members])
+    member_deg = graph.degrees[members]
+    idx = ragged_positions(graph.offsets[members], member_deg)
     usrc, udst, usum = segment_pair_sums_packed(
-        (C[members] - c0)[seg], C[graph.targets[idx]], graph.weights[idx],
-        c1 - c0, k)
-    # Placement into the holey CSR: position = row offset + rank-in-row.
+        np.repeat(C[members] - c0, member_deg), C[graph.targets[idx]],
+        graph.weights[idx], c1 - c0, k)
+    # Placement into the holey CSR: the pairs come sorted by source, so
+    # each super-vertex's row is written from its offset on.
     offsets, targets, weights, degrees = out
     deg = np.bincount(usrc, minlength=c1 - c0)
-    pos = (offsets[c0:c1] - (np.cumsum(deg) - deg))[usrc] + np.arange(
-        usrc.shape[0])
+    pos = ragged_positions(offsets[c0:c1], deg)
     targets[pos] = udst
     weights[pos] = usum
     degrees[c0:c1] = deg

@@ -36,15 +36,15 @@ from repro.core.quality import Quality
 from repro.core.result import PHASE_LOCAL_MOVE
 from repro.core.workspace import KernelWorkspace
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import gather_rows
+from repro.graph.segments import ragged_indices
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.coloring import color_classes, color_graph
 from repro.parallel.hashtable import CollisionFreeHashtable
 from repro.parallel.runtime import Runtime
 from repro.types import ACCUM_DTYPE
 
-__all__ = ["local_move_batch", "local_move_loop", "move_loop", "scan_batch",
-           "scan_communities"]
+__all__ = ["candidate_moves", "local_move_batch", "local_move_loop",
+           "move_loop", "scan_batch", "scan_communities"]
 
 #: Bookkeeping work units charged per visited vertex on top of its degree.
 VERTEX_COST = 4.0
@@ -53,46 +53,68 @@ VERTEX_COST = 4.0
 Moves = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def scan_batch(vs, offsets, degrees, targets, weights, C, K, Q, Sigma, m,
-               quality: Quality, pair_sums, argmax):
+def scan_batch(vs, deg, offsets, targets, weights, C, K, Q, Sigma, m,
+               quality: Quality, pair_sums, argmax, loops: bool):
     """``scanCommunities`` and the best move of each vertex in ``vs``.
 
     Every vertex is evaluated against the same snapshot of ``C``/``Σ``
-    (Algorithm 2, lines 7-10).  ``pair_sums(seg, comm, w, num_segments)``
-    and ``argmax(seg, values)`` are the kernels: the dispatching methods
-    of a :class:`KernelWorkspace` in the parent, the raw kernels in a
-    pool worker.  Each output of a vertex depends on that vertex's own
-    edges only, so scanning a chunk of ``vs`` gives the batch's outputs
-    for the chunk's positions bit for bit.
+    (Algorithm 2, lines 7-10).  ``deg`` is ``vs``' degrees, and
+    ``loops=False`` states that the graph has no self loops, so the
+    self-edge filter has nothing to drop and is skipped.
+    ``pair_sums(seg, comm, w, num_segments)`` and ``argmax(seg, values)``
+    are the kernels: the dispatching methods of a
+    :class:`KernelWorkspace` in the parent, the raw kernels in a pool
+    worker.  Each output of a vertex depends on that vertex's own edges
+    only, so scanning a chunk of ``vs`` gives the batch's outputs for the
+    chunk's positions bit for bit.
 
     Returns ``(seg, dst, best)``: the batch's non-self edges as batch
     positions and targets, and ``best = (bseg, bc, bdq)`` — every
     position with a candidate community, its best candidate and that
     move's ΔQ (positive or not) — or ``None`` when no vertex has one.
     """
-    seg, dst, w = gather_rows(offsets, degrees, targets, weights, vs)
-    notself = dst != vs[seg]
-    seg, dst, w = seg[notself], dst[notself], w[notself]
+    seg, idx = ragged_indices(offsets[vs], deg)
+    dst = targets[idx]
+    if loops:
+        keep = np.flatnonzero(dst != vs[seg])
+        seg, dst, idx = seg[keep], dst[keep], idx[keep]
     if seg.shape[0] == 0:
         return seg, dst, None
     # K_{i→c} for every adjacent community.
-    pseg, pcomm, psum = pair_sums(seg, C[dst], w, vs.shape[0])
-    d = C[vs]
-    kid = np.zeros(vs.shape[0], dtype=ACCUM_DTYPE)
-    own = pcomm == d[pseg]
-    kid[pseg[own]] = psum[own]
-    cand = ~own
-    if not cand.any():
+    pseg, pcomm, psum = pair_sums(seg, C[dst], weights[idx], vs.shape[0])
+    found = candidate_moves(vs, C[vs], pseg, pcomm, psum, K, Q, Sigma, m,
+                            quality)
+    if found is None:
         return seg, dst, None
-    cseg = pseg[cand]
-    cc = pcomm[cand]
-    mv_all = vs[cseg]
-    dq = quality.delta(
-        psum[cand], kid[cseg], K[mv_all], Q[mv_all],
-        Sigma[cc], Sigma[d[cseg]], m,
-    )
+    cseg, cc, dq = found
     bseg, bidx = argmax(cseg, dq)
     return seg, dst, (bseg, cc[bidx], dq[bidx])
+
+
+def candidate_moves(vs, d, pseg, pcomm, psum, K, Q, Sigma, m,
+                    quality: Quality):
+    """ΔQ of moving each vertex of ``vs`` to each adjacent community
+    other than its own community ``d``.
+
+    ``(pseg, pcomm, psum)`` are the batch's pair sums.  Returns
+    ``(cseg, cc, dq)`` — every candidate's batch position, community and
+    ΔQ, in pair order — or ``None`` when no vertex has a candidate.
+    """
+    own = pcomm == d[pseg]
+    at = np.flatnonzero(own)
+    kid = np.zeros(vs.shape[0], dtype=ACCUM_DTYPE)
+    kid[pseg[at]] = psum[at]
+    at = np.flatnonzero(~own)
+    if at.shape[0] == 0:
+        return None
+    cseg, cc = pseg[at], pcomm[at]
+    # The vertex terms are gathered once per vertex, then per candidate
+    # from the batch-sized copies.
+    Kv = K[vs]
+    Qv = Kv if Q is K else Q[vs]
+    dq = quality.delta(psum[at], kid[cseg], Kv[cseg], Qv[cseg], Sigma[cc],
+                       Sigma[d][cseg], m)
+    return cseg, cc, dq
 
 
 def move_loop(
@@ -137,6 +159,7 @@ def move_loop(
     degrees = graph.degrees
     targets = graph.targets
     weights = graph.weights
+    loops = graph.has_self_loops
     ws = workspace if workspace is not None else KernelWorkspace(n)
 
     tracer = runtime.tracer
@@ -200,8 +223,8 @@ def move_loop(
                         continue
                 else:
                     seg, dst, best = scan_batch(
-                        vs, offsets, degrees, targets, weights, C, K, Q,
-                        Sigma, m, quality, ws.pair_sums, ws.argmax)
+                        vs, deg, offsets, targets, weights, C, K, Q,
+                        Sigma, m, quality, ws.pair_sums, ws.argmax, loops)
                     if best is None:
                         continue
                     bseg, bc, bdq = best
@@ -226,9 +249,9 @@ def move_loop(
                 # movers share a color class, so none is another's
                 # neighbor.  A pooled batch's edges stayed in the workers.
                 if pooled is not None:
-                    seg, dst, _ = gather_rows(
-                        offsets, degrees, targets, weights, mv)
-                    processed[dst[dst != mv[seg]]] = False
+                    seg, idx = ragged_indices(offsets[mv], degrees[mv])
+                    dst = targets[idx]
+                    processed[dst[dst != mv[seg]] if loops else dst] = False
                 else:
                     mflag = np.zeros(vs.shape[0], dtype=bool)
                     mflag[mseg] = True

@@ -146,6 +146,7 @@ def local_move_process(
         "m": float(graph.m),
         "quality": qual.kind,
         "resolution": float(qual.resolution),
+        "loops": graph.has_self_loops,
     }
     split = Schedule("static", 1)
     with _build_arena(graph, membership, K, Q, community_weights,

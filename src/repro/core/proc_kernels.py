@@ -66,6 +66,7 @@ def move_scan(
     m: float,
     quality: str,
     resolution: float,
+    loops: bool,
 ) -> int:
     """Best move per vertex for batch positions ``[lo, hi)``.
 
@@ -73,23 +74,23 @@ def move_scan(
     returns the number of edges scanned (the chunk's ledger work).
     """
     arena = ctx.arena
-    degrees = arena["degrees"]
     C = arena["membership"]
     best_c = arena["best_community"]
     best_dq = arena["best_delta"]
     vs = arena["batch"][lo:hi]
+    deg = arena["degrees"][vs]
     n = int(C.shape[0])
 
     best_c[lo:hi] = -1
     best_dq[lo:hi] = 0.0
     _, _, best = scan_batch(
-        vs, arena["offsets"], degrees, arena["targets"], arena["weights"],
+        vs, deg, arena["offsets"], arena["targets"], arena["weights"],
         C, arena["vertex_weights"], arena["quantities"],
         arena["community_weights"], m, _quality(quality, resolution),
         lambda seg, comm, w, b: segment_pair_sums_packed(seg, comm, w, b, n),
-        segmented_argmax_sorted)
+        segmented_argmax_sorted, loops)
     if best is not None:
         bseg, bc, bdq = best
         best_c[lo + bseg] = bc
         best_dq[lo + bseg] = bdq
-    return int(degrees[vs].sum())
+    return int(deg.sum())

@@ -51,15 +51,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.local_move import candidate_moves
 from repro.core.quality import Quality
 from repro.core.result import PHASE_REFINE
 from repro.core.workspace import KernelWorkspace
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import gather_rows
+from repro.graph.segments import ragged_indices
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.rng import Xorshift32
 from repro.parallel.runtime import Runtime
-from repro.types import ACCUM_DTYPE
 
 __all__ = ["refine_batch", "refine_loop", "scan_bounded"]
 
@@ -152,48 +152,44 @@ def refine_batch(
     total_moves = 0
     decided_moves = 0
     batch_size = max(32, min(batch_size, n // 32)) if n > 64 else n
+    loops = graph.has_self_loops
     for lo in range(0, n, batch_size):
-        vs = np.arange(lo, min(lo + batch_size, n), dtype=np.int64)
+        hi = min(lo + batch_size, n)
         if guard != "none":
-            iso = Sigma[C[vs]] == Q[vs]  # isolation test (line 4)
-            vs = vs[iso]
+            # Isolation test (line 4).
+            vs = lo + np.flatnonzero(Sigma[C[lo:hi]] == Q[lo:hi])
+        else:
+            vs = np.arange(lo, hi, dtype=np.int64)
         if tracer.enabled:
             tracer.count("refine_isolated", vs.shape[0])
         if vs.shape[0] == 0:
             continue
-        seg, dst, w = gather_rows(offsets, degrees, targets, weights, vs)
-        if seg.shape[0] == 0:
+        seg, idx = ragged_indices(offsets[vs], degrees[vs])
+        dst = targets[idx]
+        keep = CB[dst] == CB[vs][seg]  # scanBounded
+        if loops:
+            keep &= dst != vs[seg]
+        keep = np.flatnonzero(keep)
+        if keep.shape[0] == 0:
             continue
-        keep = (dst != vs[seg]) & (CB[dst] == CB[vs[seg]])  # scanBounded
-        seg, dst, w = seg[keep], dst[keep], w[keep]
-        if seg.shape[0] == 0:
-            continue
-        pseg, pcomm, psum = ws.pair_sums(seg, C[dst], w, vs.shape[0])
+        seg, dst = seg[keep], dst[keep]
+        pseg, pcomm, psum = ws.pair_sums(seg, C[dst], weights[idx[keep]],
+                                         vs.shape[0])
         d = C[vs]
-        kid = np.zeros(vs.shape[0], dtype=ACCUM_DTYPE)
-        own = pcomm == d[pseg]
-        kid[pseg[own]] = psum[own]
-        cand = ~own
-        if not cand.any():
+        found = candidate_moves(vs, d, pseg, pcomm, psum, K, Q, Sigma, m,
+                                qual)
+        if found is None:
             continue
-        cseg = pseg[cand]
-        cc = pcomm[cand]
-        kic = psum[cand]
-        mv_all = vs[cseg]
-        dq = qual.delta(
-            kic, kid[cseg], K[mv_all], Q[mv_all],
-            Sigma[cc], Sigma[d[cseg]], m,
-        )
+        cseg, cc, dq = found
         if random:
             # Gumbel-max sampling ∝ ΔQ among positive candidates.
             u = rng.floats_fast(dq.shape[0])
             gumbel = -np.log(-np.log(np.clip(u, _TINY, 1.0 - 1e-16)))
             key = np.where(dq > 0.0, np.log(np.maximum(dq, _TINY)) + gumbel, -np.inf)
             bseg, bidx = ws.argmax(cseg, key)
-            keep_best = dq[bidx] > 0.0
         else:
             bseg, bidx = ws.argmax(cseg, dq)
-            keep_best = dq[bidx] > 0.0
+        keep_best = dq[bidx] > 0.0
         if not keep_best.any():
             continue
         mseg = bseg[keep_best]

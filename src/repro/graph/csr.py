@@ -77,6 +77,7 @@ class CSRGraph:
         "_vertex_weights",
         "_total_weight",
         "_fingerprint",
+        "_has_self_loops",
     )
 
     def __init__(
@@ -97,6 +98,7 @@ class CSRGraph:
         self._vertex_weights: AccumArray | None = None
         self._total_weight: float | None = None
         self._fingerprint: str | None = None
+        self._has_self_loops: bool | None = None
         mt = _memmod()
         led = mt._ACTIVE
         if led.enabled:
@@ -176,11 +178,10 @@ class CSRGraph:
 
     def _used_mask(self) -> np.ndarray:
         """Boolean mask over the edge arrays selecting real (non-slack) slots."""
-        from repro.graph.segments import ragged_indices
+        from repro.graph.segments import ragged_positions
 
         mask = np.zeros(self.targets.shape[0], dtype=bool)
-        _, idx = ragged_indices(self.offsets[:-1], self.degrees)
-        mask[idx] = True
+        mask[ragged_positions(self.offsets[:-1], self.degrees)] = True
         return mask
 
     # -- basic properties ------------------------------------------------
@@ -203,6 +204,35 @@ class CSRGraph:
     def is_holey(self) -> bool:
         """True when rows carry slack (holey CSR from aggregation)."""
         return bool(np.any(self.degrees != np.diff(self.offsets)))
+
+    @property
+    def has_self_loops(self) -> bool:
+        """True when a real (non-slack) edge joins a vertex to itself.
+
+        Computed on first use and cached.  Rows are scanned in doubling
+        chunks, so a graph with a loop among its first rows (every
+        aggregated graph of a solve has one) answers from a short prefix.
+        """
+        if self._has_self_loops is None:
+            from repro.graph.segments import ragged_positions
+
+            n = self.num_vertices
+            holey = self.is_holey
+            found = False
+            lo, step = 0, 1024
+            while lo < n and not found:
+                hi = min(lo + step, n)
+                deg = self.degrees[lo:hi]
+                src = np.repeat(np.arange(lo, hi, dtype=VERTEX_DTYPE), deg)
+                if holey:
+                    dst = self.targets[
+                        ragged_positions(self.offsets[lo:hi], deg)]
+                else:
+                    dst = self.targets[self.offsets[lo]:self.offsets[hi]]
+                found = bool(np.any(src == dst))
+                lo, step = hi, 2 * step
+            self._has_self_loops = found
+        return self._has_self_loops
 
     @property
     def total_weight(self) -> float:
@@ -343,7 +373,7 @@ class CSRGraph:
             inverse_permutation,
             validate_permutation,
         )
-        from repro.graph.segments import ragged_indices
+        from repro.graph.segments import ragged_positions
 
         g = self.compact()
         n = g.num_vertices
@@ -354,7 +384,7 @@ class CSRGraph:
         degrees = g.degrees[p]
         offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
         np.cumsum(degrees, out=offsets[1:])
-        _, idx = ragged_indices(g.offsets[:-1][p], degrees)
+        idx = ragged_positions(g.offsets[:-1][p], degrees)
         if led.enabled:
             # The gather index is the permute transient: as large as the
             # edge arrays, gone when this call returns.  Recording the

@@ -3,6 +3,11 @@
 Format: one edge per line, ``u v [w]``, whitespace separated.  Lines
 starting with ``#`` or ``%`` are comments.  This covers the SNAP and
 DIMACS10-ish exports commonly used for the paper's dataset classes.
+
+Every reader (edge list, MatrixMarket, METIS) parses weights with
+:func:`parse_weight`: a weight must be a finite, non-negative float32.
+Zero is legal.  Modularity is not defined for NaN, infinite or negative
+weights, so such a file fails at load time rather than in a solve.
 """
 
 from __future__ import annotations
@@ -19,6 +24,22 @@ from repro.graph.csr import CSRGraph
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 PathOrFile = Union[str, Path, TextIO]
+
+_WEIGHT_MAX = float(np.finfo(WEIGHT_DTYPE).max)
+
+
+def parse_weight(token: str, where: str) -> float:
+    """``token`` as an edge weight; :class:`GraphFormatError` naming
+    ``where`` (such as ``"line 7"``) unless it is a number in
+    ``[0, float32 max]``."""
+    try:
+        w = float(token)
+    except ValueError:
+        raise GraphFormatError(f"{where}: weight {token!r} is not a number") from None
+    if not 0.0 <= w <= _WEIGHT_MAX:  # also false for NaN
+        raise GraphFormatError(
+            f"{where}: weight {token!r} is not a finite non-negative number")
+    return w
 
 
 def _open_for_read(source: PathOrFile):
@@ -53,9 +74,10 @@ def read_edgelist(
                 raise GraphFormatError(f"line {lineno}: expected 'u v [w]'")
             try:
                 u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) > 2 else default_weight
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: {exc}") from exc
+            w = (parse_weight(parts[2], f"line {lineno}") if len(parts) > 2
+                 else default_weight)
             if u < 0 or v < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex id")
             src.append(u)

@@ -19,6 +19,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_csr_from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.io_edgelist import parse_weight
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 PathOrFile = Union[str, Path, TextIO]
@@ -35,17 +36,18 @@ def read_metis(source: PathOrFile) -> CSRGraph:
 
 
 def _data_lines(fh: TextIO):
-    for line in fh:
+    """``(line number, text)`` of every line but the ``%`` comments."""
+    for lineno, line in enumerate(fh, start=1):
         text = line.strip()
         if text.startswith("%"):
             continue
-        yield text
+        yield lineno, text
 
 
 def _read_stream(fh: TextIO) -> CSRGraph:
     lines = _data_lines(fh)
     try:
-        header = next(lines)
+        _, header = next(lines)
     except StopIteration:
         raise GraphFormatError("empty METIS file") from None
     parts = header.split()
@@ -54,10 +56,10 @@ def _read_stream(fh: TextIO) -> CSRGraph:
     try:
         n = int(parts[0])
         declared_edges = int(parts[1])
+        ncon = int(parts[3]) if len(parts) == 4 else 0
     except ValueError as exc:
         raise GraphFormatError(f"malformed METIS header: {header!r}") from exc
     fmt = parts[2] if len(parts) >= 3 else "0"
-    ncon = int(parts[3]) if len(parts) == 4 else 0
     fmt = fmt.zfill(3)
     has_vertex_weights = fmt[-2] == "1"
     has_edge_weights = fmt[-1] == "1"
@@ -70,7 +72,7 @@ def _read_stream(fh: TextIO) -> CSRGraph:
     count = 0
     for u in range(n):
         try:
-            text = next(lines)
+            lineno, text = next(lines)
         except StopIteration:
             raise GraphFormatError(
                 f"expected {n} vertex lines, found {u}"
@@ -84,17 +86,15 @@ def _read_stream(fh: TextIO) -> CSRGraph:
                 )
             pairs = tokens[pos:]
             for k in range(0, len(pairs), 2):
-                v = int(pairs[k]) - 1
-                w = float(pairs[k + 1])
-                _check_neighbor(u, v, n)
+                v = _neighbor(pairs[k], u, n, lineno)
+                w = parse_weight(pairs[k + 1], f"line {lineno}")
                 src.append(u)
                 dst.append(v)
                 wgt.append(w)
                 count += 1
         else:
             for tok in tokens[pos:]:
-                v = int(tok) - 1
-                _check_neighbor(u, v, n)
+                v = _neighbor(tok, u, n, lineno)
                 src.append(u)
                 dst.append(v)
                 wgt.append(1.0)
@@ -115,9 +115,17 @@ def _read_stream(fh: TextIO) -> CSRGraph:
     )
 
 
-def _check_neighbor(u: int, v: int, n: int) -> None:
+def _neighbor(token: str, u: int, n: int, lineno: int) -> int:
+    """0-based neighbor id of vertex ``u`` from a 1-based ``token``."""
+    try:
+        v = int(token) - 1
+    except ValueError:
+        raise GraphFormatError(
+            f"line {lineno}: vertex {u + 1}: neighbor {token!r} is not an "
+            f"integer") from None
     if not 0 <= v < n:
         raise GraphFormatError(f"vertex {u + 1}: neighbor {v + 1} out of range")
+    return v
 
 
 def write_metis(

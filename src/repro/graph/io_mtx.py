@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_csr_from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.io_edgelist import parse_weight
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 PathOrFile = Union[str, Path, TextIO]
@@ -54,9 +55,10 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     if symmetry not in _VALID_SYMMETRY:
         raise GraphFormatError(f"unsupported symmetry {symmetry!r}")
 
-    # Skip comments, read the size line.
+    # Skip comments, read the size line.  The header is line 1.
+    lines = enumerate(fh, start=2)
     size_line = None
-    for line in fh:
+    for _, line in lines:
         text = line.strip()
         if not text or text.startswith("%"):
             continue
@@ -67,7 +69,12 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     dims = size_line.split()
     if len(dims) != 3:
         raise GraphFormatError(f"malformed size line: {size_line!r}")
-    rows, cols, nnz = (int(x) for x in dims)
+    try:
+        rows, cols, nnz = (int(x) for x in dims)
+    except ValueError:
+        raise GraphFormatError(f"malformed size line: {size_line!r}") from None
+    if nnz < 0:
+        raise GraphFormatError(f"negative entry count: {size_line!r}")
     if rows != cols:
         raise GraphFormatError("adjacency matrix must be square")
 
@@ -76,21 +83,22 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     dst = np.empty(nnz, dtype=VERTEX_DTYPE)
     wgt = np.ones(nnz, dtype=WEIGHT_DTYPE)
     count = 0
-    for line in fh:
+    for lineno, line in lines:
         text = line.strip()
         if not text or text.startswith("%"):
             continue
         if count >= nnz:
             raise GraphFormatError("more entries than declared nnz")
         parts = text.split()
-        if pattern:
-            if len(parts) < 2:
-                raise GraphFormatError(f"bad pattern entry: {text!r}")
-            u, v, w = int(parts[0]), int(parts[1]), 1.0
-        else:
-            if len(parts) < 3:
-                raise GraphFormatError(f"bad weighted entry: {text!r}")
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        if len(parts) < (2 if pattern else 3):
+            kind = "pattern" if pattern else "weighted"
+            raise GraphFormatError(f"bad {kind} entry: {text!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {lineno}: bad entry {text!r}") from None
+        w = 1.0 if pattern else parse_weight(parts[2], f"line {lineno}")
         if not (1 <= u <= rows and 1 <= v <= cols):
             raise GraphFormatError(f"entry out of bounds: {text!r}")
         src[count] = u - 1

@@ -2,8 +2,8 @@
 
 The batch-parallel kernels repeatedly need "all edges of this set of
 vertices" as flat arrays plus a parallel segment-id array.  This is the
-standard vectorized ragged-gather trick: no Python loop, one pass of
-``repeat``/``cumsum`` arithmetic.
+standard vectorized ragged-gather trick: no Python loop, one ``repeat``
+per output plus one ``arange``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,26 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["ragged_indices", "gather_rows"]
+__all__ = ["ragged_indices", "ragged_positions", "gather_rows"]
+
+
+def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ``flat_indices`` of :func:`ragged_indices`, without the
+    segment ids.
+
+    Output slot ``e`` of row ``k`` holds ``e`` plus the row's start minus
+    the row's first output slot, so one ``repeat`` of that difference and
+    one ``arange`` give every position.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    shift = np.array(starts, dtype=np.int64)
+    shift[1:] -= np.cumsum(lengths[:-1])
+    flat = np.repeat(shift, lengths)
+    flat += np.arange(total, dtype=np.int64)
+    return flat
 
 
 def ragged_indices(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -23,17 +42,8 @@ def ragged_indices(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray,
     the underlying edge arrays.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     seg = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
-    # position within each segment: global arange minus the segment's start
-    # position in the concatenated output.
-    out_starts = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=out_starts[1:])
-    within = np.arange(total, dtype=np.int64) - out_starts[seg]
-    return seg, starts[seg] + within
+    return seg, ragged_positions(starts, lengths)
 
 
 def gather_rows(

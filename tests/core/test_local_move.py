@@ -108,3 +108,60 @@ class TestOscillationResistance:
         assert iters < 20  # did not hit the cap
         # communities should be contiguous runs of length >= 2 mostly
         assert len(np.unique(C)) < 40
+
+
+class TestSelfEdgeFilterSkip:
+    """On a loop-free graph the move scan without its self-edge filter
+    returns the filtered scan's arrays bit for bit."""
+
+    @staticmethod
+    def _scan(graph, vs, C, K, Q, Sigma, quality, loops):
+        from repro.core._kernels import (
+            segment_pair_sums_packed,
+            segmented_argmax_sorted,
+        )
+        from repro.core.local_move import scan_batch
+
+        n = graph.num_vertices
+        return scan_batch(
+            vs, graph.degrees[vs], graph.offsets[:-1], graph.targets,
+            graph.weights, C, K, Q, Sigma, graph.m, quality,
+            lambda seg, comm, w, b: segment_pair_sums_packed(
+                seg, comm, w, b, n),
+            segmented_argmax_sorted, loops)
+
+    @pytest.mark.parametrize("name", ["random", "ring", "asia_osm", "wide"])
+    @pytest.mark.parametrize("kind", ["modularity", "cpm"])
+    def test_skip_matches_filter(self, name, kind):
+        from repro.core.quality import Quality
+        from repro.datasets.registry import load_graph
+        from repro.parallel.coloring import color_classes, color_graph
+        from tests.conftest import wide_exponent_weights
+
+        g = {"random": lambda: random_graph(n=300, avg_degree=8, seed=4),
+             "ring": ring_of_cliques_graph,
+             "asia_osm": lambda: load_graph("asia_osm", seed=1),
+             "wide": lambda: wide_exponent_weights(
+                 random_graph(n=300, avg_degree=8, seed=5))}[name]()
+        assert not g.has_self_loops
+        n = g.num_vertices
+        rng = np.random.default_rng(7)
+        C = rng.integers(0, max(n // 6, 1), n).astype(VERTEX_DTYPE)
+        K = g.vertex_weights()
+        quality = Quality(kind)
+        Q = quality.vertex_quantity(K, np.ones(n))
+        Sigma = np.bincount(C, weights=Q, minlength=n)
+        scanned = 0
+        for cls in color_classes(color_graph(g, seed=1)):
+            for vs in (cls, cls[: 37]):
+                want = self._scan(g, vs, C, K, Q, Sigma, quality, True)
+                got = self._scan(g, vs, C, K, Q, Sigma, quality, False)
+                for a, b in zip(got[:2], want[:2]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert (got[2] is None) == (want[2] is None)
+                if want[2] is not None:
+                    scanned += 1
+                    for a, b in zip(got[2], want[2]):
+                        assert a.dtype == b.dtype
+                        assert a.tobytes() == b.tobytes()
+        assert scanned > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphStructureError
+from repro.graph.builder import build_csr_from_edges
 from repro.graph.csr import CSRGraph, empty_csr
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
@@ -181,3 +182,45 @@ class TestEquality:
         a = empty_csr(2)
         b = empty_csr(3)
         assert a != b
+
+
+class TestSelfLoopFact:
+    """``has_self_loops`` looks at real edges only and is cached."""
+
+    def test_loop_free(self, two_cliques):
+        assert two_cliques.has_self_loops is False
+
+    def test_one_loop(self):
+        n = 5000  # the loop sits past the first scan chunk
+        src = np.arange(n - 1)
+        dst = np.arange(1, n)
+        assert build_csr_from_edges(src, dst).has_self_loops is False
+        g = build_csr_from_edges(np.append(src, n - 1), np.append(dst, n - 1))
+        assert g.has_self_loops is True
+
+    def test_slack_entries_do_not_count(self):
+        g = make_holey()  # row 0's slack slot holds target 0
+        assert g.targets[2] == 0 and g.degrees[0] == 2
+        assert g.has_self_loops is False
+        loop = CSRGraph(g.offsets, g.targets, g.weights,
+                        np.array([3, 1], dtype=OFFSET_DTYPE))
+        assert loop.has_self_loops is True
+
+    def test_holey_aggregated_graph(self, ring_of_cliques):
+        from repro.core.aggregate import aggregate_batch
+        from repro.parallel.runtime import Runtime
+
+        g = ring_of_cliques
+        C = np.arange(g.num_vertices) // 5
+        sup = aggregate_batch(g, C, int(C.max()) + 1,
+                              runtime=Runtime(num_threads=1))
+        assert sup.is_holey and sup.has_self_loops
+        apart = aggregate_batch(g, np.arange(g.num_vertices), g.num_vertices,
+                                runtime=Runtime(num_threads=1))
+        assert apart.has_self_loops is False
+
+    def test_cached(self, monkeypatch):
+        g = build_csr_from_edges([0, 1], [1, 1])
+        assert g.has_self_loops is True
+        monkeypatch.setattr(np, "repeat", None)
+        assert g.has_self_loops is True

@@ -47,6 +47,15 @@ class TestEdgelistRead:
         with pytest.raises(GraphFormatError):
             edgelist_from_string("-1 0\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-5", "1e39"])
+    def test_rejects_bad_weight_naming_line(self, weight):
+        with pytest.raises(GraphFormatError, match="line 2: weight"):
+            edgelist_from_string(f"0 1 1.0\n1 2 {weight}\n")
+
+    def test_zero_weight_is_legal(self):
+        g = edgelist_from_string("0 1 0\n1 2 2.5\n")
+        assert sorted(g.weights.tolist()) == [0.0, 0.0, 2.5, 2.5]
+
 
 class TestEdgelistRoundtrip:
     def test_roundtrip_memory(self, small_random_weighted):
@@ -133,6 +142,41 @@ class TestMtx:
         )
         with pytest.raises(GraphFormatError):
             read_mtx(io.StringIO(text))
+
+    def test_rejects_non_numeric_token(self):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 1\n"
+            "1 x 1.0\n"
+        )
+        with pytest.raises(GraphFormatError, match="line 3: bad entry"):
+            read_mtx(io.StringIO(text))
+
+    def test_rejects_non_numeric_size(self):
+        text = "%%MatrixMarket matrix coordinate real general\n2 x 1\n"
+        with pytest.raises(GraphFormatError, match="malformed size line"):
+            read_mtx(io.StringIO(text))
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-5", "abc"])
+    def test_rejects_bad_weight_naming_line(self, weight):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% a comment line still counts\n"
+            "2 2 2\n"
+            "1 2 1.0\n"
+            f"2 1 {weight}\n"
+        )
+        with pytest.raises(GraphFormatError, match="line 5: weight"):
+            read_mtx(io.StringIO(text))
+
+    def test_zero_weight_is_legal(self):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 1\n"
+            "1 2 0\n"
+        )
+        g = read_mtx(io.StringIO(text))
+        assert g.num_edges == 2 and g.weights.tolist() == [0.0, 0.0]
 
     def test_rejects_array_format(self):
         with pytest.raises(GraphFormatError):

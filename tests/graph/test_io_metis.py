@@ -71,6 +71,24 @@ class TestRead:
         with pytest.raises(GraphFormatError):
             read_text("2 1 001\n2\n1 1.0\n")
 
+    def test_non_numeric_neighbor(self):
+        with pytest.raises(GraphFormatError,
+                           match="line 3: vertex 2: neighbor 'x'"):
+            read_text("2 1\n2\nx\n")
+
+    def test_non_numeric_ncon(self):
+        with pytest.raises(GraphFormatError, match="malformed METIS header"):
+            read_text("2 1 010 x\n1 2\n1 1\n")
+
+    @pytest.mark.parametrize("weight", ["nan", "-inf", "-2", "x"])
+    def test_rejects_bad_weight_naming_line(self, weight):
+        with pytest.raises(GraphFormatError, match="line 4: weight"):
+            read_text(f"% header next\n2 1 001\n2 1.5\n1 {weight}\n")
+
+    def test_zero_weight_is_legal(self):
+        g = read_text("2 1 001\n2 0\n1 0\n")
+        assert g.num_edges == 2 and g.weights.tolist() == [0.0, 0.0]
+
 
 class TestRoundtrip:
     def test_unweighted(self, two_cliques):

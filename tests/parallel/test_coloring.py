@@ -239,3 +239,36 @@ class TestColorClasses:
 
     def test_empty(self):
         assert color_classes(np.empty(0, dtype=np.int64)) == []
+
+    @staticmethod
+    def _assert_stable_argsort_split(colors):
+        """The classes are the runs of one stable argsort of the int64
+        colors, whether or not they fit the 16-bit sort."""
+        order = np.argsort(colors.astype(np.int64), kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(colors[order])) + 1)
+        got = color_classes(colors)
+        assert len(got) == len(runs)
+        for a, b in zip(got, runs):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_matches_stable_argsort_below_int16(self):
+        g, _ = lfr_like_graph(600, avg_degree=16, min_community=20, seed=5)
+        colors = color_graph(g, seed=3)
+        assert colors.max() < 2 ** 15
+        self._assert_stable_argsort_split(colors)
+
+    def test_matches_stable_argsort_above_int16(self):
+        # max_rounds=1 colors the path's level-0 vertices, then hands
+        # every other vertex a fresh color: well past 2**15 colors.
+        n = 70_000
+        g = build_csr_from_edges(np.arange(n - 1), np.arange(1, n),
+                                 num_vertices=n)
+        colors = color_graph(g, max_rounds=1)
+        assert colors.max() > np.iinfo(np.int16).max
+        assert verify_coloring(g, colors)
+        self._assert_stable_argsort_split(colors)
+        # Around the edge of the 16-bit range, and a negative color.
+        for top in (2 ** 15 - 1, 2 ** 15):
+            rng = np.random.default_rng(top)
+            self._assert_stable_argsort_split(
+                rng.integers(-1, top + 1, 5000).astype(np.int64))

@@ -548,7 +548,14 @@ class TestMalformedGraphFiles:
          "declared 2 entries but found 1"),
         ("short.graph", "3 2\n2\n1 3\n", "expected 3 vertex lines"),
         ("bad.txt", "0 1\n1 x\n", "line 2:"),
-    ], ids=["mtx", "metis", "edgelist"])
+        ("token.mtx",
+         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n",
+         "line 3: bad entry"),
+        ("token.graph", "2 1\n2\n2 x\n", "line 3: vertex 2: neighbor 'x'"),
+        ("nan.txt", "0 1 nan\n", "line 1: weight 'nan'"),
+        ("negative.txt", "0 1 -5\n", "line 1: weight '-5'"),
+    ], ids=["mtx", "metis", "edgelist", "mtx-token", "metis-token",
+            "edgelist-nan", "edgelist-negative"])
     def test_reader_error_is_one_line(self, tmp_path, name, text, reason):
         path = tmp_path / name
         path.write_text(text)
