@@ -135,7 +135,8 @@ def aggregate_batch(
     # second argsort of the membership.
     cv_offsets, cv_vertices = community_vertices_csr(C, k)
     runtime.record_parallel(
-        np.ones(graph.num_vertices), phase=phase, atomics=float(graph.num_vertices)
+        graph.num_vertices, phase=phase, atomics=float(graph.num_vertices),
+        per_item=1.0,
     )
     runtime.record_serial(float(k), phase=phase)
 
@@ -180,9 +181,10 @@ def aggregate_batch(
     # per-community items would overstate imbalance on the 1000x-smaller
     # stand-ins whose largest communities span whole chunks.
     runtime.record_parallel(
-        np.add(graph.degrees[cv_vertices], 1.0),
+        graph.degrees[cv_vertices],
         phase=phase,
         atomics=float(edge_writes),
+        per_item=1.0,
     )
     runtime.record_serial(float(k), phase=phase)
     if runtime.metrics.enabled:
@@ -243,7 +245,8 @@ def aggregate_loop(
         degrees[c] = pos - offsets[c]
 
     runtime.record_parallel(
-        np.ones(graph.num_vertices), phase=phase, atomics=float(graph.num_vertices)
+        graph.num_vertices, phase=phase, atomics=float(graph.num_vertices),
+        per_item=1.0,
     )
     runtime.record_parallel(work, phase=phase, atomics=float(edge_writes))
     runtime.record_serial(float(2 * k), phase=phase)

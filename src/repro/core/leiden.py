@@ -182,7 +182,7 @@ def leiden(
                 else:
                     C = init_membership.copy()
                     Sigma = np.bincount(C, weights=Qv, minlength=n)
-                rt.record_parallel(np.ones(n), phase=PHASE_OTHER)
+                rt.record_parallel(n, phase=PHASE_OTHER, per_item=1.0)
             pw[PHASE_OTHER] += time.perf_counter() - t0
 
             # -- local-moving phase (line 5) ----------------------------------
@@ -298,7 +298,7 @@ def leiden(
                 dendrogram.add_level(C_ref_ren)
                 C_top = C_ref_ren[C_top]
                 pw[PHASE_OTHER] += time.perf_counter() - t0
-                rt.record_parallel(np.ones(max(n, 1)), phase=PHASE_OTHER)
+                rt.record_parallel(max(n, 1), phase=PHASE_OTHER, per_item=1.0)
                 # C_top maps onto all num_comms refined communities.
                 _close_pass(
                     passes, pass_index, n, num_comms,
@@ -318,7 +318,7 @@ def leiden(
             # -- dendrogram lookup (lines 11-12) ----------------------------------
             dendrogram.add_level(C_ref_ren)
             C_top = C_ref_ren[C_top]
-            rt.record_parallel(np.ones(n0), phase=PHASE_OTHER)
+            rt.record_parallel(n0, phase=PHASE_OTHER, per_item=1.0)
             pw[PHASE_OTHER] += time.perf_counter() - t0
 
             # -- aggregation phase (line 13) ------------------------------------------

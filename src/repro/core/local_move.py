@@ -109,10 +109,10 @@ def candidate_moves(vs, d, pseg, pcomm, psum, K, Q, Sigma, m,
         return None
     cseg, cc = pseg[at], pcomm[at]
     # The vertex terms are gathered once per vertex, then per candidate
-    # from the batch-sized copies.
-    Kv = K[vs]
-    Qv = Kv if Q is K else Q[vs]
-    dq = quality.delta(psum[at], kid[cseg], Kv[cseg], Qv[cseg], Sigma[cc],
+    # from the batch-sized copies; K_i serves as q_i when they coincide.
+    kc = K[vs][cseg]
+    qc = kc if Q is K else Q[vs][cseg]
+    dq = quality.delta(psum[at], kid[cseg], kc, qc, Sigma[cc],
                        Sigma[d][cseg], m)
     return cseg, cc, dq
 
@@ -179,7 +179,7 @@ def move_loop(
     if order_ranks is not None:
         classes = [cls[np.argsort(order_ranks[cls], kind="stable")]
                    for cls in classes]
-    runtime.record_parallel(degrees.astype(np.float64), phase=phase)
+    runtime.record_parallel(degrees, phase=phase)
     if tracer.enabled:
         tracer.count("color_classes", len(classes))
         for cls in classes:
@@ -215,7 +215,7 @@ def move_loop(
                     tracer.observe("batch_size", vs.shape[0])
                 processed[vs] = True  # prune (Algorithm 2, line 6)
                 deg = degrees[vs]
-                iter_costs.append(deg.astype(np.float64) + VERTEX_COST)
+                iter_costs.append(deg)
                 pooled = pool_scan(vs, deg) if pool_scan is not None else None
                 if pooled is not None:
                     mseg, mc, mdq = pooled
@@ -258,7 +258,8 @@ def move_loop(
                     processed[dst[mflag[seg]]] = False
         if iter_costs:
             runtime.record_parallel(
-                np.concatenate(iter_costs), phase=phase, atomics=2.0 * moves
+                np.concatenate(iter_costs), phase=phase, atomics=2.0 * moves,
+                per_item=VERTEX_COST,
             )
         if metrics.enabled:
             m_iters.inc()

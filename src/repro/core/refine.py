@@ -224,7 +224,8 @@ def refine_batch(
             C[cv] = cnew
             total_moves += int(cv.shape[0])
     runtime.record_parallel(
-        degrees + VERTEX_COST, phase=phase, atomics=float(n + 2 * total_moves)
+        degrees, phase=phase, atomics=float(n + 2 * total_moves),
+        per_item=VERTEX_COST,
     )
     if runtime.metrics.enabled:
         mr = runtime.metrics
@@ -442,7 +443,8 @@ def refine_loop(
         else:
             cas_rejects += 1
     runtime.record_parallel(
-        graph.degrees + VERTEX_COST, phase=phase, atomics=float(n + 2 * moves)
+        graph.degrees, phase=phase, atomics=float(n + 2 * moves),
+        per_item=VERTEX_COST,
     )
     if runtime.metrics.enabled:
         mr = runtime.metrics

@@ -8,8 +8,9 @@ engine's analogue: it preallocates one dense int64 map over the vertex
 id domain **once per Leiden pass**, and is threaded through
 ``local_move_batch`` and ``refine_batch`` so every batch of every
 iteration reuses the same scratch memory.  ``scatter_add`` compacts
-large sparse targets through the map, and refinement's batch commit
-writes its label-to-position table into it.
+sparse updates into a large target through the map when their ids span
+too wide a window to sum in place, and refinement's batch commit writes
+its label-to-position table into it.
 
 The workspace dispatches the batch kernels (the packed-key pair sums,
 the sorted argmax and the scatter-add), counts each dispatch, and

@@ -162,17 +162,23 @@ class CSRGraph:
             raise GraphStructureError("degrees length must equal vertex count")
         if self.targets.shape != self.weights.shape:
             raise GraphStructureError("targets and weights must be parallel arrays")
-        if n and np.any(np.diff(self.offsets) < 0):
-            raise GraphStructureError("offsets must be non-decreasing")
+        dense = True
         if n:
             row_capacity = np.diff(self.offsets)
+            if np.any(row_capacity < 0):
+                raise GraphStructureError("offsets must be non-decreasing")
             if np.any(self.degrees < 0) or np.any(self.degrees > row_capacity):
                 raise GraphStructureError("degrees must fit inside row capacity")
+            dense = bool(np.array_equal(self.degrees, row_capacity))
         if self.offsets[-1] > self.targets.shape[0]:
             raise GraphStructureError("offsets overrun the edge arrays")
         if self.num_edges:
-            used = self._used_mask()
-            tv = self.targets[used]
+            # Every slot between the first and last offset is used unless
+            # some row has slack.
+            if dense:
+                tv = self.targets[self.offsets[0]:self.offsets[-1]]
+            else:
+                tv = self.targets[self._used_mask()]
             if tv.size and (tv.min() < 0 or tv.max() >= n):
                 raise GraphStructureError("edge target out of range")
 

@@ -124,6 +124,18 @@ def aggregate_ranges(edges: int):
         yield ranges
 
 
+def _symmetric_weights(graph, draw):
+    """``graph`` with ``draw(k)``'s values as the weights of its ``k``
+    undirected vertex pairs, the same in both directions of an edge."""
+    src, dst, _ = graph.to_coo()
+    n = max(graph.num_vertices, 1)
+    pair = np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst)
+    uniq, inv = np.unique(pair, return_inverse=True)
+    weights = draw(uniq.shape[0])[inv].astype(graph.weights.dtype)
+    return CSRGraph(graph.offsets, graph.targets, weights,
+                    degrees=graph.degrees, validate=False)
+
+
 def wide_exponent_weights(graph, seed: int = 0, decades: int = 16):
     """``graph`` with symmetric float32 weights spread over ``decades``.
 
@@ -131,16 +143,29 @@ def wide_exponent_weights(graph, seed: int = 0, decades: int = 16):
     weights are not exact, so their bits depend on the summation order:
     the inputs that tell two kernels' summations apart.
     """
-    src, dst, _ = graph.to_coo()
-    n = max(graph.num_vertices, 1)
-    pair = np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst)
-    uniq, inv = np.unique(pair, return_inverse=True)
     rng = np.random.default_rng(seed)
-    per_pair = rng.uniform(1.0, 2.0, uniq.shape[0]) * 10.0 ** rng.uniform(
-        -decades / 2, decades / 2, uniq.shape[0])
-    weights = per_pair[inv].astype(graph.weights.dtype)
-    return CSRGraph(graph.offsets, graph.targets, weights,
-                    degrees=graph.degrees, validate=False)
+    return _symmetric_weights(graph, lambda k: rng.uniform(1.0, 2.0, k)
+                              * 10.0 ** rng.uniform(-decades / 2,
+                                                    decades / 2, k))
+
+
+def signed_zero_weights(graph, seed: int = 0):
+    """``graph`` with symmetric weights of which about a third are
+    ``+0.0`` and a third ``-0.0``, the rest in ``[0.5, 3)``.
+
+    Σ then starts with zero and negative-zero entries, the values whose
+    sign an update could flip.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(k):
+        values = rng.uniform(0.5, 3.0, k)
+        kind = rng.integers(0, 3, k)
+        values[kind == 0] = 0.0
+        values[kind == 1] = -0.0
+        return values
+
+    return _symmetric_weights(graph, draw)
 
 
 def two_cliques_graph(clique_size: int = 5):

@@ -18,6 +18,7 @@ from tests.conftest import (
     path_graph,
     random_graph,
     ring_of_cliques_graph,
+    signed_zero_weights,
     two_cliques_graph,
 )
 
@@ -331,3 +332,57 @@ class TestPinnedSolves:
         for p in res.passes:
             upto = res.dendrogram.flatten(upto=p.index + 1)
             assert p.num_communities == len(np.unique(upto))
+
+
+def _ledger_digest(ledger):
+    data = hashlib.blake2b(digest_size=16)
+    for region in ledger.regions:
+        data.update(region.chunk_costs.tobytes())
+        data.update(np.float64(region.atomics).tobytes())
+    return data.hexdigest()
+
+
+class TestPinnedSignedZeroWeights:
+    """Solves on graphs whose weights are a third ``+0.0`` and a third
+    ``-0.0``: membership, dendrogram and run-ledger digests.  Σ holds
+    signed zeros here, and a scatter that sums over a window of ids adds
+    ``+0.0`` to the untouched slots in it; the digests must not move."""
+
+    PINNED = {
+        ("asia_osm", "greedy"): (
+            "22727e66c5cc9aee55c6f79b4192c01e",
+            ("4cbbbc82c28296851a2d6d1b8bef2e1c",
+             "6ecfb211c5d5ed339bf854cc16823bdb"),
+            "b96d01633acac4f2fd6fc37fedd2173b"),
+        ("asia_osm", "random"): (
+            "870fff243f45cedbd6fc8b4112504ef2",
+            ("2a4d12f55be8c2858fbed2ccea6168a8",
+             "be6c44b28600dafc9d94494100a5877b"),
+            "55af4f7eefa5a7e24bb90225dc799c3a"),
+        ("uk-2002", "greedy"): (
+            "14b9cea1c015c39c7198eb1bcd0289af",
+            ("c54787224f8a187e527767f2c06ed0eb",
+             "ce9118cc41a3eb76338a678d2ae3a0fd",
+             "eed8067201e89c9e66953e87b1771b0a",
+             "b68ce5700c55cd492725f8ab60e0b663",
+             "9f7e53c247ae7e6390c8b9bbf3740c0e"),
+            "34017aa98e4911c81b7847b69bb92dab"),
+        ("uk-2002", "random"): (
+            "13f12ac99540267438d27f6fe977b793",
+            ("ee870e1b30a2a9600a4ab75b7418cbee",
+             "f0dd1ecceae9e86703cd13b288c27656",
+             "d0b90f6d2394a24afccfe9349380680c",
+             "93c296f383e679a0f9d81ae9ff1d938b",
+             "b0fc0d239bbfd1951d12b0fb574de4c1"),
+            "721e60e0e070606dc0d05db5add6ef27"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=str)
+    def test_digests(self, key):
+        name, refinement = key
+        graph = signed_zero_weights(load_graph(name, seed=1))
+        res = leiden(graph, LeidenConfig(refinement=refinement))
+        membership, levels, ledger = self.PINNED[key]
+        assert tuple(_digest(lvl) for lvl in res.dendrogram) == levels
+        assert _digest(res.membership) == membership
+        assert _ledger_digest(res.ledger) == ledger

@@ -82,6 +82,58 @@ class TestConstruction:
             )
 
 
+class TestTargetRangeCheck:
+    """The construction check reads every used slot's target: on a dense
+    graph (no row has slack) that is the slice between the first and
+    last offset, on a holey graph the slots the used-slot mask selects."""
+
+    def test_out_of_range_target_rejected_on_dense_graph(self):
+        for slot, bad in ((0, 3), (2, -1), (3, 4)):
+            targets = np.array([1, 2, 0, 0])
+            targets[slot] = bad
+            with pytest.raises(GraphStructureError, match="out of range"):
+                CSRGraph(np.array([0, 2, 3, 4]), targets, np.ones(4))
+
+    def test_out_of_range_target_rejected_on_holey_graph(self):
+        offsets = np.array([0, 3, 6], dtype=OFFSET_DTYPE)
+        degrees = np.array([2, 1], dtype=OFFSET_DTYPE)
+        for slot, bad in ((1, 2), (3, -1)):
+            targets = np.array([1, 1, 0, 0, 0, 0], dtype=VERTEX_DTYPE)
+            targets[slot] = bad
+            with pytest.raises(GraphStructureError, match="out of range"):
+                CSRGraph(offsets, targets, np.ones(6), degrees)
+
+    def test_holey_slack_slots_are_ignored(self):
+        offsets = np.array([0, 3, 6], dtype=OFFSET_DTYPE)
+        targets = np.array([1, 1, 99, 0, -7, 12345], dtype=VERTEX_DTYPE)
+        g = CSRGraph(offsets, targets, np.ones(6),
+                     np.array([2, 1], dtype=OFFSET_DTYPE))
+        assert g.is_holey
+        assert g.neighbors(0).tolist() == [1, 1]
+
+    def test_dense_graph_ignores_slots_past_the_last_offset(self):
+        # The edge arrays may be longer than offsets[-1]; only the used
+        # prefix is checked, as with the used-slot mask.
+        g = CSRGraph(np.array([0, 1, 2]), np.array([1, 0, 77]),
+                     np.ones(3))
+        assert not g.is_holey
+        assert g.num_edges == 2
+
+    def test_dense_check_skips_the_used_slot_mask(self, monkeypatch):
+        calls = []
+        used_mask = CSRGraph._used_mask
+
+        def counting(self):
+            calls.append(1)
+            return used_mask(self)
+
+        monkeypatch.setattr(CSRGraph, "_used_mask", counting)
+        CSRGraph(np.array([0, 2, 3, 4]), np.array([1, 2, 0, 0]), np.ones(4))
+        assert calls == []
+        make_holey()
+        assert calls == [1]
+
+
 class TestProperties:
     def test_dtypes(self, small_random):
         g = small_random
