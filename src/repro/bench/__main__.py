@@ -94,10 +94,6 @@ def main(argv: list[str] | None = None) -> int:
                              "--engines (default: the largest graphs)")
     parser.add_argument("--workers", type=positive_int, default=4,
                         help="worker count for --engines (default 4)")
-    parser.add_argument("--relabel", default="none",
-                        choices=["none", "community", "community-degree"],
-                        help="with --engines: run both engines through "
-                             "the community-aware relabeled solve path")
     args = parser.parse_args(argv)
 
     if args.kernels:
@@ -112,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                   if args.engines_graphs else None)
         return engines_main(
             graphs=graphs, workers=args.workers, seed=args.seed,
-            output=args.engines_output, relabel=args.relabel,
+            output=args.engines_output,
         )
 
     if (args.check or args.trace_path or args.profile_path

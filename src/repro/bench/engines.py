@@ -13,7 +13,7 @@ The report schema (``repro.bench.engines/3``)::
 
     {
       "schema": "repro.bench.engines/3",
-      "workers": 4, "seed": 42, "relabel": "none",
+      "workers": 4, "seed": 42,
       "graphs": [
         {"name": "kmer_V1r", "vertices": ..., "edges": ...,
          "engines": {"batch":   {"wall_seconds": ..., "passes": ...,
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
-from repro.datasets.registry import load_graph, registry_names
+from repro.datasets.registry import load_graph
 from repro.observability.memtrack import MemoryLedger, record_csr
 from repro.parallel.runtime import Runtime
 
@@ -56,24 +56,13 @@ ENGINES_SCHEMA = "repro.bench.engines/3"
 DEFAULT_AB_GRAPHS = ("kmer_V1r", "kmer_A2a", "com-LiveJournal")
 
 
-def largest_registry_graphs(count: int = 2) -> List[str]:
-    """The ``count`` largest registry graphs by vertex count."""
-    sized = []
-    for name in registry_names():
-        g = load_graph(name, seed=1)
-        sized.append((g.num_vertices, name))
-    sized.sort(reverse=True)
-    return [name for _, name in sized[:count]]
-
-
-def _run_one(graph, engine: str, *, workers: int, seed: int,
-             relabel: str = "none"):
+def _run_one(graph, engine: str, *, workers: int, seed: int):
     """One timed end-to-end run; returns (result, wall_seconds, peak).
 
     Only the process engine uses ``workers``; batch runs on the
     one-thread runtime :func:`~repro.core.leiden.leiden` defaults to.
     """
-    cfg = LeidenConfig(engine=engine, seed=seed, relabel=relabel)
+    cfg = LeidenConfig(engine=engine, seed=seed)
     memory = MemoryLedger()
     record_csr(memory, graph)  # input graph: loads are memoized
     if engine == "process":
@@ -95,15 +84,8 @@ def run_engine_ab(
     *,
     workers: int = 4,
     seed: int = 42,
-    relabel: str = "none",
 ) -> Dict:
-    """Time batch and process on each graph; batch is the oracle.
-
-    ``relabel`` applies the community-aware layout pipeline
-    (:mod:`repro.graph.relabel`) to both engines, so the bitwise
-    process-vs-batch contract is checked on the relabeled solve path
-    too.
-    """
+    """Time batch and process on each graph; batch is the oracle."""
     names = list(graphs) if graphs is not None else list(DEFAULT_AB_GRAPHS)
     rows: List[Dict] = []
     for name in names:
@@ -115,8 +97,7 @@ def run_engine_ab(
             "engines": {},
         }
         runs = {
-            engine: _run_one(g, engine, workers=workers, seed=seed,
-                             relabel=relabel)
+            engine: _run_one(g, engine, workers=workers, seed=seed)
             for engine in ("batch", "process")
         }
         oracle = runs["batch"][0].membership
@@ -137,7 +118,6 @@ def run_engine_ab(
         "schema": ENGINES_SCHEMA,
         "workers": int(workers),
         "seed": int(seed),
-        "relabel": relabel,
         "graphs": rows,
     }
 
@@ -145,9 +125,8 @@ def run_engine_ab(
 def format_engine_ab(report: Dict) -> str:
     """Human-readable table of an A/B report."""
     lines = [
-        f"engine A/B at {report['workers']} workers (seed {report['seed']}"
-        + (f", relabel={report['relabel']}"
-           if report.get("relabel", "none") != "none" else "") + ")",
+        f"engine A/B at {report['workers']} workers "
+        f"(seed {report['seed']})",
         f"{'graph':<18s} {'engine':<9s} {'wall s':>8s} {'passes':>6s} "
         f"{'comms':>7s} {'oracle':>7s} {'peak MiB':>9s}",
     ]
@@ -173,15 +152,13 @@ def main(
     workers: int = 4,
     seed: int = 42,
     output: str | None = None,
-    relabel: str = "none",
 ) -> int:
     """CLI entry for ``repro bench --engines``.
 
     Fails (exit 1) when the process membership diverges from the batch
     oracle on any graph.
     """
-    report = run_engine_ab(
-        graphs, workers=workers, seed=seed, relabel=relabel)
+    report = run_engine_ab(graphs, workers=workers, seed=seed)
     print(format_engine_ab(report))
     if output:
         from pathlib import Path

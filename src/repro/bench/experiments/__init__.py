@@ -8,7 +8,6 @@ both.  ``python -m repro.bench`` runs them all in paper order.
 from repro.bench.experiments import (
     ext_dynamic_update,
     ext_louvain_vs_leiden,
-    ext_reorder_locality,
     ext_service_load,
     fig1_fig2_refinement,
     fig3_fig4_supervertex,
@@ -35,14 +34,12 @@ ALL_EXPERIMENTS = [
     ("Extension: Louvain vs Leiden", ext_louvain_vs_leiden),
     ("Extension: dynamic updates", ext_dynamic_update),
     ("Extension: service load", ext_service_load),
-    ("Extension: reorder locality", ext_reorder_locality),
 ]
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ext_dynamic_update",
     "ext_louvain_vs_leiden",
-    "ext_reorder_locality",
     "ext_service_load",
     "fig1_fig2_refinement",
     "fig3_fig4_supervertex",

@@ -22,12 +22,6 @@ Subcommands:
 - ``repro bench …`` — the evaluation harness
   (:mod:`repro.bench.__main__`), including the ``--check`` perf-
   regression gate and ``--trace`` artifact writer used by CI;
-- ``repro reorder <input>`` — solve once, derive the community-aware
-  vertex relabeling (:mod:`repro.graph.relabel`), and emit a
-  deterministic JSON report of the modelled cache-locality delta
-  between the original and relabeled layouts; ``--perm`` /
-  ``--membership`` write the permutation and original-id membership
-  as text files;
 - ``repro serve --workload <profile>`` — drive the partition-serving
   subsystem (:mod:`repro.service`) through a seeded closed-loop
   workload and emit its deterministic stats document
@@ -58,12 +52,10 @@ from repro.errors import GraphFormatError
 from repro.graph.io_edgelist import read_edgelist
 from repro.graph.io_metis import read_metis
 from repro.graph.io_mtx import read_mtx
-from repro.graph.relabel import community_relabeling
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
 from repro.metrics.summary import summarize_partition
 from repro.observability.health import HealthEvaluator, default_service_slos
-from repro.observability.locality import measure_locality
 from repro.observability.memtrack import (
     MemoryLedger,
     record_csr,
@@ -83,9 +75,6 @@ from repro.parallel.runtime import Runtime
 
 #: Engine choices shared by every subcommand that runs a detection.
 ENGINE_CHOICES = ("batch", "loop", "process")
-
-#: Relabel-mode choices mirrored from :data:`repro.graph.relabel.RELABEL_MODES`.
-RELABEL_CHOICES = ("none", "community", "community-degree")
 
 #: Help text of the positional graph argument.
 _INPUT_HELP = ("graph file (.mtx, .graph or edge list) or a registry "
@@ -110,20 +99,13 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _add_solve_args(p: argparse.ArgumentParser, *,
-                    relabel: bool = False) -> None:
+def _add_solve_args(p: argparse.ArgumentParser) -> None:
     """The detection flags every solving subcommand shares."""
     p.add_argument("--engine", choices=list(ENGINE_CHOICES),
                    default="batch")
     p.add_argument("--workers", type=positive_int, default=2,
                    help="worker-process count for --engine process "
                         "(ignored by the other engines; default 2)")
-    if relabel:
-        p.add_argument("--relabel", choices=list(RELABEL_CHOICES),
-                       default="none",
-                       help="solve on a community-aware relabeled layout "
-                            "(pilot pass derives the layout; memberships "
-                            "are reported in original ids)")
     p.add_argument("--quality", choices=["modularity", "cpm"],
                    default="modularity")
     p.add_argument("--max-passes", type=positive_int, default=10)
@@ -140,8 +122,7 @@ def _solve(args, graph, config: LeidenConfig | None = None, *,
     """
     if config is None:
         config = LeidenConfig(engine=args.engine, quality=args.quality,
-                              max_passes=args.max_passes, seed=args.seed,
-                              relabel=getattr(args, "relabel", "none"))
+                              max_passes=args.max_passes, seed=args.seed)
     if args.engine == "process":
         rt = Runtime(num_threads=args.workers, executor="process",
                      seed=args.seed, **recorders)
@@ -215,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="default")
     p.add_argument("--vertex-label", choices=["move", "refine"],
                    default="move")
-    _add_solve_args(p, relabel=True)
+    _add_solve_args(p)
     p.add_argument("--resolution", type=positive_float, default=1.0)
     p.add_argument("--output", type=Path, default=None,
                    help="write one community id per line to this file")
@@ -341,7 +322,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
                     "per-thread timeline as Chrome trace-event JSON",
     )
     p.add_argument("input", help=_INPUT_HELP)
-    _add_solve_args(p, relabel=True)
+    _add_solve_args(p)
     p.add_argument("--threads", type=positive_int, default=8,
                    help="simulated thread count the timeline is laid "
                         "out at (one Chrome lane per thread)")
@@ -592,88 +573,6 @@ def mem_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def build_reorder_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro reorder",
-        description="Solve once, derive the community-aware vertex "
-                    "relabeling and report the modelled cache-locality "
-                    "delta between the original and relabeled layouts. "
-                    "The JSON report has no wall-clock fields: two runs "
-                    "with the same arguments are byte-identical",
-    )
-    p.add_argument("input", help=_INPUT_HELP)
-    p.add_argument("--mode", choices=[m for m in RELABEL_CHOICES
-                                      if m != "none"],
-                   default="community",
-                   help="layout mode: communities contiguous in "
-                        "dendrogram order, optionally degree-sorted "
-                        "within each community")
-    _add_solve_args(p)
-    p.add_argument("--perm", type=Path, default=None,
-                   help="write the permutation (line i = original id of "
-                        "new vertex i) to this file")
-    p.add_argument("--membership", type=Path, default=None,
-                   help="write the original-id membership (one community "
-                        "per line) to this file")
-    p.add_argument("--output", type=Path, default=None,
-                   help="write the JSON report here instead of stdout")
-    p.add_argument("--compact", action="store_true",
-                   help="single-line JSON (default: indented)")
-    return p
-
-
-def reorder_main(argv: list[str] | None = None) -> int:
-    """``repro reorder`` — derive a layout, report the locality delta."""
-    args = build_reorder_parser().parse_args(argv)
-    graph = _load(args.input)
-    result = _solve(args, graph)
-    levels = (result.dendrogram.memberships()
-              if result.dendrogram.num_levels else [result.membership])
-    relab = community_relabeling(graph, levels, mode=args.mode)
-    relabeled, _ = graph.permute(relab.perm)
-    before = measure_locality(graph)
-    after = measure_locality(relabeled)
-    q = modularity(graph, result.membership)
-    q_relab = modularity(relabeled, relab.to_relabeled(result.membership))
-    doc = {
-        "schema": "repro.reorder/1",
-        "input": str(args.input),
-        "mode": args.mode,
-        "engine": args.engine,
-        "seed": int(args.seed),
-        "num_vertices": int(graph.num_vertices),
-        "num_edges": int(graph.num_edges),
-        "num_communities": int(relab.num_communities),
-        "modularity": round(q, 12),
-        # Exact layout invariance: Q of the same partition expressed on
-        # the relabeled graph must match bit for bit.
-        "modularity_relabeled": round(q_relab, 12),
-        "q_invariant": bool(q == q_relab),
-        "locality": {
-            "original": before.to_dict(),
-            "relabeled": after.to_dict(),
-        },
-    }
-    if before.gather_lines:
-        doc["gather_lines_saved_pct"] = round(
-            100.0 * (1.0 - after.gather_lines / before.gather_lines), 3)
-    if before.miss_lines:
-        doc["miss_lines_saved_pct"] = round(
-            100.0 * (1.0 - after.miss_lines / before.miss_lines), 3)
-    if args.perm is not None:
-        _write_text(args.perm, "\n".join(str(int(v)) for v in relab.perm),
-                    "permutation")
-    if args.membership is not None:
-        _write_text(args.membership,
-                    "\n".join(str(int(c)) for c in result.membership),
-                    "membership")
-    _write_json(args.output, doc, "reorder report", args.compact)
-    if not doc["q_invariant"]:  # pragma: no cover - correctness guard
-        print("error: modularity changed under relabeling", file=sys.stderr)
-        return 1
-    return 0
-
-
 def bench_main(argv: list[str] | None = None) -> int:
     """``repro bench`` — the evaluation harness (:mod:`repro.bench`)."""
     from repro.bench.__main__ import main as main_
@@ -685,8 +584,7 @@ def bench_main(argv: list[str] | None = None) -> int:
 #: (including ``run``) is the detection run.
 _SUBCOMMANDS = {
     "trace": trace_main, "profile": profile_main, "metrics": metrics_main,
-    "bench": bench_main, "serve": serve_main, "reorder": reorder_main,
-    "mem": mem_main,
+    "bench": bench_main, "serve": serve_main, "mem": mem_main,
 }
 
 
@@ -716,7 +614,6 @@ def main(argv: list[str] | None = None) -> int:
         resolution=args.resolution,
         max_passes=args.max_passes,
         seed=args.seed,
-        relabel=args.relabel,
     )
     result = _solve(args, graph, config,
                     algo=leiden if args.algorithm == "leiden" else louvain)
@@ -726,10 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"vertices: {graph.num_vertices}  edges: {graph.num_edges}")
     print(f"algorithm: {args.algorithm} ({args.refinement}, {args.variant})")
     print(f"passes: {result.num_passes}  communities: {result.num_communities}")
-    if getattr(result, "relabeling", None) is not None:
-        relab = result.relabeling
-        print(f"relabel: {relab.mode} "
-              f"({relab.num_communities} layout communities)")
     print(f"modularity: {q:.6f}")
     print(f"wall time: {result.wall_seconds:.3f}s")
     if args.check_connectivity:

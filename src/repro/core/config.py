@@ -26,7 +26,6 @@ _REFINEMENTS = ("greedy", "random")
 _LABELS = ("move", "refine")
 _ENGINES = ("batch", "loop", "process")
 _VARIANTS = ("default", "medium", "heavy")
-_RELABELS = ("none", "community", "community-degree")
 
 
 @dataclass(frozen=True)
@@ -75,22 +74,9 @@ class LeidenConfig:
     seed: int = 42
     #: Run the refinement phase at all (False = GVE-Louvain).
     use_refinement: bool = True
-    #: Vertex processing order in the local-moving phase: ``"natural"``
-    #: (the paper's), ``"degree"``, ``"degree-desc"`` (importance-first,
-    #: per related work [1]), ``"random"`` or ``"bfs"``.
-    vertex_order: str = "natural"
     #: Flag-based vertex pruning in the local-moving phase (the paper's
     #: optimization over queue-based pruning); disable for ablations.
     vertex_pruning: bool = True
-    #: Community-aware vertex relabeling before the main solve:
-    #: ``"none"`` solves the input layout as-is; ``"community"`` runs a
-    #: cheap pilot pass (or reuses a provided warm partition) to derive
-    #: a layout with communities contiguous, then solves the relabeled
-    #: graph and maps memberships back to original ids;
-    #: ``"community-degree"`` additionally sorts each community's
-    #: members by descending weighted degree.  See
-    #: :mod:`repro.graph.relabel` and docs/PERFORMANCE.md.
-    relabel: str = "none"
     #: Refinement move guard: ``"cas"`` (GVE's isolation + CAS — the
     #: connectivity guarantee), ``"racy"`` (isolation, no commit
     #: serialization — cuGraph-like), ``"none"`` (unguarded —
@@ -129,15 +115,8 @@ class LeidenConfig:
             raise ConfigError("refine_guard must be 'cas', 'racy' or 'none'")
         if self.quality not in ("modularity", "cpm"):
             raise ConfigError("quality must be 'modularity' or 'cpm'")
-        if self.vertex_order not in ("natural", "degree", "degree-desc",
-                                     "random", "bfs"):
-            raise ConfigError(
-                "vertex_order must be 'natural', 'degree', 'degree-desc', "
-                "'random' or 'bfs'")
         if not (math.isfinite(self.resolution) and self.resolution > 0):
             raise ConfigError("resolution must be finite and positive")
-        if self.relabel not in _RELABELS:
-            raise ConfigError(f"relabel must be one of {_RELABELS}")
 
     # -- variants -----------------------------------------------------------
 

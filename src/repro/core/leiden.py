@@ -46,8 +46,6 @@ from repro.core.result import (
 )
 from repro.errors import GraphStructureError
 from repro.graph.csr import CSRGraph
-from repro.graph.reorder import order_ranks as _order_ranks
-from repro.graph.reorder import vertex_order as _vertex_order
 from repro.metrics.partition import check_membership, renumber_membership
 from repro.observability import memtrack
 from repro.parallel.rng import Xorshift32
@@ -101,13 +99,6 @@ def leiden(
         initial_membership = check_membership(initial_membership, n0)
     first_unprocessed = _affected_mask(affected, n0)
     cfg = config or LeidenConfig()
-    if cfg.relabel != "none":
-        return _leiden_relabeled(
-            graph, cfg,
-            runtime=runtime,
-            initial_membership=initial_membership,
-            affected=first_unprocessed,
-        )
     rt = runtime or Runtime(num_threads=1, seed=cfg.seed)
     tracer = rt.tracer
     rng = Xorshift32(cfg.seed)
@@ -148,9 +139,9 @@ def leiden(
         engine=cfg.engine, quality=cfg.quality,
     )
     # Activate the runtime's memory ledger for the run so buffer owners
-    # constructed deep inside the phases (super-graph CSR arrays, permute
-    # transients) can record allocations without threading the ledger
-    # through every call.  Entered/exited manually to share the existing
+    # constructed deep inside the phases (super-graph CSR arrays) can
+    # record allocations without threading the ledger through every
+    # call.  Entered/exited manually to share the existing
     # try/finally.
     _mem_scope = memtrack.activate(rt.memory)
     _mem_scope.__enter__()
@@ -188,11 +179,6 @@ def leiden(
             # -- local-moving phase (line 5) ----------------------------------
             t0 = time.perf_counter()
             with tracer.span("local_move", engine=cfg.engine) as mv_span:
-                if cfg.vertex_order != "natural":
-                    order = _vertex_order(G, cfg.vertex_order, seed=cfg.seed)
-                    ranks = _order_ranks(order)
-                else:
-                    order = ranks = None
                 if cfg.engine == "process":
                     li, _dq = local_move_process(
                         G, C, K, Sigma, tau,
@@ -205,7 +191,6 @@ def leiden(
                         unprocessed_mask=(first_unprocessed if pass_index == 0
                                           else None),
                         pruning=cfg.vertex_pruning,
-                        order_ranks=ranks,
                         workspace=workspace,
                     )
                 elif cfg.engine == "batch":
@@ -219,7 +204,6 @@ def leiden(
                         unprocessed_mask=(first_unprocessed if pass_index == 0
                                           else None),
                         pruning=cfg.vertex_pruning,
-                        order_ranks=ranks,
                         workspace=workspace,
                     )
                 else:
@@ -232,7 +216,6 @@ def leiden(
                         unprocessed_mask=(first_unprocessed if pass_index == 0
                                           else None),
                         pruning=cfg.vertex_pruning,
-                        order=order,
                     )
                 mv_span.set(iterations=li)
             pw[PHASE_LOCAL_MOVE] += time.perf_counter() - t0
@@ -395,98 +378,6 @@ def leiden(
         ledger=rt.ledger,
         wall_seconds=wall,
         wall_phase_seconds=wall_phase,
-    )
-
-
-def _leiden_relabeled(
-    graph: CSRGraph,
-    cfg: LeidenConfig,
-    *,
-    runtime: Runtime | None,
-    initial_membership,
-    affected,
-) -> LeidenResult:
-    """The ``config.relabel`` pipeline: layout, solve relabeled, map back.
-
-    1. Derive a community layout — from the provided warm partition when
-       one is given (the service refresh path), otherwise from a cheap
-       single-pass pilot solve;
-    2. permute the graph so communities are contiguous
-       (:func:`repro.graph.relabel.community_relabeling`);
-    3. run the full solve on the relabeled graph;
-    4. express the membership and dendrogram in original vertex ids via
-       the inverse map.
-
-    The mapped-back membership is a valid partition of the original
-    graph with *bit-identical* quality to the relabeled solve's
-    (``Q(G, M[inv]) == Q(G', M)`` exactly — quality sums are invariant
-    under vertex renaming).  The asynchronous engines' trajectories are
-    id-dependent (coloring priorities, tie-breaks), so the partition may
-    legitimately differ from a ``relabel="none"`` run's; both are valid
-    GVE-Leiden outputs of the same graph.
-    """
-    from repro.graph.relabel import community_relabeling
-
-    base_cfg = cfg.with_(relabel="none")
-    own_runtime = runtime is None
-    rt = runtime or Runtime(num_threads=1, seed=cfg.seed)
-    t_start = time.perf_counter()
-    try:
-        # -- layout source: warm partition or pilot pass -----------------
-        if initial_membership is not None:
-            warm, _ = renumber_membership(initial_membership)
-            levels = [warm]
-            pilot = None
-        else:
-            warm = None
-            pilot = leiden(graph, base_cfg.with_(max_passes=1), runtime=rt)
-            levels = (pilot.dendrogram.memberships()
-                      if pilot.dendrogram.num_levels
-                      else [pilot.membership])
-        relab = community_relabeling(graph, levels, mode=cfg.relabel)
-
-        # -- permute (charged as serial edge-array traffic) --------------
-        t0 = time.perf_counter()
-        with memtrack.activate(rt.memory):
-            relabeled, inv = graph.permute(relab.perm)
-        rt.record_serial(
-            float(graph.num_vertices + graph.num_edges), phase=PHASE_OTHER)
-        permute_seconds = time.perf_counter() - t0
-
-        # -- main solve on the relabeled graph ---------------------------
-        result = leiden(
-            relabeled, base_cfg,
-            runtime=rt,
-            initial_membership=(relab.to_relabeled(warm)
-                                if warm is not None else None),
-            affected=affected[relab.perm] if affected is not None else None,
-        )
-    finally:
-        if own_runtime:
-            rt.close()
-
-    # -- map back to original ids ---------------------------------------
-    membership = relab.to_original(result.membership)
-    dendrogram = Dendrogram()
-    if result.dendrogram.num_levels:
-        dendrogram.add_level(result.dendrogram.level(0)[inv])
-        for i in range(1, result.dendrogram.num_levels):
-            dendrogram.add_level(result.dendrogram.level(i))
-
-    wall_phase: Dict[str, float] = dict(result.wall_phase_seconds)
-    if pilot is not None:
-        for p, s in pilot.wall_phase_seconds.items():
-            wall_phase[p] = wall_phase.get(p, 0.0) + s
-    wall_phase[PHASE_OTHER] = (
-        wall_phase.get(PHASE_OTHER, 0.0) + permute_seconds)
-    return LeidenResult(
-        membership=membership,
-        dendrogram=dendrogram,
-        passes=result.passes,
-        ledger=result.ledger,
-        wall_seconds=time.perf_counter() - t_start,
-        wall_phase_seconds=wall_phase,
-        relabeling=relab,
     )
 
 

@@ -133,7 +133,6 @@ def move_loop(
     batch_size: int,
     unprocessed_mask: np.ndarray | None,
     pruning: bool,
-    order_ranks: np.ndarray | None,
     phase: str,
     pool_scan: Optional[Callable[[np.ndarray, np.ndarray],
                                  Optional[Moves]]] = None,
@@ -176,9 +175,6 @@ def move_loop(
     m_dq = metrics.counter(
         "leiden_move_delta_q_total", "summed delta-Q of applied moves")
     classes = color_classes(colors)
-    if order_ranks is not None:
-        classes = [cls[np.argsort(order_ranks[cls], kind="stable")]
-                   for cls in classes]
     runtime.record_parallel(degrees, phase=phase)
     if tracer.enabled:
         tracer.count("color_classes", len(classes))
@@ -295,7 +291,6 @@ def local_move_batch(
     quantities=None,
     unprocessed_mask: np.ndarray | None = None,
     pruning: bool = True,
-    order_ranks: np.ndarray | None = None,
     workspace: KernelWorkspace | None = None,
     phase: str = PHASE_LOCAL_MOVE,
 ) -> Tuple[int, float]:
@@ -305,9 +300,6 @@ def local_move_batch(
     ``workspace`` supplies the preallocated kernel scratch map and
     dispatches the kernels; by default a fresh workspace is created for
     the call.
-
-    ``order_ranks`` (an inverse permutation) orders the vertices *within*
-    each color class; by default ascending vertex id.
 
     ``pruning=False`` disables the flag-based vertex pruning (every
     iteration revisits every vertex) — the ablation knob for the paper's
@@ -339,7 +331,6 @@ def local_move_batch(
         batch_size=batch_size,
         unprocessed_mask=unprocessed_mask,
         pruning=pruning,
-        order_ranks=order_ranks,
         phase=phase,
     )
 
@@ -374,7 +365,6 @@ def local_move_loop(
     quantities=None,
     unprocessed_mask: np.ndarray | None = None,
     pruning: bool = True,
-    order: np.ndarray | None = None,
     phase: str = PHASE_LOCAL_MOVE,
 ) -> Tuple[int, float]:
     """Reference per-vertex local-moving phase (exact Algorithm 2).
@@ -420,8 +410,7 @@ def local_move_loop(
         total_dq = 0.0
         work = np.zeros(n, dtype=np.float64)
         moves = 0
-        sequence = range(n) if order is None else order.tolist()
-        for i in sequence:
+        for i in range(n):
             if processed[i]:
                 continue
             processed[i] = True

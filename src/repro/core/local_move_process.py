@@ -111,7 +111,6 @@ def local_move_process(
     quantities=None,
     unprocessed_mask: np.ndarray | None = None,
     pruning: bool = True,
-    order_ranks: np.ndarray | None = None,
     workspace: KernelWorkspace | None = None,
     phase: str = PHASE_LOCAL_MOVE,
 ) -> Tuple[int, float]:
@@ -195,7 +194,6 @@ def local_move_process(
                 batch_size=batch_size,
                 unprocessed_mask=unprocessed_mask,
                 pruning=pruning,
-                order_ranks=order_ranks,
                 phase=phase,
                 pool_scan=pool_scan,
             )

@@ -55,11 +55,6 @@ class LeidenResult:
     wall_seconds: float
     #: Wall-clock seconds per phase, summed over passes.
     wall_phase_seconds: Dict[str, float]
-    #: Layout the solve ran under (:class:`repro.graph.relabel.
-    #: Relabeling`) when ``config.relabel != "none"``; ``membership``
-    #: and the dendrogram are always expressed in *original* vertex
-    #: ids regardless.  ``None`` for the default identity layout.
-    relabeling: object | None = None
 
     @property
     def num_passes(self) -> int:

@@ -21,15 +21,6 @@ from repro.graph.ops import (
     remove_self_loops,
     symmetrize_edges,
 )
-from repro.graph.relabel import (
-    RELABEL_MODES,
-    Relabeling,
-    community_relabeling,
-    is_community_contiguous,
-    validate_permutation,
-)
-from repro.graph.reorder import order_ranks, vertex_order
-from repro.graph.traversal import bfs_levels, bfs_order
 from repro.graph.validate import validate_csr
 
 __all__ = [
@@ -44,15 +35,6 @@ __all__ = [
     "relabel_compact",
     "degree_histogram",
     "induced_subgraph",
-    "vertex_order",
-    "order_ranks",
-    "RELABEL_MODES",
-    "Relabeling",
-    "community_relabeling",
-    "is_community_contiguous",
-    "validate_permutation",
-    "bfs_levels",
-    "bfs_order",
     "read_edgelist",
     "write_edgelist",
     "read_mtx",

@@ -34,9 +34,11 @@ from repro.types import (
 
 
 #: Lazily imported :mod:`repro.observability.memtrack` — importing it at
-#: module scope would close a package cycle (observability.locality
-#: imports this module).  First CSR construction happens long after the
-#: import graph settles, so the deferred import is safe.
+#: module scope would close a package cycle: the observability package
+#: imports its profiler, the profiler imports :mod:`repro.parallel`,
+#: whose runtime imports memtrack, which imports the half-initialised
+#: profiler.  First CSR construction happens long after the import graph
+#: settles, so the deferred import is safe.
 _memtrack = None
 
 
@@ -362,51 +364,6 @@ class CSRGraph:
         offsets = np.zeros(self.num_vertices + 1, dtype=OFFSET_DTYPE)
         np.cumsum(self.degrees, out=offsets[1:])
         return CSRGraph(offsets, dst, wgt, validate=False)
-
-    def permute(self, perm) -> Tuple["CSRGraph", np.ndarray]:
-        """Relabel vertices by ``perm`` (``perm[new_id] = old_id``).
-
-        Returns ``(relabeled, inv)`` where ``inv[old_id] = new_id`` maps
-        memberships over the relabeled graph back to original ids
-        (``membership_new[inv]``).  Rows are gathered in permutation
-        order and each row's edge order is preserved (targets are only
-        *renamed* through ``inv``, never reordered), which makes the
-        round trip exact: ``relabeled.permute(inv)[0]`` reproduces this
-        graph's dense form bitwise.  Holey CSR graphs are compacted
-        first, so the result is always dense.
-        """
-        from repro.graph.relabel import (
-            inverse_permutation,
-            validate_permutation,
-        )
-        from repro.graph.segments import ragged_positions
-
-        g = self.compact()
-        n = g.num_vertices
-        p = validate_permutation(perm, n)
-        inv = inverse_permutation(p)
-        mt = _memmod()
-        led = mt._ACTIVE
-        degrees = g.degrees[p]
-        offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(degrees, out=offsets[1:])
-        idx = ragged_positions(g.offsets[:-1][p], degrees)
-        if led.enabled:
-            # The gather index is the permute transient: as large as the
-            # edge arrays, gone when this call returns.  Recording the
-            # alloc/free pair makes the permute's footprint spike show
-            # in the peak watermarks without changing final live bytes.
-            phase = mt.active_phase()
-            h_idx = led.alloc("csr", "permute_gather_idx", idx.nbytes,
-                              phase=phase, dtype=str(idx.dtype))
-            led.alloc("csr", "permute_inv", inv.nbytes, phase=phase,
-                      dtype=str(inv.dtype))
-        targets = inv[g.targets[idx]].astype(VERTEX_DTYPE, copy=False)
-        weights = g.weights[idx]
-        relabeled = CSRGraph(offsets, targets, weights, validate=False)
-        if led.enabled:
-            led.free(h_idx)
-        return relabeled, inv
 
     # -- dunder ------------------------------------------------------------
 

@@ -40,12 +40,6 @@ from repro.observability.health import (
     SLObjective,
     default_service_slos,
 )
-from repro.observability.locality import (
-    CACHE_LINE_BYTES,
-    LRU_CAPACITY_LINES,
-    LocalityReport,
-    measure_locality,
-)
 from repro.observability.metrics import (
     METRICS_SCHEMA,
     NULL_REGISTRY,
@@ -112,13 +106,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CACHE_LINE_BYTES",
     "HEALTH_SCHEMA",
-    "LRU_CAPACITY_LINES",
     "HealthEvaluator",
-    "LocalityReport",
     "METRICS_SCHEMA",
-    "measure_locality",
     "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_TRACER",

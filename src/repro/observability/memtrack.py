@@ -7,7 +7,7 @@ component, phase, dtype, bytes — on its own logical clock (a monotonic
 event sequence number, never wall time), maintains live-byte totals and
 peak watermarks per component and per phase, and emits a
 byte-deterministic schema-versioned ``repro.memory/1`` report plus
-Chrome-trace counter lanes that merge into the profiler's view.
+Chrome-trace counter lanes on their own process id (:data:`PID_MEMORY`).
 
 Determinism contract (the reason the report can be an exact-match CI
 baseline):
@@ -388,16 +388,6 @@ class MemoryLedger:
                 **meta,
             },
         }
-
-    def merge_into_chrome(self, doc: dict) -> dict:
-        """Append the memory counter lanes to an existing Chrome doc.
-
-        Puts the memory axis next to a profiler timeline's time axis in
-        one Perfetto load.  Mutates and returns ``doc``.
-        """
-        doc["traceEvents"] = list(doc.get("traceEvents", ()))
-        doc["traceEvents"].extend(self.chrome_events())
-        return doc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MemoryLedger(clock={self._seq}, "

@@ -192,10 +192,6 @@ def convergence_rows(trace_doc: dict) -> List[dict]:
     return rows
 
 
-def _fmt_s(seconds: float) -> str:
-    return f"{seconds * 1e3:10.4f} ms"
-
-
 def format_profile_report(
     timeline: Timeline,
     *,

@@ -602,10 +602,3 @@ def validate_chrome_trace(doc: dict) -> Dict[str, object]:
         "named_lanes": named_lanes,
         "duration_us": end,
     }
-
-
-def _lane_events(timeline: Timeline, tid: int) -> List[ThreadEvent]:
-    """All events of one thread lane in start order (test helper)."""
-    evs = [e for e in timeline.events if e.tid == tid]
-    evs.sort(key=lambda e: (e.start, e.end))
-    return evs

@@ -17,9 +17,8 @@ compared against relative thresholds:
   on *drops* only).
 
 *Golden baselines* pin a whole deterministic document (service stats,
-metrics snapshots, reorder locality, the memory report) and gate on
-exact equality.  Each family is one
-:class:`GoldenFamily` entry in :data:`GOLDEN_FAMILIES`.
+metrics snapshots, the memory report) and gate on exact equality.  Each
+family is one :class:`GoldenFamily` entry in :data:`GOLDEN_FAMILIES`.
 
 ``run_check`` validates every file, re-runs it and exits non-zero on any
 regression, printing a readable diff — the artifact CI gates on.
@@ -513,17 +512,6 @@ def _metrics_doc(kind: str, target: str, seed: int) -> dict:
     return measure_metrics(target, seed=seed)
 
 
-def _reorder_doc(graphs: List[str], mode: str, seed: int,
-                 scramble_seed: int) -> dict:
-    from repro.bench.experiments.ext_reorder_locality import (
-        measure_reorder_locality,
-    )
-
-    return {name: measure_reorder_locality(
-                name, seed=seed, scramble_seed=scramble_seed, mode=mode)
-            for name in graphs}
-
-
 @dataclass(frozen=True)
 class GoldenFamily:
     """One family of exact-match baseline files and their producer.
@@ -565,13 +553,6 @@ GOLDEN_FAMILIES: Tuple[GoldenFamily, ...] = (
             {"kind": "leiden", "target": "asia_osm", "seed": 42},
         "metrics_service_quick":
             {"kind": "service", "target": "quick", "seed": 0},
-    }),
-    # Modelled locality of the original/scrambled/relabeled layouts plus
-    # batch-solve summaries, on the two largest registry graphs.
-    GoldenFamily("reorder", "repro.reorder-baseline/1", _reorder_doc, {
-        "reorder_locality": {"graphs": ["com-LiveJournal", "kmer_V1r"],
-                             "mode": "community", "seed": 42,
-                             "scramble_seed": 7},
     }),
     # The full repro.memory/1 report of one single-thread detection run.
     GoldenFamily("memory", "repro.memory-baseline/1", measure_memory, {

@@ -136,19 +136,6 @@ class WorkLedger:
             out[r.phase] = out.get(r.phase, 0.0) + r.total_work
         return out
 
-    def atomics_by_phase(self) -> Dict[str, float]:
-        """Recorded atomic-operation units per phase tag.
-
-        Only phases with a nonzero atomic count appear, so the dict is
-        a stable, deterministic summary of the contention profile (the
-        layout experiments report its deltas between graph layouts).
-        """
-        out: Dict[str, float] = {}
-        for r in self.regions:
-            if r.atomics:
-                out[r.phase] = out.get(r.phase, 0.0) + r.atomics
-        return out
-
     def phases(self) -> List[str]:
         """Phase tags in first-appearance order."""
         seen: List[str] = []

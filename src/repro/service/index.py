@@ -25,21 +25,11 @@ __all__ = ["CommunityIndex"]
 
 
 class CommunityIndex:
-    """Immutable lookup structures for one membership vector.
+    """Immutable lookup structures for one membership vector."""
 
-    ``layout`` optionally attaches the :class:`repro.graph.relabel.
-    Relabeling` the server derived from this membership.  When the
-    layout is community-contiguous (``membership[layout.perm]`` is
-    grouped — true by construction when the layout was built from this
-    membership), :meth:`members_slice` serves each community as a
-    *slice* of ``layout.perm`` instead of the gathered ``members_``
-    row: zero-copy member ranges over the contiguous layout.
-    """
+    __slots__ = ("membership", "offsets", "members_", "sizes")
 
-    __slots__ = ("membership", "offsets", "members_", "sizes",
-                 "layout", "_slice_order")
-
-    def __init__(self, membership, *, layout=None) -> None:
+    def __init__(self, membership) -> None:
         m = np.ascontiguousarray(membership, dtype=VERTEX_DTYPE)
         self.membership: np.ndarray = m
         k = int(m.max()) + 1 if m.shape[0] else 0
@@ -50,19 +40,6 @@ class CommunityIndex:
         self.members_: np.ndarray = np.argsort(
             m, kind="stable").astype(VERTEX_DTYPE)
         self.sizes: np.ndarray = counts
-        self.layout = layout
-        self._slice_order: np.ndarray | None = None
-        if layout is not None:
-            perm = np.asarray(layout.perm)
-            if perm.shape[0] == m.shape[0]:
-                grouped = m[perm]
-                # Contiguity detection via the relabel metadata: the
-                # permuted membership must be non-decreasing, so the
-                # index's own offsets address slices of ``perm``.
-                if grouped.shape[0] == 0 or bool(
-                        np.all(grouped[1:] >= grouped[:-1])):
-                    self._slice_order = perm.astype(
-                        VERTEX_DTYPE, copy=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -83,24 +60,13 @@ class CommunityIndex:
         s, e = self.offsets[community], self.offsets[community + 1]
         return self.members_[s:e]
 
-    @property
-    def is_contiguous_layout(self) -> bool:
-        """True when :meth:`members_slice` serves layout-order slices."""
-        return self._slice_order is not None
-
     def members_slice(self, community: int) -> np.ndarray:
-        """Vertices of ``community``, preferring the layout fast path.
+        """The server's ``members`` query: :meth:`members`.
 
-        With a community-contiguous layout attached, this is a view into
-        ``layout.perm`` — the members in *layout order* (ascending ids
-        for mode ``"community"``, descending degree for
-        ``"community-degree"``) with no gather.  Without one, falls back
-        to :meth:`members` (ascending ids).  Both return the same member
-        *set*.
+        A method of its own so the query is one named entry point on
+        the class (``benchmarks/e2e/e2e_trace.py`` wraps it by name to
+        count index calls).
         """
-        if self._slice_order is not None:
-            s, e = self.offsets[community], self.offsets[community + 1]
-            return self._slice_order[s:e]
         return self.members(community)
 
     def size(self, community: int) -> int:
@@ -134,11 +100,8 @@ class CommunityIndex:
     @property
     def nbytes(self) -> int:
         """Bytes held by the index arrays (the store's budget unit)."""
-        total = int(self.membership.nbytes + self.offsets.nbytes
-                    + self.members_.nbytes + self.sizes.nbytes)
-        if self._slice_order is not None:
-            total += int(self._slice_order.nbytes)
-        return total
+        return int(self.membership.nbytes + self.offsets.nbytes
+                   + self.members_.nbytes + self.sizes.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CommunityIndex(n={self.num_vertices}, "

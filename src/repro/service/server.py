@@ -98,17 +98,6 @@ class ServiceConfig:
     #: Recompute incrementally-refreshed partitions from scratch when the
     #: queue drains, making served memberships identical to a cold run.
     reconcile_on_drain: bool = True
-    #: Community-aware serving layout: when not ``"none"``, every
-    #: committed partition doubles as a locality preprocessor — the
-    #: server derives a :class:`repro.graph.relabel.Relabeling` from the
-    #: membership it just computed (on detect, refresh and reconcile)
-    #: and attaches it to the entry and its :class:`~repro.service.
-    #: index.CommunityIndex`, so ``members`` queries are served as
-    #: contiguous slices of the layout instead of gathers.  To also run
-    #: the *solves* on a relabeled graph, set ``leiden.relabel`` (the
-    #: warm-started refresh then reuses the stored partition as its
-    #: layout source).
-    relabel: str = "none"
     #: Retries per failing solve before degrading to last-good.
     max_retries: int = 2
     #: Logical-clock units added per retry (doubles per attempt).
@@ -126,11 +115,6 @@ class ServiceConfig:
                 "full_recompute_threshold must be in [0, 1]")
         if self.max_retries < 0:
             raise ServiceError("max_retries must be >= 0")
-        from repro.graph.relabel import RELABEL_MODES
-
-        if self.relabel not in RELABEL_MODES:
-            raise ServiceError(
-                f"relabel must be one of {RELABEL_MODES}")
 
 
 def percentile(values: List[int], q: float) -> int:
@@ -382,23 +366,6 @@ class PartitionServer:
                 "mem_peak_to_budget_ratio", self.clock,
                 self.store.peak_bytes / self.store.budget_bytes)
 
-    def _layout_index(self, graph, membership):
-        """``(layout, index)`` for a freshly committed membership.
-
-        With ``config.relabel`` off this is just the plain index; on,
-        the membership is also turned into its community-contiguous
-        :class:`~repro.graph.relabel.Relabeling` so member queries are
-        served as slices over the layout (the partition doubling as the
-        locality preprocessor for its own serving path).
-        """
-        if self.config.relabel == "none":
-            return None, CommunityIndex(membership)
-        from repro.graph.relabel import community_relabeling
-
-        layout = community_relabeling(
-            graph, [membership], mode=self.config.relabel)
-        return layout, CommunityIndex(membership, layout=layout)
-
     def _process_detect(self, ticket: Ticket) -> None:
         req: DetectRequest = ticket.request
         key = req.store_key()
@@ -415,14 +382,12 @@ class PartitionServer:
                     "detect", lambda rt: leiden(req.graph, cfg, runtime=rt))
                 membership = np.ascontiguousarray(
                     result.membership, dtype=VERTEX_DTYPE)
-                layout, index = self._layout_index(req.graph, membership)
                 entry = PartitionEntry(
                     key=key,
                     fingerprint=fp,
                     graph=req.graph,
                     membership=membership,
-                    index=index,
-                    layout=layout,
+                    index=CommunityIndex(membership),
                 )
                 self.store.put(entry)
                 self._record_memory_health()
@@ -455,8 +420,6 @@ class PartitionServer:
         if req.query == "community_of":
             value = index.community_of(req.vertex)
         elif req.query == "members":
-            # The layout fast path (a slice of the contiguous order)
-            # when the entry carries one; the gathered row otherwise.
             value = index.members_slice(req.community).copy()
         elif req.query == "neighbor_communities":
             comms, weights = index.neighbor_communities(
@@ -539,8 +502,7 @@ class PartitionServer:
             entry.graph = graph
             entry.membership = np.ascontiguousarray(
                 membership, dtype=VERTEX_DTYPE)
-            entry.layout, entry.index = self._layout_index(
-                graph, entry.membership)
+            entry.index = CommunityIndex(entry.membership)
             entry.fingerprint = graph.fingerprint()
             entry.version += 1
             entry.state = FRESH
@@ -614,8 +576,7 @@ class PartitionServer:
             return
         entry.membership = np.ascontiguousarray(
             result.membership, dtype=VERTEX_DTYPE)
-        entry.layout, entry.index = self._layout_index(
-            entry.graph, entry.membership)
+        entry.index = CommunityIndex(entry.membership)
         entry.version += 1
         entry.state = FRESH
         self.counters["reconciles"] += 1

@@ -52,11 +52,6 @@ class PartitionEntry:
     state: str = FRESH
     #: Update batches accepted but not yet folded into the partition.
     pending: List[EdgeBatch] = field(default_factory=list)
-    #: Community layout (:class:`repro.graph.relabel.Relabeling`)
-    #: derived from this partition when the server runs with
-    #: ``ServiceConfig.relabel != "none"`` — the stored partition
-    #: doubling as a locality preprocessor.  ``None`` otherwise.
-    layout: Optional[object] = None
 
     @property
     def nbytes(self) -> int:
@@ -70,13 +65,8 @@ class PartitionEntry:
         return self.index.num_communities
 
     def describe(self) -> dict:
-        """Deterministic JSON-ready snapshot (no wall-clock fields).
-
-        The ``layout`` block appears only when a relabel layout is
-        attached, keeping the default document (and the committed
-        service baselines) byte-identical to a layout-free server's.
-        """
-        doc = {
+        """Deterministic JSON-ready snapshot (no wall-clock fields)."""
+        return {
             "fingerprint": self.fingerprint,
             "version": self.version,
             "state": self.state,
@@ -85,9 +75,6 @@ class PartitionEntry:
             "num_communities": int(self.num_communities),
             "pending_updates": len(self.pending),
         }
-        if self.layout is not None:
-            doc["layout"] = self.layout.describe()
-        return doc
 
 
 class PartitionStore:

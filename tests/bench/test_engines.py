@@ -13,6 +13,7 @@ class TestRunEngineAb:
         report = engines.run_engine_ab(["asia_osm"], workers=2)
         assert report["schema"] == "repro.bench.engines/3"
         assert report["workers"] == 2
+        assert "relabel" not in report
         (row,) = report["graphs"]
         assert row["name"] == "asia_osm"
         assert set(row["engines"]) == {"batch", "process"}
@@ -30,7 +31,7 @@ def _fake_run_one(diverge: bool):
     """A ``_run_one`` stand-in; the process membership differs from the
     batch one when ``diverge``."""
 
-    def run_one(graph, engine, *, workers, seed, relabel="none"):
+    def run_one(graph, engine, *, workers, seed):
         membership = np.zeros(graph.num_vertices, dtype=np.int32)
         if diverge and engine == "process":
             membership[0] = 1

@@ -8,7 +8,6 @@ one or two small graphs to validate structure and reporting.
 import pytest
 
 from repro.bench.experiments import (
-    ext_reorder_locality,
     ext_service_load,
     fig1_fig2_refinement,
     fig3_fig4_supervertex,
@@ -53,38 +52,6 @@ class TestExtServiceLoad:
         report = ext_service_load.report(result)
         assert "micro-batching saves" in report
         assert "coalesced" in report
-
-
-class TestExtReorderLocality:
-    def test_relabeling_recovers_scrambled_locality(self):
-        doc = ext_reorder_locality.measure_reorder_locality("asia_osm")
-        assert doc["q_invariant"] is True
-        loc = doc["locality"]
-        assert set(loc) == set(ext_reorder_locality.LAYOUTS)
-        # scrambling destroys locality; the community layout recovers it
-        assert loc["scrambled"]["miss_ratio"] > 2 * loc["original"]["miss_ratio"]
-        assert loc["relabeled"]["miss_ratio"] < 0.5 * loc["scrambled"]["miss_ratio"]
-        # edge counts are layout-invariant
-        edges = {loc[k]["num_edges"] for k in loc}
-        assert len(edges) == 1
-
-    def test_measurement_deterministic(self):
-        import json
-
-        a = ext_reorder_locality.measure_reorder_locality("asia_osm")
-        b = ext_reorder_locality.measure_reorder_locality("asia_osm")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_run_and_report(self):
-        result = ext_reorder_locality.run(["asia_osm"], engines=("batch",))
-        assert list(result.measurements) == ["asia_osm"]
-        assert result.measurements["asia_osm"]["q_invariant"] is True
-        layouts = {r["layout"] for r in result.rows}
-        assert layouts == set(ext_reorder_locality.LAYOUTS)
-        assert all(r["wall_seconds"] >= 0 for r in result.rows)
-        report = ext_reorder_locality.report(result)
-        assert "miss/edge" in report
-        assert "scrambled" in report and "relabeled" in report
 
 
 class TestFig6AndTable1:

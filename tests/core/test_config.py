@@ -58,6 +58,14 @@ class TestValidation:
     def test_aggregation_tolerance_none_allowed(self):
         assert LeidenConfig(aggregation_tolerance=None).aggregation_tolerance is None
 
+    @pytest.mark.parametrize("kwargs", [
+        {"relabel": "community"},
+        {"vertex_order": "degree"},
+    ])
+    def test_retired_fields_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            LeidenConfig(**kwargs)
+
 
 class TestVariants:
     def test_default_variant(self):

@@ -209,7 +209,7 @@ class TestInputValidation:
 
 class TestWarmStartValidation:
     """``initial_membership`` and ``affected`` fail with a typed error
-    before any work is done, on both the plain and the relabel path."""
+    before any work is done."""
 
     N = 12000  # asia_osm
 
@@ -219,9 +219,9 @@ class TestWarmStartValidation:
         assert g.num_vertices == self.N
         return g
 
-    @pytest.fixture(params=["none", "community"])
-    def cfg(self, request):
-        return LeidenConfig(relabel=request.param)
+    @pytest.fixture
+    def cfg(self):
+        return LeidenConfig()
 
     def test_membership_one_short(self, graph, cfg):
         with pytest.raises(GraphStructureError, match="11999 entries"):

@@ -193,7 +193,6 @@ class TestEndToEndOracle:
         variants = [
             dict(quality="cpm", resolution=0.5),
             dict(vertex_pruning=False),
-            dict(vertex_order="degree-desc"),
             dict(batch_size=37),
             dict(use_refinement=False),
             dict(refinement="random"),

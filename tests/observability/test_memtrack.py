@@ -203,15 +203,6 @@ class TestChromeView:
         stats = validate_chrome_trace(MemoryLedger().to_chrome_trace())
         assert stats["events"] >= 1
 
-    def test_merge_into_existing_doc(self):
-        led = self._ledger()
-        doc = {"traceEvents": [{"ph": "M", "name": "process_name",
-                                "pid": 0, "tid": 0, "args": {"name": "x"}}]}
-        merged = led.merge_into_chrome(doc)
-        assert merged is doc
-        assert any(e.get("pid") == memtrack.PID_MEMORY
-                   for e in merged["traceEvents"])
-
 
 class TestNullLedger:
     def test_disabled_and_inert(self):

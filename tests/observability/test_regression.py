@@ -220,8 +220,6 @@ TINY = {
     "service": ("service_tiny", {"profile": "tiny", "seed": 0}),
     "metrics": ("metrics_service_tiny",
                 {"kind": "service", "target": "tiny", "seed": 0}),
-    "reorder": ("reorder_asia_osm", {"graphs": [GRAPH], "mode": "community",
-                                     "seed": 42, "scramble_seed": 7}),
 }
 
 
@@ -580,7 +578,7 @@ class TestMissingBaselines:
             [f"{g}.json" for g in regression.DEFAULT_BASELINE_GRAPHS]
             + [f"{name}.json" for family in GOLDEN_FAMILIES
                for name in family.files])
-        assert len(set(names)) == len(names) == 8
+        assert len(set(names)) == len(names) == 7
 
     def test_partial_dir_fails_before_any_rerun(self, tmp_path, capsys):
         # A lone perf baseline: complete enough to re-run, but the gate

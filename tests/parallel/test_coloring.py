@@ -19,7 +19,7 @@ from repro.graph.csr import empty_csr
 from repro.metrics.partition import renumber_membership
 from repro.parallel.coloring import color_classes, color_graph, verify_coloring
 from repro.parallel.runtime import Runtime
-from tests.conftest import random_graph
+from tests.conftest import random_graph, two_cliques_graph
 
 FULL_REGISTRY = os.environ.get("REPRO_FULL_REGISTRY") == "1"
 
@@ -75,6 +75,15 @@ class TestColoring:
 
     def test_all_vertices_colored(self, small_random):
         colors = color_graph(small_random)
+        assert (colors >= 0).all()
+
+
+class TestColoringFallback:
+    def test_max_rounds_fallback_still_proper(self):
+        """Force the round cap so the distinct-fresh-color path runs."""
+        g = two_cliques_graph()
+        colors = color_graph(g, max_rounds=1)
+        assert verify_coloring(g, colors)
         assert (colors >= 0).all()
 
 

@@ -46,6 +46,16 @@ class TestConfigFingerprint:
         assert (config_fingerprint(LeidenConfig(seed=1))
                 != config_fingerprint(LeidenConfig(seed=2)))
 
+    def test_pinned_digests(self):
+        """Store keys persist across releases: deleting or adding a
+        defaulted field must not rotate these digests."""
+        assert config_fingerprint(LeidenConfig()) == "01e7b720ff566d53"
+        assert config_fingerprint(LeidenConfig(seed=3)) == "0eb3a9f9854b50da"
+        cfg = LeidenConfig(engine="process", refinement="random",
+                           quality="cpm", resolution=0.5, max_passes=4,
+                           batch_size=1024, vertex_pruning=False)
+        assert config_fingerprint(cfg) == "be201894b7d5ff0c"
+
 
 class TestPartitionKey:
     def test_composed(self, two_cliques):

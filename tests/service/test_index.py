@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph.relabel import community_relabeling
 from repro.service.index import CommunityIndex
 from tests.conftest import weighted_triangle_graph
 
@@ -46,55 +45,11 @@ class TestBasics:
 
 
 class TestMembersSlice:
-    MEMBERSHIP = [2, 0, 1, 0, 2, 1, 0]
-
-    def _layout(self):
-        return community_relabeling(
-            None, [np.array(self.MEMBERSHIP)], mode="community")
-
-    def test_fast_path_enabled_with_layout(self):
-        idx = CommunityIndex(self.MEMBERSHIP, layout=self._layout())
-        assert idx.is_contiguous_layout
-
-    def test_without_layout_falls_back(self):
-        idx = CommunityIndex(self.MEMBERSHIP)
-        assert not idx.is_contiguous_layout
-        assert idx.members_slice(0).tolist() == idx.members(0).tolist()
-
-    def test_both_paths_return_identical_members(self):
-        plain = CommunityIndex(self.MEMBERSHIP)
-        fast = CommunityIndex(self.MEMBERSHIP, layout=self._layout())
-        for c in range(plain.num_communities):
-            assert (sorted(fast.members_slice(c).tolist())
-                    == sorted(plain.members_slice(c).tolist()))
-            assert (sorted(fast.members_slice(c).tolist())
-                    == plain.members(c).tolist())
-
-    def test_fast_path_is_view_not_copy(self):
-        idx = CommunityIndex(self.MEMBERSHIP, layout=self._layout())
-        sl = idx.members_slice(0)
-        assert sl.base is idx._slice_order
-
-    def test_non_contiguous_layout_rejected(self):
-        # a layout built from a *different* membership does not group
-        # this one — the fast path must stay off
-        other = community_relabeling(
-            None, [np.array([0, 1, 0, 1, 0, 1, 0])], mode="community")
-        idx = CommunityIndex(self.MEMBERSHIP, layout=other)
-        assert not idx.is_contiguous_layout
+    def test_returns_members(self):
+        """The server's ``members`` query returns the ascending row."""
+        idx = CommunityIndex([2, 0, 1, 0, 2, 1, 0])
         for c in range(idx.num_communities):
             assert idx.members_slice(c).tolist() == idx.members(c).tolist()
-
-    def test_nbytes_accounts_for_slice_order(self):
-        plain = CommunityIndex(self.MEMBERSHIP)
-        fast = CommunityIndex(self.MEMBERSHIP, layout=self._layout())
-        assert fast.nbytes > plain.nbytes
-
-    def test_empty_membership_with_layout(self):
-        layout = community_relabeling(
-            None, [np.empty(0, dtype=np.int64)], mode="community")
-        idx = CommunityIndex([], layout=layout)
-        assert idx.num_communities == 0
 
 
 class TestNeighborCommunities:

@@ -35,6 +35,10 @@ class TestConfig:
         with pytest.raises(ServiceError):
             ServiceConfig(max_retries=-1)
 
+    def test_relabel_field_is_gone(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(relabel="community")
+
 
 class TestDetect:
     def test_detect_solves_and_stores(self):

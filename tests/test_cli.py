@@ -150,11 +150,10 @@ class TestBenchSubcommand:
         assert "recorded baseline" in out
         assert "recorded service baseline" in out
         assert "recorded metrics baseline" in out
-        assert "recorded reorder baseline" in out
         assert "recorded memory baseline" in out
         assert main(["bench", "--check",
                      "--baselines", str(tmp_path)]) == 0
-        assert "8/8 baselines within thresholds" in capsys.readouterr().out
+        assert "7/7 baselines within thresholds" in capsys.readouterr().out
 
     def test_bench_trace_writes_bundle(self, tmp_path, capsys):
         out_file = tmp_path / "bundle.json"
@@ -252,12 +251,14 @@ class TestServeSubcommand:
 
 
 class TestRetiredSubcommands:
-    """``fleet`` and ``reqtrace`` are no subcommands: the first token is
-    the run's graph argument, so their flags fail run's parser."""
+    """``fleet``, ``reqtrace`` and ``reorder`` are no subcommands: the
+    first token is the run's graph argument, so their flags fail run's
+    parser.  ``--relabel`` is no flag of any subcommand."""
 
     @pytest.mark.parametrize("argv", [
         ["fleet", "--shards", "3"],
         ["reqtrace", "doc.json", "--slowest", "5"],
+        ["reorder", "asia_osm", "--mode", "community"],
     ])
     def test_flags_fall_through_to_run(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +270,23 @@ class TestRetiredSubcommands:
     def test_bare_name_is_an_unknown_graph(self):
         with pytest.raises(SystemExit, match="neither a file nor a dataset"):
             main(["fleet"])
+
+    def test_bare_reorder_is_an_unknown_graph(self):
+        with pytest.raises(SystemExit, match="neither a file nor a dataset"):
+            main(["reorder"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "asia_osm"],
+        ["profile", "asia_osm"],
+        ["bench", "--engines"],
+    ])
+    def test_relabel_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--relabel", "community"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --relabel" in err
+        assert "Traceback" not in err
 
 
 class TestMemSubcommand:
@@ -481,7 +499,7 @@ class TestCountFlags:
         ["profile", "asia_osm"],
         ["metrics", "asia_osm"],
         ["mem", "asia_osm"],
-        ["reorder", "asia_osm"],
+        ["run", "asia_osm", "--engine", "process"],
         ["bench", "--engines"],
     ])
     def test_workers_below_one_exits_2(self, argv, capsys):
@@ -507,7 +525,6 @@ class TestCountFlags:
         ["profile", "asia_osm"],
         ["metrics", "asia_osm"],
         ["mem", "asia_osm"],
-        ["reorder", "asia_osm"],
     ])
     def test_max_passes_below_one_exits_2(self, argv, capsys):
         code, err = self._exit_code(argv + ["--max-passes", "0"], capsys)

@@ -22,7 +22,6 @@ EXPECTED_OUTPUT = {
     "partition_server.py": "served == from-scratch: True",
     "process_engine.py": "bitwise-identical to the simulated oracle: True",
     "profile_smoke.py": "convergence monitor",
-    "reorder_locality.py": "Q invariant under relabeling: True",
     "metrics_smoke.py": "health=PAGE",
     "memory_smoke.py": "double runs byte-identical: True",
 }
