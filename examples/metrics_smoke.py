@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Metrics & health smoke: typed instruments, exposition, SLO burn rates.
+"""Metrics smoke: typed instruments and their exposition.
 
 Demonstrates the metrics subsystem end to end:
 
@@ -7,25 +7,14 @@ Demonstrates the metrics subsystem end to end:
    to the runtime — every hot layer (parallel runtime, local move,
    refinement, aggregation, kernel dispatch) records typed series;
 2. both byte-deterministic exports — the ``repro.metrics/1`` JSON
-   snapshot and Prometheus text exposition (validated);
-3. a partition-server workload with the stock SLO evaluator attached,
-   ending in an ``OK`` health verdict;
-4. an injected slowdown (stretched logical query cost) driving the
-   query-latency objective from ``OK`` to ``PAGE``.
+   snapshot and Prometheus text exposition (validated).
 
 Run with:  PYTHONPATH=src python examples/metrics_smoke.py
 """
 
 from repro.core.config import LeidenConfig
-from repro.observability.health import (
-    HealthEvaluator,
-    SLObjective,
-    default_service_slos,
-)
-from repro.observability.metrics import MetricsRegistry, validate_prometheus
+from repro.observability.metrics import validate_prometheus
 from repro.observability.regression import collect_leiden_metrics
-from repro.service.server import PartitionServer, ServiceConfig
-from repro.service.workload import run_workload
 
 
 def main() -> None:
@@ -47,43 +36,7 @@ def main() -> None:
     moves = registry.get("leiden_local_moves_total")
     shrink = registry.get("leiden_aggregation_shrink")
     print(f"local moves: {moves.value():.0f}, "
-          f"aggregation shrink p50: {shrink.percentile(50.0):.3f}\n")
-
-    # 3. A service workload with metrics + stock SLOs attached.
-    service_registry = MetricsRegistry()
-    health = HealthEvaluator(default_service_slos())
-    server = PartitionServer(metrics=service_registry, health=health)
-    run_workload("tiny", seed=0, server=server, verify=False)
-    verdict = health.evaluate(server.clock)
-    print(f"workload 'tiny': clock={server.clock} units, "
-          f"health={verdict['state']}")
-    for obj in verdict["objectives"]:
-        print(f"  {obj['name']:<20} {obj['state']:<5} "
-              f"long burn={obj['long']['burn_rate']:.2f} "
-              f"short burn={obj['short']['burn_rate']:.2f}")
-
-    # 4. Injected slowdown: stretch the logical query cost past the
-    # latency target and watch the burn rate page.
-    slo = SLObjective(name="query_latency", signal="query_latency_units",
-                      kind="latency", target=4.0, budget=0.1,
-                      long_window=4000, short_window=400,
-                      warn_burn=1.0, page_burn=5.0)
-    from repro.graph.builder import build_csr_from_edges
-
-    health = HealthEvaluator([slo])
-    slow = PartitionServer(
-        ServiceConfig(leiden=LeidenConfig(seed=1), query_cost_units=8),
-        health=health)
-    # Two 4-cliques joined by one bridge edge.
-    edges = [(i, j) for base in (0, 4)
-             for i in range(base, base + 4)
-             for j in range(i + 1, base + 4)] + [(0, 4)]
-    demo = build_csr_from_edges(*zip(*edges))
-    key = slow.detect(demo).response["key"]
-    for _ in range(40):
-        slow.query(key, "community_of", vertex=0)
-    print(f"\ninjected slowdown (query cost 8 > target 4): "
-          f"health={health.state(slow.clock)}")
+          f"aggregation shrink p50: {shrink.percentile(50.0):.3f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Run the evaluation: ``python -m repro.bench`` / ``repro bench``.
 
 With no arguments, prints every experiment in paper order.  Positional
-arguments filter by label ("table 1", "figure 9", ...).  ``--output`` /
-``--json`` additionally write the consolidated report artifacts.
+arguments filter by label ("table 1", "figure 9", ...); a filter that
+matches no label exits 2 after listing the labels, and filters given
+with any of the mode flags below (or ``--output`` / ``--json``, which
+write the consolidated report artifacts of every experiment) exit 2.
 
 Observability / CI flags:
 
@@ -35,6 +37,7 @@ Observability / CI flags:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -95,6 +98,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=positive_int, default=4,
                         help="worker count for --engines (default 4)")
     args = parser.parse_args(argv)
+    if args.filters:
+        modes = [flag for flag, given in (
+            ("--kernels", args.kernels), ("--engines", args.engines_ab),
+            ("--check", args.check), ("--trace", args.trace_path),
+            ("--profile", args.profile_path), ("--mem", args.mem_path),
+            ("--update-baselines", args.update_baselines),
+            ("--output", args.output), ("--json", args.json_path),
+        ) if given]
+        if modes:
+            parser.error(f"experiment filters do not apply to {modes[0]}")
 
     if args.kernels:
         from repro.bench.kernels import main as kernels_main
@@ -156,6 +169,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     wanted = {f.lower() for f in args.filters}
+    labels = [label.lower() for label, _ in ALL_EXPERIMENTS]
+    unmatched = sorted(w for w in wanted
+                       if not any(w in label for label in labels))
+    if unmatched:
+        # The shape of ``repro serve``'s unknown-profile output: one line
+        # per valid label, then a final ``error:`` summary on stderr.
+        for label, _ in ALL_EXPERIMENTS:
+            print(f"VALID experiment {label}", file=sys.stderr)
+        print(f"error: no experiment label matches {unmatched[0]!r} — pick "
+              f"a filter from the labels listed above", file=sys.stderr)
+        return 2
     for label, module in ALL_EXPERIMENTS:
         if wanted and not any(w in label.lower() for w in wanted):
             continue

@@ -26,7 +26,7 @@ Subcommands:
   subsystem (:mod:`repro.service`) through a seeded closed-loop
   workload and emit its deterministic stats document
   (see docs/SERVICE.md); ``--metrics PATH`` attaches the metric
-  registry plus the stock SLO evaluator and writes their snapshot;
+  registry and writes its snapshot;
 - ``repro mem <input>`` — run GVE-Leiden with the memory ledger
   (:mod:`repro.observability.memtrack`) attached and emit the
   byte-deterministic ``repro.memory/1`` allocation report; ``--chrome``
@@ -55,7 +55,6 @@ from repro.graph.io_mtx import read_mtx
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
 from repro.metrics.summary import summarize_partition
-from repro.observability.health import HealthEvaluator, default_service_slos
 from repro.observability.memtrack import (
     MemoryLedger,
     record_csr,
@@ -69,7 +68,7 @@ from repro.observability.profiler import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.observability.tracer import TRACE_SCHEMA, TRACE_SCHEMA_V1, Tracer
+from repro.observability.tracer import TRACE_SCHEMA, Tracer
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
@@ -294,10 +293,10 @@ def _trace_diff(args) -> int:
     )
 
     def check_schema(doc: dict) -> None:
-        if doc.get("schema") not in (TRACE_SCHEMA, TRACE_SCHEMA_V1):
+        if doc.get("schema") != TRACE_SCHEMA:
             raise ValueError(
                 f"unsupported trace schema {doc.get('schema')!r} "
-                f"(expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V1!r})")
+                f"(expected {TRACE_SCHEMA!r})")
 
     path_a, path_b = args.diff
     for p in (path_a, path_b):
@@ -431,10 +430,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "here (request lane + solve timelines)")
     p.add_argument("--metrics", type=Path, default=None,
                    dest="metrics_output",
-                   help="also run with the metric registry and the stock "
-                        "SLO evaluator attached and write their "
-                        "byte-deterministic snapshot JSON (including the "
-                        "repro.health/1 block) here")
+                   help="also run with the metric registry attached and "
+                        "write its byte-deterministic snapshot JSON here")
     p.add_argument("--mem", type=Path, default=None, dest="mem_output",
                    help="also run with the memory ledger attached and "
                         "write the byte-deterministic repro.memory/1 "
@@ -464,15 +461,13 @@ def serve_main(argv: list[str] | None = None) -> int:
     if (args.trace_output is not None or args.profile_output is not None
             or args.metrics_output is not None
             or args.mem_output is not None):
-        with_metrics = args.metrics_output is not None
         server = PartitionServer(
             service_config,
             tracer=Tracer() if args.trace_output is not None else None,
             profiler=(Profiler() if args.profile_output is not None
                       else None),
-            metrics=MetricsRegistry() if with_metrics else None,
-            health=(HealthEvaluator(default_service_slos())
-                    if with_metrics else None),
+            metrics=(MetricsRegistry() if args.metrics_output is not None
+                     else None),
             memory=MemoryLedger() if args.mem_output is not None else None,
         )
     result = run_workload(
@@ -493,7 +488,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             seed=args.seed), "profile", args.compact)
     if args.metrics_output is not None:
         _write_json(args.metrics_output, server.metrics.to_snapshot(
-            health=server.health.evaluate(server.clock),
             experiment=experiment,
             seed=args.seed,
             clock_units=int(server.clock),

@@ -187,16 +187,7 @@ def aggregate_batch(
         per_item=1.0,
     )
     runtime.record_serial(float(k), phase=phase)
-    if runtime.metrics.enabled:
-        mr = runtime.metrics
-        mr.counter("leiden_aggregate_super_vertices_total",
-                   "super-vertices produced by aggregation").inc(k)
-        mr.counter("leiden_aggregate_edge_writes_total",
-                   "deduplicated super-edge writes").inc(edge_writes)
-    if runtime.tracer.enabled:
-        runtime.tracer.count("aggregate_super_vertices", k)
-        runtime.tracer.count("aggregate_edge_writes", edge_writes)
-
+    _report(runtime, k, edge_writes)
     return CSRGraph(offsets, targets, weights, degrees=degrees, validate=False)
 
 
@@ -250,14 +241,20 @@ def aggregate_loop(
     )
     runtime.record_parallel(work, phase=phase, atomics=float(edge_writes))
     runtime.record_serial(float(2 * k), phase=phase)
+    _report(runtime, k, edge_writes)
+    return CSRGraph(offsets, targets, weights, degrees=degrees, validate=False)
+
+
+def _report(runtime: Runtime, super_vertices: int, edge_writes: int) -> None:
+    """Report one aggregation's totals to the metrics registry and the
+    tracer: the aggregation phase's one report, shared by every engine."""
     if runtime.metrics.enabled:
         mr = runtime.metrics
         mr.counter("leiden_aggregate_super_vertices_total",
-                   "super-vertices produced by aggregation").inc(k)
+                   "super-vertices produced by aggregation"
+                   ).inc(super_vertices)
         mr.counter("leiden_aggregate_edge_writes_total",
                    "deduplicated super-edge writes").inc(edge_writes)
     if runtime.tracer.enabled:
-        runtime.tracer.count("aggregate_super_vertices", k)
+        runtime.tracer.count("aggregate_super_vertices", super_vertices)
         runtime.tracer.count("aggregate_edge_writes", edge_writes)
-
-    return CSRGraph(offsets, targets, weights, degrees=degrees, validate=False)

@@ -20,12 +20,19 @@ refined partition of the final pass (Algorithm 1 breaks before line 14's
 remapping), which is internally connected by construction; the
 ``vertex_label`` choice affects how each pass is *seeded* and the output
 only when the pass budget is exhausted.
+
+Every phase runs inside :meth:`Runtime.phase`, which opens its tracer
+span, sets the memory ledger's active phase and adds its wall time to the
+pass; :func:`_pass_scope` owns each pass's work ledger, span and
+:class:`PassStats`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict
+from contextlib import contextmanager, nullcontext
+from functools import partial
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from repro.core.local_move_process import local_move_process
 from repro.core.quality import Quality
 from repro.core.refine import refine_batch, refine_loop
 from repro.core.result import (
+    ALL_PHASES,
     PHASE_AGGREGATE,
     PHASE_LOCAL_MOVE,
     PHASE_OTHER,
@@ -50,16 +58,9 @@ from repro.metrics.partition import check_membership, renumber_membership
 from repro.observability import memtrack
 from repro.parallel.rng import Xorshift32
 from repro.parallel.runtime import Runtime
-from repro.parallel.simthread import WorkLedger
 from repro.types import VERTEX_DTYPE
 
 __all__ = ["leiden"]
-
-#: Engines that drive the vectorized batch kernels for the refine and
-#: aggregate phases (the process engine parallelizes local-moving across
-#: worker processes and runs the remaining phases on the batch path, so
-#: end-to-end membership matches ``"batch"`` bitwise).
-_BATCH_LIKE = ("batch", "process")
 
 
 def leiden(
@@ -89,6 +90,14 @@ def leiden(
     membership of the wrong length or with a negative id, a mask of the
     wrong shape, or a vertex id outside ``[0, n)`` raises
     :class:`~repro.errors.GraphStructureError`.
+
+    When the pass budget runs out (``max_passes`` passes without a
+    convergence or low-shrink exit) under ``vertex_label="move"``, the
+    result composes the last pass's move-phase labels on top of its
+    refined communities (Algorithm 1, line 16 after line 14).  That top
+    level carries no connectivity guarantee: move-phase communities may
+    be internally disconnected, as on ``webbase-2001`` at
+    ``max_passes=1`` (11 of 2,436 communities).
     """
     if validate_input:
         from repro.graph.validate import validate_csr
@@ -100,16 +109,27 @@ def leiden(
     first_unprocessed = _affected_mask(affected, n0)
     cfg = config or LeidenConfig()
     rt = runtime or Runtime(num_threads=1, seed=cfg.seed)
-    tracer = rt.tracer
     rng = Xorshift32(cfg.seed)
     qual = Quality(cfg.quality, cfg.resolution)
 
+    # The engine's phase functions, read from this module's namespace
+    # once per call (the traced benchmark wraps them here).  The process
+    # engine moves vertices on its pool and runs the other phases on the
+    # batch path, so its membership matches ``"batch"`` bitwise.
+    batched = cfg.engine != "loop"
+    if batched:
+        move = partial(local_move_process if cfg.engine == "process"
+                       else local_move_batch, batch_size=cfg.batch_size)
+        refine = partial(refine_batch, batch_size=cfg.batch_size,
+                         guard=cfg.refine_guard)
+        aggregate = aggregate_batch
+    else:
+        move, refine, aggregate = local_move_loop, refine_loop, aggregate_loop
+
     C_top = np.arange(n0, dtype=VERTEX_DTYPE)
     dendrogram = Dendrogram()
-    passes: list[PassStats] = []
-    wall_phase: Dict[str, float] = {p: 0.0 for p in
-                                    (PHASE_LOCAL_MOVE, PHASE_REFINE,
-                                     PHASE_AGGREGATE, PHASE_OTHER)}
+    passes: List[PassStats] = []
+    wall_phase: Dict[str, float] = dict.fromkeys(ALL_PHASES, 0.0)
     t_start = time.perf_counter()
 
     G = graph
@@ -134,243 +154,166 @@ def leiden(
     m_comms = m.gauge(
         "leiden_communities", "community count of the most recent run")
 
-    run_span = tracer.push(
-        "leiden", vertices=int(n0), edges=int(graph.num_edges),
-        engine=cfg.engine, quality=cfg.quality,
-    )
-    # Activate the runtime's memory ledger for the run so buffer owners
-    # constructed deep inside the phases (super-graph CSR arrays) can
-    # record allocations without threading the ledger through every
-    # call.  Entered/exited manually to share the existing
-    # try/finally.
-    _mem_scope = memtrack.activate(rt.memory)
-    _mem_scope.__enter__()
-    try:
+    # A runtime created here is closed on the way out, reaping its worker
+    # pool.  The run's memory ledger is active for the whole solve, so
+    # buffer owners built deep inside the phases (super-graph CSR arrays)
+    # record allocations without threading it through.
+    with (nullcontext() if runtime is not None else rt), \
+            rt.tracer.span("leiden", vertices=int(n0),
+                           edges=int(graph.num_edges), engine=cfg.engine,
+                           quality=cfg.quality) as run_span, \
+            memtrack.activate(rt.memory):
         for pass_index in range(cfg.max_passes):
-            pass_ledger = WorkLedger()
-            saved_ledger = rt.ledger
-            rt.ledger = pass_ledger
-            pw: Dict[str, float] = {p: 0.0 for p in wall_phase}
             n = G.num_vertices
-            pass_span = tracer.push("pass", index=pass_index, vertices=int(n))
+            with _pass_scope(rt, passes, wall_phase, pass_index,
+                             n) as (stats, pass_span):
+                pw = stats.wall_phase_seconds
 
-            # -- initialization (line 4) -------------------------------------
-            t0 = time.perf_counter()
-            with tracer.span("init"):
-                if cfg.engine in _BATCH_LIKE:
-                    # One workspace per pass: the kernel scratch map is
-                    # allocated here and reused by every batch of the move
-                    # and refine phases — the analogue of the paper's
-                    # up-front per-thread hashtable allocation.
-                    workspace = rt.workspace(n, phase=PHASE_OTHER)
-                else:
-                    workspace = None
-                K = G.vertex_weights().copy()
-                Qv = qual.vertex_quantity(K, sizes)
-                if init_membership is None:
-                    C = np.arange(n, dtype=VERTEX_DTYPE)
-                    Sigma = Qv.copy()
-                else:
-                    C = init_membership.copy()
-                    Sigma = np.bincount(C, weights=Qv, minlength=n)
-                rt.record_parallel(n, phase=PHASE_OTHER, per_item=1.0)
-            pw[PHASE_OTHER] += time.perf_counter() - t0
+                # -- initialization (line 4) ------------------------------
+                with rt.phase(PHASE_OTHER, pw, "init"):
+                    # One workspace per pass: the kernel scratch map
+                    # is allocated here and reused by every batch of
+                    # the move and refine phases — the analogue of
+                    # the paper's up-front per-thread hashtables.
+                    ws_kw = ({"workspace": rt.workspace(n, phase=PHASE_OTHER)}
+                             if batched else {})
+                    K = G.vertex_weights().copy()
+                    Qv = qual.vertex_quantity(K, sizes)
+                    if init_membership is None:
+                        C = np.arange(n, dtype=VERTEX_DTYPE)
+                        Sigma = Qv.copy()
+                    else:
+                        C = init_membership.copy()
+                        Sigma = np.bincount(C, weights=Qv, minlength=n)
+                    rt.record_parallel(n, phase=PHASE_OTHER, per_item=1.0)
 
-            # -- local-moving phase (line 5) ----------------------------------
-            t0 = time.perf_counter()
-            with tracer.span("local_move", engine=cfg.engine) as mv_span:
-                if cfg.engine == "process":
-                    li, _dq = local_move_process(
-                        G, C, K, Sigma, tau,
-                        runtime=rt,
-                        pool=rt.procpool(),
-                        max_iterations=cfg.max_iterations,
-                        batch_size=cfg.batch_size,
-                        quality=qual,
-                        quantities=Qv,
-                        unprocessed_mask=(first_unprocessed if pass_index == 0
-                                          else None),
-                        pruning=cfg.vertex_pruning,
-                        workspace=workspace,
-                    )
-                elif cfg.engine == "batch":
-                    li, _dq = local_move_batch(
-                        G, C, K, Sigma, tau,
-                        runtime=rt,
-                        max_iterations=cfg.max_iterations,
-                        batch_size=cfg.batch_size,
-                        quality=qual,
-                        quantities=Qv,
-                        unprocessed_mask=(first_unprocessed if pass_index == 0
-                                          else None),
-                        pruning=cfg.vertex_pruning,
-                        workspace=workspace,
-                    )
-                else:
-                    li, _dq = local_move_loop(
+                # -- local-moving phase (line 5) --------------------------
+                with rt.phase(PHASE_LOCAL_MOVE, pw, "local_move",
+                              engine=cfg.engine) as span:
+                    li, _dq = move(
                         G, C, K, Sigma, tau,
                         runtime=rt,
                         max_iterations=cfg.max_iterations,
                         quality=qual,
                         quantities=Qv,
-                        unprocessed_mask=(first_unprocessed if pass_index == 0
-                                          else None),
+                        unprocessed_mask=(first_unprocessed
+                                          if pass_index == 0 else None),
                         pruning=cfg.vertex_pruning,
+                        **ws_kw,
                     )
-                mv_span.set(iterations=li)
-            pw[PHASE_LOCAL_MOVE] += time.perf_counter() - t0
+                    span.set(iterations=li)
 
-            # -- refinement phase (lines 6-7) -----------------------------------
-            t0 = time.perf_counter()
-            with tracer.span("refine", enabled=cfg.use_refinement) as rf_span:
-                C_B = C.copy()
-                if cfg.use_refinement:
-                    C_ref = np.arange(n, dtype=VERTEX_DTYPE)
-                    Sigma_ref = Qv.copy()
-                    if cfg.engine in _BATCH_LIKE:
-                        lj = refine_batch(
-                            G, C_B, C_ref, K, Sigma_ref,
+                # -- refinement phase (lines 6-7) -------------------------
+                with rt.phase(PHASE_REFINE, pw, "refine",
+                              enabled=cfg.use_refinement) as span:
+                    C_B = C.copy()
+                    if cfg.use_refinement:
+                        C_ref = np.arange(n, dtype=VERTEX_DTYPE)
+                        lj = refine(
+                            G, C_B, C_ref, K, Qv.copy(),
                             runtime=rt,
                             rng=rng,
                             refinement=cfg.refinement,
-                            batch_size=cfg.batch_size,
-                            guard=cfg.refine_guard,
                             quality=qual,
                             quantities=Qv,
-                            workspace=workspace,
+                            **ws_kw,
                         )
                     else:
-                        lj = refine_loop(
-                            G, C_B, C_ref, K, Sigma_ref,
-                            runtime=rt,
-                            rng=rng,
-                            refinement=cfg.refinement,
-                            quality=qual,
-                            quantities=Qv,
-                        )
-                else:
-                    # GVE-Louvain: aggregation follows the move phase directly.
-                    C_ref = C_B
-                    lj = 0
-                rf_span.set(moves=lj)
-            pw[PHASE_REFINE] += time.perf_counter() - t0
+                        # GVE-Louvain: aggregation follows the move
+                        # phase directly.
+                        C_ref = C_B
+                        lj = 0
+                    span.set(moves=lj)
 
-            # -- convergence / shrink checks (lines 8-10) ------------------------
-            t0 = time.perf_counter()
-            converged = li <= 1 and lj == 0
-            C_ref_ren, ref_ids = renumber_membership(C_ref)
-            num_comms = int(ref_ids.shape[0])
-            # Convergence monitor: aggregation shrink ratio (communities
-            # per vertex — 1.0 means no shrink) on the pass span, and the
-            # community count as a counter track on the profiler timeline.
-            pass_span.record("aggregation_shrink", num_comms / max(n, 1))
-            m_passes.inc()
-            m_shrink.observe(num_comms / max(n, 1))
-            rt.profiler.mark("communities", num_comms)
-            low_shrink = (
-                cfg.aggregation_tolerance is not None
-                and n > 0
-                and num_comms / n > cfg.aggregation_tolerance
-            )
-            if converged or low_shrink:
-                m_exits.labels("converged" if converged else "low_shrink").inc()
-                # Algorithm 1 breaks before line 14's move-based remapping,
-                # so the final dendrogram lookup (line 16) applies the
-                # *refined* membership — which is internally connected by
-                # construction (the CAS discipline of Algorithm 3).
-                dendrogram.add_level(C_ref_ren)
-                C_top = C_ref_ren[C_top]
-                pw[PHASE_OTHER] += time.perf_counter() - t0
-                rt.record_parallel(max(n, 1), phase=PHASE_OTHER, per_item=1.0)
-                # C_top maps onto all num_comms refined communities.
-                _close_pass(
-                    passes, pass_index, n, num_comms,
-                    li, lj, tau, pw, pass_ledger,
-                )
-                rt.ledger = saved_ledger
-                rt.ledger.merge(pass_ledger)
-                for p, s in pw.items():
-                    wall_phase[p] += s
+                # -- exit checks, dendrogram lookup (lines 8-12) ----------
+                # Bookkeeping between phases runs under the pass span.
+                with rt.phase(PHASE_OTHER, pw):
+                    converged = li <= 1 and lj == 0
+                    C_ref_ren, ref_ids = renumber_membership(C_ref)
+                    num_comms = int(ref_ids.shape[0])
+                    # Convergence monitor: aggregation shrink ratio
+                    # (communities per vertex — 1.0 means no shrink)
+                    # on the pass span, and the community count as a
+                    # counter track on the profiler timeline.
+                    pass_span.record("aggregation_shrink",
+                                     num_comms / max(n, 1))
+                    m_passes.inc()
+                    m_shrink.observe(num_comms / max(n, 1))
+                    rt.profiler.mark("communities", num_comms)
+                    low_shrink = (
+                        cfg.aggregation_tolerance is not None
+                        and n > 0
+                        and num_comms / n > cfg.aggregation_tolerance
+                    )
+                    done = converged or low_shrink
+                    # On an exit Algorithm 1 breaks before line 14's
+                    # move-based remapping, so the final lookup (line
+                    # 16) applies the *refined* membership — which is
+                    # internally connected by construction (the CAS
+                    # discipline of Algorithm 3).
+                    dendrogram.add_level(C_ref_ren)
+                    C_top = C_ref_ren[C_top]
+                    if done:
+                        m_exits.labels(
+                            "converged" if converged else "low_shrink").inc()
+                    rt.record_parallel(max(n, 1) if done else n0,
+                                       phase=PHASE_OTHER, per_item=1.0)
+
+                if not done:
+                    # -- aggregation phase (line 13) ----------------------
+                    with rt.phase(PHASE_AGGREGATE, pw, "aggregate") as span:
+                        G = aggregate(G, C_ref_ren, num_comms, runtime=rt)
+                        sizes = np.bincount(C_ref_ren, weights=sizes,
+                                            minlength=num_comms)
+                        span.set(super_vertices=int(num_comms),
+                                 super_edges=int(G.num_edges))
+
+                    # -- next pass's initial membership (line 14) ---------
+                    with rt.phase(PHASE_OTHER, pw):
+                        if cfg.vertex_label == "move" and cfg.use_refinement:
+                            # Each super-vertex (refined community) starts
+                            # in the community its members held after the
+                            # local-moving phase.  Refinement merges only
+                            # within a bound, so all members write the
+                            # same label.
+                            bound_labels = np.empty(num_comms, dtype=C_B.dtype)
+                            bound_labels[C_ref_ren] = C_B
+                            init_membership, _ = renumber_membership(
+                                bound_labels)
+                        else:
+                            init_membership = None
+                        tau = cfg.next_tolerance(tau)
+                        rt.record_serial(float(num_comms), phase=PHASE_OTHER)
+
+                # Every pass closes here; one that aggregated carries the
+                # τ the next pass starts with.
+                stats.num_communities = num_comms
+                stats.move_iterations = li
+                stats.refine_moves = lj
+                stats.tolerance = tau
                 pass_span.set(
-                    communities=num_comms, move_iterations=li, refine_moves=lj,
-                    converged=bool(converged), low_shrink=bool(low_shrink),
+                    communities=num_comms, move_iterations=li,
+                    refine_moves=lj, converged=bool(converged),
+                    low_shrink=bool(low_shrink),
                 )
-                tracer.pop()
+            if done:
                 break
-
-            # -- dendrogram lookup (lines 11-12) ----------------------------------
-            dendrogram.add_level(C_ref_ren)
-            C_top = C_ref_ren[C_top]
-            rt.record_parallel(n0, phase=PHASE_OTHER, per_item=1.0)
-            pw[PHASE_OTHER] += time.perf_counter() - t0
-
-            # -- aggregation phase (line 13) ------------------------------------------
-            t0 = time.perf_counter()
-            with tracer.span("aggregate") as ag_span, \
-                    memtrack.phase_scope(PHASE_AGGREGATE):
-                if cfg.engine in _BATCH_LIKE:
-                    G = aggregate_batch(G, C_ref_ren, num_comms, runtime=rt)
-                else:
-                    G = aggregate_loop(G, C_ref_ren, num_comms, runtime=rt)
-                sizes = np.bincount(C_ref_ren, weights=sizes, minlength=num_comms)
-                ag_span.set(super_vertices=int(num_comms),
-                            super_edges=int(G.num_edges))
-            pw[PHASE_AGGREGATE] += time.perf_counter() - t0
-
-            # -- next pass's initial membership (line 14) -------------------------------
-            t0 = time.perf_counter()
-            if cfg.vertex_label == "move" and cfg.use_refinement:
-                # Each super-vertex (refined community) starts in the
-                # community its members held after the local-moving phase.
-                # Refinement merges only within a bound, so all members
-                # write the same label.
-                bound_labels = np.empty(num_comms, dtype=C_B.dtype)
-                bound_labels[C_ref_ren] = C_B
-                init_membership, _ = renumber_membership(bound_labels)
-            else:
-                init_membership = None
-            tau = cfg.next_tolerance(tau)
-            rt.record_serial(float(num_comms), phase=PHASE_OTHER)
-            pw[PHASE_OTHER] += time.perf_counter() - t0
-
-            _close_pass(
-                passes, pass_index, n, num_comms, li, lj, tau, pw, pass_ledger
-            )
-            rt.ledger = saved_ledger
-            rt.ledger.merge(pass_ledger)
-            for p, s in pw.items():
-                wall_phase[p] += s
-            pass_span.set(
-                communities=num_comms, move_iterations=li, refine_moves=lj,
-                converged=False, low_shrink=False,
-            )
-            tracer.pop()
         else:
-            # Pass budget exhausted: the dendrogram currently maps onto the
-            # *refined* communities of the last pass; move-based labelling
-            # composes the move-phase bound on top (Algorithm 1, line 16
-            # after line 14's remapping).
+            # Pass budget exhausted: the dendrogram maps onto the
+            # *refined* communities of the last pass; move-based
+            # labelling composes the move-phase bound on top
+            # (Algorithm 1, line 16 after line 14's remapping).
             m_exits.labels("budget").inc()
             if cfg.vertex_label == "move" and init_membership is not None:
                 dendrogram.add_level(init_membership)
                 C_top = init_membership[C_top]
 
-        # Final renumbering keeps ids compact regardless of the exit path.
+        # Final renumbering keeps ids compact regardless of the exit.
         C_top, _ = renumber_membership(C_top)
         wall = time.perf_counter() - t_start
         final_comms = int(C_top.max()) + 1 if n0 else 0
         run_span.set(passes=len(passes), communities=final_comms)
         m_comms.set(final_comms)
-    finally:
-        _mem_scope.__exit__(None, None, None)
-        # Close the run span (and any pass/phase
-        # spans left open by an exception) so partial traces
-        # still carry seconds.
-        tracer.unwind(run_span)
-        # A runtime we created ourselves has no outer lifetime managing
-        # it — reap its worker pool rather than leave daemons behind.
-        if runtime is None:
-            rt.close()
     return LeidenResult(
         membership=C_top,
         dendrogram=dendrogram,
@@ -379,6 +322,34 @@ def leiden(
         wall_seconds=wall,
         wall_phase_seconds=wall_phase,
     )
+
+
+@contextmanager
+def _pass_scope(rt: Runtime, passes: List[PassStats],
+                wall_phase: Dict[str, float], index: int,
+                n: int) -> Iterator[Tuple[PassStats, object]]:
+    """One pass: its own work ledger, its tracer span and its stats.
+
+    Yields the pass's :class:`PassStats` (the caller fills in the counts
+    and passes ``wall_phase_seconds`` to :meth:`Runtime.phase`) and the
+    pass span.  A pass that completes is appended to ``passes``, its
+    phase seconds are added to ``wall_phase`` and its ledger is merged
+    into the run's; a pass that raises still restores the run's ledger
+    and closes its span.
+    """
+    stats = PassStats(index=index, num_vertices=n, num_communities=0,
+                      move_iterations=0, refine_moves=0, tolerance=0.0,
+                      wall_phase_seconds=dict.fromkeys(ALL_PHASES, 0.0))
+    run_ledger, rt.ledger = rt.ledger, stats.ledger
+    try:
+        with rt.tracer.span("pass", index=index, vertices=int(n)) as span:
+            yield stats, span
+        passes.append(stats)
+        for phase, seconds in stats.wall_phase_seconds.items():
+            wall_phase[phase] += seconds
+        run_ledger.merge(stats.ledger)
+    finally:
+        rt.ledger = run_ledger
 
 
 def _affected_mask(affected, n: int):
@@ -402,18 +373,3 @@ def _affected_mask(affected, n: int):
     mask = np.zeros(n, dtype=bool)
     mask[arr.astype(np.intp)] = True
     return mask
-
-
-def _close_pass(passes, index, n, num_comms, li, lj, tau, pw, ledger) -> None:
-    passes.append(
-        PassStats(
-            index=index,
-            num_vertices=n,
-            num_communities=num_comms,
-            move_iterations=li,
-            refine_moves=lj,
-            tolerance=tau,
-            wall_phase_seconds=dict(pw),
-            ledger=ledger,
-        )
-    )

@@ -117,6 +117,50 @@ def candidate_moves(vs, d, pseg, pcomm, psum, K, Q, Sigma, m,
     return cseg, cc, dq
 
 
+def _move_report(runtime: Runtime) -> Callable[[int, float, int, int], None]:
+    """The move phase's one report of its totals, shared by every engine.
+
+    Registers the phase's counters when called (at the start of the
+    phase) and returns ``report(moves, total_dq, visited, skipped)``,
+    which reports one iteration's totals to the metrics registry, the
+    tracer and the profiler.
+    """
+    metrics, tracer, profiler = (runtime.metrics, runtime.tracer,
+                                 runtime.profiler)
+    m_pruned = metrics.counter(
+        "leiden_pruning_vertices_total",
+        "vertices visited vs. skipped by flag-based pruning", ("outcome",))
+    mp_visited = m_pruned.labels("visited")
+    mp_skipped = m_pruned.labels("skipped")
+    m_moves = metrics.counter(
+        "leiden_local_moves_total", "community moves applied")
+    m_iters = metrics.counter(
+        "leiden_move_iterations_total", "local-moving iterations executed")
+    m_dq = metrics.counter(
+        "leiden_move_delta_q_total", "summed delta-Q of applied moves")
+
+    def report(moves: int, total_dq: float, visited: int,
+               skipped: int) -> None:
+        if metrics.enabled:
+            m_iters.inc()
+            m_moves.inc(moves)
+            m_dq.inc(total_dq)
+            mp_visited.inc(visited)
+            mp_skipped.inc(skipped)
+        if tracer.enabled:
+            tracer.count("move_iterations")
+            tracer.count("local_moves", moves)
+            tracer.count("pruning_visited", visited)
+            tracer.count("pruning_skipped", skipped)
+            # Convergence monitor: per-iteration ΔQ and vertices visited
+            # (pruning effectiveness) as ordered series on the open span.
+            tracer.record("move_delta_q", total_dq)
+            tracer.record("move_visited", visited)
+        if profiler.enabled:
+            profiler.mark("move_delta_q", total_dq)
+    return report
+
+
 def move_loop(
     graph: CSRGraph,
     colors: np.ndarray,
@@ -162,18 +206,7 @@ def move_loop(
     ws = workspace if workspace is not None else KernelWorkspace(n)
 
     tracer = runtime.tracer
-    metrics = runtime.metrics
-    m_pruned = metrics.counter(
-        "leiden_pruning_vertices_total",
-        "vertices visited vs. skipped by flag-based pruning", ("outcome",))
-    mp_visited = m_pruned.labels("visited")
-    mp_skipped = m_pruned.labels("skipped")
-    m_moves = metrics.counter(
-        "leiden_local_moves_total", "community moves applied")
-    m_iters = metrics.counter(
-        "leiden_move_iterations_total", "local-moving iterations executed")
-    m_dq = metrics.counter(
-        "leiden_move_delta_q_total", "summed delta-Q of applied moves")
+    report = _move_report(runtime)
     classes = color_classes(colors)
     runtime.record_parallel(degrees, phase=phase)
     if tracer.enabled:
@@ -193,18 +226,11 @@ def move_loop(
             processed[:] = False
         total_dq = 0.0
         moves = 0
-        visited_iter = 0
+        visited = 0
         iter_costs = []
         for cls in classes:
             pending = cls[~processed[cls]]
-            visited_iter += int(pending.shape[0])
-            if metrics.enabled:
-                mp_visited.inc(pending.shape[0])
-                mp_skipped.inc(cls.shape[0] - pending.shape[0])
-            if tracer.enabled:
-                tracer.count("pruning_visited", pending.shape[0])
-                tracer.count("pruning_skipped",
-                             cls.shape[0] - pending.shape[0])
+            visited += int(pending.shape[0])
             for lo in range(0, pending.shape[0], batch_size):
                 vs = pending[lo : lo + batch_size]
                 if tracer.enabled:
@@ -257,19 +283,7 @@ def move_loop(
                 np.concatenate(iter_costs), phase=phase, atomics=2.0 * moves,
                 per_item=VERTEX_COST,
             )
-        if metrics.enabled:
-            m_iters.inc()
-            m_moves.inc(moves)
-            m_dq.inc(total_dq)
-        if tracer.enabled:
-            tracer.count("move_iterations")
-            tracer.count("local_moves", moves)
-            # Convergence monitor: per-iteration ΔQ and vertices visited
-            # (pruning effectiveness) as ordered series on the open span.
-            tracer.record("move_delta_q", total_dq)
-            tracer.record("move_visited", visited_iter)
-        if runtime.profiler.enabled:
-            runtime.profiler.mark("move_delta_q", total_dq)
+        report(moves, total_dq, visited, n - visited)
         if total_dq <= tolerance:
             break
     return iterations, total_dq
@@ -383,17 +397,7 @@ def local_move_loop(
     K = vertex_weights
     Sigma = AtomicArray(community_weights)
     tables = runtime.hashtables(n)
-    tracer = runtime.tracer
-    metrics = runtime.metrics
-    m_pruned = metrics.counter(
-        "leiden_pruning_vertices_total",
-        "vertices visited vs. skipped by flag-based pruning", ("outcome",))
-    m_moves = metrics.counter(
-        "leiden_local_moves_total", "community moves applied")
-    m_iters = metrics.counter(
-        "leiden_move_iterations_total", "local-moving iterations executed")
-    m_dq = metrics.counter(
-        "leiden_move_delta_q_total", "summed delta-Q of applied moves")
+    report = _move_report(runtime)
     qual = quality or Quality("modularity", resolution)
     Q = K if quantities is None else quantities
 
@@ -445,23 +449,8 @@ def local_move_loop(
         runtime.record_parallel(
             work[work > 0], phase=phase, atomics=2.0 * moves
         )
-        if metrics.enabled:
-            visited = int(np.count_nonzero(work))
-            m_iters.inc()
-            m_moves.inc(moves)
-            m_dq.inc(total_dq)
-            m_pruned.labels("visited").inc(visited)
-            m_pruned.labels("skipped").inc(n - visited)
-        if tracer.enabled:
-            visited = int(np.count_nonzero(work))
-            tracer.count("move_iterations")
-            tracer.count("local_moves", moves)
-            tracer.count("pruning_visited", visited)
-            tracer.count("pruning_skipped", n - visited)
-            tracer.record("move_delta_q", total_dq)
-            tracer.record("move_visited", visited)
-        if runtime.profiler.enabled:
-            runtime.profiler.mark("move_delta_q", total_dq)
+        visited = int(np.count_nonzero(work))
+        report(moves, total_dq, visited, n - visited)
         if total_dq <= tolerance:
             break
     return iterations, total_dq

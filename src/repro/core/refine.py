@@ -146,11 +146,11 @@ def refine_batch(
     # Once any vertex joins community c, c's members must not leave —
     # that is the CAS guarantee.  Across batches Σ'[c] > K'[v] encodes it;
     # within a batch we serialize commits in ascending-id order.
-    tracer = runtime.tracer
     joined = np.zeros(n, dtype=bool)
     vacated = np.zeros(n, dtype=bool)
     total_moves = 0
     decided_moves = 0
+    isolated = 0
     batch_size = max(32, min(batch_size, n // 32)) if n > 64 else n
     loops = graph.has_self_loops
     for lo in range(0, n, batch_size):
@@ -160,8 +160,7 @@ def refine_batch(
             vs = lo + np.flatnonzero(Sigma[C[lo:hi]] == Q[lo:hi])
         else:
             vs = np.arange(lo, hi, dtype=np.int64)
-        if tracer.enabled:
-            tracer.count("refine_isolated", vs.shape[0])
+        isolated += int(vs.shape[0])
         if vs.shape[0] == 0:
             continue
         seg, idx = ragged_indices(offsets[vs], degrees[vs])
@@ -223,27 +222,37 @@ def refine_batch(
             )
             C[cv] = cnew
             total_moves += int(cv.shape[0])
-    runtime.record_parallel(
-        degrees, phase=phase, atomics=float(n + 2 * total_moves),
-        per_item=VERTEX_COST,
-    )
+    _report(runtime, graph, phase, total_moves, decided_moves - total_moves,
+            isolated)
+    return total_moves
+
+
+def _report(runtime: Runtime, graph: CSRGraph, phase: str, moves: int,
+            cas_rejects: int, isolated: int) -> None:
+    """Record one sweep's work and report its totals to the metrics
+    registry, the tracer and the profiler: the refinement phase's one
+    report, shared by every engine."""
+    atomics = float(graph.num_vertices + 2 * moves)
+    runtime.record_parallel(graph.degrees, phase=phase, atomics=atomics,
+                            per_item=VERTEX_COST)
     if runtime.metrics.enabled:
         mr = runtime.metrics
         mr.counter("leiden_refine_splits_total",
                    "refinement moves applied (splits off the bound)"
-                   ).inc(total_moves)
+                   ).inc(moves)
         mr.counter("leiden_refine_cas_rejects_total",
                    "refinement moves lost to the isolation CAS"
-                   ).inc(decided_moves - total_moves)
+                   ).inc(cas_rejects)
+    tracer = runtime.tracer
     if tracer.enabled:
-        tracer.count("refine_moves", total_moves)
-        tracer.count("refine_cas_rejects", decided_moves - total_moves)
+        tracer.count("refine_isolated", isolated)
+        tracer.count("refine_moves", moves)
+        tracer.count("refine_cas_rejects", cas_rejects)
         # Convergence monitor: split count of this sweep (merges applied,
         # i.e. singleton sub-communities that split off their bound).
-        tracer.record("refine_splits", total_moves)
+        tracer.record("refine_splits", moves)
     if runtime.profiler.enabled:
-        runtime.profiler.mark("refine_splits", total_moves)
-    return total_moves
+        runtime.profiler.mark("refine_splits", moves)
 
 
 def _commit(mown, mcomm, joined, vacated, races, scratch) -> np.ndarray:
@@ -402,7 +411,6 @@ def refine_loop(
     K = vertex_weights
     Sigma = AtomicArray(community_weights)
     tables = runtime.hashtables(n)
-    tracer = runtime.tracer
     qual = quality or Quality("modularity", resolution)
     Q = K if quantities is None else quantities
     random = refinement == "random"
@@ -442,25 +450,7 @@ def refine_loop(
             moves += 1
         else:
             cas_rejects += 1
-    runtime.record_parallel(
-        graph.degrees, phase=phase, atomics=float(n + 2 * moves),
-        per_item=VERTEX_COST,
-    )
-    if runtime.metrics.enabled:
-        mr = runtime.metrics
-        mr.counter("leiden_refine_splits_total",
-                   "refinement moves applied (splits off the bound)"
-                   ).inc(moves)
-        mr.counter("leiden_refine_cas_rejects_total",
-                   "refinement moves lost to the isolation CAS"
-                   ).inc(cas_rejects)
-    if tracer.enabled:
-        tracer.count("refine_isolated", isolated)
-        tracer.count("refine_moves", moves)
-        tracer.count("refine_cas_rejects", cas_rejects)
-        tracer.record("refine_splits", moves)
-    if runtime.profiler.enabled:
-        runtime.profiler.mark("refine_splits", moves)
+    _report(runtime, graph, phase, moves, cas_rejects, isolated)
     return moves
 
 

@@ -28,6 +28,10 @@ class PassStats:
     num_communities: int
     move_iterations: int
     refine_moves: int
+    #: On a pass that aggregates — every pass but one that ends the loop
+    #: converged or on low shrink, so also the last pass of a budget
+    #: exit — the τ the next pass starts with; on a converged or
+    #: low-shrink final pass, that pass's own τ.
     tolerance: float
     #: Wall-clock seconds per phase for this pass.
     wall_phase_seconds: Dict[str, float] = field(default_factory=dict)

@@ -24,7 +24,7 @@ class ConvergenceError(ReproError):
 
 
 class MetricsError(ReproError):
-    """A metric instrument or SLO configuration is invalid or misused."""
+    """A metric instrument is invalid or misused."""
 
 
 class ServiceError(ReproError):

@@ -10,8 +10,7 @@ prints.  This package provides:
   with attached counters and ordered series, recorded behind a
   zero-cost-when-disabled API (the
   :data:`~repro.observability.tracer.NULL_TRACER` singleton), and
-  emitted as stable JSON (``repro.trace/2`` schema; ``migrate_trace``
-  converts for ``/1`` consumers);
+  emitted as stable JSON (``repro.trace/2`` schema);
 - :mod:`repro.observability.profiler` — the thread-timeline event log of
   the simulated runtime (per-thread chunk/atomic/barrier events on the
   simulated clock) with a Chrome trace-event exporter, behind the same
@@ -25,21 +24,13 @@ prints.  This package provides:
   with byte-deterministic Prometheus and JSON (``repro.metrics/1``)
   exposition, behind the same zero-cost pattern
   (:data:`~repro.observability.metrics.NULL_REGISTRY`);
-- :mod:`repro.observability.health` — rolling-window SLO burn-rate
-  evaluation (OK/WARN/PAGE) on the partition server's logical clock;
 - :mod:`repro.observability.regression` — the baselines under
   ``benchmarks/baselines/`` (threshold-gated perf baselines and the
   exact-match :data:`~repro.observability.regression.GOLDEN_FAMILIES`)
   and the comparison logic behind ``repro bench --check``, the CI
-  regression gate, plus the trace-diff and schema-migration helpers.
+  regression gate, plus the trace-diff helpers.
 """
 
-from repro.observability.health import (
-    HEALTH_SCHEMA,
-    HealthEvaluator,
-    SLObjective,
-    default_service_slos,
-)
 from repro.observability.metrics import (
     METRICS_SCHEMA,
     NULL_REGISTRY,
@@ -63,7 +54,6 @@ from repro.observability.profiler import (
 from repro.observability.tracer import (
     NULL_TRACER,
     TRACE_SCHEMA,
-    TRACE_SCHEMA_V1,
     Span,
     Tracer,
 )
@@ -89,7 +79,6 @@ _REGRESSION_EXPORTS = frozenset({
     "format_checks",
     "format_trace_diff",
     "measure_experiment",
-    "migrate_trace",
     "record_baselines",
     "run_check",
     "run_profile",
@@ -106,8 +95,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "HEALTH_SCHEMA",
-    "HealthEvaluator",
     "METRICS_SCHEMA",
     "NULL_PROFILER",
     "NULL_REGISTRY",
@@ -119,14 +106,11 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "Profiler",
-    "SLObjective",
     "Span",
     "Timeline",
     "Tracer",
     "TRACE_SCHEMA",
-    "TRACE_SCHEMA_V1",
     "bucket_percentile",
-    "default_service_slos",
     "exact_percentile",
     "to_chrome_trace",
     "validate_chrome_trace",
@@ -147,7 +131,6 @@ __all__ = [
     "format_checks",
     "format_trace_diff",
     "measure_experiment",
-    "migrate_trace",
     "record_baselines",
     "run_check",
     "run_profile",

@@ -623,14 +623,13 @@ class MetricsRegistry:
             lines.extend(inst._prometheus_lines())
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_snapshot(self, *, health: Optional[dict] = None, **meta) -> dict:
+    def to_snapshot(self, **meta) -> dict:
         """The registry as a JSON-ready document (:data:`METRICS_SCHEMA`).
 
-        ``health`` attaches an SLO evaluation block (see
-        :mod:`repro.observability.health`); ``meta`` is caller context
-        (experiment name, seed, ...).  Deterministic: no wall-clock
-        fields are added here, so a snapshot of deterministic
-        instruments is byte-identical across runs.
+        ``meta`` is caller context (experiment name, seed, ...).
+        Deterministic: no wall-clock fields are added here, so a
+        snapshot of deterministic instruments is byte-identical across
+        runs.
         """
         families = {}
         for inst in self.instruments():
@@ -643,20 +642,16 @@ class MetricsRegistry:
             if inst.overflowed:
                 fam["overflowed"] = inst.overflowed
             families[inst.name] = fam
-        doc = {
+        return {
             "schema": METRICS_SCHEMA,
             "meta": meta,
             "families": families,
             "derived": self.derived_metrics(),
         }
-        if health is not None:
-            doc["health"] = health
-        return doc
 
-    def to_json(self, *, indent: int | None = 2,
-                health: Optional[dict] = None, **meta) -> str:
-        return json.dumps(self.to_snapshot(health=health, **meta),
-                          indent=indent, sort_keys=True)
+    def to_json(self, *, indent: int | None = 2, **meta) -> str:
+        return json.dumps(self.to_snapshot(**meta), indent=indent,
+                          sort_keys=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MetricsRegistry({len(self._instruments)} instruments)"
@@ -753,16 +748,13 @@ class NullRegistry:
     def to_prometheus(self) -> str:
         return ""
 
-    def to_snapshot(self, *, health=None, **meta) -> dict:
-        doc = {"schema": METRICS_SCHEMA, "meta": meta, "families": {},
-               "derived": {}}
-        if health is not None:
-            doc["health"] = health
-        return doc
+    def to_snapshot(self, **meta) -> dict:
+        return {"schema": METRICS_SCHEMA, "meta": meta, "families": {},
+                "derived": {}}
 
-    def to_json(self, *, indent: int | None = 2, health=None, **meta) -> str:
-        return json.dumps(self.to_snapshot(health=health, **meta),
-                          indent=indent, sort_keys=True)
+    def to_json(self, *, indent: int | None = 2, **meta) -> str:
+        return json.dumps(self.to_snapshot(**meta), indent=indent,
+                          sort_keys=True)
 
 
 #: Module-level disabled registry; the default everywhere.

@@ -40,12 +40,7 @@ from repro.core.leiden import leiden
 from repro.core.result import LeidenResult
 from repro.datasets.registry import load_graph
 from repro.metrics.modularity import modularity
-from repro.observability.tracer import (
-    NULL_TRACER,
-    TRACE_SCHEMA,
-    TRACE_SCHEMA_V1,
-    Tracer,
-)
+from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
@@ -72,7 +67,6 @@ __all__ = [
     "measure_memory",
     "measure_metrics",
     "measure_service_metrics",
-    "migrate_trace",
     "record_baselines",
     "record_golden",
     "run_check",
@@ -450,25 +444,20 @@ def measure_metrics(
 
 
 def measure_service_metrics(profile: str = "quick", *, seed: int = 0) -> dict:
-    """Deterministic metrics + health snapshot of one service workload.
+    """Deterministic metrics snapshot of one service workload.
 
     The server runs with a :class:`~repro.observability.metrics.
-    MetricsRegistry` and the stock SLO evaluator attached; the snapshot
-    embeds the final ``repro.health/1`` block.  No tracer: its service
-    histograms observe wall-clock seconds, which would break
-    byte-determinism.
+    MetricsRegistry` attached.  No tracer: its service histograms
+    observe wall-clock seconds, which would break byte-determinism.
     """
-    from repro.observability.health import HealthEvaluator, default_service_slos
     from repro.observability.metrics import MetricsRegistry
     from repro.service.server import PartitionServer
     from repro.service.workload import run_workload
 
     registry = MetricsRegistry()
-    health = HealthEvaluator(default_service_slos())
-    server = PartitionServer(metrics=registry, health=health)
+    server = PartitionServer(metrics=registry)
     run_workload(profile, seed=seed, server=server, verify=False)
     return registry.to_snapshot(
-        health=health.evaluate(server.clock),
         profile=profile,
         seed=seed,
         clock_units=int(server.clock),
@@ -546,8 +535,7 @@ GOLDEN_FAMILIES: Tuple[GoldenFamily, ...] = (
         "service_quick": {"profile": "quick", "seed": 0},
     }),
     # Metrics snapshots: an instrumented detection run (kind "leiden")
-    # and a service workload with the stock SLO evaluator (kind
-    # "service", embedding the repro.health/1 block).
+    # and an instrumented service workload (kind "service").
     GoldenFamily("metrics", "repro.metrics-baseline/1", _metrics_doc, {
         "metrics_asia_osm":
             {"kind": "leiden", "target": "asia_osm", "seed": 42},
@@ -745,8 +733,7 @@ def run_trace(
     """Traced smoke runs: one ``repro.trace/2`` document per graph.
 
     The body of ``repro bench --trace``; the result is written as the CI
-    trace artifact.  Feed the documents through :func:`migrate_trace` for
-    tooling still expecting the ``repro.trace/1`` shape.
+    trace artifact.
     """
     experiments: Dict[str, dict] = {}
     for graph_name in graphs:
@@ -808,40 +795,7 @@ def run_profile(
     }
 
 
-# -- trace schema migration and diffing ---------------------------------------
-
-
-def _strip_series(span: dict) -> dict:
-    out = {k: v for k, v in span.items() if k != "series"}
-    if "children" in out:
-        out["children"] = [_strip_series(c) for c in out["children"]]
-    return out
-
-
-def migrate_trace(doc: dict, *, target: str = TRACE_SCHEMA_V1) -> dict:
-    """Convert a trace document between schema versions.
-
-    The only supported migration is ``repro.trace/2`` →
-    ``repro.trace/1`` (drop the per-span ``series`` blocks the
-    convergence monitor added); a document already at ``target`` passes
-    through as a copy.  Consumers written against ``/1`` call this shim
-    instead of rejecting newer traces.
-    """
-    schema = doc.get("schema")
-    if target not in (TRACE_SCHEMA, TRACE_SCHEMA_V1):
-        raise ValueError(f"unknown target schema {target!r}")
-    if schema == target:
-        return json.loads(json.dumps(doc))
-    if schema == TRACE_SCHEMA and target == TRACE_SCHEMA_V1:
-        out = {k: v for k, v in doc.items() if k != "spans"}
-        out["schema"] = target
-        out["spans"] = [
-            _strip_series(json.loads(json.dumps(s)))
-            for s in doc.get("spans", [])
-        ]
-        return out
-    raise ValueError(
-        f"cannot migrate trace schema {schema!r} to {target!r}")
+# -- trace diffing ------------------------------------------------------------
 
 
 def _span_seconds_by_path(doc: dict) -> Dict[str, float]:
@@ -873,13 +827,13 @@ def _span_seconds_by_path(doc: dict) -> Dict[str, float]:
 
 
 def diff_trace_docs(a: dict, b: dict) -> List[dict]:
-    """Deterministic field-level delta between two trace documents.
+    """Deterministic field-level delta between two ``repro.trace/2``
+    documents.
 
-    Either document may be ``/1`` or ``/2``.  Returns one row per
-    compared field, sorted by ``(kind, name)``: all counters and derived
-    metrics (deterministic at a fixed seed — any drift is a real
-    behavioural change) plus per-span-path wall seconds (informational;
-    wall clock is machine-noisy).
+    Returns one row per compared field, sorted by ``(kind, name)``: all
+    counters and derived metrics (deterministic at a fixed seed — any
+    drift is a real behavioural change) plus per-span-path wall seconds
+    (informational; wall clock is machine-noisy).
     """
     rows: List[dict] = []
     for kind, key in (("counter", "counters"), ("derived", "derived")):

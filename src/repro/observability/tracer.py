@@ -13,10 +13,9 @@ attribute read.
 The JSON emission (:meth:`Tracer.to_dict` / :meth:`Tracer.to_json`) is a
 stable schema, versioned as :data:`TRACE_SCHEMA`; consumers (the CI
 artifact, the regression harness, external tooling) key on it.  Schema
-``repro.trace/2`` adds per-span **series** — ordered event sequences such
-as the convergence monitor's per-iteration ΔQ — on top of the ``/1``
-counters/stats/buckets; :func:`repro.observability.regression.
-migrate_trace` downgrades a ``/2`` document for ``/1`` consumers.
+``repro.trace/2`` carries per-span **series** — ordered event sequences
+such as the convergence monitor's per-iteration ΔQ — beside the
+counters/stats/buckets.
 """
 
 from __future__ import annotations
@@ -32,15 +31,11 @@ from typing import Dict, Iterator, List, Optional
 from repro.observability.metrics import bucket_of as _bucket_of
 from repro.observability.metrics import bucket_percentile
 
-__all__ = ["TRACE_SCHEMA", "TRACE_SCHEMA_V1", "Span", "Tracer", "NullTracer",
-           "NULL_TRACER", "bucket_percentile", "format_span_path"]
+__all__ = ["TRACE_SCHEMA", "Span", "Tracer", "NullTracer", "NULL_TRACER",
+           "bucket_percentile", "format_span_path"]
 
 #: Version tag embedded in every emitted trace document.
 TRACE_SCHEMA = "repro.trace/2"
-
-#: The previous schema version (no per-span ``series``); the migration
-#: shim in :mod:`repro.observability.regression` downgrades to it.
-TRACE_SCHEMA_V1 = "repro.trace/1"
 
 
 class Span:
@@ -212,12 +207,8 @@ class Tracer:
             self.unwind(s)
 
     def push(self, name: str, **attrs) -> Span:
-        """Open a span without a ``with`` block (close via :meth:`pop`).
-
-        For call sites whose span outlives one lexical block — e.g. the
-        per-pass span in :func:`repro.core.leiden.leiden`, which closes
-        on both the convergence ``break`` and the normal pass end.
-        """
+        """Open a span without a ``with`` block (close via :meth:`pop`),
+        for a span that outlives one lexical block."""
         s = Span(name, attrs)
         self._stack[-1].children.append(s)
         self._stack.append(s)
@@ -236,8 +227,7 @@ class Tracer:
     def unwind(self, span: Span) -> None:
         """Close every open span down to and including ``span``.
 
-        The exception-safety primitive behind :meth:`span` and the
-        ``try/finally`` in :func:`repro.core.leiden.leiden`: each popped
+        The exception-safety primitive behind :meth:`span`: each popped
         span records its elapsed ``seconds`` exactly as a normal close
         would.  A no-op when ``span`` is not on the stack (already
         closed), so it is safe to call unconditionally in ``finally``.

@@ -10,11 +10,14 @@ engine's local-moving, which fans out through :meth:`Runtime.procpool`.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from contextlib import contextmanager, nullcontext
+from time import perf_counter
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.observability import memtrack
 from repro.observability.memtrack import NULL_LEDGER
 from repro.observability.metrics import NULL_REGISTRY
 from repro.observability.profiler import NULL_PROFILER
@@ -172,6 +175,29 @@ class Runtime:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- phases ------------------------------------------------------------------
+
+    @contextmanager
+    def phase(self, phase: str, seconds: Dict[str, float],
+              span: str | None = None, **attrs):
+        """One phase of a pass: the single place where a phase's span,
+        memory phase and wall time open.
+
+        Opens the tracer span ``span`` with ``attrs`` and yields it (no
+        span when ``span`` is None: bookkeeping between phases stays
+        under the pass span), attributes the active memory ledger's
+        allocations to ``phase``, and adds the block's wall time to
+        ``seconds[phase]``.  A block that raises still closes its span,
+        restores the memory phase and adds its seconds.
+        """
+        t0 = perf_counter()
+        try:
+            with (self.tracer.span(span, **attrs) if span is not None
+                  else nullcontext()) as opened, memtrack.phase_scope(phase):
+                yield opened
+        finally:
+            seconds[phase] += perf_counter() - t0
 
     # -- accounting --------------------------------------------------------------
 

@@ -156,12 +156,6 @@ class PartitionServer:
         :class:`~repro.observability.metrics.MetricsRegistry` the server
         (and every solve it runs) reports typed instruments to; defaults
         to the disabled :data:`~repro.observability.metrics.NULL_REGISTRY`.
-    health:
-        :class:`~repro.observability.health.HealthEvaluator` fed with
-        per-request latency/error/staleness signals on the logical
-        clock; when attached, :meth:`stats` gains a ``health`` block.
-        Defaults to ``None`` (off — keeps the stats document identical
-        to an uninstrumented server's).
     """
 
     def __init__(
@@ -172,7 +166,6 @@ class PartitionServer:
         profiler=None,
         fault_hook: Optional[Callable[[str, int], None]] = None,
         metrics=None,
-        health=None,
         memory=None,
     ) -> None:
         from repro.observability.profiler import NULL_PROFILER
@@ -181,7 +174,6 @@ class PartitionServer:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.health = health
         self.memory = memory
         self.store = PartitionStore(self.config.store_budget_bytes,
                                     metrics=self.metrics,
@@ -352,19 +344,6 @@ class PartitionServer:
         if self.metrics.enabled:
             self._m_requests.labels(ticket.kind, status).inc()
             self._m_latency.labels(ticket.kind).observe(float(lat))
-        if self.health is not None:
-            self.health.record_value(
-                f"{ticket.kind}_latency_units", self.clock, float(lat))
-            self.health.record_event(
-                "request_errors", self.clock, status == FAILED)
-
-    def _record_memory_health(self) -> None:
-        """Feed the ``mem_peak_to_budget`` SLO after a store mutation:
-        the high-water resident bytes as a fraction of the budget."""
-        if self.health is not None and self.store.budget_bytes > 0:
-            self.health.record_value(
-                "mem_peak_to_budget_ratio", self.clock,
-                self.store.peak_bytes / self.store.budget_bytes)
 
     def _process_detect(self, ticket: Ticket) -> None:
         req: DetectRequest = ticket.request
@@ -390,7 +369,6 @@ class PartitionServer:
                     index=CommunityIndex(membership),
                 )
                 self.store.put(entry)
-                self._record_memory_health()
                 self.counters["detect_runs"] += 1
                 self._unreconciled.discard(key)
         except _ComputeFailed:
@@ -430,9 +408,6 @@ class PartitionServer:
         self.counters["queries_served"] += 1
         if entry.state != FRESH:
             self.counters["queries_served_stale"] += 1
-        if self.health is not None:
-            self.health.record_event(
-                "stale_serves", self.clock, entry.state != FRESH)
         ticket.response = {
             "key": req.key,
             "value": value,
@@ -511,7 +486,6 @@ class PartitionServer:
             else:
                 self._unreconciled.add(key)
         self.store.put(entry)
-        self._record_memory_health()
         for t in tickets:
             t.response = {"key": key, "version": entry.version,
                           "state": entry.state}
@@ -637,7 +611,7 @@ class PartitionServer:
         not_found = self.counters["queries_not_found"]
         served_frac = (queries / (queries + not_found)
                        if queries + not_found else 0.0)
-        doc = {
+        return {
             "schema": STATS_SCHEMA,
             "clock_units": int(self.clock),
             "requests": dict(sorted(self._requests_by_kind.items())),
@@ -657,8 +631,3 @@ class PartitionServer:
                 for key in sorted(self.store.keys())
             },
         }
-        # Only when an evaluator is attached: the default stats document
-        # stays bitwise identical to the committed service baselines.
-        if self.health is not None:
-            doc["health"] = self.health.evaluate(self.clock)
-        return doc

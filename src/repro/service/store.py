@@ -83,9 +83,9 @@ class PartitionStore:
     When a :class:`~repro.observability.memtrack.MemoryLedger` is
     attached via ``memory``, every resident entry is a live ``store``
     allocation (freed on eviction/discard/replace), so the memory
-    report shows LRU bytes next to CSR/workspace/shm bytes — and
-    :attr:`peak_bytes` is the watermark the ``mem_peak_to_budget`` SLO
-    divides by the budget.
+    report shows LRU bytes next to CSR/workspace/shm bytes.
+    :attr:`peak_bytes` is the resident high-water mark the store stats
+    report.
     """
 
     def __init__(self, budget_bytes: int = 256 * 2**20, *,

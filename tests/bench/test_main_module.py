@@ -2,6 +2,7 @@
 
 
 import numpy as np
+import pytest
 
 import repro.bench.__main__ as bench_main
 
@@ -26,6 +27,39 @@ class TestMain:
         assert _StubModule.calls == 1
         out = capsys.readouterr().out
         assert "Stub A" in out and "Other B" not in out
+
+    def test_unmatched_filter_exits_2(self, monkeypatch, capsys):
+        _StubModule.calls = 0
+        monkeypatch.setattr(
+            bench_main, "ALL_EXPERIMENTS",
+            [("Stub A", _StubModule), ("Other B", _StubModule)],
+        )
+        assert bench_main.main(["stub", "nosuchexperiment"]) == 2
+        assert _StubModule.calls == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[:2] == ["VALID experiment Stub A",
+                             "VALID experiment Other B"]
+        assert lines[2].startswith(
+            "error: no experiment label matches 'nosuchexperiment'")
+        assert len(lines) == 3 and captured.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--kernels", "--quick"], ["--engines"], ["--check"],
+        ["--trace", "t.json"], ["--profile", "p.json"], ["--mem", "m.json"],
+        ["--update-baselines"], ["--output", "r.md"], ["--json", "r.json"],
+    ], ids=lambda flags: flags[0])
+    def test_filter_with_mode_flag_exits_2(self, flags, monkeypatch,
+                                           capsys):
+        _StubModule.calls = 0
+        monkeypatch.setattr(bench_main, "ALL_EXPERIMENTS",
+                            [("Table X", _StubModule)])
+        with pytest.raises(SystemExit) as exc:
+            bench_main.main([*flags, "tableX"])
+        assert exc.value.code == 2
+        assert _StubModule.calls == 0
+        assert (f"experiment filters do not apply to {flags[0]}"
+                in capsys.readouterr().err)
 
     def test_no_filter_runs_all(self, monkeypatch, capsys):
         _StubModule.calls = 0

@@ -1,12 +1,14 @@
 """End-to-end tests for the Leiden driver (Algorithm 1)."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
+from repro.core.louvain import louvain
 from repro.core.result import ALL_PHASES
 from repro.datasets.registry import load_graph
 from repro.datasets.sbm import planted_partition
@@ -14,6 +16,9 @@ from repro.errors import GraphStructureError
 from repro.metrics.comparison import adjusted_rand_index
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
+from repro.observability.profiler import Profiler, to_chrome_trace
+from repro.observability.tracer import Tracer
+from repro.parallel.runtime import Runtime
 from tests.conftest import (
     path_graph,
     random_graph,
@@ -386,3 +391,82 @@ class TestPinnedSignedZeroWeights:
         assert tuple(_digest(lvl) for lvl in res.dendrogram) == levels
         assert _digest(res.membership) == membership
         assert _ledger_digest(res.ledger) == ledger
+
+
+class TestBudgetExit:
+    """When the pass budget runs out, move-based labels compose the last
+    pass's move-phase communities on top of its refined ones (Algorithm
+    1, line 16 after line 14).  That level carries no connectivity
+    guarantee, and on ``webbase-2001`` at one pass it holds internally
+    disconnected communities; refine-based labels stop at the refined,
+    connected level."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_graph("webbase-2001")
+
+    def test_move_labels_compose_a_disconnected_level(self, graph):
+        res = leiden(graph, LeidenConfig(max_passes=1))
+        assert res.num_communities == 2436
+        assert res.dendrogram.num_levels == 2
+        report = disconnected_communities(graph, res.membership)
+        assert report.num_disconnected == 11
+
+    def test_refine_labels_stay_connected(self, graph):
+        res = leiden(graph, LeidenConfig(max_passes=1, vertex_label="refine"))
+        assert res.num_communities == 13767
+        assert res.dendrogram.num_levels == 1
+        report = disconnected_communities(graph, res.membership)
+        assert report.num_disconnected == 0
+
+
+def _zero_seconds(doc):
+    if isinstance(doc, dict):
+        return {k: 0.0 if k in ("seconds", "wall_seconds") else
+                _zero_seconds(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_zero_seconds(v) for v in doc]
+    return doc
+
+
+class TestPinnedRecorderDocuments:
+    """Digests of the documents the pass loop's recorders write on
+    ``asia_osm``, with every ``seconds``/``wall_seconds`` zeroed: the
+    trace of a default solve, of a Louvain solve and of a one-pass budget
+    exit, and the Chrome document of a profiled solve at 8 threads.
+    Spans, counters, series and profiler regions must keep every byte."""
+
+    PINNED = {
+        "leiden": "65de47723609357091ba8215a52f55e2",
+        "louvain": "d728b6c606b4d6472d9b699a82772e85",
+        "budget": "ec542eccfaede01c294369dfeaa6a4cf",
+        "chrome": "5698a60768c8920f7800e1d54ed4a369",
+    }
+
+    @staticmethod
+    def _digest(doc):
+        text = json.dumps(_zero_seconds(doc), sort_keys=True)
+        return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+    @staticmethod
+    def _traced(algo, cfg, **recorders):
+        tracer = Tracer()
+        with Runtime(num_threads=1, seed=cfg.seed, tracer=tracer,
+                     **recorders) as rt:
+            algo(load_graph("asia_osm"), cfg, runtime=rt)
+        return tracer
+
+    @pytest.mark.parametrize("key,algo,cfg", [
+        ("leiden", leiden, LeidenConfig()),
+        ("louvain", louvain, LeidenConfig()),
+        ("budget", leiden, LeidenConfig(max_passes=1)),
+    ], ids=["leiden", "louvain", "budget"])
+    def test_trace(self, key, algo, cfg):
+        doc = self._traced(algo, cfg).to_dict()
+        assert self._digest(doc) == self.PINNED[key]
+
+    def test_chrome(self):
+        profiler = Profiler(num_threads=8)
+        self._traced(leiden, LeidenConfig(), profiler=profiler)
+        doc = to_chrome_trace(profiler.timeline())
+        assert self._digest(doc) == self.PINNED["chrome"]

@@ -241,6 +241,31 @@ class TestActivate:
         with activate(None):
             assert active_ledger() is NULL_LEDGER
 
+    def test_leiden_restores_scopes_when_phase_raises(self):
+        """A phase that raises leaves no memory scope behind: the active
+        phase and ledger are restored, and so is the runtime's work
+        ledger that the pass swapped out."""
+        from unittest import mock
+
+        seen = []
+
+        def failing_aggregate(*args, **kwargs):
+            seen.append((memtrack.active_phase(), active_ledger()))
+            raise RuntimeError("boom")
+
+        led = MemoryLedger()
+        rt = Runtime(num_threads=1, seed=1, memory=led)
+        run_ledger = rt.ledger
+        with mock.patch("repro.core.leiden.aggregate_batch",
+                        side_effect=failing_aggregate):
+            with pytest.raises(RuntimeError):
+                leiden(random_graph(200, seed=3), LeidenConfig(seed=1),
+                       runtime=rt)
+        assert seen == [("aggregate", led)]
+        assert memtrack.active_phase() == "other"
+        assert active_ledger() is NULL_LEDGER
+        assert rt.ledger is run_ledger
+
     def test_phase_scope_nests(self):
         assert memtrack.active_phase() == "other"
         with memtrack.phase_scope("aggregate"):

@@ -481,41 +481,6 @@ class TestCommittedBaselines:
         assert run_check(directory, print_fn=lambda *_: None) == 0
 
 
-class TestMigrateTrace:
-    def _traced_doc(self):
-        tracer = Tracer()
-        measure_experiment(GRAPH, seed=42, tracer=tracer)
-        return tracer.to_dict(experiment=GRAPH, seed=42)
-
-    def test_v2_to_v1_strips_series(self):
-        doc = self._traced_doc()
-
-        def any_series(span):
-            return "series" in span or any(
-                any_series(c) for c in span.get("children", ()))
-
-        assert any(any_series(s) for s in doc["spans"])
-        v1 = regression.migrate_trace(doc, target="repro.trace/1")
-        assert v1["schema"] == "repro.trace/1"
-        assert not any(any_series(s) for s in v1["spans"])
-        # Counters / derived metrics survive the downgrade.
-        assert v1["counters"] == doc["counters"]
-        assert v1["derived"] == doc["derived"]
-
-    def test_same_schema_passthrough_is_a_copy(self):
-        doc = self._traced_doc()
-        same = regression.migrate_trace(doc, target=doc["schema"])
-        assert same == doc and same is not doc
-
-    def test_unknown_migration_raises(self):
-        doc = self._traced_doc()
-        with pytest.raises(ValueError):
-            regression.migrate_trace(doc, target="repro.trace/99")
-        with pytest.raises(ValueError):
-            regression.migrate_trace({"schema": "bogus/1"},
-                                     target="repro.trace/1")
-
-
 class TestTraceDiffHelpers:
     @staticmethod
     def _trace(**config):

@@ -208,12 +208,10 @@ class TestServeSubcommand:
                      "--metrics", str(metrics)]) == 0
         doc = json.loads(metrics.read_text())
         assert doc["schema"] == "repro.metrics/1"
-        assert doc["health"]["schema"] == "repro.health/1"
-        assert doc["health"]["state"] in ("OK", "WARN", "PAGE")
         assert "service_requests_total" in doc["families"]
-        # The stats document grows its health block too.
+        # Neither document carries an SLO health block.
         stats = json.loads(out.read_text())
-        assert stats["stats"]["health"]["schema"] == "repro.health/1"
+        assert "health" not in doc and "health" not in stats["stats"]
 
     def test_serve_metrics_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -462,7 +460,9 @@ class TestTraceDiff:
         ('{"schema": "repro.trace/2", "spans": [', "Expecting value"),
         ("[1, 2]", "expected a JSON object, got list"),
         ('{"schema": "repro.metrics/1"}', "unsupported trace schema"),
-    ], ids=["truncated", "top-level-list", "wrong-schema"])
+        ('{"schema": "repro.trace/1", "spans": []}',
+         "unsupported trace schema"),
+    ], ids=["truncated", "top-level-list", "wrong-schema", "trace-v1"])
     def test_diff_bad_file_exits_2(self, graph_file, tmp_path, capsys,
                                    content, reason):
         a, bad = tmp_path / "a.json", tmp_path / "bad.json"

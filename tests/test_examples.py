@@ -22,7 +22,7 @@ EXPECTED_OUTPUT = {
     "partition_server.py": "served == from-scratch: True",
     "process_engine.py": "bitwise-identical to the simulated oracle: True",
     "profile_smoke.py": "convergence monitor",
-    "metrics_smoke.py": "health=PAGE",
+    "metrics_smoke.py": "parses cleanly",
     "memory_smoke.py": "double runs byte-identical: True",
 }
 
