@@ -470,3 +470,25 @@ class TestPinnedRecorderDocuments:
         self._traced(leiden, LeidenConfig(), profiler=profiler)
         doc = to_chrome_trace(profiler.timeline())
         assert self._digest(doc) == self.PINNED["chrome"]
+
+    #: Digests of three CLI documents' bytes on ``asia_osm`` at seed 42:
+    #: the Prometheus text, the memory Chrome lane and the profile report.
+    PINNED_CLI = {
+        "prom": "cea7ca3040116ddcc90579787ab04c00",
+        "mem_chrome": "486cc4733d96c7b1f8a3f59ffd7a412c",
+        "report": "fee1bd2cc486eeabb1fadcd1bffe91cb",
+    }
+
+    @pytest.mark.parametrize("key,argv", [
+        ("prom", ["metrics", "--format", "prom", "--output", "{doc}"]),
+        ("mem_chrome", ["mem", "--output", "{other}", "--chrome", "{doc}"]),
+        ("report", ["profile", "--output", "{doc}"]),
+    ], ids=["prom", "mem_chrome", "report"])
+    def test_cli_document(self, key, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        doc, other = tmp_path / "doc", tmp_path / "other"
+        assert main([argv[0], "asia_osm", "--seed", "42"] + [
+            a.format(doc=doc, other=other) for a in argv[1:]]) == 0
+        digest = hashlib.blake2b(doc.read_bytes(), digest_size=16)
+        assert digest.hexdigest() == self.PINNED_CLI[key]
