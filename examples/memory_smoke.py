@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Memory smoke: the deterministic allocation ledger end to end.
+"""Memory smoke: the deterministic allocation report end to end.
 
-Demonstrates the memory-observability subsystem:
+Demonstrates the memory document of the recorder:
 
-1. one GVE-Leiden detection run with a :class:`MemoryLedger` attached to
-   the runtime — the CSR arrays, the kernel workspace and the
-   aggregation transients all record logical alloc/resize/free events on
-   the ledger's logical clock;
+1. one GVE-Leiden detection run with a recorder attached to the runtime
+   — the CSR arrays, the kernel workspace and the aggregation transients
+   all record logical alloc/resize/free events, which the report replays
+   on its own logical clock;
 2. the per-component and per-phase peak watermarks, and the replay
    validator (:func:`validate_memory_doc` re-derives every watermark
    from the event stream);
@@ -16,7 +16,7 @@ Demonstrates the memory-observability subsystem:
    an allocation trace naming the component and phase of what filled
    the budget;
 5. the Chrome-trace counter lane (``mem_live_bytes``), validated against
-   the profiler's trace-event schema.
+   the profile's trace-event schema.
 
 Run with:  PYTHONPATH=src python examples/memory_smoke.py
 """
@@ -26,22 +26,25 @@ from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import graph_spec, load_graph
 from repro.errors import SimulatedOutOfMemory
-from repro.observability.memtrack import (
-    MemoryLedger,
-    record_csr,
-    validate_memory_doc,
-)
+from repro.observability.memtrack import MemoryView, validate_memory_doc
 from repro.observability.profiler import validate_chrome_trace
+from repro.observability.recorder import Recorder, record_csr
 from repro.parallel.runtime import Runtime
 
 
-def run_once(graph, seed: int = 42) -> dict:
-    """One instrumented detection run -> a ``repro.memory/1`` report."""
-    ledger = MemoryLedger()
-    record_csr(ledger, graph)  # charge the input CSR to the ledger
-    with Runtime(num_threads=1, seed=seed, memory=ledger) as rt:
+def record(graph, seed: int = 42) -> Recorder:
+    """One recorded detection run."""
+    recorder = Recorder()
+    record_csr(recorder, graph)  # charge the input CSR to the report
+    with Runtime(num_threads=1, seed=seed, recorder=recorder) as rt:
         leiden(graph, LeidenConfig(seed=seed), runtime=rt)
-    return ledger.to_snapshot(experiment="asia_osm", seed=seed)
+    return recorder
+
+
+def run_once(graph, seed: int = 42) -> dict:
+    """One recorded detection run -> a ``repro.memory/1`` report."""
+    return MemoryView(record(graph, seed)).to_snapshot(
+        experiment="asia_osm", seed=seed)
 
 
 def main() -> None:
@@ -84,11 +87,8 @@ def main() -> None:
             print(f"  {line}")
 
     # 5. Chrome counter lane, validated against the trace-event schema.
-    ledger = MemoryLedger()
-    record_csr(ledger, graph)
-    with Runtime(num_threads=1, seed=42, memory=ledger) as rt:
-        leiden(graph, LeidenConfig(seed=42), runtime=rt)
-    chrome = ledger.to_chrome_trace(experiment="asia_osm", seed=42)
+    chrome = MemoryView(record(graph)).to_chrome_trace(
+        experiment="asia_osm", seed=42)
     report = validate_chrome_trace(chrome)
     counters = sum(1 for ev in chrome["traceEvents"]
                    if ev.get("name") == "mem_live_bytes")

@@ -18,7 +18,7 @@ import time
 from repro import LeidenConfig, leiden, modularity
 from repro.core.local_move_process import POOL_MIN_EDGES
 from repro.datasets.registry import load_graph
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.recorder import Recorder
 from repro.parallel.runtime import Runtime
 
 GRAPH = "com-LiveJournal"
@@ -38,17 +38,17 @@ def main() -> None:
     # Process engine: same algorithm, large batches fanned out to worker
     # processes over shared memory.  The Runtime owns the pool; close()
     # (or the context manager) reaps the workers and the segments.
-    metrics = MetricsRegistry()
+    recorder = Recorder()
     t0 = time.perf_counter()
     with Runtime(num_threads=WORKERS, executor="process", seed=42,
-                 metrics=metrics) as rt:
+                 recorder=recorder) as rt:
         result = leiden(graph, LeidenConfig(engine="process", seed=42),
                         runtime=rt)
         # A pooled batch is split into one chunk task per worker.
         pooled = rt.procpool().tasks_dispatched // WORKERS
     process_wall = time.perf_counter() - t0
 
-    edges = metrics.get("proc_worker_edges_total")
+    edges = recorder.families["proc_worker_edges_total"]
     pool_edges = sum(edges.value(str(w)) for w in range(WORKERS))
     parent_edges = edges.value("parent")
     same = bool((result.membership == oracle.membership).all())

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Profile a smoke run: thread timeline, Chrome export, attribution.
 
-Runs GVE-Leiden on the bundled ``asia_osm`` smoke graph with both the
-tracer and the thread-timeline profiler attached, then:
+Runs GVE-Leiden on the bundled ``asia_osm`` smoke graph with a recorder
+attached, then projects the one record three ways:
 
 1. prints the deterministic attribution report (critical path,
-   barrier-wait share, load imbalance, convergence monitor);
+   barrier-wait share, load imbalance, convergence monitor from the
+   trace);
 2. writes ``profile_smoke_trace.json`` to a temporary directory — a
    Chrome trace-event file with one lane per simulated thread, viewable
    in chrome://tracing or https://ui.perfetto.dev;
@@ -22,32 +23,32 @@ from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
 from repro.observability.profile_report import format_profile_report
 from repro.observability.profiler import (
-    Profiler,
     chrome_trace_json,
+    timeline,
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.observability.tracer import Tracer
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import trace_doc
 from repro.parallel.runtime import Runtime
 
 
 def main() -> None:
     graph = load_graph("asia_osm")
-    tracer = Tracer()
-    profiler = Profiler(num_threads=8)
-    rt = Runtime(num_threads=1, seed=42, tracer=tracer, profiler=profiler)
+    recorder = Recorder()
+    rt = Runtime(num_threads=1, seed=42, recorder=recorder)
     result = leiden(graph, LeidenConfig(seed=42), runtime=rt)
     print(f"asia_osm: {result.num_communities} communities in "
-          f"{result.num_passes} passes\n")
+          f"{result.num_passes} passes, {len(recorder.events)} events\n")
 
     # 1. The attribution report at the canonical 8 threads.
     report = format_profile_report(
-        profiler.timeline(), trace_doc=tracer.to_dict(), top=5,
+        timeline(recorder, 8), trace_doc=trace_doc(recorder), top=5,
         title="asia_osm")
     print(report)
 
     # 2. Chrome trace export (validated, byte-deterministic at a seed).
-    doc = to_chrome_trace(profiler.timeline(), experiment="asia_osm",
+    doc = to_chrome_trace(timeline(recorder, 8), experiment="asia_osm",
                           seed=42)
     stats = validate_chrome_trace(doc)
     out = Path(tempfile.mkdtemp()) / "profile_smoke_trace.json"
@@ -55,11 +56,11 @@ def main() -> None:
     print(f"\nwrote {out}: {stats['events']} events across "
           f"{stats['named_lanes']} lanes — open it in ui.perfetto.dev")
 
-    # 3. One recording, any thread count: the event log replays through
-    # the cost model, so scaling questions need no re-run.
+    # 3. One recording, any thread count: the regions replay through the
+    # cost model, so scaling questions need no re-run.
     print("\nmodelled total seconds by thread count:")
     for threads in (1, 2, 4, 8, 16, 32):
-        tl = profiler.timeline(threads)
+        tl = timeline(recorder, threads)
         print(f"  T={threads:<3d} {tl.total_seconds:.6f}s")
 
 

@@ -33,7 +33,8 @@ from repro.core.result import (
 from repro.datasets.registry import GraphSpec
 from repro.errors import SimulatedOutOfMemory
 from repro.graph.csr import CSRGraph
-from repro.observability.memtrack import MemoryLedger
+from repro.observability.memtrack import MemoryView
+from repro.observability.recorder import Recorder
 from repro.parallel.runtime import Runtime
 
 __all__ = ["cugraph_leiden", "DeviceModel", "A100_DEVICE", "CUGRAPH_LEIDEN_CONFIG"]
@@ -88,15 +89,15 @@ class DeviceModel:
     def check_fit(self, num_vertices: float, num_edges: float, what: str) -> None:
         need = self.required_bytes(num_vertices, num_edges)
         if need > self.memory_bytes:
-            # Stage the working set into a ledger so the failure names
+            # Stage the working set as allocations so the failure names
             # the buffers (largest first) that blew the budget.
-            led = MemoryLedger()
+            rec = Recorder()
             for comp, buf, phase, nbytes in self.allocation_plan(
                     num_vertices, num_edges):
-                led.alloc(comp, buf, nbytes, phase=phase)
+                rec.alloc(comp, buf, nbytes, phase=phase)
             raise SimulatedOutOfMemory(
                 need, self.memory_bytes, what,
-                alloc_trace=led.allocation_trace())
+                alloc_trace=MemoryView(rec).allocation_trace())
 
 
 A100_DEVICE = DeviceModel()

@@ -43,7 +43,8 @@ import numpy as np
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
-from repro.observability.memtrack import MemoryLedger, record_csr
+from repro.observability.memtrack import MemoryView
+from repro.observability.recorder import Recorder, record_csr
 from repro.parallel.runtime import Runtime
 
 __all__ = ["DEFAULT_AB_GRAPHS", "run_engine_ab", "format_engine_ab", "main"]
@@ -63,20 +64,20 @@ def _run_one(graph, engine: str, *, workers: int, seed: int):
     one-thread runtime :func:`~repro.core.leiden.leiden` defaults to.
     """
     cfg = LeidenConfig(engine=engine, seed=seed)
-    memory = MemoryLedger()
-    record_csr(memory, graph)  # input graph: loads are memoized
+    recorder = Recorder()
+    record_csr(recorder, graph)  # input graph: loads are memoized
     if engine == "process":
         rt = Runtime(num_threads=workers, executor="process", seed=seed,
-                     memory=memory)
+                     recorder=recorder)
     else:
-        rt = Runtime(num_threads=1, seed=seed, memory=memory)
+        rt = Runtime(num_threads=1, seed=seed, recorder=recorder)
     try:
         t0 = time.perf_counter()
         result = leiden(graph, cfg, runtime=rt)
         wall = time.perf_counter() - t0
     finally:
         rt.close()
-    return result, wall, memory.peak_bytes()
+    return result, wall, MemoryView(recorder).peak_bytes()
 
 
 def run_engine_ab(

@@ -16,7 +16,8 @@ from repro.bench.tables import format_table
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import graph_spec, load_graph, registry_names
-from repro.observability.memtrack import MemoryLedger, record_csr
+from repro.observability.memtrack import MemoryView
+from repro.observability.recorder import Recorder, record_csr
 from repro.parallel.runtime import Runtime
 
 __all__ = ["DatasetRow", "run", "report", "main"]
@@ -50,9 +51,9 @@ def run(graphs: Sequence[str] | None = None, *, seed: int = 42) -> List[DatasetR
         spec = graph_spec(name)
         # Same solve as the "gve" harness implementation, but through a
         # ledger-equipped runtime so the row carries peak bytes.
-        memory = MemoryLedger()
-        record_csr(memory, g)  # input graph: loads are memoized
-        with Runtime(num_threads=1, seed=seed, memory=memory) as rt:
+        recorder = Recorder()
+        record_csr(recorder, g)  # input graph: loads are memoized
+        with Runtime(num_threads=1, seed=seed, recorder=recorder) as rt:
             result = leiden(g, LeidenConfig(seed=seed), runtime=rt)
         rows.append(
             DatasetRow(
@@ -63,7 +64,7 @@ def run(graphs: Sequence[str] | None = None, *, seed: int = 42) -> List[DatasetR
                 avg_degree=g.num_edges / max(g.num_vertices, 1),
                 num_communities=result.num_communities,
                 fingerprint=g.fingerprint(),
-                peak_logical_bytes=int(memory.peak_bytes()),
+                peak_logical_bytes=int(MemoryView(recorder).peak_bytes()),
                 paper_vertices=spec.paper_vertices,
                 paper_edges=spec.paper_edges,
                 paper_avg_degree=spec.paper_avg_degree,

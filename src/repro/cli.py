@@ -7,16 +7,16 @@ Subcommands:
   communities in a graph file (MatrixMarket, METIS or edge list) or a
   named registry dataset and print a summary, optionally writing the
   membership vector to a file;
-- ``repro trace <input>`` — run GVE-Leiden with the observability layer
-  enabled and emit the span/counter trace as JSON
+- ``repro trace <input>`` — run GVE-Leiden with a recorder and emit the
+  span/counter trace as JSON
   (see docs/OBSERVABILITY.md for the schema); ``repro trace --diff A B``
   compares two saved traces field by field;
-- ``repro profile <input>`` — run once with the thread-timeline profiler
-  enabled; print the critical-path/imbalance report and optionally write
+- ``repro profile <input>`` — run once with a recorder and lay out its
+  thread timeline; print the critical-path/imbalance report and optionally write
   a Chrome trace-event JSON (``--chrome out.json``, loadable in
   chrome://tracing or Perfetto);
-- ``repro metrics <input>`` — run GVE-Leiden with the typed metric
-  instruments enabled and emit the byte-deterministic snapshot as JSON
+- ``repro metrics <input>`` — run GVE-Leiden with a recorder and emit its
+  byte-deterministic metric families as JSON
   (``repro.metrics/1``) or Prometheus text exposition (``--format
   prom``);
 - ``repro bench …`` — the evaluation harness
@@ -25,11 +25,11 @@ Subcommands:
 - ``repro serve --workload <profile>`` — drive the partition-serving
   subsystem (:mod:`repro.service`) through a seeded closed-loop
   workload and emit its deterministic stats document
-  (see docs/SERVICE.md); ``--metrics PATH`` attaches the metric
-  registry and writes its snapshot;
-- ``repro mem <input>`` — run GVE-Leiden with the memory ledger
-  (:mod:`repro.observability.memtrack`) attached and emit the
-  byte-deterministic ``repro.memory/1`` allocation report; ``--chrome``
+  (see docs/SERVICE.md); ``--trace``, ``--profile``, ``--metrics`` and
+  ``--mem`` attach one recorder and write each document from it;
+- ``repro mem <input>`` — run GVE-Leiden with a recorder and emit the
+  byte-deterministic ``repro.memory/1`` allocation report
+  (:mod:`repro.observability.memtrack`); ``--chrome``
   writes the memory counter lanes as Chrome trace JSON, ``--rss``
   prints the informational logical-vs-real ratio.  ``repro serve
   --mem`` writes the serving-side report.
@@ -55,20 +55,22 @@ from repro.graph.io_mtx import read_mtx
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
 from repro.metrics.summary import summarize_partition
-from repro.observability.memtrack import (
-    MemoryLedger,
-    record_csr,
-    validate_memory_doc,
+from repro.observability.memtrack import MemoryView, validate_memory_doc
+from repro.observability.metrics import (
+    to_prometheus,
+    to_snapshot,
+    trace_families,
+    validate_prometheus,
 )
-from repro.observability.metrics import MetricsRegistry, validate_prometheus
 from repro.observability.profile_report import format_profile_report
 from repro.observability.profiler import (
-    Profiler,
     chrome_trace_json,
+    timeline,
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.observability.tracer import TRACE_SCHEMA, Tracer
+from repro.observability.recorder import Recorder, record_csr
+from repro.observability.tracer import TRACE_SCHEMA, trace_doc, trace_tree
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
@@ -112,21 +114,21 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
 
 
 def _solve(args, graph, config: LeidenConfig | None = None, *,
-           algo=leiden, **recorders):
+           algo=leiden, recorder=None):
     """One detection run sized by the solve flags.
 
-    ``config`` defaults to the flags' :class:`LeidenConfig`;
-    ``recorders`` (tracer, profiler, metrics, memory) attach to the
-    runtime, which — with any worker pool — is closed before returning.
+    ``config`` defaults to the flags' :class:`LeidenConfig`; ``recorder``
+    attaches to the runtime, which — with any worker pool — is closed
+    before returning.
     """
     if config is None:
         config = LeidenConfig(engine=args.engine, quality=args.quality,
                               max_passes=args.max_passes, seed=args.seed)
     if args.engine == "process":
         rt = Runtime(num_threads=args.workers, executor="process",
-                     seed=args.seed, **recorders)
+                     seed=args.seed, recorder=recorder)
     else:
-        rt = Runtime(num_threads=1, seed=args.seed, **recorders)
+        rt = Runtime(num_threads=1, seed=args.seed, recorder=recorder)
     try:
         return algo(graph, config, runtime=rt)
     finally:
@@ -262,11 +264,12 @@ def trace_main(argv: list[str] | None = None) -> int:
     if args.input is None:
         parser.error("the following arguments are required: input")
     graph = _load(args.input)
-    tracer = Tracer()
-    result = _solve(args, graph, tracer=tracer)
+    recorder = Recorder()
+    result = _solve(args, graph, recorder=recorder)
     sim = result.ledger.simulate(PAPER_MACHINE, args.threads)
     q = modularity(graph, result.membership)
-    doc = tracer.to_dict(
+    doc = trace_doc(
+        recorder,
         experiment=str(args.input),
         seed=args.seed,
         num_threads=args.threads,
@@ -338,19 +341,18 @@ def build_profile_parser() -> argparse.ArgumentParser:
 
 
 def profile_main(argv: list[str] | None = None) -> int:
-    """``repro profile`` — run once with the profiler on, emit report."""
+    """``repro profile`` — run once with a recorder, emit the report."""
     args = build_profile_parser().parse_args(argv)
     graph = _load(args.input)
-    tracer = Tracer()
-    profiler = Profiler(num_threads=args.threads)
-    _solve(args, graph, tracer=tracer, profiler=profiler)
-    timeline = profiler.timeline()
-    trace_doc = tracer.to_dict(experiment=str(args.input), seed=args.seed)
+    recorder = Recorder()
+    _solve(args, graph, recorder=recorder)
+    tl = timeline(recorder, args.threads)
     report = format_profile_report(
-        timeline, trace_doc=trace_doc, top=args.top, title=str(args.input))
+        tl, trace_doc=trace_doc(recorder), top=args.top,
+        title=str(args.input))
     if args.chrome is not None:
         _write_chrome(args.chrome, to_chrome_trace(
-            timeline, experiment=str(args.input), seed=args.seed),
+            tl, experiment=str(args.input), seed=args.seed),
             "chrome trace", args.compact)
     _write_text(args.output, report, "report")
     return 0
@@ -378,19 +380,21 @@ def build_metrics_parser() -> argparse.ArgumentParser:
 
 
 def metrics_main(argv: list[str] | None = None) -> int:
-    """``repro metrics`` — run once with instruments on, emit snapshot."""
+    """``repro metrics`` — run once with a recorder, emit its families."""
     args = build_metrics_parser().parse_args(argv)
     graph = _load(args.input)
-    registry, tracer = MetricsRegistry(), Tracer()
-    result = _solve(args, graph, tracer=tracer, metrics=registry)
+    recorder = Recorder()
+    result = _solve(args, graph, recorder=recorder)
     # The trace's batch/color-class histograms join as trace_* families.
-    registry.merge_tracer(tracer)
+    families = {**recorder.families,
+                **trace_families(trace_tree(recorder))}
     if args.fmt == "prom":
-        text = registry.to_prometheus()
+        text = to_prometheus(families)
         validate_prometheus(text)
         _write_text(args.output, text.rstrip("\n"), "metrics")
         return 0
-    _write_json(args.output, registry.to_snapshot(
+    _write_json(args.output, to_snapshot(
+        families,
         experiment=str(args.input),
         seed=args.seed,
         modularity=modularity(graph, result.membership),
@@ -421,22 +425,21 @@ def build_serve_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=Path, default=None,
                    help="write the result JSON here instead of stdout")
     p.add_argument("--trace", type=Path, default=None, dest="trace_output",
-                   help="also run with tracing enabled and write the "
-                        "span/counter trace JSON here")
+                   help="also record the run and write the span/counter "
+                        "trace JSON here")
     p.add_argument("--profile", type=Path, default=None,
                    dest="profile_output",
-                   help="also run with the thread-timeline profiler "
-                        "enabled and write the Chrome trace-event JSON "
-                        "here (request lane + solve timelines)")
+                   help="also record the run and write the Chrome "
+                        "trace-event JSON of its timeline here (request "
+                        "lane + solve timelines)")
     p.add_argument("--metrics", type=Path, default=None,
                    dest="metrics_output",
-                   help="also run with the metric registry attached and "
-                        "write its byte-deterministic snapshot JSON here")
+                   help="also record the run and write its "
+                        "byte-deterministic metrics snapshot JSON here")
     p.add_argument("--mem", type=Path, default=None, dest="mem_output",
-                   help="also run with the memory ledger attached and "
-                        "write the byte-deterministic repro.memory/1 "
-                        "report (store bytes per entry, peak watermarks) "
-                        "here")
+                   help="also record the run and write the "
+                        "byte-deterministic repro.memory/1 report of the "
+                        "store (bytes per entry, peak watermarks) here")
     p.add_argument("--compact", action="store_true",
                    help="single-line JSON (default: indented)")
     return p
@@ -457,19 +460,12 @@ def serve_main(argv: list[str] | None = None) -> int:
               f"one of the profiles listed above", file=sys.stderr)
         return 2
     service_config = ServiceConfig(coalesce_updates=not args.no_coalesce)
-    server = None
+    server = recorder = None
     if (args.trace_output is not None or args.profile_output is not None
             or args.metrics_output is not None
             or args.mem_output is not None):
-        server = PartitionServer(
-            service_config,
-            tracer=Tracer() if args.trace_output is not None else None,
-            profiler=(Profiler() if args.profile_output is not None
-                      else None),
-            metrics=(MetricsRegistry() if args.metrics_output is not None
-                     else None),
-            memory=MemoryLedger() if args.mem_output is not None else None,
-        )
+        recorder = Recorder()
+        server = PartitionServer(service_config, recorder=recorder)
     result = run_workload(
         args.workload,
         seed=args.seed,
@@ -480,21 +476,25 @@ def serve_main(argv: list[str] | None = None) -> int:
     experiment = f"serve:{args.workload}"
     _write_json(args.output, result.to_json_dict(), "stats", args.compact)
     if args.trace_output is not None:
-        _write_json(args.trace_output, server.tracer.to_dict(
-            experiment=experiment, seed=args.seed), "trace", args.compact)
+        _write_json(args.trace_output, trace_doc(
+            recorder, experiment=experiment, seed=args.seed), "trace",
+            args.compact)
     if args.profile_output is not None:
         _write_chrome(args.profile_output, to_chrome_trace(
-            server.profiler.timeline(), experiment=experiment,
+            timeline(recorder), experiment=experiment,
             seed=args.seed), "profile", args.compact)
     if args.metrics_output is not None:
-        _write_json(args.metrics_output, server.metrics.to_snapshot(
+        _write_json(args.metrics_output, to_snapshot(
+            recorder.families,
             experiment=experiment,
             seed=args.seed,
             clock_units=int(server.clock),
         ), "metrics", args.compact)
     if args.mem_output is not None:
-        doc = server.memory.to_snapshot(experiment=experiment,
-                                        seed=args.seed)
+        # The serving-side report: the store's entries, not the
+        # solves' transient buffers.
+        doc = MemoryView(recorder, components=("store",)).to_snapshot(
+            experiment=experiment, seed=args.seed)
         validate_memory_doc(doc)
         _write_json(args.mem_output, doc, "memory report", args.compact)
     if not args.no_verify and not all(
@@ -508,7 +508,7 @@ def serve_main(argv: list[str] | None = None) -> int:
 def build_mem_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro mem",
-        description="Run GVE-Leiden with the memory ledger attached and "
+        description="Run GVE-Leiden with a recorder and "
                     "emit the byte-deterministic repro.memory/1 report "
                     "(logical allocation events, per-component and "
                     "per-phase peak watermarks; the logical section is "
@@ -533,14 +533,15 @@ def build_mem_parser() -> argparse.ArgumentParser:
 
 
 def mem_main(argv: list[str] | None = None) -> int:
-    """``repro mem`` — run once with the memory ledger on, emit report."""
+    """``repro mem`` — run once with a recorder, emit the memory report."""
     args = build_mem_parser().parse_args(argv)
     graph = _load(args.input)
-    memory = MemoryLedger()
-    # Graph loads are memoized, so the input CSR may predate the ledger;
-    # charge it explicitly so the report covers the input arrays.
-    record_csr(memory, graph)
-    _solve(args, graph, memory=memory)
+    recorder = Recorder()
+    # Graph loads are memoized, so the input CSR may predate the
+    # recorder; charge it explicitly so the report covers the input.
+    record_csr(recorder, graph)
+    _solve(args, graph, recorder=recorder)
+    memory = MemoryView(recorder)
     doc = memory.to_snapshot(
         experiment=str(args.input),
         seed=args.seed,

@@ -246,15 +246,13 @@ def aggregate_loop(
 
 
 def _report(runtime: Runtime, super_vertices: int, edge_writes: int) -> None:
-    """Report one aggregation's totals to the metrics registry and the
-    tracer: the aggregation phase's one report, shared by every engine."""
-    if runtime.metrics.enabled:
-        mr = runtime.metrics
-        mr.counter("leiden_aggregate_super_vertices_total",
-                   "super-vertices produced by aggregation"
-                   ).inc(super_vertices)
-        mr.counter("leiden_aggregate_edge_writes_total",
-                   "deduplicated super-edge writes").inc(edge_writes)
-    if runtime.tracer.enabled:
-        runtime.tracer.count("aggregate_super_vertices", super_vertices)
-        runtime.tracer.count("aggregate_edge_writes", edge_writes)
+    """Record one aggregation's totals: the aggregation phase's one
+    report, shared by every engine."""
+    rec = runtime.recorder
+    if rec.enabled:
+        rec.family("counter", "leiden_aggregate_super_vertices_total",
+                   "super-vertices produced by aggregation")
+        rec.family("counter", "leiden_aggregate_edge_writes_total",
+                   "deduplicated super-edge writes")
+        rec.count("aggregate_super_vertices", super_vertices)
+        rec.count("aggregate_edge_writes", edge_writes)

@@ -21,8 +21,8 @@ remapping), which is internally connected by construction; the
 ``vertex_label`` choice affects how each pass is *seeded* and the output
 only when the pass budget is exhausted.
 
-Every phase runs inside :meth:`Runtime.phase`, which opens its tracer
-span, sets the memory ledger's active phase and adds its wall time to the
+Every phase runs inside :meth:`Runtime.phase`, which opens its span,
+sets the phase its allocations belong to and adds its wall time to the
 pass; :func:`_pass_scope` owns each pass's work ledger, span and
 :class:`PassStats`.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from functools import partial
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.core.result import (
 from repro.errors import GraphStructureError
 from repro.graph.csr import CSRGraph
 from repro.metrics.partition import check_membership, renumber_membership
-from repro.observability import memtrack
+from repro.observability.recorder import activate
 from repro.parallel.rng import Xorshift32
 from repro.parallel.runtime import Runtime
 from repro.types import VERTEX_DTYPE
@@ -142,31 +142,29 @@ def leiden(
     # original vertices they contain); modularity ignores them.
     sizes = np.ones(n0, dtype=np.float64)
 
-    # Metric instruments (shared no-ops when collection is disabled).
-    m = rt.metrics
-    m_passes = m.counter("leiden_passes_total", "Leiden passes executed")
-    m_exits = m.counter(
-        "leiden_pass_exits_total",
-        "how the pass loop ended, by exit reason", ("reason",))
-    m_shrink = m.histogram(
-        "leiden_aggregation_shrink",
-        "communities-per-vertex shrink ratio observed per pass")
-    m_comms = m.gauge(
-        "leiden_communities", "community count of the most recent run")
+    rec = rt.recorder
+    if rec.enabled:
+        rec.family("counter", "leiden_passes_total", "Leiden passes executed")
+        rec.family("counter", "leiden_pass_exits_total",
+                   "how the pass loop ended, by exit reason", ("reason",))
+        rec.family("histogram", "leiden_aggregation_shrink",
+                   "communities-per-vertex shrink ratio observed per pass")
+        rec.family("gauge", "leiden_communities",
+                   "community count of the most recent run")
 
     # A runtime created here is closed on the way out, reaping its worker
-    # pool.  The run's memory ledger is active for the whole solve, so
-    # buffer owners built deep inside the phases (super-graph CSR arrays)
-    # record allocations without threading it through.
+    # pool.  The run's recorder is active for the whole solve, so buffer
+    # owners built deep inside the phases (super-graph CSR arrays, the
+    # worker pool, shared-memory arenas) record without threading it
+    # through.
     with (nullcontext() if runtime is not None else rt), \
-            rt.tracer.span("leiden", vertices=int(n0),
-                           edges=int(graph.num_edges), engine=cfg.engine,
-                           quality=cfg.quality) as run_span, \
-            memtrack.activate(rt.memory):
+            rec.span("leiden", vertices=int(n0), edges=int(graph.num_edges),
+                     engine=cfg.engine, quality=cfg.quality), \
+            activate(rec):
         for pass_index in range(cfg.max_passes):
             n = G.num_vertices
             with _pass_scope(rt, passes, wall_phase, pass_index,
-                             n) as (stats, pass_span):
+                             n) as stats:
                 pw = stats.wall_phase_seconds
 
                 # -- initialization (line 4) ------------------------------
@@ -189,7 +187,7 @@ def leiden(
 
                 # -- local-moving phase (line 5) --------------------------
                 with rt.phase(PHASE_LOCAL_MOVE, pw, "local_move",
-                              engine=cfg.engine) as span:
+                              engine=cfg.engine):
                     li, _dq = move(
                         G, C, K, Sigma, tau,
                         runtime=rt,
@@ -201,11 +199,11 @@ def leiden(
                         pruning=cfg.vertex_pruning,
                         **ws_kw,
                     )
-                    span.set(iterations=li)
+                    rec.set(iterations=li)
 
                 # -- refinement phase (lines 6-7) -------------------------
                 with rt.phase(PHASE_REFINE, pw, "refine",
-                              enabled=cfg.use_refinement) as span:
+                              enabled=cfg.use_refinement):
                     C_B = C.copy()
                     if cfg.use_refinement:
                         C_ref = np.arange(n, dtype=VERTEX_DTYPE)
@@ -223,7 +221,7 @@ def leiden(
                         # phase directly.
                         C_ref = C_B
                         lj = 0
-                    span.set(moves=lj)
+                    rec.set(moves=lj)
 
                 # -- exit checks, dendrogram lookup (lines 8-12) ----------
                 # Bookkeeping between phases runs under the pass span.
@@ -234,12 +232,12 @@ def leiden(
                     # Convergence monitor: aggregation shrink ratio
                     # (communities per vertex — 1.0 means no shrink)
                     # on the pass span, and the community count as a
-                    # counter track on the profiler timeline.
-                    pass_span.record("aggregation_shrink",
-                                     num_comms / max(n, 1))
-                    m_passes.inc()
-                    m_shrink.observe(num_comms / max(n, 1))
-                    rt.profiler.mark("communities", num_comms)
+                    # counter track on the timeline.
+                    if rec.enabled:
+                        rec.series("aggregation_shrink",
+                                   num_comms / max(n, 1))
+                        rec.metric("leiden_passes_total", 1)
+                        rec.mark("communities", num_comms)
                     low_shrink = (
                         cfg.aggregation_tolerance is not None
                         and n > 0
@@ -253,20 +251,20 @@ def leiden(
                     # discipline of Algorithm 3).
                     dendrogram.add_level(C_ref_ren)
                     C_top = C_ref_ren[C_top]
-                    if done:
-                        m_exits.labels(
-                            "converged" if converged else "low_shrink").inc()
+                    if done and rec.enabled:
+                        rec.metric("leiden_pass_exits_total", 1,
+                                   "converged" if converged else "low_shrink")
                     rt.record_parallel(max(n, 1) if done else n0,
                                        phase=PHASE_OTHER, per_item=1.0)
 
                 if not done:
                     # -- aggregation phase (line 13) ----------------------
-                    with rt.phase(PHASE_AGGREGATE, pw, "aggregate") as span:
+                    with rt.phase(PHASE_AGGREGATE, pw, "aggregate"):
                         G = aggregate(G, C_ref_ren, num_comms, runtime=rt)
                         sizes = np.bincount(C_ref_ren, weights=sizes,
                                             minlength=num_comms)
-                        span.set(super_vertices=int(num_comms),
-                                 super_edges=int(G.num_edges))
+                        rec.set(super_vertices=int(num_comms),
+                                super_edges=int(G.num_edges))
 
                     # -- next pass's initial membership (line 14) ---------
                     with rt.phase(PHASE_OTHER, pw):
@@ -291,11 +289,9 @@ def leiden(
                 stats.move_iterations = li
                 stats.refine_moves = lj
                 stats.tolerance = tau
-                pass_span.set(
-                    communities=num_comms, move_iterations=li,
-                    refine_moves=lj, converged=bool(converged),
-                    low_shrink=bool(low_shrink),
-                )
+                rec.set(communities=num_comms, move_iterations=li,
+                        refine_moves=lj, converged=bool(converged),
+                        low_shrink=bool(low_shrink))
             if done:
                 break
         else:
@@ -303,7 +299,8 @@ def leiden(
             # *refined* communities of the last pass; move-based
             # labelling composes the move-phase bound on top
             # (Algorithm 1, line 16 after line 14's remapping).
-            m_exits.labels("budget").inc()
+            if rec.enabled:
+                rec.metric("leiden_pass_exits_total", 1, "budget")
             if cfg.vertex_label == "move" and init_membership is not None:
                 dendrogram.add_level(init_membership)
                 C_top = init_membership[C_top]
@@ -312,8 +309,7 @@ def leiden(
         C_top, _ = renumber_membership(C_top)
         wall = time.perf_counter() - t_start
         final_comms = int(C_top.max()) + 1 if n0 else 0
-        run_span.set(passes=len(passes), communities=final_comms)
-        m_comms.set(final_comms)
+        rec.set(passes=len(passes), communities=final_comms)
     return LeidenResult(
         membership=C_top,
         dendrogram=dendrogram,
@@ -327,12 +323,12 @@ def leiden(
 @contextmanager
 def _pass_scope(rt: Runtime, passes: List[PassStats],
                 wall_phase: Dict[str, float], index: int,
-                n: int) -> Iterator[Tuple[PassStats, object]]:
-    """One pass: its own work ledger, its tracer span and its stats.
+                n: int) -> Iterator[PassStats]:
+    """One pass: its own work ledger, its span and its stats.
 
     Yields the pass's :class:`PassStats` (the caller fills in the counts
-    and passes ``wall_phase_seconds`` to :meth:`Runtime.phase`) and the
-    pass span.  A pass that completes is appended to ``passes``, its
+    and passes ``wall_phase_seconds`` to :meth:`Runtime.phase`).  A pass
+    that completes is appended to ``passes``, its
     phase seconds are added to ``wall_phase`` and its ledger is merged
     into the run's; a pass that raises still restores the run's ledger
     and closes its span.
@@ -342,8 +338,8 @@ def _pass_scope(rt: Runtime, passes: List[PassStats],
                       wall_phase_seconds=dict.fromkeys(ALL_PHASES, 0.0))
     run_ledger, rt.ledger = rt.ledger, stats.ledger
     try:
-        with rt.tracer.span("pass", index=index, vertices=int(n)) as span:
-            yield stats, span
+        with rt.recorder.span("pass", index=index, vertices=int(n)):
+            yield stats
         passes.append(stats)
         for phase, seconds in stats.wall_phase_seconds.items():
             wall_phase[phase] += seconds

@@ -120,44 +120,32 @@ def candidate_moves(vs, d, pseg, pcomm, psum, K, Q, Sigma, m,
 def _move_report(runtime: Runtime) -> Callable[[int, float, int, int], None]:
     """The move phase's one report of its totals, shared by every engine.
 
-    Registers the phase's counters when called (at the start of the
-    phase) and returns ``report(moves, total_dq, visited, skipped)``,
-    which reports one iteration's totals to the metrics registry, the
-    tracer and the profiler.
+    Registers the phase's metric families when called (at the start of
+    the phase) and returns ``report(moves, total_dq, visited, skipped)``,
+    which records one iteration's totals.
     """
-    metrics, tracer, profiler = (runtime.metrics, runtime.tracer,
-                                 runtime.profiler)
-    m_pruned = metrics.counter(
-        "leiden_pruning_vertices_total",
-        "vertices visited vs. skipped by flag-based pruning", ("outcome",))
-    mp_visited = m_pruned.labels("visited")
-    mp_skipped = m_pruned.labels("skipped")
-    m_moves = metrics.counter(
-        "leiden_local_moves_total", "community moves applied")
-    m_iters = metrics.counter(
-        "leiden_move_iterations_total", "local-moving iterations executed")
-    m_dq = metrics.counter(
-        "leiden_move_delta_q_total", "summed delta-Q of applied moves")
+    rec = runtime.recorder
+    if rec.enabled:
+        rec.family("counter", "leiden_pruning_vertices_total",
+                   "vertices visited vs. skipped by flag-based pruning",
+                   ("outcome",))
+        rec.family("counter", "leiden_local_moves_total",
+                   "community moves applied")
+        rec.family("counter", "leiden_move_iterations_total",
+                   "local-moving iterations executed")
+        rec.family("counter", "leiden_move_delta_q_total",
+                   "summed delta-Q of applied moves")
 
     def report(moves: int, total_dq: float, visited: int,
                skipped: int) -> None:
-        if metrics.enabled:
-            m_iters.inc()
-            m_moves.inc(moves)
-            m_dq.inc(total_dq)
-            mp_visited.inc(visited)
-            mp_skipped.inc(skipped)
-        if tracer.enabled:
-            tracer.count("move_iterations")
-            tracer.count("local_moves", moves)
-            tracer.count("pruning_visited", visited)
-            tracer.count("pruning_skipped", skipped)
+        if rec.enabled:
+            rec.count("move_iterations")
+            rec.count("local_moves", moves)
+            rec.count("pruning_skipped", skipped)
             # Convergence monitor: per-iteration ΔQ and vertices visited
             # (pruning effectiveness) as ordered series on the open span.
-            tracer.record("move_delta_q", total_dq)
-            tracer.record("move_visited", visited)
-        if profiler.enabled:
-            profiler.mark("move_delta_q", total_dq)
+            rec.series("move_delta_q", total_dq)
+            rec.series("move_visited", visited)
     return report
 
 
@@ -205,14 +193,14 @@ def move_loop(
     loops = graph.has_self_loops
     ws = workspace if workspace is not None else KernelWorkspace(n)
 
-    tracer = runtime.tracer
+    rec = runtime.recorder
     report = _move_report(runtime)
     classes = color_classes(colors)
     runtime.record_parallel(degrees, phase=phase)
-    if tracer.enabled:
-        tracer.count("color_classes", len(classes))
+    if rec.enabled:
+        rec.count("color_classes", len(classes))
         for cls in classes:
-            tracer.observe("color_class_size", cls.shape[0])
+            rec.observe("color_class_size", cls.shape[0])
 
     if unprocessed_mask is None:
         processed = np.zeros(n, dtype=bool)
@@ -233,8 +221,8 @@ def move_loop(
             visited += int(pending.shape[0])
             for lo in range(0, pending.shape[0], batch_size):
                 vs = pending[lo : lo + batch_size]
-                if tracer.enabled:
-                    tracer.observe("batch_size", vs.shape[0])
+                if rec.enabled:
+                    rec.observe("batch_size", vs.shape[0])
                 processed[vs] = True  # prune (Algorithm 2, line 6)
                 deg = degrees[vs]
                 iter_costs.append(deg)

@@ -48,7 +48,6 @@ from repro.core.result import PHASE_LOCAL_MOVE
 from repro.core.workspace import KernelWorkspace
 from repro.graph.csr import CSRGraph
 from repro.parallel.coloring import color_graph
-from repro.parallel.procpool import ProcessPool
 from repro.parallel.runtime import Runtime
 from repro.parallel.schedule import Schedule, chunk_spans
 from repro.parallel.shm import ShmArena
@@ -70,12 +69,11 @@ def _build_arena(
     Q: np.ndarray,
     Sigma: np.ndarray,
     *,
-    memory=None,
     phase: str = PHASE_LOCAL_MOVE,
 ) -> ShmArena:
     """Lay the phase state out in shared memory (one copy per pass)."""
     n = graph.num_vertices
-    arena = ShmArena(memory=memory, phase=phase)
+    arena = ShmArena(phase=phase)
     try:
         arena.from_array("offsets", graph.offsets)
         arena.from_array("degrees", graph.degrees)
@@ -102,7 +100,6 @@ def local_move_process(
     tolerance: float,
     *,
     runtime: Runtime,
-    pool: ProcessPool | None = None,
     max_iterations: int = 20,
     batch_size: int = 4096,
     resolution: float = 1.0,
@@ -123,24 +120,23 @@ def local_move_process(
     """
     if graph.num_vertices == 0 or graph.m <= 0:
         return 1, 0.0
-    pool = pool if pool is not None else runtime.procpool()
+    pool = runtime.procpool()
     K = vertex_weights
     Q = K if quantities is None else quantities
     qual = quality or Quality("modularity", resolution)
     colors = color_graph(graph, seed=color_seed)
 
-    metrics = runtime.metrics
-    profiler = runtime.profiler
-    m_tasks = metrics.counter(
-        "proc_pool_tasks_total",
-        "chunk tasks dispatched to the worker-process pool", ("phase",))
-    m_shm = metrics.counter(
-        "mem_shm_bytes_total",
-        "bytes laid out in shared-memory arenas", ("phase",))
-    m_wedges = metrics.counter(
-        "proc_worker_edges_total",
-        "edges the move scan read, by pool worker; \"parent\" counts the "
-        "batches below the pool gate, scanned in the parent", ("worker",))
+    rec = runtime.recorder
+    if rec.enabled:
+        rec.family("counter", "proc_pool_tasks_total",
+                   "chunk tasks dispatched to the worker-process pool",
+                   ("phase",))
+        rec.family("counter", "mem_shm_bytes_total",
+                   "bytes laid out in shared-memory arenas", ("phase",))
+        rec.family("counter", "proc_worker_edges_total",
+                   "edges the move scan read, by pool worker; \"parent\" "
+                   "counts the batches below the pool gate, scanned in the "
+                   "parent", ("worker",))
     payload = {
         "m": float(graph.m),
         "quality": qual.kind,
@@ -149,9 +145,9 @@ def local_move_process(
     }
     split = Schedule("static", 1)
     with _build_arena(graph, membership, K, Q, community_weights,
-                      memory=runtime.memory, phase=phase) as arena:
-        if metrics.enabled:
-            m_shm.labels(phase).inc(arena.nbytes)
+                      phase=phase) as arena:
+        if rec.enabled:
+            rec.metric("mem_shm_bytes_total", arena.nbytes, phase)
         batch_buf = arena["batch"]
         best_c_buf = arena["best_community"]
         best_dq_buf = arena["best_delta"]
@@ -160,8 +156,8 @@ def local_move_process(
             """Scan ``vs`` in the pool if it is large enough (else None)."""
             edges = int(deg.sum())
             if edges < POOL_MIN_EDGES:
-                if metrics.enabled:
-                    m_wedges.labels("parent").inc(edges)
+                if rec.enabled:
+                    rec.metric("proc_worker_edges_total", edges, "parent")
                 return None
             B = int(vs.shape[0])
             batch_buf[:B] = vs
@@ -169,15 +165,10 @@ def local_move_process(
             results = pool.run("move_scan", [
                 {"lo": s, "hi": e, **payload} for s, e in spans
             ])
-            if metrics.enabled:
-                m_tasks.labels(phase).inc(len(spans))
+            if rec.enabled:
                 for r in results:
-                    m_wedges.labels(str(r.worker_id)).inc(r.value)
-            if profiler.enabled:
-                for r in results:
-                    profiler.worker_event(
-                        r.worker_id, "move_scan", r.start, r.end,
-                        phase=phase, edges=int(r.value))
+                    rec.worker(r.worker_id, "move_scan", r.start, r.end,
+                               phase=phase, edges=int(r.value))
             pos = np.flatnonzero(best_dq_buf[:B] > 0.0)
             return pos, best_c_buf[pos], best_dq_buf[pos]
 

@@ -229,30 +229,22 @@ def refine_batch(
 
 def _report(runtime: Runtime, graph: CSRGraph, phase: str, moves: int,
             cas_rejects: int, isolated: int) -> None:
-    """Record one sweep's work and report its totals to the metrics
-    registry, the tracer and the profiler: the refinement phase's one
+    """Record one sweep's work and its totals: the refinement phase's one
     report, shared by every engine."""
     atomics = float(graph.num_vertices + 2 * moves)
     runtime.record_parallel(graph.degrees, phase=phase, atomics=atomics,
                             per_item=VERTEX_COST)
-    if runtime.metrics.enabled:
-        mr = runtime.metrics
-        mr.counter("leiden_refine_splits_total",
-                   "refinement moves applied (splits off the bound)"
-                   ).inc(moves)
-        mr.counter("leiden_refine_cas_rejects_total",
-                   "refinement moves lost to the isolation CAS"
-                   ).inc(cas_rejects)
-    tracer = runtime.tracer
-    if tracer.enabled:
-        tracer.count("refine_isolated", isolated)
-        tracer.count("refine_moves", moves)
-        tracer.count("refine_cas_rejects", cas_rejects)
+    rec = runtime.recorder
+    if rec.enabled:
+        rec.family("counter", "leiden_refine_splits_total",
+                   "refinement moves applied (splits off the bound)")
+        rec.family("counter", "leiden_refine_cas_rejects_total",
+                   "refinement moves lost to the isolation CAS")
+        rec.count("refine_isolated", isolated)
+        rec.count("refine_cas_rejects", cas_rejects)
         # Convergence monitor: split count of this sweep (merges applied,
         # i.e. singleton sub-communities that split off their bound).
-        tracer.record("refine_splits", moves)
-    if runtime.profiler.enabled:
-        runtime.profiler.mark("refine_splits", moves)
+        rec.series("refine_splits", moves)
 
 
 def _commit(mown, mcomm, joined, vacated, races, scratch) -> np.ndarray:

@@ -13,9 +13,10 @@ too wide a window to sum in place, and refinement's batch commit writes
 its label-to-position table into it.
 
 The workspace dispatches the batch kernels (the packed-key pair sums,
-the sorted argmax and the scatter-add), counts each dispatch, and
-accounts the map's allocation in the runtime cost model, the way the
-paper's per-thread table allocation shows up in its measured runtimes.
+the sorted argmax and the scatter-add), records each dispatch as one
+recorder event, and accounts the map's allocation in the runtime cost
+model, the way the paper's per-thread table allocation shows up in its
+measured runtimes.
 The sort family in :mod:`repro.core._kernels` is the tests' bitwise
 oracle for these kernels, not a production option.
 """
@@ -29,16 +30,9 @@ from repro.core._kernels import (
     segment_pair_sums_packed,
     segmented_argmax_sorted,
 )
-from repro.observability.metrics import NULL_REGISTRY
-from repro.observability.tracer import NULL_TRACER
+from repro.observability.recorder import DISPATCH_FAMILY, NULL_RECORDER
 
 __all__ = ["KernelWorkspace"]
-
-#: ``engine`` label of ``kernel_dispatch_total`` and prefix of the
-#: ``kernel_count_<kernel>`` tracer counters.  Only one kernel family
-#: runs in production; the label is a historical name that stays so
-#: committed metric snapshots keep their bytes.
-DISPATCH_ENGINE = "count"
 
 #: Work units charged per preallocated map slot (allocation + first
 #: touch is a fraction of one edge-scan-plus-table-update work unit).
@@ -73,63 +67,44 @@ class KernelWorkspace:
         # ever touched, so it is allocated once and never cleared.
         # np.empty: contents are irrelevant by construction.
         self._map = np.empty(max(self.num_vertices, 1), dtype=np.int64)
-        self._tracer = runtime.tracer if runtime is not None else NULL_TRACER
-        metrics = runtime.metrics if runtime is not None else NULL_REGISTRY
-        self._m_dispatch = metrics.counter(
-            "kernel_dispatch_total",
-            "kernel invocations, by engine and kernel name",
-            ("engine", "kernel"))
-        # Bound children resolved once per kernel name, not per dispatch.
-        self._m_bound: dict = {}
-        #: Memory-ledger handle of the map (-1 when unrecorded).
-        self._mem_handle = -1
+        self._rec = runtime.recorder if runtime is not None else NULL_RECORDER
+        if self._rec.enabled:
+            self._rec.family(*DISPATCH_FAMILY)
         if runtime is not None:
             self._account_allocation(runtime, phase)
 
     def _account_allocation(self, runtime, phase: str) -> None:
         """Charge the map allocation to the cost model (chunked items)
-        and record it in the memory ledger."""
+        and record it as an allocation."""
         slots = max(self.num_vertices, 1)
         chunk = 4096
         n_chunks = (slots + chunk - 1) // chunk
         costs = np.full(n_chunks, chunk * ALLOC_UNITS_PER_SLOT)
         costs[-1] = (slots - (n_chunks - 1) * chunk) * ALLOC_UNITS_PER_SLOT
         runtime.record_parallel(costs, phase=phase)
-        if runtime.tracer.enabled:
-            runtime.tracer.count("mem_workspace_alloc_slots", slots)
-        memory = getattr(runtime, "memory", None)
-        if memory is not None and memory.enabled:
-            self._mem_handle = memory.alloc(
-                "workspace", "scratch_map", self._map.nbytes,
-                phase=phase, dtype=str(self._map.dtype))
+        if self._rec.enabled:
+            self._rec.alloc("workspace", "scratch_map", self._map.nbytes,
+                            phase=phase, dtype=str(self._map.dtype))
 
     # -- kernel dispatch ---------------------------------------------------
 
-    def _count_dispatch(self, kernel: str) -> None:
-        """Per-kernel dispatch counter (``kernel_count_<kernel>``) so
-        traces show how often each kernel served a phase."""
-        bound = self._m_bound.get(kernel)
-        if bound is None:
-            bound = self._m_dispatch.labels(DISPATCH_ENGINE, kernel)
-            self._m_bound[kernel] = bound
-        bound.inc()
-        if self._tracer.enabled:
-            self._tracer.count(f"kernel_{DISPATCH_ENGINE}_{kernel}")
-
     def pair_sums(self, seg, comm, weights, num_segments: int):
         """Per-``(seg, comm)`` weight sums (the packed-key kernel)."""
-        self._count_dispatch("pair_sums")
+        if self._rec.enabled:
+            self._rec.dispatch("pair_sums")
         return segment_pair_sums_packed(
             seg, comm, weights, num_segments, self.num_vertices)
 
     def argmax(self, seg, values):
         """Segmented argmax; ``seg`` is sorted by kernel-output contract."""
-        self._count_dispatch("argmax")
+        if self._rec.enabled:
+            self._rec.dispatch("argmax")
         return segmented_argmax_sorted(seg, values)
 
     def scatter_add(self, target, idx, weights) -> None:
         """Scatter-add with duplicate indices (bincount)."""
-        self._count_dispatch("scatter_add")
+        if self._rec.enabled:
+            self._rec.dispatch("scatter_add")
         scatter_add(target, idx, weights, self._map)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

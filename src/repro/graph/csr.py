@@ -21,6 +21,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.errors import GraphStructureError
+from repro.observability.recorder import active, record_csr
 from repro.types import (
     ACCUM_DTYPE,
     OFFSET_DTYPE,
@@ -31,25 +32,6 @@ from repro.types import (
     VertexArray,
     WeightArray,
 )
-
-
-#: Lazily imported :mod:`repro.observability.memtrack` — importing it at
-#: module scope would close a package cycle: the observability package
-#: imports its profiler, the profiler imports :mod:`repro.parallel`,
-#: whose runtime imports memtrack, which imports the half-initialised
-#: profiler.  First CSR construction happens long after the import graph
-#: settles, so the deferred import is safe.
-_memtrack = None
-
-
-def _memmod():
-    global _memtrack
-    mt = _memtrack
-    if mt is None:
-        from repro.observability import memtrack as mt
-
-        _memtrack = mt
-    return mt
 
 
 class CSRGraph:
@@ -101,21 +83,14 @@ class CSRGraph:
         self._total_weight: float | None = None
         self._fingerprint: str | None = None
         self._has_self_loops: bool | None = None
-        mt = _memmod()
-        led = mt._ACTIVE
-        if led.enabled:
-            # Logical allocation events for the CSR arrays: attributed
-            # to whatever phase built this graph (the aggregate phase
-            # for super-graphs, "other" for loads).  Views handed in by
-            # a caller count too — the ledger models logical ownership,
-            # not malloc calls, which keeps the report deterministic.
-            phase = mt.active_phase()
-            for what, arr in (("offsets", self.offsets),
-                              ("targets", self.targets),
-                              ("weights", self.weights),
-                              ("degrees", self.degrees)):
-                led.alloc("csr", what, arr.nbytes, phase=phase,
-                          dtype=str(arr.dtype))
+        # The arrays are allocations of the active recorder's current
+        # phase (the aggregate phase for super-graphs, "other" for
+        # loads).  Views handed in by a caller count too — the memory
+        # report models logical ownership, not malloc calls, which keeps
+        # it deterministic.
+        rec = active()
+        if rec.enabled:
+            record_csr(rec, self)
         if validate:
             self._check_structure()
 

@@ -1,13 +1,12 @@
-"""Deterministic memory ledger: logical allocation events + watermarks.
+"""The memory report: logical allocation events and watermarks.
 
-The observability stack already gives the pipeline a *time* axis (work
-ledger, tracer, profiler); this module adds the *memory* axis.
-A :class:`MemoryLedger` records logical allocate/resize/free events —
-component, phase, dtype, bytes — on its own logical clock (a monotonic
-event sequence number, never wall time), maintains live-byte totals and
-peak watermarks per component and per phase, and emits a
-byte-deterministic schema-versioned ``repro.memory/1`` report plus
-Chrome-trace counter lanes on their own process id (:data:`PID_MEMORY`).
+:class:`MemoryView` replays a :class:`~repro.observability.recorder.
+Recorder`'s alloc, resize, free and attach events on the memory report's
+own logical clock (the count of applied events, never wall time),
+keeping live-byte totals and peak watermarks per component and per
+phase, and emits a byte-deterministic schema-versioned ``repro.memory/1``
+report plus Chrome-trace counter lanes on their own process id
+(:data:`PID_MEMORY`).
 
 Determinism contract (the reason the report can be an exact-match CI
 baseline):
@@ -18,69 +17,50 @@ baseline):
   no dict-order or ``PYTHONHASHSEED`` dependence;
 - **logical** bytes are width-invariant: a producer that allocates one
   buffer *per worker* records one worker's share as the logical size
-  and the worker count as ``replicas``.  The
-  replica-scaled total is tracked separately in the ``physical``
-  section, which is the only part of the report allowed to vary with
-  worker count.
-
-Like the tracer/profiler/metrics layers, everything is zero-cost when
-disabled: producers default to the shared :data:`NULL_LEDGER` and guard
-on ``ledger.enabled``.  Buffer owners that cannot thread a ledger
-parameter (``CSRGraph`` construction happens deep inside aggregation)
-read the module-level *active* ledger installed by :func:`activate`.
+  and the worker count as ``replicas``.  The replica-scaled total is
+  tracked separately in the ``physical`` section, which is the only
+  part of the report allowed to vary with worker count.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.observability.profiler import PROFILE_SCHEMA
 
 __all__ = [
+    "MAX_EVENTS",
     "MEMORY_SCHEMA",
+    "MemoryView",
     "PID_MEMORY",
-    "MemoryLedger",
-    "NULL_LEDGER",
-    "NullLedger",
-    "activate",
-    "active_ledger",
-    "export_to_metrics",
-    "record_csr",
     "validate_memory_doc",
 ]
 
 #: Version tag of the memory report document.
 MEMORY_SCHEMA = "repro.memory/1"
 
-#: Chrome-trace process id of the memory counter lanes (the profiler
+#: Chrome-trace process id of the memory counter lanes (the profile
 #: owns pids 0-2; see :mod:`repro.observability.profiler`).
 PID_MEMORY = 4
 
-#: Default cap on retained per-event detail.  Accounting (live/peak)
+#: Cap on the report's per-event detail.  Accounting (live/peak)
 #: continues past the cap; only the event *list* stops growing, and the
 #: report carries ``events_dropped`` so truncation is never silent.
-DEFAULT_MAX_EVENTS = 65536
+MAX_EVENTS = 65536
 
 
-class MemoryLedger:
-    """Logical allocation ledger with per-component/phase watermarks.
+class MemoryView:
+    """The memory events of a recorder, replayed into watermarks.
 
-    Producers call :meth:`alloc` when a buffer comes into existence,
-    :meth:`resize` when it changes size and :meth:`free` when it is
-    released.  ``nbytes`` is the *logical* (width-invariant) size; pass
-    ``replicas=W`` for buffers physically duplicated per worker so the
-    physical section can account the real footprint without breaking
-    the logical report's worker-count invariance.
+    With ``components``, only allocations of those components count —
+    ``repro serve --mem`` reports its store alone.  Handles are numbered
+    in allocation order within the view; a free or resize of a handle
+    that is not live is ignored and does not advance the clock.
     """
 
-    enabled = True
-
-    def __init__(self, *, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        self.max_events = int(max_events)
+    def __init__(self, recorder, components=None) -> None:
         self._seq = 0
-        self._next_handle = 0
         #: handle -> (component, what, phase, nbytes, dtype, replicas)
         self._live: Dict[int, Tuple[str, str, str, int, Optional[str], int]] = {}
         self._live_bytes = 0
@@ -97,21 +77,38 @@ class MemoryLedger:
         self._events_dropped = 0
         self._attached_bytes = 0
         self._attach_events = 0
+        handles: Dict[int, int] = {}
+        for ev in recorder.events:
+            kind = ev[0]
+            if kind == "alloc":
+                if components is None or ev[2] in components:
+                    handles[ev[1]] = len(handles)
+                    self._alloc(handles[ev[1]], *ev[2:])
+            elif kind == "resize":
+                if ev[1] in handles:
+                    self._resize(handles[ev[1]], ev[2])
+            elif kind == "free":
+                if ev[1] in handles:
+                    self._free(handles[ev[1]])
+            elif kind == "attach":
+                if components is None or ev[1] in components:
+                    self._attached_bytes += ev[3] * ev[4]
+                    self._attach_events += 1
 
     # -- clock -------------------------------------------------------------
 
     @property
     def clock(self) -> int:
-        """Logical clock: number of recorded events so far."""
+        """Logical clock: number of applied events."""
         return self._seq
 
-    # -- recording ---------------------------------------------------------
+    # -- replay ------------------------------------------------------------
 
     def _record(self, kind: str, handle: int, component: str, what: str,
                 phase: str, nbytes: int, dtype: Optional[str],
                 replicas: int) -> None:
         self._seq += 1
-        if len(self._events) < self.max_events:
+        if len(self._events) < MAX_EVENTS:
             self._events.append(
                 (self._seq, kind, handle, component, what, phase,
                  nbytes, dtype, replicas))
@@ -142,36 +139,26 @@ class MemoryLedger:
         elif phase not in self._phase_peak:
             self._phase_peak[phase] = (max(plive, 0), self._seq)
 
-    def alloc(self, component: str, what: str, nbytes: int, *,
-              phase: str = "other", dtype: Optional[str] = None,
-              replicas: int = 1) -> int:
-        """Record a logical allocation; returns a handle for free/resize."""
-        nbytes = int(nbytes)
-        replicas = int(replicas)
-        handle = self._next_handle
-        self._next_handle += 1
+    def _alloc(self, handle: int, component: str, what: str, phase: str,
+               nbytes: int, dtype: Optional[str], replicas: int) -> None:
         self._record("alloc", handle, component, what, phase, nbytes,
                      dtype, replicas)
         self._live[handle] = (component, what, phase, nbytes, dtype, replicas)
         self._counts(component)[0] += 1
         self._apply(component, phase, nbytes, replicas)
-        return handle
 
-    def resize(self, handle: int, nbytes: int) -> None:
-        """Record a size change of a live allocation."""
+    def _resize(self, handle: int, nbytes: int) -> None:
         entry = self._live.get(handle)
         if entry is None:
             return
         component, what, phase, old, dtype, replicas = entry
-        nbytes = int(nbytes)
         self._record("resize", handle, component, what, phase, nbytes,
                      dtype, replicas)
         self._live[handle] = (component, what, phase, nbytes, dtype, replicas)
         self._counts(component)[2] += 1
         self._apply(component, phase, nbytes - old, replicas)
 
-    def free(self, handle: int) -> None:
-        """Record the release of a live allocation; idempotent."""
+    def _free(self, handle: int) -> None:
         entry = self._live.pop(handle, None)
         if entry is None:
             return
@@ -180,19 +167,6 @@ class MemoryLedger:
                      dtype, replicas)
         self._counts(component)[1] += 1
         self._apply(component, phase, -nbytes, replicas)
-
-    def attach(self, component: str, what: str, nbytes: int, *,
-               replicas: int = 1) -> None:
-        """Record a *mapping* of already-counted memory (physical only).
-
-        Worker processes attaching a shared arena do not allocate new
-        logical state — the owner's :meth:`alloc` already counted it —
-        but each attach maps real pages.  Attaches accumulate in the
-        physical section and never touch the logical accounting, so the
-        logical report stays worker-count-invariant.
-        """
-        self._attached_bytes += int(nbytes) * int(replicas)
-        self._attach_events += 1
 
     def _counts(self, component: str) -> List[int]:
         counts = self._comp_counts.get(component)
@@ -323,9 +297,9 @@ class MemoryLedger:
     # -- Chrome trace view -------------------------------------------------
 
     def chrome_events(self, *, pid: int = PID_MEMORY) -> List[dict]:
-        """Counter ("C") events replaying the ledger, one per event.
+        """Counter ("C") events replaying the report, one per event.
 
-        ``ts`` is the ledger's logical clock (the event sequence
+        ``ts`` is the report's logical clock (the event sequence
         number); each counter sample carries the per-component live
         bytes *after* the event, so the lane renders as a stacked
         live-bytes area chart in Perfetto.  Deterministic: component
@@ -364,7 +338,7 @@ class MemoryLedger:
     def to_chrome_trace(self, **meta) -> dict:
         """A standalone Chrome trace document of the memory lanes.
 
-        Tagged with the profiler's schema so the existing
+        Tagged with the profile's schema so the existing
         ``validate_chrome_trace`` accepts it (counter events carry no
         durations, so the lane contracts hold trivially).
         """
@@ -388,150 +362,6 @@ class MemoryLedger:
                 **meta,
             },
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"MemoryLedger(clock={self._seq}, "
-                f"live={self._live_bytes}B, peak={self._peak_bytes}B)")
-
-
-class NullLedger:
-    """Disabled ledger: every operation is a no-op (zero cost)."""
-
-    enabled = False
-    clock = 0
-
-    def alloc(self, component, what, nbytes, *, phase="other",
-              dtype=None, replicas=1) -> int:
-        return -1
-
-    def resize(self, handle, nbytes) -> None:
-        return None
-
-    def free(self, handle) -> None:
-        return None
-
-    def attach(self, component, what, nbytes, *, replicas=1) -> None:
-        return None
-
-    def live_bytes(self, component=None) -> int:
-        return 0
-
-    def peak_bytes(self, component=None) -> int:
-        return 0
-
-    def phase_peak_bytes(self, phase) -> int:
-        return 0
-
-    def live_allocations(self) -> List[dict]:
-        return []
-
-    def allocation_trace(self, *, limit=None) -> List[str]:
-        return []
-
-    def chrome_events(self, *, pid: int = PID_MEMORY) -> List[dict]:
-        return []
-
-
-#: Module-level disabled ledger; the default for every producer.
-NULL_LEDGER = NullLedger()
-
-#: The active ledger read by buffer owners that cannot thread a
-#: parameter (CSR construction inside aggregation).  Installed by
-#: :func:`activate`; defaults to the disabled ledger.
-_ACTIVE = NULL_LEDGER
-
-#: Phase attributed to active-ledger allocations; pushed by the pass
-#: driver around each phase (:func:`phase_scope`).
-_ACTIVE_PHASE = "other"
-
-
-def active_ledger():
-    """The currently installed ledger (``NULL_LEDGER`` when none)."""
-    return _ACTIVE
-
-
-def active_phase() -> str:
-    """The phase attributed to active-ledger allocations right now."""
-    return _ACTIVE_PHASE
-
-
-@contextmanager
-def activate(ledger):
-    """Install ``ledger`` as the module-level active ledger.
-
-    Re-entrant: nested activations restore the previous ledger on exit,
-    so a caller-held ledger survives an inner ``leiden`` run activating
-    the runtime's own (usually the same object).
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = ledger if ledger is not None else NULL_LEDGER
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
-
-
-@contextmanager
-def phase_scope(phase: str):
-    """Attribute active-ledger allocations inside the block to ``phase``."""
-    global _ACTIVE_PHASE
-    previous = _ACTIVE_PHASE
-    _ACTIVE_PHASE = phase
-    try:
-        yield
-    finally:
-        _ACTIVE_PHASE = previous
-
-
-def record_csr(ledger, graph, *, component: str = "csr",
-               phase: str = "other") -> List[int]:
-    """Record a pre-built CSR graph's arrays into ``ledger``.
-
-    Graph loads are memoized (:func:`repro.datasets.registry.load_graph`),
-    so a cached graph's construction-time allocation events may predate
-    the ledger.  Measurement entry points call this to charge the input
-    graph explicitly; returns the handles (empty when disabled).
-    """
-    if not getattr(ledger, "enabled", False):
-        return []
-    return [
-        ledger.alloc(component, what, arr.nbytes, phase=phase,
-                     dtype=str(arr.dtype))
-        for what, arr in (("offsets", graph.offsets),
-                          ("targets", graph.targets),
-                          ("weights", graph.weights),
-                          ("degrees", graph.degrees))
-    ]
-
-
-# -- metrics bridge ------------------------------------------------------------
-
-
-def export_to_metrics(ledger, registry) -> None:
-    """Mirror the ledger's totals into ``mem_*`` registry instruments.
-
-    Called once before a metrics snapshot (not per event — the ledger
-    stays cheap); gauges are set from sorted component iteration so the
-    resulting snapshot is byte-deterministic.
-    """
-    if not (getattr(ledger, "enabled", False) and registry.enabled):
-        return
-    g_live = registry.gauge(
-        "mem_live_bytes", "logical live bytes, by component",
-        ("component",))
-    g_peak = registry.gauge(
-        "mem_peak_bytes", "logical peak bytes, by component",
-        ("component",))
-    for comp in sorted({*ledger.to_snapshot()["logical"]["components"]}):
-        g_live.labels(comp).set(float(ledger.live_bytes(comp)))
-        g_peak.labels(comp).set(float(ledger.peak_bytes(comp)))
-    registry.gauge(
-        "mem_live_bytes_total", "logical live bytes, all components",
-    ).set(float(ledger.live_bytes()))
-    registry.gauge(
-        "mem_peak_bytes_total", "logical peak bytes, all components",
-    ).set(float(ledger.peak_bytes()))
 
 
 # -- validation ----------------------------------------------------------------

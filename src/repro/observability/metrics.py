@@ -1,9 +1,7 @@
-"""Typed metric instruments, the process-wide registry, and exposition.
+"""Metric families, their exposition, and the shared bucket machinery.
 
-The third observability pillar next to traces (:mod:`~repro.observability.
-tracer`) and thread-timeline profiles (:mod:`~repro.observability.
-profiler`): aggregatable, label-dimensioned time series of runtime
-counters.  A :class:`MetricsRegistry` owns a set of named instruments —
+A :class:`~repro.observability.recorder.Recorder` folds every metric
+update into one of three family kinds as it arrives:
 
 - :class:`Counter` — monotonically increasing totals (requests served,
   atomic operations, chunks dispatched);
@@ -11,32 +9,25 @@ counters.  A :class:`MetricsRegistry` owns a set of named instruments —
   community count of the last run);
 - :class:`Histogram` — power-of-two exponent-bucketed distributions
   (request latency in logical-clock units, batch sizes), the same bucket
-  machinery the tracer's observation histograms use — this module is its
-  single home (:func:`bucket_of` / :func:`bucket_percentile`) and
-  :mod:`repro.observability.tracer` imports it from here.
+  machinery the trace's observation histograms use (:func:`bucket_of` /
+  :func:`bucket_percentile`), so both report one p50/p99.
 
-Instruments carry **label sets** (``("kind",)``, ``("phase", "policy")``)
-with a hard cardinality bound: once an instrument holds ``max_series``
+Families carry **label sets** (``("kind",)``, ``("phase", "policy")``)
+with a hard cardinality bound: once a family holds :data:`MAX_SERIES`
 distinct label combinations, further new combinations all collapse into
 one reserved ``_overflow`` series, so a mis-labeled hot loop can never
 grow memory without bound.  Iteration order is deterministic everywhere
 (families sorted by name, series by label values), which makes both
 exporters byte-deterministic:
 
-- :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
-  format 0.0.4 (validated by :func:`validate_prometheus`);
-- :meth:`MetricsRegistry.to_snapshot` / :meth:`~MetricsRegistry.to_json`
-  — a schema-versioned JSON document (:data:`METRICS_SCHEMA`).
-
-Disabled collection is zero-cost via the :data:`NULL_REGISTRY` pattern
-(mirroring ``NULL_TRACER`` / ``NULL_PROFILER``): every factory returns a
-shared no-op instrument, and hot loops that must *compute* a value to
-feed an instrument guard on :attr:`MetricsRegistry.enabled`.
+- :func:`to_prometheus` — Prometheus text exposition format 0.0.4
+  (validated by :func:`validate_prometheus`);
+- :func:`to_snapshot` — the schema-versioned JSON document
+  (:data:`METRICS_SCHEMA`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -55,9 +46,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
+    "MAX_SERIES",
+    "derived_metrics",
+    "to_prometheus",
+    "to_snapshot",
+    "trace_families",
     "validate_prometheus",
 ]
 
@@ -73,6 +66,9 @@ BUCKET_ZERO = -41
 
 #: Label value every over-cardinality series collapses into.
 OVERFLOW_LABEL = "_overflow"
+
+#: Distinct label combinations a family holds before new ones overflow.
+MAX_SERIES = 64
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -184,6 +180,10 @@ class _Bound:
     def observe(self, value: float) -> None:
         self._inst._observe(self._key, value)
 
+    def update(self, value: float) -> None:
+        """The family kind's one update: inc, set or observe."""
+        self._inst._update(self._key, value)
+
 
 class _Instrument:
     """Shared series bookkeeping of all three instrument kinds."""
@@ -195,8 +195,6 @@ class _Instrument:
         name: str,
         help: str = "",
         labelnames: Sequence[str] = (),
-        *,
-        max_series: int = 64,
     ) -> None:
         if not _NAME_RE.match(name):
             raise MetricsError(f"invalid metric name {name!r}")
@@ -206,12 +204,9 @@ class _Instrument:
                 raise MetricsError(f"invalid label name {ln!r} on {name!r}")
         if len(set(labelnames)) != len(labelnames):
             raise MetricsError(f"duplicate label names on {name!r}")
-        if max_series < 1:
-            raise MetricsError("max_series must be >= 1")
         self.name = name
         self.help = help
         self.labelnames = labelnames
-        self.max_series = int(max_series)
         #: Label-routing events that landed in the ``_overflow`` series.
         self.overflowed = 0
         self._bound: Dict[Tuple[str, ...], _Bound] = {}
@@ -237,7 +232,7 @@ class _Instrument:
 
         Values may be positional (in ``labelnames`` order), keyword, or a
         mix; everything is stringified.  A *new* combination past the
-        ``max_series`` cardinality bound is routed to the single shared
+        :data:`MAX_SERIES` cardinality bound is routed to the single shared
         ``_overflow`` series instead of growing the instrument.
         """
         if kw:
@@ -256,7 +251,7 @@ class _Instrument:
         bound = self._bound.get(key)
         if bound is not None:
             return bound
-        if not self._has_series(key) and self._num_series() >= self.max_series:
+        if not self._has_series(key) and self._num_series() >= MAX_SERIES:
             self.overflowed += 1
             over = (OVERFLOW_LABEL,) * len(self.labelnames)
             if not self._has_series(over):
@@ -310,9 +305,9 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name, help="", labelnames=(), *, max_series=64):
+    def __init__(self, name, help="", labelnames=()):
         self._values: Dict[Tuple[str, ...], float] = {}
-        super().__init__(name, help, labelnames, max_series=max_series)
+        super().__init__(name, help, labelnames)
 
     def _series_keys(self):
         return self._values.keys()
@@ -337,6 +332,8 @@ class Counter(_Instrument):
                 f"counter {self.name!r} cannot decrease (inc {value})")
         self._values[key] += float(value)
 
+    _update = _inc
+
     def value(self, *label_values) -> float:
         """Current total of one series (testing/inspection helper)."""
         return self._values.get(tuple(str(v) for v in label_values), 0.0)
@@ -359,9 +356,9 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name, help="", labelnames=(), *, max_series=64):
+    def __init__(self, name, help="", labelnames=()):
         self._values: Dict[Tuple[str, ...], float] = {}
-        super().__init__(name, help, labelnames, max_series=max_series)
+        super().__init__(name, help, labelnames)
 
     _series_keys = Counter._series_keys
     _num_series = Counter._num_series
@@ -384,6 +381,8 @@ class Gauge(_Instrument):
 
     def _add(self, key, value):
         self._values[key] += float(value)
+
+    _update = _set
 
 
 class _HistogramData:
@@ -409,9 +408,9 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(self, name, help="", labelnames=(), *, max_series=64):
+    def __init__(self, name, help="", labelnames=()):
         self._data: Dict[Tuple[str, ...], _HistogramData] = {}
-        super().__init__(name, help, labelnames, max_series=max_series)
+        super().__init__(name, help, labelnames)
 
     def _series_keys(self):
         return self._data.keys()
@@ -441,10 +440,12 @@ class Histogram(_Instrument):
         b = bucket_of(v)
         d.buckets[b] = d.buckets.get(b, 0) + 1
 
+    _update = _observe
+
     def _inject(self, buckets: Dict[int, int],
                 stats: Optional[Dict[str, float]] = None) -> None:
         """Merge pre-bucketed observations into the unlabeled series (the
-        tracer re-export path).
+        trace re-export path, :func:`trace_families`).
 
         ``stats`` carries exact ``count/sum/min/max`` when the producer
         retained them; otherwise the count comes from the buckets and
@@ -500,265 +501,91 @@ class Histogram(_Instrument):
         return lines
 
 
-# -- the registry --------------------------------------------------------------
+# -- projection: the metrics document -----------------------------------------
 
 
-class MetricsRegistry:
-    """Process-wide instrument registry with deterministic exposition.
+def derived_metrics(families: Dict[str, _Instrument]) -> Dict[str, float]:
+    """p50/p99 bucket-estimates for every histogram series.
 
-    Factories are get-or-create: asking twice for the same name returns
-    the same instrument (so instrumented modules need no global state),
-    and asking with a conflicting kind or label set raises
-    :class:`~repro.errors.MetricsError`.
+    Label-less series contribute ``{name}_p50`` / ``{name}_p99``;
+    labeled series embed their label values
+    (``service_latency_units_query_p99``), matching the names the trace
+    document derives for the same distributions.
     """
+    out: Dict[str, float] = {}
+    for inst in _sorted(families):
+        if not isinstance(inst, Histogram):
+            continue
+        for key, d in sorted(inst._data.items()):
+            tag = "_".join(key)
+            stem = f"{inst.name}_{tag}" if tag else inst.name
+            out[f"{stem}_p50"] = bucket_percentile(d.buckets, 50.0)
+            out[f"{stem}_p99"] = bucket_percentile(d.buckets, 99.0)
+    return out
 
-    enabled = True
 
-    def __init__(self, *, max_series_per_instrument: int = 64) -> None:
-        self.max_series_per_instrument = int(max_series_per_instrument)
-        self._instruments: Dict[str, _Instrument] = {}
+def to_prometheus(families: Dict[str, _Instrument]) -> str:
+    """Prometheus text exposition format 0.0.4, byte-deterministic."""
+    lines: List[str] = []
+    for inst in _sorted(families):
+        if inst.help:
+            lines.append(f"# HELP {inst.name} {_escape_help(inst.help)}")
+        lines.append(f"# TYPE {inst.name} {inst.kind}")
+        lines.extend(inst._prometheus_lines())
+    return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- factories ---------------------------------------------------------
 
-    def _get_or_create(self, cls, name, help, labelnames, max_series):
-        inst = self._instruments.get(name)
-        if inst is not None:
-            if type(inst) is not cls or inst.labelnames != tuple(labelnames):
-                raise MetricsError(
-                    f"instrument {name!r} already registered as "
-                    f"{inst.kind} with labels {inst.labelnames}")
-            return inst
-        inst = cls(
-            name, help, labelnames,
-            max_series=max_series or self.max_series_per_instrument,
-        )
-        self._instruments[name] = inst
-        return inst
+def to_snapshot(families: Dict[str, _Instrument], **meta) -> dict:
+    """The families as a JSON-ready document (:data:`METRICS_SCHEMA`).
 
-    def counter(self, name: str, help: str = "",
-                labelnames: Sequence[str] = (), *,
-                max_series: Optional[int] = None) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames, max_series)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = (), *,
-              max_series: Optional[int] = None) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames, max_series)
-
-    def histogram(self, name: str, help: str = "",
-                  labelnames: Sequence[str] = (), *,
-                  max_series: Optional[int] = None) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames, max_series)
-
-    # -- inspection --------------------------------------------------------
-
-    def instruments(self) -> List[_Instrument]:
-        """All instruments, sorted by name (deterministic iteration)."""
-        return [self._instruments[n] for n in sorted(self._instruments)]
-
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._instruments.get(name)
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    # -- tracer re-export --------------------------------------------------
-
-    def merge_tracer(self, tracer, prefix: str = "trace_") -> List[str]:
-        """Re-export a tracer's observation histograms as instruments.
-
-        Every distribution observed anywhere in ``tracer``'s span tree
-        becomes a ``{prefix}{name}`` histogram whose buckets are the
-        subtree-merged tracer buckets and whose count/sum/min/max are the
-        exact merged span stats — so ``repro trace`` and ``repro
-        metrics`` report identical p50/p99 for the same run.  Returns the
-        instrument names created or updated.
-        """
-        buckets = tracer.root.bucket_totals()
-        stats = tracer.root.stats_totals()
-        names: List[str] = []
-        for name in sorted(buckets):
-            hist = self.histogram(
-                prefix + name,
-                help=f"tracer observation histogram {name!r} (re-export)",
-            )
-            hist._inject(buckets[name], stats.get(name))
-            names.append(hist.name)
-        return names
-
-    # -- derived metrics ---------------------------------------------------
-
-    def derived_metrics(self) -> Dict[str, float]:
-        """p50/p99 bucket-estimates for every histogram series.
-
-        Label-less series contribute ``{name}_p50`` / ``{name}_p99``;
-        labeled series embed their label values
-        (``service_latency_units_query_p99``) — matching the names
-        :meth:`Tracer.derived_metrics` emits for the same distributions.
-        """
-        out: Dict[str, float] = {}
-        for inst in self.instruments():
-            if not isinstance(inst, Histogram):
-                continue
-            for key, d in sorted(inst._data.items()):
-                tag = "_".join(key)
-                stem = f"{inst.name}_{tag}" if tag else inst.name
-                out[f"{stem}_p50"] = bucket_percentile(d.buckets, 50.0)
-                out[f"{stem}_p99"] = bucket_percentile(d.buckets, 99.0)
-        return out
-
-    # -- exposition --------------------------------------------------------
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format 0.0.4, byte-deterministic."""
-        lines: List[str] = []
-        for inst in self.instruments():
-            if inst.help:
-                lines.append(f"# HELP {inst.name} {_escape_help(inst.help)}")
-            lines.append(f"# TYPE {inst.name} {inst.kind}")
-            lines.extend(inst._prometheus_lines())
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_snapshot(self, **meta) -> dict:
-        """The registry as a JSON-ready document (:data:`METRICS_SCHEMA`).
-
-        ``meta`` is caller context (experiment name, seed, ...).
-        Deterministic: no wall-clock fields are added here, so a
-        snapshot of deterministic instruments is byte-identical across
-        runs.
-        """
-        families = {}
-        for inst in self.instruments():
-            fam = {
-                "type": inst.kind,
-                "help": inst.help,
-                "labels": list(inst.labelnames),
-                "series": inst._series_dicts(),
-            }
-            if inst.overflowed:
-                fam["overflowed"] = inst.overflowed
-            families[inst.name] = fam
-        return {
-            "schema": METRICS_SCHEMA,
-            "meta": meta,
-            "families": families,
-            "derived": self.derived_metrics(),
+    ``meta`` is caller context (experiment name, seed, ...).  No
+    wall-clock fields are added here, so a snapshot of deterministic
+    families is byte-identical across runs.
+    """
+    out = {}
+    for inst in _sorted(families):
+        fam = {
+            "type": inst.kind,
+            "help": inst.help,
+            "labels": list(inst.labelnames),
+            "series": inst._series_dicts(),
         }
-
-    def to_json(self, *, indent: int | None = 2, **meta) -> str:
-        return json.dumps(self.to_snapshot(**meta), indent=indent,
-                          sort_keys=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MetricsRegistry({len(self._instruments)} instruments)"
-
-
-# -- the disabled registry -----------------------------------------------------
-
-
-class _NullInstrument:
-    """Shared no-op instrument: every mutation returns immediately."""
-
-    __slots__ = ()
-    name = "null"
-    labelnames = ()
-    overflowed = 0
-
-    def labels(self, *values, **kw) -> "_NullInstrument":
-        return self
-
-    def inc(self, value: float = 1.0) -> None:
-        return None
-
-    def add(self, value: float) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def value(self, *label_values) -> float:
-        return 0.0
-
-    def percentile(self, q: float, *label_values) -> float:
-        return 0.0
+        if inst.overflowed:
+            fam["overflowed"] = inst.overflowed
+        out[inst.name] = fam
+    return {
+        "schema": METRICS_SCHEMA,
+        "meta": meta,
+        "families": out,
+        "derived": derived_metrics(families),
+    }
 
 
-class _NullCounter(_NullInstrument):
-    kind = "counter"
+def trace_families(root, prefix: str = "trace_") -> Dict[str, "Histogram"]:
+    """A trace tree's observations as ``{prefix}{name}`` histograms.
 
-
-class _NullGauge(_NullInstrument):
-    kind = "gauge"
-
-
-class _NullHistogram(_NullInstrument):
-    kind = "histogram"
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullRegistry:
-    """Disabled registry: factories hand out shared no-op instruments.
-
-    ``runtime.metrics.counter(...)`` allocates nothing and every
-    mutation is a constant-time no-op, so uninstrumented runs pay one
-    attribute read per site.  Code that must *compute* a value to feed
-    an instrument guards on :attr:`enabled` instead.
+    Every distribution observed anywhere under ``root`` (a
+    :class:`~repro.observability.tracer.Span`) becomes one histogram
+    whose buckets are the subtree-merged span buckets and whose
+    count/sum/min/max are the exact merged span stats, so ``repro
+    trace`` and ``repro metrics`` report identical p50/p99 for one run.
+    ``repro metrics`` and the metrics golden files add these families to
+    the recorder's own; ``repro serve --metrics`` does not.
     """
-
-    enabled = False
-
-    def counter(self, name, help="", labelnames=(), *, max_series=None):
-        return NULL_COUNTER
-
-    def gauge(self, name, help="", labelnames=(), *, max_series=None):
-        return NULL_GAUGE
-
-    def histogram(self, name, help="", labelnames=(), *, max_series=None):
-        return NULL_HISTOGRAM
-
-    def instruments(self) -> list:
-        return []
-
-    def get(self, name: str) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def merge_tracer(self, tracer, prefix: str = "trace_") -> list:
-        return []
-
-    def derived_metrics(self) -> Dict[str, float]:
-        return {}
-
-    def to_prometheus(self) -> str:
-        return ""
-
-    def to_snapshot(self, **meta) -> dict:
-        return {"schema": METRICS_SCHEMA, "meta": meta, "families": {},
-                "derived": {}}
-
-    def to_json(self, *, indent: int | None = 2, **meta) -> str:
-        return json.dumps(self.to_snapshot(**meta), indent=indent,
-                          sort_keys=True)
+    buckets = root.bucket_totals()
+    stats = root.stats_totals()
+    out: Dict[str, Histogram] = {}
+    for name in sorted(buckets):
+        hist = Histogram(
+            prefix + name,
+            f"tracer observation histogram {name!r} (re-export)")
+        hist._inject(buckets[name], stats.get(name))
+        out[hist.name] = hist
+    return out
 
 
-#: Module-level disabled registry; the default everywhere.
-NULL_REGISTRY = NullRegistry()
+def _sorted(families: Dict[str, _Instrument]) -> List[_Instrument]:
+    return [families[n] for n in sorted(families)]
 
 
 # -- exposition validation -----------------------------------------------------

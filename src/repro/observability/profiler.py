@@ -1,13 +1,11 @@
-"""Thread-timeline profiler over the simulated runtime.
+"""The profile: the thread timeline of the simulated runtime.
 
-The tracer (:mod:`repro.observability.tracer`) answers *how much* — span
-totals and counters.  This module answers *where and when on the modelled
-machine*: every parallel-for the simulated runtime records is captured as
-a :class:`RegionRecord` (per-chunk work units, schedule, atomics, the
-tracer span path as its label), and :meth:`Profiler.timeline` lays those
-regions out as per-thread :class:`ThreadEvent` intervals on the simulated
-clock — chunk executions, the per-thread atomic share, and barrier waits
-— using exactly the cost-model arithmetic of
+:func:`timeline` replays a :class:`~repro.observability.recorder.
+Recorder`'s ledger regions (each labelled by the span path open when it
+was recorded), marks, service requests and worker intervals, and lays
+the regions out as per-thread :class:`ThreadEvent` intervals on the
+simulated clock — chunk executions, the per-thread atomic share, and
+barrier waits — using exactly the cost-model arithmetic of
 :meth:`repro.parallel.simthread.WorkLedger.simulate`, so the timeline's
 per-phase totals agree with the modelled runtime.
 
@@ -17,15 +15,13 @@ Consumers:
   (``chrome://tracing`` / Perfetto; one lane per simulated thread, one
   extra ``service`` lane for :class:`~repro.service.server.
   PartitionServer` request events, counter tracks for convergence marks,
-  and — when the process engine ran under a profiler — real wall-clock
-  lanes for its pool workers under their own process group);
+  and real wall-clock lanes for the process engine's pool workers under
+  their own process group);
 - :mod:`repro.observability.profile_report` computes the critical-path /
   barrier-wait / load-imbalance attribution and the top-N text report
   behind ``repro profile``.
 
-Capture is opt-in with the usual zero-cost disabled path: the runtime
-holds :data:`NULL_PROFILER` by default and instrumented code guards on
-``profiler.enabled``.  Everything is deterministic — two runs at the same
+Everything but the worker lanes is deterministic — two runs at the same
 seed produce byte-identical Chrome trace JSON.
 """
 
@@ -38,21 +34,21 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.observability.recorder import MIRRORS
+from repro.observability.tracer import Span, format_span_path
 from repro.parallel.costmodel import PAPER_MACHINE, MachineModel
 from repro.parallel.schedule import Schedule
 
 __all__ = [
     "PROFILE_SCHEMA",
     "Mark",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "Profiler",
     "RegionRecord",
     "RegionTiming",
     "RequestRecord",
     "ThreadEvent",
     "Timeline",
     "WorkerRecord",
+    "timeline",
     "to_chrome_trace",
     "validate_chrome_trace",
 ]
@@ -82,7 +78,7 @@ class RegionRecord:
     index: int
     kind: str                 # "parallel" | "serial"
     phase: str
-    label: str                # tracer span path at record time, or phase
+    label: str                # span path at record time, or phase
     chunk_costs: np.ndarray   # per-chunk work units; 1-elem for serial
     schedule: Schedule
     atomics: float
@@ -114,9 +110,8 @@ class WorkerRecord:
     """One *measured* kernel execution on a worker process.
 
     Unlike every other record these carry real wall-clock seconds
-    (relative to the pool's epoch), so they are only captured when the
-    caller explicitly profiles the process engine — the default capture
-    path stays byte-deterministic.
+    (relative to the pool's epoch), so they land on their own lanes and
+    the simulated-machine lanes stay byte-deterministic.
     """
 
     worker_id: int
@@ -235,222 +230,130 @@ def _assign_static(costs: np.ndarray, num_threads: int) -> Tuple[np.ndarray, np.
     return owner, start
 
 
-class Profiler:
-    """Captures region records during a run; builds timelines on demand.
+#: Series whose values the timeline also marks (the convergence monitor).
+_MARKED = frozenset(name for (kind, name), (*_, mark) in MIRRORS.items()
+                    if kind == "series" and mark)
 
-    Parameters
-    ----------
-    machine:
-        Machine model timing the events (default: the paper testbed).
-    num_threads:
-        Default thread count of :meth:`timeline` and of the modelled
-        region seconds returned by :meth:`record_region` (which the
-        runtime feeds back into the tracer as the
-        ``modeled_region_seconds`` counter).
+
+def _records(recorder):
+    """The recorder's regions, marks, requests and worker intervals."""
+    regions: List[RegionRecord] = []
+    marks: List[Mark] = []
+    requests: List[RequestRecord] = []
+    workers: List[WorkerRecord] = []
+    spans: List[Span] = []
+    cursor = 0.0
+    for ev in recorder.events:
+        kind = ev[0]
+        if kind == "open":
+            spans.append(Span(ev[1], ev[2]))
+        elif kind == "close":
+            spans.pop()
+        elif kind == "region":
+            region = ev[1]
+            regions.append(RegionRecord(
+                index=len(regions), kind=region.kind, phase=region.phase,
+                label=format_span_path(spans) or region.phase,
+                chunk_costs=region.chunk_costs, schedule=region.schedule,
+                atomics=region.atomics))
+        elif kind == "mark" or (kind == "series" and ev[1] in _MARKED):
+            marks.append(Mark(len(regions), ev[1], float(ev[2])))
+        elif kind == "request":
+            requests.append(RequestRecord(ev[1], cursor, ev[2], ev[4]))
+            cursor += ev[2]
+        elif kind == "worker":
+            workers.append(WorkerRecord(*ev[1:]))
+    return regions, marks, requests, workers
+
+
+def timeline(recorder, num_threads: int = 8,
+             machine: MachineModel | None = None) -> Timeline:
+    """Lay every recorded region out on ``num_threads`` thread lanes.
+
+    Mirrors :meth:`~repro.parallel.simthread.WorkLedger.simulate`
+    region by region: chunk durations pay the machine's per-thread
+    slowdown, every thread appends its equal share of the region's
+    atomics, and the region closes with an implicit barrier — each
+    thread's gap between its own finish and the region end becomes a
+    ``barrier`` wait event (imbalance + barrier cost).
     """
-
-    enabled = True
-
-    def __init__(
-        self,
-        *,
-        machine: MachineModel | None = None,
-        num_threads: int = 8,
-    ) -> None:
-        if num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        self.machine = machine or PAPER_MACHINE
-        self.num_threads = int(num_threads)
-        self.regions: List[RegionRecord] = []
-        self.marks: List[Mark] = []
-        self.requests: List[RequestRecord] = []
-        self.workers: List[WorkerRecord] = []
-        self._request_cursor = 0.0
-
-    # -- capture (called by the runtime / phases / server) -----------------
-
-    def record_region(self, region, *, label: str | None = None) -> float:
-        """Capture one ledger region; returns its modelled seconds at
-        :attr:`num_threads` (what the region contributes to the timeline
-        clock, barrier included)."""
-        rec = RegionRecord(
-            index=len(self.regions),
-            kind=region.kind,
-            phase=region.phase,
-            label=label or region.phase,
-            chunk_costs=region.chunk_costs,
-            schedule=region.schedule,
-            atomics=region.atomics,
-        )
-        self.regions.append(rec)
-        return self._region_seconds(rec, self.num_threads)
-
-    def mark(self, name: str, value: float = 1.0) -> None:
-        """Annotate the current point of the run (between regions)."""
-        self.marks.append(Mark(len(self.regions), name, float(value)))
-
-    def request(self, name: str, duration_units: float, **args) -> None:
-        """Record one service request interval on the logical clock."""
-        self.requests.append(RequestRecord(
-            name, self._request_cursor, float(duration_units),
-            tuple(sorted(args.items())),
-        ))
-        self._request_cursor += float(duration_units)
-
-    def worker_event(
-        self, worker_id: int, name: str, start: float, end: float, **args
-    ) -> None:
-        """Record one *measured* kernel execution on a pool worker.
-
-        ``start``/``end`` are wall-clock seconds relative to the pool's
-        epoch (what :class:`~repro.parallel.procpool.TaskResult`
-        carries).  These land on real-time worker lanes in the Chrome
-        trace — deliberately separate from the simulated-machine lanes,
-        whose clock stays deterministic.
-        """
-        self.workers.append(WorkerRecord(
-            int(worker_id), name, float(start), float(end),
-            tuple(sorted(args.items())),
-        ))
-
-    # -- timing ------------------------------------------------------------
-
-    def _region_seconds(self, rec: RegionRecord, num_threads: int) -> float:
-        m = self.machine
+    T = int(num_threads)
+    if T < 1:
+        raise ValueError("num_threads must be >= 1")
+    m = machine or PAPER_MACHINE
+    records, record_marks, requests, workers = _records(recorder)
+    slowdown = m.parallel_slowdown(T)
+    unit_sec = m.time_per_unit * slowdown
+    bar = m.barrier_seconds(T)
+    events: List[ThreadEvent] = []
+    regions: List[RegionTiming] = []
+    clock = 0.0
+    for rec in records:
+        t0 = clock
+        busy = np.zeros(T)
         if rec.kind == "serial":
-            return float(rec.chunk_costs[0]) * m.time_per_unit
+            dur = float(rec.chunk_costs[0]) * m.time_per_unit
+            events.append(ThreadEvent(
+                0, rec.label, CAT_SERIAL, t0, t0 + dur,
+                {"region": rec.index, "phase": rec.phase,
+                 "work_units": float(rec.chunk_costs[0])},
+            ))
+            busy[0] = dur
+            regions.append(RegionTiming(
+                record=rec, start=t0, end=t0 + dur, busy=busy,
+                barrier_cost=0.0, imbalance_wait=dur * (T - 1),
+            ))
+            clock = t0 + dur
+            continue
         costs = rec.chunk_costs + m.chunk_overhead_units
         if rec.schedule.kind == "static":
-            per_thread = np.bincount(
-                np.arange(costs.shape[0], dtype=np.int64) % num_threads,
-                weights=costs, minlength=num_threads)
-            span = float(per_thread.max())
-        elif num_threads <= 1:
-            span = float(costs.sum())
+            owner, start_units = _assign_static(costs, T)
         else:
-            heap = [0.0] * num_threads
-            heapq.heapify(heap)
-            for c in costs:
-                heapq.heappush(heap, heapq.heappop(heap) + float(c))
-            span = max(heap)
-        slowdown = m.parallel_slowdown(num_threads)
-        seconds = span * m.time_per_unit * slowdown
-        seconds += (rec.atomics * m.atomic_seconds * slowdown
-                    / max(1, num_threads))
-        seconds += m.barrier_seconds(num_threads)
-        return seconds
-
-    def timeline(self, num_threads: int | None = None) -> Timeline:
-        """Lay every captured region out on per-thread lanes.
-
-        Mirrors :meth:`~repro.parallel.simthread.WorkLedger.simulate`
-        region by region: chunk durations pay the machine's per-thread
-        slowdown, every thread appends its equal share of the region's
-        atomics, and the region closes with an implicit barrier — each
-        thread's gap between its own finish and the region end becomes a
-        ``barrier`` wait event (imbalance + barrier cost).
-        """
-        T = int(num_threads) if num_threads is not None else self.num_threads
-        if T < 1:
-            raise ValueError("num_threads must be >= 1")
-        m = self.machine
-        slowdown = m.parallel_slowdown(T)
-        unit_sec = m.time_per_unit * slowdown
-        bar = m.barrier_seconds(T)
-        events: List[ThreadEvent] = []
-        regions: List[RegionTiming] = []
-        clock = 0.0
-        for rec in self.regions:
-            t0 = clock
-            busy = np.zeros(T)
-            if rec.kind == "serial":
-                dur = float(rec.chunk_costs[0]) * m.time_per_unit
-                events.append(ThreadEvent(
-                    0, rec.label, CAT_SERIAL, t0, t0 + dur,
-                    {"region": rec.index, "phase": rec.phase,
-                     "work_units": float(rec.chunk_costs[0])},
-                ))
-                busy[0] = dur
-                regions.append(RegionTiming(
-                    record=rec, start=t0, end=t0 + dur, busy=busy,
-                    barrier_cost=0.0, imbalance_wait=dur * (T - 1),
-                ))
-                clock = t0 + dur
-                continue
-            costs = rec.chunk_costs + m.chunk_overhead_units
-            if rec.schedule.kind == "static":
-                owner, start_units = _assign_static(costs, T)
-            else:
-                owner, start_units = _assign_greedy(costs, T)
-            finish = np.zeros(T)
-            for c in range(costs.shape[0]):
-                tid = int(owner[c])
-                s = t0 + start_units[c] * unit_sec
-                e = s + float(costs[c]) * unit_sec
-                events.append(ThreadEvent(
-                    tid, rec.label, CAT_CHUNK, s, e,
-                    {"region": rec.index, "phase": rec.phase, "chunk": c,
-                     "work_units": float(rec.chunk_costs[c])},
-                ))
-                finish[tid] = e - t0
-            share = rec.atomics * m.atomic_seconds * slowdown / T
-            if share > 0.0:
-                for tid in range(T):
-                    events.append(ThreadEvent(
-                        tid, f"{rec.label} (atomics)", CAT_ATOMICS,
-                        t0 + finish[tid], t0 + finish[tid] + share,
-                        {"region": rec.index, "phase": rec.phase,
-                         "atomic_ops": rec.atomics / T},
-                    ))
-                finish += share
-            span = float(finish.max())
-            end = t0 + span + bar
-            waits = span - finish
-            for tid in range(T):
-                wait = float(waits[tid]) + bar
-                if wait > 0.0:
-                    events.append(ThreadEvent(
-                        tid, f"{rec.label} (barrier)", CAT_BARRIER,
-                        t0 + float(finish[tid]), end,
-                        {"region": rec.index, "phase": rec.phase},
-                    ))
-            regions.append(RegionTiming(
-                record=rec, start=t0, end=end, busy=finish.copy(),
-                barrier_cost=bar, imbalance_wait=float(waits.sum()),
+            owner, start_units = _assign_greedy(costs, T)
+        finish = np.zeros(T)
+        for c in range(costs.shape[0]):
+            tid = int(owner[c])
+            s = t0 + start_units[c] * unit_sec
+            e = s + float(costs[c]) * unit_sec
+            events.append(ThreadEvent(
+                tid, rec.label, CAT_CHUNK, s, e,
+                {"region": rec.index, "phase": rec.phase, "chunk": c,
+                 "work_units": float(rec.chunk_costs[c])},
             ))
-            clock = end
-        # Anchor marks to the end of the region they follow.
-        ends = [r.end for r in regions]
-        placed_marks = [
-            (ends[mk.region_index - 1] if mk.region_index > 0 else 0.0, mk)
-            for mk in self.marks
-        ]
-        return Timeline(T, m, events, regions, placed_marks,
-                        list(self.requests), list(self.workers))
-
-
-class NullProfiler:
-    """Disabled profiler: every operation is a no-op."""
-
-    enabled = False
-
-    def record_region(self, region, *, label: str | None = None) -> float:
-        return 0.0
-
-    def mark(self, name: str, value: float = 1.0) -> None:
-        return None
-
-    def request(self, name: str, duration_units: float, **args) -> None:
-        return None
-
-    def worker_event(
-        self, worker_id: int, name: str, start: float, end: float, **args
-    ) -> None:
-        return None
-
-
-#: Module-level disabled profiler; the runtime default.
-NULL_PROFILER = NullProfiler()
+            finish[tid] = e - t0
+        share = rec.atomics * m.atomic_seconds * slowdown / T
+        if share > 0.0:
+            for tid in range(T):
+                events.append(ThreadEvent(
+                    tid, f"{rec.label} (atomics)", CAT_ATOMICS,
+                    t0 + finish[tid], t0 + finish[tid] + share,
+                    {"region": rec.index, "phase": rec.phase,
+                     "atomic_ops": rec.atomics / T},
+                ))
+            finish += share
+        span = float(finish.max())
+        end = t0 + span + bar
+        waits = span - finish
+        for tid in range(T):
+            wait = float(waits[tid]) + bar
+            if wait > 0.0:
+                events.append(ThreadEvent(
+                    tid, f"{rec.label} (barrier)", CAT_BARRIER,
+                    t0 + float(finish[tid]), end,
+                    {"region": rec.index, "phase": rec.phase},
+                ))
+        regions.append(RegionTiming(
+            record=rec, start=t0, end=end, busy=finish.copy(),
+            barrier_cost=bar, imbalance_wait=float(waits.sum()),
+        ))
+        clock = end
+    # Anchor marks to the end of the region they follow.
+    ends = [r.end for r in regions]
+    marks = [
+        (ends[mk.region_index - 1] if mk.region_index > 0 else 0.0, mk)
+        for mk in record_marks
+    ]
+    return Timeline(T, m, events, regions, marks, requests, workers)
 
 
 # -- Chrome trace-event export ------------------------------------------------

@@ -40,7 +40,9 @@ from repro.core.leiden import leiden
 from repro.core.result import LeidenResult
 from repro.datasets.registry import load_graph
 from repro.metrics.modularity import modularity
-from repro.observability.tracer import NULL_TRACER, Tracer
+from repro.observability.metrics import to_snapshot, trace_families
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import trace_doc, trace_tree
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
@@ -225,21 +227,18 @@ def measure_experiment(
     seed: int = 42,
     num_threads: int = 64,
     config: Optional[dict] = None,
-    tracer: Optional[Tracer] = None,
-    profiler=None,
+    recorder: Optional[Recorder] = None,
 ) -> Tuple[RunMetrics, LeidenResult]:
     """Run one smoke experiment and collect its gated metrics.
 
     ``num_threads`` selects the thread count the *modelled* runtime is
     evaluated at (the execution itself is the deterministic simulated
-    runtime).  Pass a :class:`Tracer` to also capture the span tree, a
-    :class:`~repro.observability.profiler.Profiler` to capture the
-    thread-timeline event log.
+    runtime).  Pass a :class:`~repro.observability.recorder.Recorder`
+    to also record the run.
     """
     graph = load_graph(graph_name)
     cfg = LeidenConfig(**{"seed": seed, **(config or {})})
-    rt = Runtime(num_threads=1, seed=cfg.seed, tracer=tracer or NULL_TRACER,
-                 profiler=profiler)
+    rt = Runtime(num_threads=1, seed=cfg.seed, recorder=recorder)
     t0 = time.perf_counter()
     result = leiden(graph, cfg, runtime=rt)
     wall = time.perf_counter() - t0
@@ -396,30 +395,28 @@ def collect_leiden_metrics(
     num_threads: int = 1,
     executor: str = "serial",
 ):
-    """One detection run with metrics + tracing attached.
+    """One recorded detection run and its metric families.
 
-    Returns ``(registry, tracer, result)``.  The tracer's observation
+    Returns ``(families, recorder, result)``.  The trace's observation
     histograms (batch sizes, color-class sizes — all deterministic
-    counts) are re-exported into the registry as ``trace_*`` histograms,
-    so ``repro metrics`` reports the same p50/p99 as ``repro trace``.
+    counts) join the recorder's families as ``trace_*`` histograms, so
+    ``repro metrics`` reports the same p50/p99 as ``repro trace``.
 
     ``num_threads``/``executor`` size the runtime — pass
     ``executor="process"`` for the process engine so its worker pool
     (reaped here before returning) matches the requested width.
     """
-    from repro.observability.metrics import MetricsRegistry
-
     cfg = config or LeidenConfig(seed=seed)
-    registry = MetricsRegistry()
-    tracer = Tracer()
+    recorder = Recorder()
     rt = Runtime(num_threads=num_threads, executor=executor,
-                 seed=cfg.seed, tracer=tracer, metrics=registry)
+                 seed=cfg.seed, recorder=recorder)
     try:
         result = leiden(graph, cfg, runtime=rt)
     finally:
         rt.close()
-    registry.merge_tracer(tracer)
-    return registry, tracer, result
+    families = {**recorder.families,
+                **trace_families(trace_tree(recorder))}
+    return families, recorder, result
 
 
 def measure_metrics(
@@ -431,9 +428,10 @@ def measure_metrics(
     """Deterministic ``repro.metrics/1`` snapshot of one detection run."""
     graph = load_graph(graph_name)
     cfg = config or LeidenConfig(seed=seed)
-    registry, _tracer, result = collect_leiden_metrics(graph, cfg, seed=seed)
+    families, _, result = collect_leiden_metrics(graph, cfg, seed=seed)
     q = modularity(graph, result.membership)
-    return registry.to_snapshot(
+    return to_snapshot(
+        families,
         experiment=graph_name,
         seed=cfg.seed,
         modularity=q,
@@ -446,18 +444,18 @@ def measure_metrics(
 def measure_service_metrics(profile: str = "quick", *, seed: int = 0) -> dict:
     """Deterministic metrics snapshot of one service workload.
 
-    The server runs with a :class:`~repro.observability.metrics.
-    MetricsRegistry` attached.  No tracer: its service histograms
-    observe wall-clock seconds, which would break byte-determinism.
+    The server runs with a recorder attached.  No ``trace_*`` families:
+    the trace's service histograms observe wall-clock seconds, which
+    would break byte-determinism.
     """
-    from repro.observability.metrics import MetricsRegistry
     from repro.service.server import PartitionServer
     from repro.service.workload import run_workload
 
-    registry = MetricsRegistry()
-    server = PartitionServer(metrics=registry)
+    recorder = Recorder()
+    server = PartitionServer(recorder=recorder)
     run_workload(profile, seed=seed, server=server, verify=False)
-    return registry.to_snapshot(
+    return to_snapshot(
+        recorder.families,
         profile=profile,
         seed=seed,
         clock_units=int(server.clock),
@@ -467,24 +465,21 @@ def measure_service_metrics(profile: str = "quick", *, seed: int = 0) -> dict:
 def measure_memory(graph: str = "asia_osm", *, seed: int = 42) -> dict:
     """Deterministic ``repro.memory/1`` report of one detection run.
 
-    Single-thread run on registry graph ``graph`` with a
-    :class:`~repro.observability.memtrack.MemoryLedger` attached; the
-    input graph's CSR arrays are charged explicitly (loads are memoized,
-    so construction may predate the ledger).  The document is validated
-    (event replay must reproduce the watermarks) before it is returned.
+    Single-thread run on registry graph ``graph`` with a recorder
+    attached; the input graph's CSR arrays are charged explicitly (loads
+    are memoized, so construction may predate the recorder).  The
+    document is validated (event replay must reproduce the watermarks)
+    before it is returned.
     """
-    from repro.observability.memtrack import (
-        MemoryLedger,
-        record_csr,
-        validate_memory_doc,
-    )
+    from repro.observability.memtrack import MemoryView, validate_memory_doc
+    from repro.observability.recorder import record_csr
 
     csr = load_graph(graph)
-    memory = MemoryLedger()
-    record_csr(memory, csr)
-    with Runtime(num_threads=1, seed=seed, memory=memory) as rt:
+    recorder = Recorder()
+    record_csr(recorder, csr)
+    with Runtime(num_threads=1, seed=seed, recorder=recorder) as rt:
         leiden(csr, LeidenConfig(seed=seed), runtime=rt)
-    doc = memory.to_snapshot(experiment=graph, seed=seed)
+    doc = MemoryView(recorder).to_snapshot(experiment=graph, seed=seed)
     validate_memory_doc(doc)
     return doc
 
@@ -737,11 +732,12 @@ def run_trace(
     """
     experiments: Dict[str, dict] = {}
     for graph_name in graphs:
-        tracer = Tracer()
+        recorder = Recorder()
         metrics, _ = measure_experiment(
-            graph_name, seed=seed, num_threads=num_threads, tracer=tracer
+            graph_name, seed=seed, num_threads=num_threads, recorder=recorder
         )
-        experiments[graph_name] = tracer.to_dict(
+        experiments[graph_name] = trace_doc(
+            recorder,
             experiment=graph_name,
             seed=seed,
             num_threads=num_threads,
@@ -769,23 +765,22 @@ def run_profile(
     thread timeline.
     """
     from repro.observability.profile_report import format_profile_report
-    from repro.observability.profiler import Profiler, to_chrome_trace
+    from repro.observability.profiler import timeline, to_chrome_trace
 
     experiments: Dict[str, dict] = {}
     for graph_name in graphs:
-        tracer = Tracer()
-        profiler = Profiler(num_threads=num_threads)
+        recorder = Recorder()
         metrics, _ = measure_experiment(
             graph_name, seed=seed, num_threads=num_threads,
-            tracer=tracer, profiler=profiler,
+            recorder=recorder,
         )
-        timeline = profiler.timeline()
-        trace_doc = tracer.to_dict(experiment=graph_name, seed=seed)
+        tl = timeline(recorder, num_threads)
         experiments[graph_name] = {
             "chrome": to_chrome_trace(
-                timeline, experiment=graph_name, seed=seed),
+                tl, experiment=graph_name, seed=seed),
             "report": format_profile_report(
-                timeline, trace_doc=trace_doc, top=top, title=graph_name),
+                tl, trace_doc=trace_doc(recorder), top=top,
+                title=graph_name),
             "metrics": metrics.to_dict(),
         }
     return {
@@ -803,7 +798,8 @@ def _span_seconds_by_path(doc: dict) -> Dict[str, float]:
 
     Sibling spans sharing a name are disambiguated by the span's
     ``index`` attr when present, else by occurrence order — matching
-    :meth:`Tracer.span_path`'s ``pass[0]`` notation.
+    :func:`~repro.observability.tracer.format_span_path`'s ``pass[0]``
+    notation.
     """
     out: Dict[str, float] = {}
 

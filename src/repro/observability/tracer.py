@@ -1,38 +1,31 @@
-"""Nested tracing spans and counters with a zero-cost disabled path.
+"""The trace: a span tree with counters, projected from a recorder.
 
-A :class:`Tracer` records a tree of :class:`Span` objects — typically
-``leiden → pass → phase`` — each holding wall-clock seconds, free-form
-attributes, additive counters and min/max/sum observations.  The
-instrumented code never checks "is tracing on?" for span entry: it calls
-``runtime.tracer.span(...)`` and the disabled singleton
-:data:`NULL_TRACER` answers with a shared no-op context manager.  Hot
-loops that would have to *compute* something extra to feed a counter
-guard on :attr:`Tracer.enabled` instead, so the disabled path costs one
-attribute read.
+:func:`trace_tree` replays a :class:`~repro.observability.recorder.
+Recorder`'s span, value, region, dispatch and request events into a tree
+of :class:`Span` objects — typically ``leiden → pass → phase`` — each
+holding wall-clock seconds, free-form attributes, additive counters,
+min/max/sum observations with power-of-two histograms, and ordered
+**series** such as the convergence monitor's per-iteration ΔQ.
 
-The JSON emission (:meth:`Tracer.to_dict` / :meth:`Tracer.to_json`) is a
-stable schema, versioned as :data:`TRACE_SCHEMA`; consumers (the CI
-artifact, the regression harness, external tooling) key on it.  Schema
-``repro.trace/2`` carries per-span **series** — ordered event sequences
-such as the convergence monitor's per-iteration ΔQ — beside the
-counters/stats/buckets.
+:func:`trace_doc` emits the tree as a stable JSON document, versioned as
+:data:`TRACE_SCHEMA`; consumers (the CI artifact, the regression
+harness, ``repro trace --diff``) key on it.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-# The power-of-two exponent-bucket machinery lives in the metrics module
-# (its single home, shared with metric histograms so trace and metrics
-# percentiles agree); re-exported here for compatibility.
+import numpy as np
+
 from repro.observability.metrics import bucket_of as _bucket_of
 from repro.observability.metrics import bucket_percentile
+from repro.observability.recorder import DISPATCH_ENGINE, MIRRORS
+from repro.parallel.simthread import WorkLedger
 
-__all__ = ["TRACE_SCHEMA", "Span", "Tracer", "NullTracer", "NULL_TRACER",
-           "bucket_percentile", "format_span_path"]
+__all__ = ["TRACE_SCHEMA", "Span", "bucket_percentile", "derived_metrics",
+           "format_span_path", "trace_doc", "trace_json", "trace_tree"]
 
 #: Version tag embedded in every emitted trace document.
 TRACE_SCHEMA = "repro.trace/2"
@@ -42,7 +35,7 @@ class Span:
     """One timed region of the trace tree."""
 
     __slots__ = ("name", "attrs", "counters", "stats", "buckets", "series",
-                 "children", "seconds", "_start")
+                 "children", "seconds")
 
     def __init__(self, name: str, attrs: Optional[dict] = None) -> None:
         self.name = name
@@ -50,7 +43,7 @@ class Span:
         self.counters: Dict[str, float] = {}
         self.stats: Dict[str, Dict[str, float]] = {}
         #: Power-of-two histogram per observed distribution, feeding the
-        #: p50/p99 estimates in :meth:`Tracer.derived_metrics`.
+        #: p50/p99 estimates in :func:`derived_metrics`.
         self.buckets: Dict[str, Dict[int, int]] = {}
         #: Ordered per-span event sequences (``repro.trace/2``): e.g. the
         #: convergence monitor's ΔQ per local-moving iteration.  Unlike
@@ -58,11 +51,6 @@ class Span:
         self.series: Dict[str, List[float]] = {}
         self.children: List["Span"] = []
         self.seconds = 0.0
-        self._start: Optional[float] = None
-
-    def set(self, **attrs) -> None:
-        """Attach attributes to the span (no-op on the null span)."""
-        self.attrs.update(attrs)
 
     def count(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + float(value)
@@ -117,9 +105,8 @@ class Span:
         """Observation stats (count/sum/min/max) merged over the subtree.
 
         The exact-summary companion of :meth:`bucket_totals`, consumed by
-        :meth:`repro.observability.metrics.MetricsRegistry.merge_tracer`
-        so re-exported histograms keep exact sums rather than bucket
-        estimates.
+        :func:`repro.observability.metrics.trace_families` so re-exported
+        histograms keep exact sums rather than bucket estimates.
         """
         totals = {} if into is None else into
         for name, s in self.stats.items():
@@ -164,11 +151,9 @@ class Span:
 def format_span_path(spans) -> str:
     """Slash-joined label for a sequence of open spans.
 
-    The single implementation behind :meth:`Tracer.span_path` and
-    :meth:`NullTracer.span_path` (both used as profiler region labels by
-    :mod:`repro.parallel.runtime`).  Spans carrying an ``index``
-    attribute (the per-pass spans) embed it so repeated siblings stay
-    distinguishable: ``leiden/pass[1]/local_move``.
+    Spans carrying an ``index`` attribute (the per-pass spans) embed it
+    so repeated siblings stay distinguishable:
+    ``leiden/pass[1]/local_move`` — the label of a timeline region.
     """
     parts = []
     for s in spans:
@@ -177,223 +162,114 @@ def format_span_path(spans) -> str:
     return "/".join(parts)
 
 
-class Tracer:
-    """Collects a span tree plus counters for one traced execution."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.root = Span("trace")
-        self._stack: List[Span] = [self.root]
-
-    # -- recording -----------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
-        """Open a nested span; yields it so callers may :meth:`Span.set`.
-
-        Exception-safe: if the body raises — including through spans it
-        opened with :meth:`push` but never :meth:`pop`-ed — every span
-        down to and including this one still records its ``seconds`` and
-        closes, so the emitted trace never contains a half-open span.
-        """
-        s = Span(name, attrs)
-        self._stack[-1].children.append(s)
-        self._stack.append(s)
-        s._start = perf_counter()
-        try:
-            yield s
-        finally:
-            self.unwind(s)
-
-    def push(self, name: str, **attrs) -> Span:
-        """Open a span without a ``with`` block (close via :meth:`pop`),
-        for a span that outlives one lexical block."""
-        s = Span(name, attrs)
-        self._stack[-1].children.append(s)
-        self._stack.append(s)
-        s._start = perf_counter()
-        return s
-
-    def pop(self) -> None:
-        """Close the innermost span opened by :meth:`push`."""
-        if len(self._stack) <= 1:
-            return
-        s = self._stack.pop()
-        if s._start is not None:
-            s.seconds += perf_counter() - s._start
-            s._start = None
-
-    def unwind(self, span: Span) -> None:
-        """Close every open span down to and including ``span``.
-
-        The exception-safety primitive behind :meth:`span`: each popped
-        span records its elapsed ``seconds`` exactly as a normal close
-        would.  A no-op when ``span`` is not on the stack (already
-        closed), so it is safe to call unconditionally in ``finally``.
-        """
-        if not any(s is span for s in self._stack):
-            return
-        while len(self._stack) > 1:
-            top = self._stack.pop()
-            if top._start is not None:
-                top.seconds += perf_counter() - top._start
-                top._start = None
-            if top is span:
-                break
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Add ``value`` to counter ``name`` on the innermost open span."""
-        self._stack[-1].count(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample of distribution ``name`` on the open span."""
-        self._stack[-1].observe(name, value)
-
-    def record(self, name: str, value: float) -> None:
-        """Append one value to series ``name`` on the innermost open span."""
-        self._stack[-1].record(name, value)
-
-    # -- inspection / emission ------------------------------------------------
-
-    @property
-    def current(self) -> Span:
-        return self._stack[-1]
-
-    def span_path(self) -> str:
-        """Slash-joined path of the open spans, e.g. ``leiden/pass[1]/
-        local_move`` — the region label the profiler attaches to events.
-
-        Delegates to :func:`format_span_path` (shared with
-        :class:`NullTracer` so there is exactly one formatting rule).
-        """
-        return format_span_path(self._stack[1:])
-
-    def counter_totals(self) -> Dict[str, float]:
-        """All counters, summed over the entire trace."""
-        return self.root.counter_totals()
-
-    def derived_metrics(self) -> Dict[str, float]:
-        """Ratios from raw counters plus percentile estimates from the
-        observation histograms.
-
-        Every observed distribution ``name`` (fed through
-        :meth:`observe` anywhere in the trace) contributes
-        ``{name}_p50`` and ``{name}_p99`` — how the service latency
-        histogram surfaces in ``repro trace`` output with no
-        service-specific plumbing.
-        """
-        totals = self.counter_totals()
-        out: Dict[str, float] = {}
-        visited = totals.get("pruning_visited", 0.0)
-        skipped = totals.get("pruning_skipped", 0.0)
-        if visited + skipped > 0:
-            out["pruning_hit_rate"] = skipped / (visited + skipped)
-        regions = totals.get("parallel_regions", 0.0)
-        if regions > 0:
-            out["atomics_per_region"] = totals.get("atomic_ops", 0.0) / regions
-            out["skew_units_per_region"] = (
-                totals.get("clock_skew_units", 0.0) / regions
-            )
-        for name, hist in sorted(self.root.bucket_totals().items()):
-            out[f"{name}_p50"] = bucket_percentile(hist, 50.0)
-            out[f"{name}_p99"] = bucket_percentile(hist, 99.0)
-        return out
-
-    def to_dict(self, **meta) -> dict:
-        """The trace as a JSON-ready document (``repro.trace/2``)."""
-        return {
-            "schema": TRACE_SCHEMA,
-            "meta": meta,
-            "counters": self.counter_totals(),
-            "derived": self.derived_metrics(),
-            "spans": [c.to_dict() for c in self.root.children],
-        }
-
-    def to_json(self, *, indent: int | None = 2, **meta) -> str:
-        return json.dumps(self.to_dict(**meta), indent=indent, sort_keys=True)
+#: Series whose values a trace counter also sums.
+_SERIES_COUNTERS = {name: counter
+                    for (kind, name), (_, _, counter, _) in MIRRORS.items()
+                    if kind == "series" and counter is not None}
 
 
-class _NullSpan:
-    """Shared no-op span/context-manager returned by :class:`NullTracer`."""
+def trace_tree(recorder) -> Span:
+    """Replay ``recorder``'s events into a span tree; returns its root.
 
-    __slots__ = ()
-    name = "null"
-    seconds = 0.0
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def set(self, **attrs) -> None:
-        return None
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
-
-    def record(self, name: str, value: float) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Disabled tracer: every operation is a no-op.
-
-    ``runtime.tracer.span(...)`` returns a shared context manager and
-    allocates nothing; counter calls return immediately.  Code that must
-    *compute* values for counters should guard on :attr:`enabled`.
+    Values land on the span open when they were recorded (the root when
+    none was).  A ledger region adds the region counters, a kernel
+    dispatch its ``kernel_count_<kernel>`` counter, a served request its
+    ``service_request_seconds`` observation, and the workspace's
+    allocation its ``mem_workspace_alloc_slots``.
     """
-
-    enabled = False
-
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def push(self, name: str, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def pop(self) -> None:
-        return None
-
-    def unwind(self, span) -> None:
-        return None
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
-
-    def record(self, name: str, value: float) -> None:
-        return None
-
-    @property
-    def current(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span_path(self) -> str:
-        return format_span_path(())
-
-    def counter_totals(self) -> Dict[str, float]:
-        return {}
-
-    def derived_metrics(self) -> Dict[str, float]:
-        return {}
-
-    def to_dict(self, **meta) -> dict:
-        return {"schema": TRACE_SCHEMA, "meta": meta, "counters": {},
-                "derived": {}, "spans": []}
-
-    def to_json(self, *, indent: int | None = 2, **meta) -> str:
-        return json.dumps(self.to_dict(**meta), indent=indent, sort_keys=True)
+    root = Span("trace")
+    stack = [root]
+    for ev in recorder.events:
+        kind = ev[0]
+        top = stack[-1]
+        if kind == "open":
+            span = Span(ev[1], ev[2])
+            top.children.append(span)
+            stack.append(span)
+        elif kind == "close":
+            stack.pop().seconds = ev[1]
+        elif kind == "set":
+            top.attrs.update(ev[1])
+        elif kind == "count":
+            top.count(ev[1], ev[2])
+        elif kind == "observe":
+            top.observe(ev[1], ev[2])
+        elif kind == "series":
+            top.record(ev[1], ev[2])
+            counter = _SERIES_COUNTERS.get(ev[1])
+            if counter is not None:
+                top.count(counter, ev[2])
+        elif kind == "region":
+            _count_region(top, ev[1], ev[2])
+        elif kind == "dispatch":
+            top.count(f"kernel_{DISPATCH_ENGINE}_{ev[1]}")
+        elif kind == "request":
+            top.observe("service_request_seconds", ev[3])
+        elif kind == "alloc" and ev[2] == "workspace":
+            top.count("mem_workspace_alloc_slots",
+                      ev[5] // np.dtype(ev[6]).itemsize)
+    return root
 
 
-#: Module-level disabled tracer; the default everywhere.
-NULL_TRACER = NullTracer()
+def _count_region(span: Span, region, machine) -> None:
+    """A region's counters: for a parallel region its atomics, barrier,
+    work units and modelled clock skew (slowest-thread minus mean work
+    at the machine's full thread count — the load-imbalance signal)."""
+    costs = region.chunk_costs
+    if region.kind == "serial":
+        span.count("serial_regions")
+        span.count("serial_work_units", float(costs[0]))
+        return
+    span.count("parallel_regions")
+    # Every modelled parallel-for ends in an implicit barrier.
+    span.count("barriers")
+    span.count("atomic_ops", region.atomics)
+    span.count("work_units", float(costs.sum()))
+    t = machine.max_threads
+    slowest = WorkLedger._region_span(region, machine, t, 1.0)
+    mean = (float(costs.sum())
+            + machine.chunk_overhead_units * costs.shape[0]) / t
+    span.count("clock_skew_units", max(0.0, slowest - mean))
+
+
+def derived_metrics(root: Span) -> Dict[str, float]:
+    """Ratios from a tree's counters plus percentile estimates from its
+    observation histograms.
+
+    Every observed distribution ``name`` contributes ``{name}_p50`` and
+    ``{name}_p99`` — how the service latency histogram surfaces in
+    ``repro trace`` output with no service-specific plumbing.
+    """
+    totals = root.counter_totals()
+    out: Dict[str, float] = {}
+    visited = totals.get("pruning_visited", 0.0)
+    skipped = totals.get("pruning_skipped", 0.0)
+    if visited + skipped > 0:
+        out["pruning_hit_rate"] = skipped / (visited + skipped)
+    regions = totals.get("parallel_regions", 0.0)
+    if regions > 0:
+        out["atomics_per_region"] = totals.get("atomic_ops", 0.0) / regions
+        out["skew_units_per_region"] = (
+            totals.get("clock_skew_units", 0.0) / regions
+        )
+    for name, hist in sorted(root.bucket_totals().items()):
+        out[f"{name}_p50"] = bucket_percentile(hist, 50.0)
+        out[f"{name}_p99"] = bucket_percentile(hist, 99.0)
+    return out
+
+
+def trace_doc(recorder, **meta) -> dict:
+    """The trace as a JSON-ready document (``repro.trace/2``)."""
+    root = trace_tree(recorder)
+    return {
+        "schema": TRACE_SCHEMA,
+        "meta": meta,
+        "counters": root.counter_totals(),
+        "derived": derived_metrics(root),
+        "spans": [c.to_dict() for c in root.children],
+    }
+
+
+def trace_json(recorder, *, indent: Optional[int] = 2, **meta) -> str:
+    return json.dumps(trace_doc(recorder, **meta), indent=indent,
+                      sort_keys=True)

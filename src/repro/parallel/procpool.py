@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.observability.recorder import active
 from repro.parallel.rng import Xorshift32
 from repro.parallel.schedule import seeded_chunk_order
 from repro.parallel.shm import ArenaSpec, AttachedArena
@@ -208,11 +209,11 @@ class ProcessPool:
         available (fastest, Linux) else ``spawn``.
     seed:
         Seed for the deterministic task dispatch order.
-    memory:
-        A :class:`~repro.observability.memtrack.MemoryLedger`; each
-        :meth:`bind` records the spec's segment bytes × worker count as
-        a *physical* attach (worker mappings share pages — they are not
-        logical allocations, so the logical report stays invariant).
+
+    Each :meth:`bind` records the spec's segment bytes × worker count as
+    a *physical* attach on the active recorder (worker mappings share
+    pages — they are not logical allocations, so the logical memory
+    report stays invariant).
     """
 
     #: Kernel modules every pool loads (the engine kernels).
@@ -225,7 +226,6 @@ class ProcessPool:
         kernel_modules: Sequence[str] | None = None,
         context: str | None = None,
         seed: int = 12345,
-        memory=None,
     ) -> None:
         if num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
@@ -246,7 +246,6 @@ class ProcessPool:
         self._workers: List = []
         self._closed = False
         self._bound = False
-        self.memory = memory
         self.tasks_dispatched = 0
         self.epoch = time.perf_counter()
 
@@ -360,16 +359,16 @@ class ProcessPool:
             self._tasks.put(("bind", spec))
         self._drain("bound", len(self._workers), timeout=timeout)
         self._bound = True
-        memory = self.memory
-        if memory is not None and memory.enabled:
+        rec = active()
+        if rec.enabled:
             # Worker mappings of the owner's segments: physical-only
             # accounting (the pages are shared; the owner's ShmArena
-            # already recorded the logical allocation events).
+            # already recorded the logical allocations).
             nbytes = sum(
                 max(int(np.prod(shape)) * np.dtype(dtype).itemsize, 1)
                 for (_, shape, dtype) in spec.values())
-            memory.attach("procpool", "arena_map", nbytes,
-                          replicas=self.num_workers)
+            rec.attach("procpool", "arena_map", nbytes,
+                       replicas=self.num_workers)
 
     def release(self, *, timeout: float = 60.0) -> None:
         """Detach the bound arena everywhere (before the owner unlinks)."""

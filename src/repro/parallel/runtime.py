@@ -10,22 +10,16 @@ engine's local-moving, which fans out through :meth:`Runtime.procpool`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from repro.errors import ConfigError
-from repro.observability import memtrack
-from repro.observability.memtrack import NULL_LEDGER
-from repro.observability.metrics import NULL_REGISTRY
-from repro.observability.profiler import NULL_PROFILER
-from repro.observability.tracer import NULL_TRACER
+from repro.observability.recorder import NULL_RECORDER, REGION_FAMILIES
 from repro.parallel.costmodel import PAPER_MACHINE, MachineModel
 from repro.parallel.hashtable import CollisionFreeHashtable
 from repro.parallel.rng import Xorshift32
-from repro.parallel.schedule import DEFAULT_CHUNK, Schedule, chunk_spans
+from repro.parallel.schedule import DEFAULT_CHUNK, Schedule
 from repro.parallel.simthread import SimulatedTime, WorkLedger
 
 #: Accepted ``executor`` values.  Nothing dispatches on the value any
@@ -54,23 +48,11 @@ class Runtime:
     machine:
         Machine model used by :meth:`simulate`; defaults to the paper's
         dual-Xeon testbed.
-    tracer:
-        Observability tracer the phases report spans and counters to;
-        defaults to the disabled :data:`~repro.observability.tracer.NULL_TRACER`
-        (zero cost).
-    profiler:
-        Thread-timeline profiler capturing every recorded region as an
-        event-log entry; defaults to the disabled
-        :data:`~repro.observability.profiler.NULL_PROFILER` (zero cost).
-    metrics:
-        Metric registry the runtime and phases report typed instruments
-        to; defaults to the disabled
-        :data:`~repro.observability.metrics.NULL_REGISTRY` (zero cost).
-    memory:
-        :class:`~repro.observability.memtrack.MemoryLedger` the buffer
-        owners (workspaces, shm arenas, CSR builds) record logical
-        allocation events to; defaults to the disabled
-        :data:`~repro.observability.memtrack.NULL_LEDGER` (zero cost).
+    recorder:
+        :class:`~repro.observability.recorder.Recorder` the runtime,
+        the phases and the buffer owners write their events to;
+        defaults to the disabled
+        :data:`~repro.observability.recorder.NULL_RECORDER` (zero cost).
     """
 
     def __init__(
@@ -81,10 +63,7 @@ class Runtime:
         seed: int = 12345,
         executor: str = "serial",
         machine: MachineModel | None = None,
-        tracer=None,
-        profiler=None,
-        metrics=None,
-        memory=None,
+        recorder=None,
     ) -> None:
         if num_threads < 1:
             raise ConfigError("num_threads must be >= 1")
@@ -95,30 +74,10 @@ class Runtime:
         self.executor = executor
         self.machine = machine or PAPER_MACHINE
         self.ledger = WorkLedger()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.memory = memory if memory is not None else NULL_LEDGER
-        m = self.metrics
-        self._m_parallel_regions = m.counter(
-            "runtime_parallel_regions_total",
-            "parallel regions recorded in the work ledger", ("phase",))
-        self._m_chunks = m.counter(
-            "runtime_chunks_total",
-            "loop chunks dispatched, by phase and scheduling policy",
-            ("phase", "policy"))
-        self._m_atomics = m.counter(
-            "runtime_atomic_ops_total",
-            "modelled atomic operations", ("phase",))
-        self._m_barriers = m.counter(
-            "runtime_barriers_total",
-            "implicit end-of-region barriers", ("phase",))
-        self._m_work = m.counter(
-            "runtime_work_units_total",
-            "parallel work units recorded", ("phase",))
-        self._m_serial_work = m.counter(
-            "runtime_serial_work_units_total",
-            "sequential work units recorded", ("phase",))
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        if self.recorder.enabled:
+            for family in REGION_FAMILIES:
+                self.recorder.family(*family)
         self.seed = int(seed)
         self.master_rng = Xorshift32(seed)
         self.thread_rngs: List[Xorshift32] = self.master_rng.spawn(self.num_threads)
@@ -155,13 +114,12 @@ class Runtime:
             self._procpool = ProcessPool(
                 num_workers if num_workers is not None else self.num_threads,
                 seed=self.seed,
-                memory=self.memory,
             )
-            if self.metrics.enabled:
-                self.metrics.gauge(
-                    "proc_pool_workers",
-                    "worker processes in the runtime's pool",
-                ).set(self._procpool.num_workers)
+            rec = self.recorder
+            if rec.enabled:
+                rec.family("gauge", "proc_pool_workers",
+                           "worker processes in the runtime's pool")
+                rec.metric("proc_pool_workers", self._procpool.num_workers)
         return self._procpool
 
     def close(self) -> None:
@@ -181,21 +139,19 @@ class Runtime:
     @contextmanager
     def phase(self, phase: str, seconds: Dict[str, float],
               span: str | None = None, **attrs):
-        """One phase of a pass: the single place where a phase's span,
-        memory phase and wall time open.
+        """One phase of a pass: the single place where a phase opens.
 
-        Opens the tracer span ``span`` with ``attrs`` and yields it (no
-        span when ``span`` is None: bookkeeping between phases stays
-        under the pass span), attributes the active memory ledger's
-        allocations to ``phase``, and adds the block's wall time to
-        ``seconds[phase]``.  A block that raises still closes its span,
-        restores the memory phase and adds its seconds.
+        Opens the recorder's span ``span`` with ``attrs`` (no span when
+        ``span`` is None: bookkeeping between phases stays under the pass
+        span), attributes the block's allocations to ``phase``, and adds
+        the block's wall time to ``seconds[phase]``.  A block that raises
+        still closes its span, restores the allocation phase and adds its
+        seconds.
         """
         t0 = perf_counter()
         try:
-            with (self.tracer.span(span, **attrs) if span is not None
-                  else nullcontext()) as opened, memtrack.phase_scope(phase):
-                yield opened
+            with self.recorder.phase(phase, span, **attrs):
+                yield
         finally:
             seconds[phase] += perf_counter() - t0
 
@@ -215,14 +171,10 @@ class Runtime:
         ``item_costs`` and ``per_item`` are as in
         :meth:`WorkLedger.parallel`: an array of item costs, or a count
         of items (which needs a nonzero ``per_item``), plus a constant
-        cost per item.
-
-        With tracing enabled, the region is also reported to the tracer:
-        atomic-op and barrier counts, total work units, and the modelled
-        per-thread clock skew (slowest-thread minus mean work at the
-        machine's full thread count — the load-imbalance signal).
+        cost per item.  A recorded region is one recorder event.
         """
-        n_before = len(self.ledger.regions)
+        regions = self.ledger.regions
+        n_before = len(regions)
         self.ledger.parallel(
             item_costs,
             phase=phase,
@@ -230,53 +182,16 @@ class Runtime:
             atomics=atomics,
             per_item=per_item,
         )
-        tracer = self.tracer
-        if len(self.ledger.regions) > n_before:
-            region = self.ledger.regions[-1]
-            if self.metrics.enabled:
-                sched = schedule or self.schedule
-                self._m_parallel_regions.labels(phase).inc()
-                self._m_barriers.labels(phase).inc()
-                self._m_chunks.labels(phase, sched.kind).inc(
-                    region.chunk_costs.shape[0])
-                self._m_atomics.labels(phase).inc(region.atomics)
-                self._m_work.labels(phase).inc(
-                    float(region.chunk_costs.sum()))
-            if tracer.enabled:
-                tracer.count("parallel_regions")
-                # Every modelled parallel-for ends in an implicit barrier.
-                tracer.count("barriers")
-                tracer.count("atomic_ops", region.atomics)
-                tracer.count("work_units", float(region.chunk_costs.sum()))
-                t = self.machine.max_threads
-                span = WorkLedger._region_span(region, self.machine, t, 1.0)
-                mean = (
-                    float(region.chunk_costs.sum())
-                    + self.machine.chunk_overhead_units * region.chunk_costs.shape[0]
-                ) / t
-                tracer.count("clock_skew_units", max(0.0, span - mean))
-            if self.profiler.enabled:
-                seconds = self.profiler.record_region(
-                    region, label=tracer.span_path() or phase)
-                if tracer.enabled:
-                    tracer.count("modeled_region_seconds", seconds)
+        if self.recorder.enabled and len(regions) > n_before:
+            self.recorder.region(regions[-1], self.machine)
 
     def record_serial(self, cost: float, *, phase: str) -> None:
-        """Record sequential work in the ledger."""
-        n_before = len(self.ledger.regions)
+        """Record sequential work in the ledger (one recorder event)."""
+        regions = self.ledger.regions
+        n_before = len(regions)
         self.ledger.serial(cost, phase=phase)
-        tracer = self.tracer
-        if self.metrics.enabled and cost > 0:
-            self._m_serial_work.labels(phase).inc(float(cost))
-        if tracer.enabled and cost > 0:
-            tracer.count("serial_regions")
-            tracer.count("serial_work_units", float(cost))
-        if self.profiler.enabled and len(self.ledger.regions) > n_before:
-            seconds = self.profiler.record_region(
-                self.ledger.regions[-1],
-                label=tracer.span_path() or phase)
-            if tracer.enabled:
-                tracer.count("modeled_region_seconds", seconds)
+        if self.recorder.enabled and len(regions) > n_before:
+            self.recorder.region(regions[-1], self.machine)
 
     def simulate(
         self,
@@ -291,16 +206,6 @@ class Runtime:
         )
 
     # -- misc -------------------------------------------------------------------
-
-    def batch_order(self, n_items: int) -> Sequence[np.ndarray]:
-        """Vertex-id batches matching the schedule's chunking.
-
-        The batch-parallel kernels process one batch as "the set of
-        vertices concurrently in flight", which is how the asynchronous
-        OpenMP loop behaves with a dynamic schedule.
-        """
-        spans = chunk_spans(n_items, self.schedule, self.num_threads)
-        return [np.arange(lo, hi, dtype=np.int64) for lo, hi in spans]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

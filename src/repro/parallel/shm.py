@@ -33,6 +33,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from repro.observability.recorder import active
+
 __all__ = [
     "ArenaSpec",
     "AttachedArena",
@@ -85,15 +87,14 @@ class ShmArena:
     ----------
     tag:
         Segment-name tag; random when omitted.
-    memory:
-        A :class:`~repro.observability.memtrack.MemoryLedger` the arena
-        records its segments to (``None`` disables recording).  Segment
-        bytes are logical-ledger events.
     phase:
         Phase label the arena's allocation events carry.
+
+    Every segment is an allocation of the recorder active when the arena
+    was built, freed when the arena unlinks.
     """
 
-    def __init__(self, tag: str | None = None, *, memory=None,
+    def __init__(self, tag: str | None = None, *,
                  phase: str = "other") -> None:
         self._tag = tag if tag is not None else secrets.token_hex(4)
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
@@ -101,7 +102,7 @@ class ShmArena:
         self._spec: ArenaSpec = {}
         self._closed = False
         self._unlinked = False
-        self._memory = memory
+        self._recorder = active()
         self._phase = phase
         self._mem_handles: Dict[str, int] = {}
 
@@ -124,9 +125,8 @@ class ShmArena:
         self._segments[key] = seg
         self._arrays[key] = arr
         self._spec[key] = (seg.name, shape, dt.str)
-        memory = self._memory
-        if memory is not None and memory.enabled:
-            self._mem_handles[key] = memory.alloc(
+        if self._recorder.enabled:
+            self._mem_handles[key] = self._recorder.alloc(
                 "shm", key, nbytes, phase=self._phase, dtype=dt.name)
         return arr
 
@@ -183,11 +183,9 @@ class ShmArena:
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        memory = self._memory
-        if memory is not None and memory.enabled:
-            for handle in self._mem_handles.values():
-                memory.free(handle)
-            self._mem_handles.clear()
+        for handle in self._mem_handles.values():
+            self._recorder.free(handle)
+        self._mem_handles.clear()
 
     def __enter__(self) -> "ShmArena":
         return self

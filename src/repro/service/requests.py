@@ -138,15 +138,15 @@ class Ticket:
 class AdmissionQueue:
     """Bounded FIFO of tickets with DETECT deduplication.
 
-    ``metrics`` (a :class:`~repro.observability.metrics.MetricsRegistry`)
-    makes rejections visible as the ``queue_rejected_total`` counter —
-    overflow otherwise surfaces only through the raised
+    A ``recorder`` makes rejections visible as the
+    ``queue_rejected_total`` counter — overflow otherwise surfaces only
+    through the raised
     :class:`~repro.errors.ServiceOverloadError` and the ``rejected``
     stats field, which dashboards never scrape.
     """
 
-    def __init__(self, capacity: int = 256, *, metrics=None) -> None:
-        from repro.observability.metrics import NULL_REGISTRY
+    def __init__(self, capacity: int = 256, *, recorder=None) -> None:
+        from repro.observability.recorder import NULL_RECORDER
 
         self.capacity = int(capacity)
         self._queue: Deque[Ticket] = deque()
@@ -157,10 +157,12 @@ class AdmissionQueue:
         self.rejected = 0
         self.coalesced_detects = 0
         self.max_depth = 0
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._m_rejected = self.metrics.counter(
-            "queue_rejected_total",
-            "submissions rejected by admission-queue backpressure")
+        self.recorder = (recorder if recorder is not None
+                         else NULL_RECORDER)
+        if self.recorder.enabled:
+            self.recorder.family(
+                "counter", "queue_rejected_total",
+                "submissions rejected by admission-queue backpressure")
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -180,7 +182,8 @@ class AdmissionQueue:
                 return existing
         if len(self._queue) >= self.capacity:
             self.rejected += 1
-            self._m_rejected.inc()
+            if self.recorder.enabled:
+                self.recorder.metric("queue_rejected_total", 1)
             raise ServiceOverloadError(
                 f"admission queue full ({self.capacity} requests); "
                 "drain or back off and resubmit")

@@ -29,8 +29,8 @@ leiden` run on the final graph.
 Time is a logical clock (work units from the solver ledger, one unit
 per queue operation), which makes latency percentiles — and the whole
 stats document — deterministic for a given request sequence.  Wall-clock
-latencies are reported separately through the tracer histogram
-(``service_latency_units`` / per-request spans).
+latencies are recorded separately, on each request's span
+(``service_request_seconds``).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from repro.core.leiden import leiden
 from repro.dynamic.batch import apply_batch
 from repro.dynamic.strategies import affected_vertices
 from repro.errors import ServiceError
-from repro.observability.metrics import NULL_REGISTRY, exact_percentile
-from repro.observability.tracer import NULL_TRACER
+from repro.observability.metrics import exact_percentile
+from repro.observability.recorder import NULL_RECORDER
 from repro.parallel.runtime import Runtime
 from repro.service.index import CommunityIndex
 from repro.service.requests import (
@@ -127,6 +127,27 @@ def percentile(values: List[int], q: float) -> int:
     return int(exact_percentile(values, q))
 
 
+#: The server's metric families, registered when it is built.
+_FAMILIES = (
+    ("counter", "service_requests_total",
+     "requests completed, by kind and final status", ("kind", "status")),
+    ("histogram", "service_latency_units",
+     "request latency in logical-clock units, by kind", ("kind",)),
+    ("gauge", "service_queue_depth", "admission-queue depth after last op"),
+    ("counter", "service_detect_dedups_total",
+     "DETECT submissions coalesced onto an in-flight ticket"),
+    ("counter", "service_updates_coalesced_total",
+     "update batches merged into another batch's solve"),
+    ("counter", "service_refreshes_total",
+     "partition refreshes, by solve mode", ("mode",)),
+    ("counter", "service_solve_retries_total", "solve attempts retried"),
+    ("counter", "service_solve_failures_total",
+     "solves failed past the retry budget"),
+    ("histogram", "service_flush_batches",
+     "pending batches folded per flush"),
+)
+
+
 class _ComputeFailed(ServiceError):
     """Internal: a solve exhausted its retry budget."""
 
@@ -138,75 +159,38 @@ class PartitionServer:
     ----------
     config:
         Service tunables (:class:`ServiceConfig`).
-    tracer:
-        Observability tracer; spans and the wall-latency histogram are
-        reported here.  Defaults to the disabled tracer.
-    profiler:
-        Thread-timeline profiler; request intervals land on a dedicated
-        ``service`` lane of the Chrome trace (on the logical clock) and
-        the per-region events of every solve join the same event
-        stream.  Defaults to the disabled profiler.
+    recorder:
+        :class:`~repro.observability.recorder.Recorder` the server, its
+        store and queue, and every solve it runs write their events to:
+        request spans and intervals (on the logical clock), latency,
+        store allocations and metric updates.  Defaults to the disabled
+        recorder.
     fault_hook:
         ``callable(op, attempt)`` invoked before every solve attempt
         (``op`` in ``{"detect", "refresh", "reconcile"}``).  Raising
         makes the attempt fail; the server retries with backoff and
         degrades to the last good partition when the budget is spent.
         The injection point for fault testing.
-    metrics:
-        :class:`~repro.observability.metrics.MetricsRegistry` the server
-        (and every solve it runs) reports typed instruments to; defaults
-        to the disabled :data:`~repro.observability.metrics.NULL_REGISTRY`.
     """
 
     def __init__(
         self,
         config: ServiceConfig | None = None,
         *,
-        tracer=None,
-        profiler=None,
+        recorder=None,
         fault_hook: Optional[Callable[[str, int], None]] = None,
-        metrics=None,
-        memory=None,
     ) -> None:
-        from repro.observability.profiler import NULL_PROFILER
-
         self.config = config or ServiceConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.memory = memory
+        self.recorder = rec = (recorder if recorder is not None
+                               else NULL_RECORDER)
         self.store = PartitionStore(self.config.store_budget_bytes,
-                                    metrics=self.metrics,
-                                    memory=memory)
+                                    recorder=rec)
         self.queue = AdmissionQueue(self.config.queue_capacity,
-                                    metrics=self.metrics)
+                                    recorder=rec)
         self.fault_hook = fault_hook
-        m = self.metrics
-        self._m_requests = m.counter(
-            "service_requests_total",
-            "requests completed, by kind and final status",
-            ("kind", "status"))
-        self._m_latency = m.histogram(
-            "service_latency_units",
-            "request latency in logical-clock units, by kind", ("kind",))
-        self._m_queue_depth = m.gauge(
-            "service_queue_depth", "admission-queue depth after last op")
-        self._m_detect_dedups = m.counter(
-            "service_detect_dedups_total",
-            "DETECT submissions coalesced onto an in-flight ticket")
-        self._m_coalesced = m.counter(
-            "service_updates_coalesced_total",
-            "update batches merged into another batch's solve")
-        self._m_refreshes = m.counter(
-            "service_refreshes_total",
-            "partition refreshes, by solve mode", ("mode",))
-        self._m_retries = m.counter(
-            "service_solve_retries_total", "solve attempts retried")
-        self._m_failures = m.counter(
-            "service_solve_failures_total",
-            "solves failed past the retry budget")
-        self._m_flush_batches = m.histogram(
-            "service_flush_batches", "pending batches folded per flush")
+        if rec.enabled:
+            for family in _FAMILIES:
+                rec.family(*family)
         #: Logical clock, in solver work units.
         self.clock = 0
         self.counters: Dict[str, int] = {
@@ -243,10 +227,11 @@ class PartitionServer:
         dedups_before = self.queue.coalesced_detects
         ticket = self.queue.submit(request, now=self.clock)
         self._requests_by_kind[request.kind] += 1
-        if self.metrics.enabled:
-            self._m_detect_dedups.inc(
-                self.queue.coalesced_detects - dedups_before)
-            self._m_queue_depth.set(self.queue.depth)
+        rec = self.recorder
+        if rec.enabled:
+            rec.metric("service_detect_dedups_total",
+                       self.queue.coalesced_detects - dedups_before)
+            rec.metric("service_queue_depth", self.queue.depth)
         return ticket
 
     def step(self) -> Optional[Ticket]:
@@ -255,10 +240,11 @@ class PartitionServer:
         if ticket is None:
             return None
         req = ticket.request
-        tracer = self.tracer
-        t0 = perf_counter() if tracer.enabled else 0.0
+        rec = self.recorder
+        t0 = perf_counter() if rec.enabled else 0.0
         u0 = self.clock
-        with tracer.span(f"service.{req.kind}"):
+        name = f"service.{req.kind}"
+        with rec.span(name):
             if req.kind == DETECT:
                 self._process_detect(ticket)
             elif req.kind == QUERY:
@@ -267,19 +253,13 @@ class PartitionServer:
                 self._process_update(ticket)
             else:
                 self._process_stats(ticket)
-            if tracer.enabled:
-                tracer.observe("service_request_seconds",
-                               perf_counter() - t0)
-        if self.profiler.enabled:
-            # Request-latency event on the service lane, measured on the
-            # logical clock (work units) — deterministic like the stats.
-            self.profiler.request(
-                f"service.{req.kind}",
-                max(float(self.clock - u0), 1.0),
-                status=ticket.status,
-            )
-        if self.metrics.enabled:
-            self._m_queue_depth.set(self.queue.depth)
+            if rec.enabled:
+                # Its latency on the logical clock (work units) —
+                # deterministic like the stats — and on the wall clock.
+                rec.request(name, max(float(self.clock - u0), 1.0),
+                            perf_counter() - t0, status=ticket.status)
+        if rec.enabled:
+            rec.metric("service_queue_depth", self.queue.depth)
         return ticket
 
     def drain(self) -> int:
@@ -338,12 +318,10 @@ class PartitionServer:
         ticket.completed_at = self.clock
         lat = ticket.latency_units
         self._latencies[ticket.kind].append(lat)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.observe("service_latency_units", float(lat))
-        if self.metrics.enabled:
-            self._m_requests.labels(ticket.kind, status).inc()
-            self._m_latency.labels(ticket.kind).observe(float(lat))
+        rec = self.recorder
+        if rec.enabled:
+            rec.metric("service_requests_total", 1, ticket.kind, status)
+            rec.observe("service_latency_units", float(lat), ticket.kind)
 
     def _process_detect(self, ticket: Ticket) -> None:
         req: DetectRequest = ticket.request
@@ -450,18 +428,21 @@ class PartitionServer:
         batches = entry.pending
         entry.pending = []
         tickets = self._pending_tickets.pop(key, [])
+        rec = self.recorder
         if self.config.coalesce_updates and len(batches) > 1:
             self.counters["updates_coalesced"] += len(batches) - 1
-            self._m_coalesced.inc(len(batches) - 1)
+            if rec.enabled:
+                rec.metric("service_updates_coalesced_total",
+                           len(batches) - 1)
             batches = [coalesce_update_batches(batches)]
         self.counters["update_flushes"] += 1
-        self._m_flush_batches.observe(len(batches))
+        if rec.enabled:
+            rec.metric("service_flush_batches", len(batches))
 
         graph, membership = entry.graph, entry.membership
         status = DONE
         last_was_full = False
-        with self.tracer.span("service.flush", key=key,
-                              batches=len(batches)):
+        with rec.span("service.flush", key=key, batches=len(batches)):
             for batch in batches:
                 try:
                     graph, membership, incremental = self._refresh_once(
@@ -507,7 +488,7 @@ class PartitionServer:
                 "refresh",
                 lambda rt: leiden(updated, self.config.leiden, runtime=rt))
             self.counters["full_recomputes"] += 1
-            self._m_refreshes.labels("full").inc()
+            self._count_refresh("full")
             return updated, result.membership, False
         warm = self._pad_membership(membership, updated.num_vertices)
         mask = affected_vertices(updated, warm, batch,
@@ -517,11 +498,16 @@ class PartitionServer:
             lambda rt: leiden(updated, self.config.leiden, runtime=rt,
                               initial_membership=warm, affected=mask))
         self.counters["incremental_refreshes"] += 1
-        self._m_refreshes.labels("incremental").inc()
-        if self.tracer.enabled:
-            self.tracer.observe("service_affected_fraction",
-                                float(mask.mean()) if mask.shape[0] else 0.0)
+        self._count_refresh("incremental")
+        if self.recorder.enabled:
+            self.recorder.observe(
+                "service_affected_fraction",
+                float(mask.mean()) if mask.shape[0] else 0.0)
         return updated, result.membership, True
+
+    def _count_refresh(self, mode: str) -> None:
+        if self.recorder.enabled:
+            self.recorder.metric("service_refreshes_total", 1, mode)
 
     @staticmethod
     def _pad_membership(membership, n_new: int) -> np.ndarray:
@@ -554,7 +540,7 @@ class PartitionServer:
         entry.version += 1
         entry.state = FRESH
         self.counters["reconciles"] += 1
-        self._m_refreshes.labels("reconcile").inc()
+        self._count_refresh("reconcile")
         self._unreconciled.discard(key)
 
     # -- solving with fault tolerance --------------------------------------
@@ -564,7 +550,7 @@ class PartitionServer:
 
         A fresh :class:`~repro.parallel.runtime.Runtime` per attempt
         keeps every solve deterministic and independent of history; the
-        shared tracer still collects all spans.  Advances the logical
+        server's recorder still records every solve.  Advances the logical
         clock by the solve's ledger work (and by the backoff on
         retries).  Raises :class:`_ComputeFailed` past the retry budget.
         """
@@ -574,8 +560,7 @@ class PartitionServer:
                 if self.fault_hook is not None:
                     self.fault_hook(op, attempt)
                 rt = Runtime(num_threads=1, seed=self.config.leiden.seed,
-                             tracer=self.tracer, profiler=self.profiler,
-                             metrics=self.metrics)
+                             recorder=self.recorder)
                 result = fn(rt)
             except _ComputeFailed:
                 raise
@@ -583,13 +568,15 @@ class PartitionServer:
                 last_exc = exc
                 if attempt < self.config.max_retries:
                     self.counters["solve_retries"] += 1
-                    self._m_retries.inc()
+                    if self.recorder.enabled:
+                        self.recorder.metric("service_solve_retries_total", 1)
                     self._tick(self.config.backoff_units << attempt)
                 continue
             self._tick(round(result.ledger.total_work))
             return result
         self.counters["solve_failures"] += 1
-        self._m_failures.inc()
+        if self.recorder.enabled:
+            self.recorder.metric("service_solve_failures_total", 1)
         raise _ComputeFailed(
             f"{op} failed after {self.config.max_retries + 1} attempts"
         ) from last_exc

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.dynamic.batch import EdgeBatch
 from repro.graph.csr import CSRGraph
-from repro.observability.metrics import NULL_REGISTRY
+from repro.observability.recorder import NULL_RECORDER
 from repro.service.index import CommunityIndex
 
 __all__ = ["FRESH", "STALE", "DEGRADED", "PartitionEntry", "PartitionStore"]
@@ -80,16 +80,16 @@ class PartitionEntry:
 class PartitionStore:
     """Byte-budgeted LRU of :class:`PartitionEntry` objects.
 
-    When a :class:`~repro.observability.memtrack.MemoryLedger` is
-    attached via ``memory``, every resident entry is a live ``store``
+    With a ``recorder``, every resident entry is a live ``store``
     allocation (freed on eviction/discard/replace), so the memory
-    report shows LRU bytes next to CSR/workspace/shm bytes.
+    report shows LRU bytes, and lookups, evictions and resident bytes
+    are metric updates.
     :attr:`peak_bytes` is the resident high-water mark the store stats
     report.
     """
 
     def __init__(self, budget_bytes: int = 256 * 2**20, *,
-                 metrics=None, memory=None) -> None:
+                 recorder=None) -> None:
         self.budget_bytes = int(budget_bytes)
         self._entries: "OrderedDict[str, PartitionEntry]" = OrderedDict()
         self.hits = 0
@@ -98,19 +98,18 @@ class PartitionStore:
         self.evictions = 0
         #: High-water mark of resident bytes across the store's life.
         self.peak_bytes = 0
-        self.memory = memory
         self._mem_handles: Dict[str, int] = {}
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        m_lookups = self.metrics.counter(
-            "service_store_lookups_total",
-            "partition-store lookups, by outcome", ("outcome",))
-        self._m_hit = m_lookups.labels("hit")
-        self._m_stale = m_lookups.labels("stale_hit")
-        self._m_miss = m_lookups.labels("miss")
-        self._m_evictions = self.metrics.counter(
-            "service_store_evictions_total", "LRU evictions over budget")
-        self._m_bytes = self.metrics.gauge(
-            "mem_store_bytes", "resident bytes across all entries")
+        self.recorder = rec = (recorder if recorder is not None
+                               else NULL_RECORDER)
+        if rec.enabled:
+            rec.family("counter", "service_store_lookups_total",
+                       "partition-store lookups, by outcome", ("outcome",))
+            for outcome in ("hit", "stale_hit", "miss"):
+                rec.metric("service_store_lookups_total", 0, outcome)
+            rec.family("counter", "service_store_evictions_total",
+                       "LRU evictions over budget")
+            rec.family("gauge", "mem_store_bytes",
+                       "resident bytes across all entries")
 
     # -- lookup -----------------------------------------------------------
 
@@ -121,17 +120,22 @@ class PartitionStore:
         the caller decides whether serving them is acceptable.
         """
         entry = self._entries.get(key)
+        rec = self.recorder
         if entry is None:
             self.misses += 1
-            self._m_miss.inc()
+            if rec.enabled:
+                rec.metric("service_store_lookups_total", 1, "miss")
             return None
         if touch:
             self._entries.move_to_end(key)
         self.hits += 1
-        self._m_hit.inc()
-        if entry.state != FRESH:
+        stale = entry.state != FRESH
+        if stale:
             self.stale_hits += 1
-            self._m_stale.inc()
+        if rec.enabled:
+            rec.metric("service_store_lookups_total", 1, "hit")
+            if stale:
+                rec.metric("service_store_lookups_total", 1, "stale_hit")
         return entry
 
     def peek(self, key: str) -> Optional[PartitionEntry]:
@@ -154,16 +158,16 @@ class PartitionStore:
         self._mem_free(entry.key)
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        memory = self.memory
-        if memory is not None and memory.enabled:
-            self._mem_handles[entry.key] = memory.alloc(
+        rec = self.recorder
+        if rec.enabled:
+            self._mem_handles[entry.key] = rec.alloc(
                 "store", entry.key, entry.nbytes, phase="service")
         self._evict()
         total = self.total_bytes
         if total > self.peak_bytes:
             self.peak_bytes = total
-        if self.metrics.enabled:
-            self._m_bytes.set(total)
+        if rec.enabled:
+            rec.metric("mem_store_bytes", total)
 
     def discard(self, key: str) -> None:
         self._entries.pop(key, None)
@@ -176,12 +180,13 @@ class PartitionStore:
             key, _ = self._entries.popitem(last=False)
             self._mem_free(key)
             self.evictions += 1
-            self._m_evictions.inc()
+            if self.recorder.enabled:
+                self.recorder.metric("service_store_evictions_total", 1)
 
     def _mem_free(self, key: str) -> None:
         handle = self._mem_handles.pop(key, None)
         if handle is not None:
-            self.memory.free(handle)
+            self.recorder.free(handle)
 
     # -- accounting -------------------------------------------------------
 

@@ -125,7 +125,7 @@ def run_workload(
     result document.
 
     ``server`` lets callers supply a preconfigured instance (fault
-    hooks, tracer); otherwise one is built from ``service_config``.
+    hooks, a recorder); otherwise one is built from ``service_config``.
     """
     if isinstance(profile, str):
         try:

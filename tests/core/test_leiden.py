@@ -16,8 +16,9 @@ from repro.errors import GraphStructureError
 from repro.metrics.comparison import adjusted_rand_index
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
-from repro.observability.profiler import Profiler, to_chrome_trace
-from repro.observability.tracer import Tracer
+from repro.observability.profiler import timeline, to_chrome_trace
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import trace_doc
 from repro.parallel.runtime import Runtime
 from tests.conftest import (
     path_graph,
@@ -449,12 +450,11 @@ class TestPinnedRecorderDocuments:
         return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
     @staticmethod
-    def _traced(algo, cfg, **recorders):
-        tracer = Tracer()
-        with Runtime(num_threads=1, seed=cfg.seed, tracer=tracer,
-                     **recorders) as rt:
+    def _traced(algo, cfg):
+        recorder = Recorder()
+        with Runtime(num_threads=1, seed=cfg.seed, recorder=recorder) as rt:
             algo(load_graph("asia_osm"), cfg, runtime=rt)
-        return tracer
+        return recorder
 
     @pytest.mark.parametrize("key,algo,cfg", [
         ("leiden", leiden, LeidenConfig()),
@@ -462,13 +462,12 @@ class TestPinnedRecorderDocuments:
         ("budget", leiden, LeidenConfig(max_passes=1)),
     ], ids=["leiden", "louvain", "budget"])
     def test_trace(self, key, algo, cfg):
-        doc = self._traced(algo, cfg).to_dict()
+        doc = trace_doc(self._traced(algo, cfg))
         assert self._digest(doc) == self.PINNED[key]
 
     def test_chrome(self):
-        profiler = Profiler(num_threads=8)
-        self._traced(leiden, LeidenConfig(), profiler=profiler)
-        doc = to_chrome_trace(profiler.timeline())
+        recorder = self._traced(leiden, LeidenConfig())
+        doc = to_chrome_trace(timeline(recorder, 8))
         assert self._digest(doc) == self.PINNED["chrome"]
 
     #: Digests of three CLI documents' bytes on ``asia_osm`` at seed 42:

@@ -26,7 +26,7 @@ from repro.core.leiden import leiden
 from repro.core.local_move import local_move_batch
 from repro.core.local_move_process import local_move_process
 from repro.datasets.registry import load_graph, registry_names
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.recorder import Recorder
 from repro.parallel.runtime import Runtime
 from repro.types import VERTEX_DTYPE
 from tests.conftest import (
@@ -93,8 +93,7 @@ class TestKernelEquivalence:
             with Runtime(num_threads=workers, executor="process",
                          seed=1) as rt:
                 iters, dq = local_move_process(
-                    graph, C, K, Sigma, 0.01, runtime=rt,
-                    pool=rt.procpool(), **kwargs)
+                    graph, C, K, Sigma, 0.01, runtime=rt, **kwargs)
         return C, Sigma, iters, dq
 
     def _pair(self, graph, workers, **kwargs):
@@ -133,24 +132,22 @@ class TestKernelEquivalence:
             n = g.num_vertices
             C = np.arange(n, dtype=VERTEX_DTYPE)
             K = g.vertex_weights().copy()
-            local_move_process(g, C, K, K.copy(), 0.01, runtime=rt,
-                               pool=rt.procpool())
+            local_move_process(g, C, K, K.copy(), 0.01, runtime=rt)
             assert rt.ledger.total_work > 0
             assert rt.procpool().tasks_dispatched > 0
 
     def test_default_gate_scans_small_graph_inline(self):
         g = random_graph(n=120, avg_degree=6, seed=5)
-        metrics = MetricsRegistry()
+        metrics = Recorder()
         with Runtime(num_threads=2, executor="process", seed=1,
-                     metrics=metrics) as rt:
+                     recorder=metrics) as rt:
             n = g.num_vertices
             C = np.arange(n, dtype=VERTEX_DTYPE)
             K = g.vertex_weights().copy()
-            local_move_process(g, C, K, K.copy(), 0.01, runtime=rt,
-                               pool=rt.procpool())
+            local_move_process(g, C, K, K.copy(), 0.01, runtime=rt)
             assert rt.ledger.total_work > 0
             assert rt.procpool().tasks_dispatched == 0
-        edges = metrics.get("proc_worker_edges_total")
+        edges = metrics.families["proc_worker_edges_total"]
         assert edges.value("parent") >= g.num_edges
 
     def test_worker_edges_fold_into_metrics(self):
@@ -158,16 +155,15 @@ class TestKernelEquivalence:
         with pool_gate(0) as batches:
             self._run(g, "process")
         sizes = sorted(edges for _, edges in batches)
-        metrics = MetricsRegistry()
+        metrics = Recorder()
         with pool_gate(sizes[len(sizes) // 2]) as batches, Runtime(
                 num_threads=2, executor="process", seed=1,
-                metrics=metrics) as rt:
+                recorder=metrics) as rt:
             n = g.num_vertices
             C = np.arange(n, dtype=VERTEX_DTYPE)
             K = g.vertex_weights().copy()
-            local_move_process(g, C, K, K.copy(), 0.01, runtime=rt,
-                               pool=rt.procpool())
-        edges = metrics.get("proc_worker_edges_total")
+            local_move_process(g, C, K, K.copy(), 0.01, runtime=rt)
+        edges = metrics.families["proc_worker_edges_total"]
         by_path = {"pool": 0, "inline": 0}
         for path, e in batches:
             by_path[path] += e

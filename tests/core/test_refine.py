@@ -17,7 +17,8 @@ from repro.core.leiden import leiden
 from repro.core.refine import refine_batch, refine_loop
 from repro.datasets.registry import load_graph, registry_names
 from repro.metrics.connectivity import disconnected_communities
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import to_snapshot
+from repro.observability.recorder import Recorder
 from repro.parallel.rng import Xorshift32
 from repro.parallel.runtime import Runtime
 from repro.types import VERTEX_DTYPE
@@ -218,10 +219,10 @@ class TestSequentialCommitOracle:
 
 
 def _solve(graph, cfg):
-    metrics = MetricsRegistry()
+    recorder = Recorder()
     result = leiden(graph, cfg, runtime=Runtime(seed=cfg.seed,
-                                                metrics=metrics))
-    return result, metrics.to_json()
+                                                recorder=recorder))
+    return result, to_snapshot(recorder.families)
 
 
 def _assert_same_solve(got, want):

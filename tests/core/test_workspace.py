@@ -49,27 +49,31 @@ class TestAllocationAccounting:
         KernelWorkspace(100)
 
     def test_memory_ledger_records_owned_map(self):
-        from repro.observability.memtrack import MemoryLedger
+        from repro.observability.memtrack import MemoryView
+        from repro.observability.recorder import Recorder
 
-        led = MemoryLedger()
-        rt = Runtime(num_threads=1, seed=0, memory=led)
+        rec = Recorder()
+        rt = Runtime(num_threads=1, seed=0, recorder=rec)
         ws = KernelWorkspace(10_000, runtime=rt, phase="local_move")
-        assert led.live_bytes("workspace") == ws._map.nbytes
-        assert led.phase_peak_bytes("local_move") == ws._map.nbytes
-        assert ws._mem_handle >= 0
+        view = MemoryView(rec)
+        assert view.live_bytes("workspace") == ws._map.nbytes
+        assert view.phase_peak_bytes("local_move") == ws._map.nbytes
+        assert [a["what"] for a in view.live_allocations()] == ["scratch_map"]
 
     def test_zero_slot_workspace_charges_one_slot(self):
         """The map is never empty (max(nv, 1) slots): the ledger event
         and the cost-model charge both cover exactly that one slot."""
-        from repro.observability.memtrack import MemoryLedger
+        from repro.observability.memtrack import MemoryView
+        from repro.observability.recorder import Recorder
 
-        led = MemoryLedger()
-        rt = Runtime(num_threads=1, seed=0, memory=led)
+        rec = Recorder()
+        rt = Runtime(num_threads=1, seed=0, recorder=rec)
         base = rt.ledger.total_work
         ws = KernelWorkspace(0, runtime=rt)
         assert ws._map.shape[0] == 1
-        assert led.live_bytes("workspace") == 8  # one int64 slot
-        assert led.to_snapshot()["logical"]["components"][
+        view = MemoryView(rec)
+        assert view.live_bytes("workspace") == 8  # one int64 slot
+        assert view.to_snapshot()["logical"]["components"][
             "workspace"]["allocs"] == 1
         assert rt.ledger.total_work > base
 
@@ -90,17 +94,18 @@ class TestLedgerInvariance:
             "from repro.core.config import LeidenConfig\n"
             "from repro.core.leiden import leiden\n"
             "from repro.datasets.registry import load_graph\n"
-            "from repro.observability.memtrack import MemoryLedger, "
+            "from repro.observability.memtrack import MemoryView\n"
+            "from repro.observability.recorder import Recorder, "
             "record_csr\n"
             "from repro.parallel.runtime import Runtime\n"
             "g = load_graph('asia_osm')\n"
-            "led = MemoryLedger()\n"
-            "record_csr(led, g)\n"
+            "rec = Recorder()\n"
+            "record_csr(rec, g)\n"
             f"with Runtime(num_threads={workers}, executor='process', "
-            "seed=42, memory=led) as rt:\n"
+            "seed=42, recorder=rec) as rt:\n"
             "    leiden(g, LeidenConfig(engine='process', seed=42), "
             "runtime=rt)\n"
-            "print(json.dumps(led.to_snapshot()['logical'], "
+            "print(json.dumps(MemoryView(rec).to_snapshot()['logical'], "
             "sort_keys=True))\n"
         )
         env = dict(os.environ, PYTHONHASHSEED=hashseed)

@@ -1,4 +1,4 @@
-"""Tests for the typed instrument registry and its exporters."""
+"""Tests for metric families, the recorder's registration and exposition."""
 
 import json
 
@@ -7,21 +7,24 @@ import pytest
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.errors import MetricsError
+from repro.observability import metrics
 from repro.observability.metrics import (
     BUCKET_ZERO,
     METRICS_SCHEMA,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
-    NullRegistry,
     bucket_of,
     bucket_percentile,
+    derived_metrics,
     exact_percentile,
+    to_prometheus,
+    to_snapshot,
+    trace_families,
     validate_prometheus,
 )
-from repro.observability.tracer import Tracer
+from repro.observability.recorder import NULL_RECORDER, Recorder
+from repro.observability.tracer import trace_tree
 from repro.parallel.runtime import Runtime
 from tests.conftest import ring_of_cliques_graph
 
@@ -99,8 +102,15 @@ class TestHistogram:
 
 
 class TestCardinalityBound:
-    def test_overflow_routes_to_single_series(self):
-        c = Counter("c_total", "", ("user",), max_series=3)
+    @pytest.fixture(autouse=True)
+    def bound(self, monkeypatch):
+        def set_bound(n):
+            monkeypatch.setattr(metrics, "MAX_SERIES", n)
+        return set_bound
+
+    def test_overflow_routes_to_single_series(self, bound):
+        bound(3)
+        c = Counter("c_total", "", ("user",))
         for i in range(10):
             c.labels(f"user{i}").inc()
         # 3 real series plus the shared overflow series.
@@ -108,8 +118,9 @@ class TestCardinalityBound:
         assert c.value("_overflow") == 7.0
         assert c.overflowed == 7
 
-    def test_existing_series_keep_working_past_bound(self):
-        c = Counter("c_total", "", ("user",), max_series=2)
+    def test_existing_series_keep_working_past_bound(self, bound):
+        bound(2)
+        c = Counter("c_total", "", ("user",))
         c.labels("a").inc()
         c.labels("b").inc()
         c.labels("c").inc()  # overflow
@@ -117,8 +128,9 @@ class TestCardinalityBound:
         assert c.value("a") == 2.0
         assert c.value("_overflow") == 1.0
 
-    def test_overflow_counts_every_rejected_event(self):
-        c = Counter("c_total", "", ("user",), max_series=1)
+    def test_overflow_counts_every_rejected_event(self, bound):
+        bound(1)
+        c = Counter("c_total", "", ("user",))
         c.labels("a").inc()
         c.labels("b").inc()
         c.labels("b").inc()
@@ -128,30 +140,50 @@ class TestCardinalityBound:
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
-        r = MetricsRegistry()
-        a = r.counter("x_total", "help")
-        b = r.counter("x_total")
-        assert a is b
-        assert len(r) == 1 and "x_total" in r
+        r = Recorder()
+        r.family("counter", "x_total", "help")
+        a = r.families["x_total"]
+        r.family("counter", "x_total")
+        assert r.families["x_total"] is a
+        assert list(r.families) == ["x_total"]
 
     def test_kind_conflict_raises(self):
-        r = MetricsRegistry()
-        r.counter("x_total")
+        r = Recorder()
+        r.family("counter", "x_total")
         with pytest.raises(MetricsError):
-            r.gauge("x_total")
+            r.family("gauge", "x_total")
 
     def test_label_conflict_raises(self):
-        r = MetricsRegistry()
-        r.counter("x_total", "", ("a",))
+        r = Recorder()
+        r.family("counter", "x_total", "", ("a",))
         with pytest.raises(MetricsError):
-            r.counter("x_total", "", ("b",))
+            r.family("counter", "x_total", "", ("b",))
 
     def test_instruments_sorted_by_name(self):
-        r = MetricsRegistry()
-        r.counter("zz_total")
-        r.gauge("aa")
-        r.histogram("mm")
-        assert [i.name for i in r.instruments()] == ["aa", "mm", "zz_total"]
+        r = Recorder()
+        r.family("counter", "zz_total")
+        r.family("gauge", "aa")
+        r.family("histogram", "mm")
+        assert list(to_snapshot(r.families)["families"]) == [
+            "aa", "mm", "zz_total"]
+        assert [line.split()[2] for line in to_prometheus(r.families)
+                .splitlines() if line.startswith("# TYPE")] == [
+            "aa", "mm", "zz_total"]
+
+    def test_update_follows_the_family_kind(self):
+        r = Recorder()
+        r.family("counter", "c_total", "", ("k",))
+        r.family("gauge", "g")
+        r.family("histogram", "h")
+        for v in (1.0, 2.0):
+            r.metric("c_total", v, "a")
+            r.metric("g", v)
+            r.metric("h", v)
+        assert r.families["c_total"].value("a") == 3.0
+        assert r.families["g"].value() == 2.0
+        assert r.families["h"]._data[()].count == 2
+        with pytest.raises(MetricsError):
+            r.metric("unregistered_total", 1.0)
 
 
 class TestExactPercentile:
@@ -179,22 +211,26 @@ class TestExactPercentile:
 
 class TestExposition:
     def _populated(self):
-        r = MetricsRegistry()
-        r.counter("req_total", "requests", ("kind",)).labels("query").inc(3)
-        r.gauge("depth", "queue depth").set(2)
-        h = r.histogram("lat_units", "latency", ("kind",))
+        r = Recorder()
+        r.family("counter", "req_total", "requests", ("kind",))
+        r.metric("req_total", 3, "query")
+        r.family("gauge", "depth", "queue depth")
+        r.metric("depth", 2)
+        r.family("histogram", "lat_units", "latency", ("kind",))
         for v in (1.0, 4.0, 4.0, 100.0):
-            h.labels("query").observe(v)
-        return r
+            r.metric("lat_units", v, "query")
+        return r.families
 
     def test_prometheus_golden(self):
-        r = MetricsRegistry()
-        r.counter("req_total", "all requests", ("kind",)).labels("q").inc(3)
-        r.gauge("depth").set(2)
-        h = r.histogram("lat")
-        h.observe(1.0)
-        h.observe(3.0)
-        assert r.to_prometheus() == (
+        r = Recorder()
+        r.family("counter", "req_total", "all requests", ("kind",))
+        r.metric("req_total", 3, "q")
+        r.family("gauge", "depth")
+        r.metric("depth", 2)
+        r.family("histogram", "lat")
+        r.metric("lat", 1.0)
+        r.metric("lat", 3.0)
+        assert to_prometheus(r.families) == (
             "# TYPE depth gauge\n"
             "depth 2\n"
             "# TYPE lat histogram\n"
@@ -210,7 +246,7 @@ class TestExposition:
 
     def test_prometheus_validates(self):
         r = self._populated()
-        report = validate_prometheus(r.to_prometheus())
+        report = validate_prometheus(to_prometheus(r))
         assert report["families"] == 3
         assert report["samples"] > 0
 
@@ -240,15 +276,16 @@ class TestExposition:
             validate_prometheus(text)
 
     def test_label_values_escaped(self):
-        r = MetricsRegistry()
-        r.counter("c_total", "", ("p",)).labels('a"b\\c\nd').inc()
-        text = r.to_prometheus()
+        r = Recorder()
+        r.family("counter", "c_total", "", ("p",))
+        r.metric("c_total", 1, 'a"b\\c\nd')
+        text = to_prometheus(r.families)
         assert 'p="a\\"b\\\\c\\nd"' in text
         validate_prometheus(text)
 
     def test_snapshot_schema_and_shape(self):
         r = self._populated()
-        doc = r.to_snapshot(experiment="t", seed=1)
+        doc = to_snapshot(r, experiment="t", seed=1)
         assert doc["schema"] == METRICS_SCHEMA
         assert doc["meta"] == {"experiment": "t", "seed": 1}
         assert set(doc["families"]) == {"req_total", "depth", "lat_units"}
@@ -257,49 +294,50 @@ class TestExposition:
     def test_snapshot_double_run_byte_identical(self):
         docs = []
         for _ in range(2):
-            docs.append(json.dumps(self._populated().to_snapshot(seed=3),
+            docs.append(json.dumps(to_snapshot(self._populated(), seed=3),
                                    sort_keys=True))
         assert docs[0] == docs[1]
 
     def test_prometheus_double_run_byte_identical(self):
-        assert self._populated().to_prometheus() == \
-            self._populated().to_prometheus()
+        assert to_prometheus(self._populated()) == \
+            to_prometheus(self._populated())
 
-    def test_overflow_reported_in_snapshot(self):
-        r = MetricsRegistry(max_series_per_instrument=1)
-        c = r.counter("c_total", "", ("u",))
-        c.labels("a").inc()
-        c.labels("b").inc()
-        fam = r.to_snapshot()["families"]["c_total"]
+    def test_overflow_reported_in_snapshot(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SERIES", 1)
+        r = Recorder()
+        r.family("counter", "c_total", "", ("u",))
+        r.metric("c_total", 1, "a")
+        r.metric("c_total", 1, "b")
+        fam = to_snapshot(r.families)["families"]["c_total"]
         assert fam["overflowed"] == 1
 
 
 class TestTracerReexport:
     def test_trace_and_metrics_percentiles_agree(self):
+        from repro.observability.tracer import derived_metrics as trace_derived
+
         graph = ring_of_cliques_graph()
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        rt = Runtime(num_threads=1, seed=7, tracer=tracer, metrics=registry)
+        rec = Recorder()
+        rt = Runtime(num_threads=1, seed=7, recorder=rec)
         leiden(graph, LeidenConfig(seed=7), runtime=rt)
-        names = registry.merge_tracer(tracer)
-        assert names  # the run observed at least one distribution
-        trace_derived = tracer.derived_metrics()
-        reg_derived = registry.derived_metrics()
-        for name in names:
+        root = trace_tree(rec)
+        families = trace_families(root)
+        assert families  # the run observed at least one distribution
+        from_trace = trace_derived(root)
+        reg_derived = derived_metrics({**rec.families, **families})
+        for name in families:
             bare = name[len("trace_"):]
             for q in ("p50", "p99"):
-                if f"{bare}_{q}" in trace_derived:
+                if f"{bare}_{q}" in from_trace:
                     assert reg_derived[f"{name}_{q}"] == \
-                        trace_derived[f"{bare}_{q}"]
+                        from_trace[f"{bare}_{q}"]
 
     def test_exact_stats_survive_merge(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("s"):
             t.observe("batch_size", 4.0)
             t.observe("batch_size", 10.0)
-        r = MetricsRegistry()
-        r.merge_tracer(t)
-        d = r.get("trace_batch_size")._data[()]
+        d = trace_families(trace_tree(t))["trace_batch_size"]._data[()]
         assert d.count == 2
         assert d.sum == 14.0
         assert d.min == 4.0 and d.max == 10.0
@@ -307,26 +345,20 @@ class TestTracerReexport:
 
 class TestNullRegistry:
     def test_singleton_disabled(self):
-        assert NULL_REGISTRY.enabled is False
-        assert isinstance(NULL_REGISTRY, NullRegistry)
+        assert NULL_RECORDER.enabled is False
+        assert NULL_RECORDER.families == {}
 
     def test_factories_return_noops(self):
-        c = NULL_REGISTRY.counter("x_total", "", ("a",))
-        c.inc()
-        c.labels("y").inc(5)
-        assert c.value() == 0.0
-        g = NULL_REGISTRY.gauge("g")
-        g.set(3)
-        h = NULL_REGISTRY.histogram("h")
-        h.observe(1.0)
-        assert h.percentile(99.0) == 0.0
+        NULL_RECORDER.family("counter", "x_total", "", ("a",))
+        NULL_RECORDER.metric("x_total", 5, "y")
+        NULL_RECORDER.metric("never_registered", 1.0)
+        assert NULL_RECORDER.families == {}
 
     def test_exposition_is_empty(self):
-        assert NULL_REGISTRY.to_prometheus() == ""
-        doc = NULL_REGISTRY.to_snapshot(seed=1)
+        assert to_prometheus(NULL_RECORDER.families) == ""
+        doc = to_snapshot(NULL_RECORDER.families, seed=1)
         assert doc["families"] == {}
-        assert len(NULL_REGISTRY) == 0
 
     def test_runtime_defaults_to_null_registry(self):
         rt = Runtime(num_threads=1, seed=0)
-        assert rt.metrics is NULL_REGISTRY
+        assert rt.recorder is NULL_RECORDER

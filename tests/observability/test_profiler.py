@@ -1,4 +1,4 @@
-"""Tests for the thread-timeline profiler and its Chrome-trace export."""
+"""Tests for the thread timeline of a recorder and its Chrome view."""
 
 import json
 
@@ -16,27 +16,45 @@ from repro.observability.profiler import (
     CAT_BARRIER,
     CAT_CHUNK,
     CAT_SERIAL,
-    NULL_PROFILER,
     PROFILE_SCHEMA,
-    Profiler,
     chrome_trace_json,
+    timeline,
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.observability.tracer import Tracer
+from repro.observability.recorder import NULL_RECORDER, Recorder
+from repro.observability.tracer import trace_doc, trace_tree
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 from repro.parallel.schedule import Schedule
 from tests.conftest import ring_of_cliques_graph
 
 
+class Profiled:
+    """A recorded run and its timeline at the profile's thread count."""
+
+    def __init__(self, recorder, num_threads):
+        self.recorder = recorder
+        self.num_threads = num_threads
+
+    def timeline(self, num_threads=None):
+        return timeline(self.recorder, num_threads or self.num_threads)
+
+    @property
+    def regions(self):
+        return [r.record for r in self.timeline().regions]
+
+    @property
+    def marks(self):
+        return [m for _, m in self.timeline().marks]
+
+
 def profiled_run(seed=1, num_threads=8, **cfg):
     graph = ring_of_cliques_graph()
-    tracer = Tracer()
-    profiler = Profiler(num_threads=num_threads)
-    rt = Runtime(num_threads=1, seed=seed, tracer=tracer, profiler=profiler)
+    rec = Recorder()
+    rt = Runtime(num_threads=1, seed=seed, recorder=rec)
     result = leiden(graph, LeidenConfig(seed=seed, **cfg), runtime=rt)
-    return graph, tracer, profiler, result
+    return graph, rec, Profiled(rec, num_threads), result
 
 
 class TestCapture:
@@ -56,15 +74,15 @@ class TestCapture:
     def test_disabled_profiler_captures_nothing(self):
         graph = ring_of_cliques_graph()
         rt = Runtime(num_threads=1, seed=1)
-        assert rt.profiler is NULL_PROFILER
+        assert rt.recorder is NULL_RECORDER
         leiden(graph, LeidenConfig(seed=1), runtime=rt)
-        assert NULL_PROFILER.enabled is False
-        assert NULL_PROFILER.record_region(None) == 0.0
+        assert NULL_RECORDER.enabled is False
+        assert timeline(NULL_RECORDER).regions == []
 
     def test_membership_identical_with_and_without_profiling(self):
         graph = ring_of_cliques_graph()
         plain = leiden(graph, LeidenConfig(seed=3))
-        rt = Runtime(num_threads=1, seed=3, profiler=Profiler())
+        rt = Runtime(num_threads=1, seed=3, recorder=Recorder())
         profiled = leiden(graph, LeidenConfig(seed=3), runtime=rt)
         assert np.array_equal(plain.membership, profiled.membership)
 
@@ -133,7 +151,7 @@ class TestTimeline:
             assert r.imbalance_wait == pytest.approx(0.0)
 
     def test_static_schedule_round_robin(self):
-        profiler = Profiler(num_threads=2)
+        rec = Recorder()
 
         class R:
             kind = "parallel"
@@ -142,16 +160,14 @@ class TestTimeline:
             schedule = Schedule("static", 1)
             atomics = 0.0
 
-        profiler.record_region(R())
-        tl = profiler.timeline(2)
+        rec.region(R(), PAPER_MACHINE)
+        tl = timeline(rec, 2)
         owners = [e.tid for e in tl.events if e.cat == CAT_CHUNK]
         assert owners == [0, 1, 0, 1]
 
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
-            Profiler(num_threads=0)
-        with pytest.raises(ValueError):
-            Profiler().timeline(0)
+            timeline(Recorder(), 0)
 
 
 class TestChromeExport:
@@ -221,10 +237,10 @@ class TestChromeExport:
             validate_chrome_trace(self._doc(flow))
 
     def test_service_requests_get_their_own_lane(self):
-        profiler = Profiler(num_threads=2)
-        profiler.request("service.query", 10.0, status="done")
-        profiler.request("service.detect", 500.0, status="done")
-        doc = to_chrome_trace(profiler.timeline())
+        rec = Recorder()
+        rec.request("service.query", 10.0, 0.001, status="done")
+        rec.request("service.detect", 500.0, 0.01, status="done")
+        doc = to_chrome_trace(timeline(rec, 2))
         svc = [e for e in doc["traceEvents"]
                if e.get("pid") == 1 and e["ph"] == "X"]
         assert [e["name"] for e in svc] == ["service.query",
@@ -234,22 +250,12 @@ class TestChromeExport:
 
 
 class TestReport:
-    def test_phase_seconds_match_tracer_span_counters(self):
-        """Report per-phase seconds ≈ tracer span totals (within 1%)."""
-        _, tracer, profiler, _ = profiled_run()
-        phases, _, _ = analyze_timeline(profiler.timeline())
-        # Modelled seconds fed to the tracer at record time, grouped by
-        # the ledger phase of the span the counter landed on.
-        totals = tracer.counter_totals()
-        assert sum(p.seconds for p in phases) == pytest.approx(
-            totals["modeled_region_seconds"], rel=0.01)
-
     def test_report_is_deterministic_text(self):
         outs = []
         for _ in range(2):
             _, tracer, profiler, _ = profiled_run()
             outs.append(format_profile_report(
-                profiler.timeline(), trace_doc=tracer.to_dict(), top=3,
+                profiler.timeline(), trace_doc=trace_doc(tracer), top=3,
                 title="ring"))
         assert outs[0] == outs[1]
         assert "per-phase attribution" in outs[0]
@@ -284,7 +290,7 @@ class TestReport:
 
     def test_convergence_rows_extracted_from_trace(self):
         _, tracer, _, result = profiled_run()
-        rows = convergence_rows(tracer.to_dict())
+        rows = convergence_rows(trace_doc(tracer))
         assert len(rows) == result.num_passes
         first = rows[0]
         assert first["iterations"] >= 1
@@ -298,7 +304,7 @@ class TestReport:
 class TestKernelDispatchCounters:
     def test_count_engine_counts_kernels(self):
         _, tracer, _, _ = profiled_run(engine="batch")
-        totals = tracer.counter_totals()
+        totals = trace_tree(tracer).counter_totals()
         assert totals["kernel_count_pair_sums"] > 0
         assert totals["kernel_count_argmax"] > 0
         assert totals["kernel_count_scatter_add"] > 0

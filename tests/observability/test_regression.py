@@ -24,7 +24,8 @@ from repro.observability.regression import (
     run_trace,
     write_json,
 )
-from repro.observability.tracer import Tracer
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import trace_doc, trace_tree
 
 GRAPH = "asia_osm"  # smallest smoke graph in the registry
 
@@ -113,10 +114,10 @@ class TestMeasureExperiment:
         assert a.modularity == b.modularity
 
     def test_tracer_capture(self):
-        tracer = Tracer()
-        metrics, result = measure_experiment(GRAPH, seed=42, tracer=tracer)
+        rec = Recorder()
+        metrics, result = measure_experiment(GRAPH, seed=42, recorder=rec)
         assert metrics.num_passes == result.num_passes
-        assert tracer.root.children[0].name == "leiden"
+        assert trace_tree(rec).children[0].name == "leiden"
 
 
 class TestRunCheck:
@@ -484,10 +485,10 @@ class TestCommittedBaselines:
 class TestTraceDiffHelpers:
     @staticmethod
     def _trace(**config):
-        tracer = Tracer()
-        measure_experiment(GRAPH, seed=42, tracer=tracer,
+        rec = Recorder()
+        measure_experiment(GRAPH, seed=42, recorder=rec,
                            config=config or None)
-        return tracer.to_dict(experiment=GRAPH, seed=42)
+        return trace_doc(rec, experiment=GRAPH, seed=42)
 
     def test_identical_docs_have_no_deterministic_diffs(self):
         a = self._trace()

@@ -1,4 +1,4 @@
-"""Tests for the span/counter tracer and its disabled twin."""
+"""Tests for the trace: the span tree a recorder's events project to."""
 
 import json
 
@@ -7,110 +7,80 @@ import pytest
 
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
+from repro.observability.recorder import NULL_RECORDER, Recorder
 from repro.observability.tracer import (
-    NULL_TRACER,
     TRACE_SCHEMA,
-    NullTracer,
-    Tracer,
     bucket_percentile,
+    derived_metrics,
+    format_span_path,
+    trace_doc,
+    trace_json,
+    trace_tree,
 )
 from repro.parallel.runtime import Runtime
 from tests.conftest import ring_of_cliques_graph
 
 
+def totals(rec):
+    return trace_tree(rec).counter_totals()
+
+
 class TestSpanTree:
     def test_nesting(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("outer"):
             with t.span("inner"):
                 pass
             with t.span("inner2"):
                 pass
-        (outer,) = t.root.children
+        (outer,) = trace_tree(t).children
         assert outer.name == "outer"
         assert [c.name for c in outer.children] == ["inner", "inner2"]
 
     def test_span_records_seconds(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("s"):
             pass
-        (s,) = t.root.children
+        (s,) = trace_tree(t).children
         assert s.seconds >= 0.0
-        assert s._start is None  # closed
+        assert t.events[-1][0] == "close"
 
     def test_attrs_via_kwargs_and_set(self):
-        t = Tracer()
-        with t.span("s", engine="batch") as s:
-            s.set(iterations=3)
-        (s,) = t.root.children
+        t = Recorder()
+        with t.span("s", engine="batch"):
+            t.set(iterations=3)
+        (s,) = trace_tree(t).children
         assert s.attrs == {"engine": "batch", "iterations": 3}
 
-    def test_push_pop_equivalent_to_with(self):
-        t = Tracer()
-        s = t.push("pass", index=0)
-        t.count("inside", 2)
-        t.pop()
-        assert t.current is t.root
-        assert s.counters == {"inside": 2.0}
-        assert s.seconds >= 0.0
-
-    def test_pop_on_empty_stack_is_safe(self):
-        t = Tracer()
-        t.pop()  # nothing pushed; must not raise or pop the root
-        assert t.current is t.root
-
     def test_span_closes_on_exception(self):
-        t = Tracer()
+        t = Recorder()
         with pytest.raises(RuntimeError):
             with t.span("s"):
                 raise RuntimeError("boom")
-        assert t.current is t.root
-        assert t.root.children[0].seconds >= 0.0
+        t.count("after")  # lands on the root: the span closed
+        root = trace_tree(t)
+        assert root.children[0].seconds >= 0.0
+        assert root.counters == {"after": 1.0}
 
 
 class TestExceptionSafety:
     """A span whose body raises must still record seconds and close."""
 
     def test_raising_span_records_seconds_and_emits(self):
-        t = Tracer()
+        t = Recorder()
         with pytest.raises(ValueError):
             with t.span("s"):
                 raise ValueError("boom")
-        (s,) = t.root.children
+        (s,) = trace_tree(t).children
         assert s.seconds > 0.0
-        assert s._start is None  # closed, not still ticking
         # The emitted trace carries the span with its seconds.
-        doc = t.to_dict()
+        doc = trace_doc(t)
         assert doc["spans"][0]["name"] == "s"
         assert doc["spans"][0]["seconds"] == s.seconds
 
-    def test_span_unwinds_unpopped_inner_pushes(self):
-        """An exception between push() and pop() must not corrupt the
-        stack: the context manager closes every span down to its own."""
-        t = Tracer()
-        with pytest.raises(RuntimeError):
-            with t.span("outer"):
-                t.push("inner")
-                t.push("innermost")
-                raise RuntimeError("boom")
-        assert t.current is t.root
-        (outer,) = t.root.children
-        (inner,) = outer.children
-        (innermost,) = inner.children
-        for s in (outer, inner, innermost):
-            assert s.seconds > 0.0
-            assert s._start is None
-
-    def test_unwind_is_noop_for_closed_span(self):
-        t = Tracer()
-        with t.span("a") as a:
-            pass
-        t.unwind(a)  # already popped: must not touch the stack
-        assert t.current is t.root
-
     def test_leiden_spans_close_when_phase_raises(self):
-        """Regression: push()-opened run/pass spans close with seconds
-        when a phase body raises mid-pass."""
+        """Regression: the run and pass spans close with seconds when a
+        phase body raises mid-pass."""
         from unittest import mock
 
         from repro.core.config import LeidenConfig
@@ -118,143 +88,152 @@ class TestExceptionSafety:
         from repro.parallel.runtime import Runtime
 
         graph = ring_of_cliques_graph()
-        tracer = Tracer()
-        rt = Runtime(num_threads=1, seed=1, tracer=tracer)
+        rec = Recorder()
+        rt = Runtime(num_threads=1, seed=1, recorder=rec)
         with mock.patch("repro.core.leiden.local_move_batch",
                         side_effect=RuntimeError("boom")):
             with pytest.raises(RuntimeError):
                 leiden(graph, LeidenConfig(seed=1), runtime=rt)
-        assert tracer.current is tracer.root
-        (run,) = tracer.root.children
+        kinds = [ev[0] for ev in rec.events]
+        assert kinds.count("open") == kinds.count("close")
+        (run,) = trace_tree(rec).children
         assert run.name == "leiden"
-        assert run.seconds > 0.0 and run._start is None
+        assert run.seconds > 0.0
         (pass_span,) = [c for c in run.children if c.name == "pass"]
-        assert pass_span.seconds > 0.0 and pass_span._start is None
+        assert pass_span.seconds > 0.0
         mv = [c for c in pass_span.children if c.name == "local_move"]
         assert mv and mv[0].seconds > 0.0
 
 
 class TestSeries:
     def test_record_appends_ordered_series(self):
-        t = Tracer()
-        with t.span("s") as s:
-            t.record("dq", 0.5)
-            t.record("dq", 0.25)
-            t.record("visited", 10)
+        t = Recorder()
+        with t.span("s"):
+            t.series("dq", 0.5)
+            t.series("dq", 0.25)
+            t.series("visited", 10)
+        (s,) = trace_tree(t).children
         assert s.series == {"dq": [0.5, 0.25], "visited": [10.0]}
 
     def test_series_serialized_in_span_dict(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("s"):
-            t.record("dq", 1.0)
-        span = t.to_dict()["spans"][0]
+            t.series("dq", 1.0)
+        span = trace_doc(t)["spans"][0]
         assert span["series"] == {"dq": [1.0]}
         json.dumps(span)
 
     def test_empty_series_omitted(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("s"):
             pass
-        assert "series" not in t.to_dict()["spans"][0]
+        assert "series" not in trace_doc(t)["spans"][0]
 
     def test_null_tracer_record_is_noop(self):
-        t = NullTracer()
-        with t.span("s") as s:
-            t.record("dq", 1.0)
-            s.record("dq", 2.0)
-        assert t.to_dict()["spans"] == []
+        t = NULL_RECORDER
+        with t.span("s"):
+            t.series("dq", 1.0)
+        assert trace_doc(t)["spans"] == []
 
 
 class TestSpanPath:
     def test_path_joins_open_spans_with_index(self):
-        t = Tracer()
-        assert t.span_path() == ""
+        t = Recorder()
         with t.span("leiden"):
             with t.span("pass", index=1):
                 with t.span("local_move"):
-                    assert t.span_path() == "leiden/pass[1]/local_move"
-            assert t.span_path() == "leiden"
+                    pass
+        (run,) = trace_tree(t).children
+        (pass_span,) = run.children
+        path = [run, pass_span, pass_span.children[0]]
+        assert format_span_path(path) == "leiden/pass[1]/local_move"
+        assert format_span_path(path[:1]) == "leiden"
 
     def test_null_tracer_path_empty(self):
-        assert NullTracer().span_path() == ""
+        assert format_span_path(()) == ""
 
     def test_single_implementation_behind_both_tracers(self):
-        # Regression: Tracer.span_path and NullTracer.span_path once
-        # carried duplicated formatting logic that drifted; both must
-        # delegate to format_span_path, the one the runtime's region
-        # labels come from.
-        from repro.observability.tracer import format_span_path
+        # Regression: region labels once had their own formatting rule
+        # beside the trace's; the timeline labels regions with
+        # format_span_path, the one rule.
+        import numpy as np
 
-        t = Tracer()
+        from repro.observability.profiler import timeline
+
+        t = Recorder()
+        rt = Runtime(num_threads=2, recorder=t)
         with t.span("leiden"):
             with t.span("pass", index=2):
-                assert t.span_path() == format_span_path(t._stack[1:])
-        assert NullTracer().span_path() == format_span_path(())
+                rt.record_parallel(np.ones(8), phase="local_move")
+        (run,) = trace_tree(t).children
+        label = format_span_path([run, run.children[0]])
+        assert [r.record.label for r in timeline(t, 2).regions] == [label]
 
     def test_runtime_region_labels_use_span_path_at_both_call_sites(self):
         # The two parallel/runtime.py call sites — parallel regions and
-        # serial sections — must label profiler regions with the same
-        # span path the tracer reports.
+        # serial sections — must label timeline regions with the same
+        # span path the trace reports.
         import numpy as np
 
-        from repro.observability.profiler import Profiler
-        from repro.parallel.runtime import Runtime
+        from repro.observability.profiler import timeline
 
-        tracer = Tracer()
-        profiler = Profiler(num_threads=2)
-        rt = Runtime(num_threads=2, tracer=tracer, profiler=profiler)
-        with tracer.span("leiden"):
-            with tracer.span("pass", index=1):
+        t = Recorder()
+        rt = Runtime(num_threads=2, recorder=t)
+        with t.span("leiden"):
+            with t.span("pass", index=1):
                 rt.record_parallel(np.ones(8), phase="local_move")
                 rt.record_serial(4.0, phase="aggregate")
-        assert {r.label for r in profiler.regions} == {"leiden/pass[1]"}
+        labels = {r.record.label for r in timeline(t, 2).regions}
+        assert labels == {"leiden/pass[1]"}
 
 
 class TestCounters:
     def test_count_lands_on_innermost_span(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("a"):
             t.count("x")
             with t.span("b"):
                 t.count("x", 5)
-        a = t.root.children[0]
+        root = trace_tree(t)
+        a = root.children[0]
         b = a.children[0]
         assert a.counters == {"x": 1.0}
         assert b.counters == {"x": 5.0}
-        assert t.counter_totals() == {"x": 6.0}
+        assert root.counter_totals() == {"x": 6.0}
 
     def test_observe_tracks_min_max_sum(self):
-        t = Tracer()
+        t = Recorder()
         for v in (4.0, 1.0, 7.0):
             t.observe("batch_size", v)
-        s = t.root.stats["batch_size"]
+        s = trace_tree(t).stats["batch_size"]
         assert s == {"count": 3.0, "sum": 12.0, "min": 1.0, "max": 7.0}
 
     def test_derived_pruning_hit_rate(self):
-        t = Tracer()
+        t = Recorder()
         t.count("pruning_visited", 30)
         t.count("pruning_skipped", 70)
-        assert t.derived_metrics()["pruning_hit_rate"] == pytest.approx(0.7)
+        d = derived_metrics(trace_tree(t))
+        assert d["pruning_hit_rate"] == pytest.approx(0.7)
 
     def test_derived_per_region_ratios(self):
-        t = Tracer()
+        t = Recorder()
         t.count("parallel_regions", 4)
         t.count("atomic_ops", 40)
         t.count("clock_skew_units", 2.0)
-        d = t.derived_metrics()
+        d = derived_metrics(trace_tree(t))
         assert d["atomics_per_region"] == pytest.approx(10.0)
         assert d["skew_units_per_region"] == pytest.approx(0.5)
 
     def test_derived_empty_without_counters(self):
-        assert Tracer().derived_metrics() == {}
+        assert derived_metrics(trace_tree(Recorder())) == {}
 
 
 class TestObservationHistograms:
     def test_observe_fills_power_of_two_buckets(self):
-        t = Tracer()
+        t = Recorder()
         for v in (0.4, 0.6, 3.0, 0.0):
             t.observe("lat", v)
-        hist = t.root.buckets["lat"]
+        hist = trace_tree(t).buckets["lat"]
         # 0.4 -> 2^-1 bucket, 0.6 -> 2^0, 3.0 -> 2^2, 0.0 -> zero bucket
         assert hist[-1] == 1
         assert hist[0] == 1
@@ -262,12 +241,12 @@ class TestObservationHistograms:
         assert sum(hist.values()) == 4
 
     def test_bucket_totals_merge_subtree(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("a"):
             t.observe("lat", 1.0)
             with t.span("b"):
                 t.observe("lat", 1.5)
-        totals = t.root.bucket_totals()
+        totals = trace_tree(t).bucket_totals()
         assert sum(totals["lat"].values()) == 2
 
     def test_bucket_percentile_nearest_rank(self):
@@ -278,54 +257,54 @@ class TestObservationHistograms:
         assert bucket_percentile({}, 50.0) == 0.0
 
     def test_derived_metrics_expose_p50_p99(self):
-        t = Tracer()
+        t = Recorder()
         for v in [0.001] * 98 + [1.0, 2.0]:
             t.observe("service_latency", v)
-        d = t.derived_metrics()
+        d = derived_metrics(trace_tree(t))
         assert d["service_latency_p50"] == pytest.approx(0.75 * 2**-9)
         assert d["service_latency_p99"] >= 0.5
 
     def test_buckets_serialized_in_span_dict(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("s"):
             t.observe("x", 1.0)
-        span = t.to_dict()["spans"][0]
+        span = trace_doc(t)["spans"][0]
         assert span["buckets"] == {"x": {"1": 1}}
         json.dumps(span)  # JSON-ready (string keys)
 
     def test_stats_dict_shape_unchanged_by_buckets(self):
         """The min/max/sum stats block keeps its exact legacy shape."""
-        t = Tracer()
+        t = Recorder()
         t.observe("x", 2.0)
-        assert t.root.stats["x"] == {
+        assert trace_tree(t).stats["x"] == {
             "count": 1.0, "sum": 2.0, "min": 2.0, "max": 2.0}
 
 
 class TestJsonEmission:
     def test_schema_and_shape(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("leiden"):
             t.count("c", 1)
-        doc = json.loads(t.to_json(experiment="x", seed=42))
+        doc = json.loads(trace_json(t, experiment="x", seed=42))
         assert doc["schema"] == TRACE_SCHEMA
         assert doc["meta"] == {"experiment": "x", "seed": 42}
         assert doc["counters"] == {"c": 1.0}
         assert doc["spans"][0]["name"] == "leiden"
 
     def test_json_is_sorted_and_stable(self):
-        t = Tracer()
+        t = Recorder()
         t.count("b", 1)
         t.count("a", 1)
-        one = t.to_json(z=1, a=2)
-        two = t.to_json(z=1, a=2)
+        one = trace_json(t, z=1, a=2)
+        two = trace_json(t, z=1, a=2)
         assert one == two
         assert one.index('"a"') < one.index('"b"')
 
     def test_empty_sections_omitted_per_span(self):
-        t = Tracer()
+        t = Recorder()
         with t.span("bare"):
             pass
-        span = t.to_dict()["spans"][0]
+        span = trace_doc(t)["spans"][0]
         assert "counters" not in span
         assert "stats" not in span
         assert "children" not in span
@@ -333,27 +312,27 @@ class TestJsonEmission:
 
 class TestNullTracer:
     def test_disabled_flag(self):
-        assert NULL_TRACER.enabled is False
-        assert Tracer.enabled is True
+        assert NULL_RECORDER.enabled is False
+        assert Recorder.enabled is True
 
     def test_span_is_shared_noop(self):
-        t = NullTracer()
+        t = NULL_RECORDER
         with t.span("a") as s1:
-            s1.set(x=1)
-            s1.count("c")
-            s1.observe("o", 2.0)
-        assert t.span("b") is s1  # one shared instance, no allocation
-        assert t.push("c") is s1
-        t.pop()
+            t.set(x=1)
+            t.count("c")
+            t.observe("o", 2.0)
+        assert s1 is None
+        assert t.span("b") is t.span("c")  # one shared context, no allocation
+        assert t.phase("other", "d") is t.span("b")
 
     def test_collects_nothing(self):
-        t = NullTracer()
+        t = NULL_RECORDER
         with t.span("a"):
             t.count("x", 5)
             t.observe("y", 1.0)
-        assert t.counter_totals() == {}
-        assert t.derived_metrics() == {}
-        doc = t.to_dict(meta_key="v")
+        assert t.events == []
+        assert totals(t) == {}
+        doc = trace_doc(t, meta_key="v")
         assert doc["spans"] == [] and doc["counters"] == {}
 
 
@@ -361,14 +340,14 @@ class TestLeidenIntegration:
     @pytest.fixture(scope="class")
     def traced(self):
         graph = ring_of_cliques_graph()
-        tracer = Tracer()
-        rt = Runtime(num_threads=1, seed=1, tracer=tracer)
+        rec = Recorder()
+        rt = Runtime(num_threads=1, seed=1, recorder=rec)
         result = leiden(graph, LeidenConfig(seed=1), runtime=rt)
-        return tracer, result
+        return trace_tree(rec), result
 
     def test_span_tree_is_run_pass_phase(self, traced):
-        tracer, result = traced
-        (run,) = tracer.root.children
+        root, result = traced
+        (run,) = root.children
         assert run.name == "leiden"
         passes = [c for c in run.children if c.name == "pass"]
         assert len(passes) == result.num_passes
@@ -376,8 +355,8 @@ class TestLeidenIntegration:
         assert {"init", "local_move", "refine", "aggregate"} <= phases
 
     def test_runtime_counters_flow_through(self, traced):
-        tracer, _ = traced
-        totals = tracer.counter_totals()
+        root, _ = traced
+        totals = root.counter_totals()
         assert totals["parallel_regions"] > 0
         assert totals["barriers"] > 0
         assert totals["atomic_ops"] > 0
@@ -385,8 +364,8 @@ class TestLeidenIntegration:
         assert totals["local_moves"] > 0
 
     def test_pass_spans_carry_attrs(self, traced):
-        tracer, _ = traced
-        (run,) = tracer.root.children
+        root, _ = traced
+        (run,) = root.children
         first = next(c for c in run.children if c.name == "pass")
         assert first.attrs["index"] == 0
         assert "communities" in first.attrs
@@ -394,6 +373,6 @@ class TestLeidenIntegration:
     def test_membership_identical_with_and_without_tracing(self):
         graph = ring_of_cliques_graph()
         plain = leiden(graph, LeidenConfig(seed=7))
-        rt = Runtime(num_threads=1, seed=7, tracer=Tracer())
+        rt = Runtime(num_threads=1, seed=7, recorder=Recorder())
         traced = leiden(graph, LeidenConfig(seed=7), runtime=rt)
         assert np.array_equal(plain.membership, traced.membership)

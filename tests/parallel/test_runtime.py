@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.observability import memtrack
-from repro.observability.tracer import Tracer
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import trace_tree
 from repro.parallel.runtime import Runtime
-from repro.parallel.schedule import Schedule
 
 
 class TestConstruction:
@@ -56,49 +55,44 @@ class TestAccounting:
         assert sim8.seconds < sim1.seconds
         assert set(sim8.phase_seconds) == {"p", "s"}
 
-    def test_batch_order_covers_items(self):
-        rt = Runtime(2, schedule=Schedule("dynamic", 4))
-        batches = rt.batch_order(10)
-        flat = np.concatenate(batches)
-        assert flat.tolist() == list(range(10))
-
 
 class TestPhase:
-    """``Runtime.phase`` opens a phase's span, memory phase and wall time
-    in one place."""
+    """``Runtime.phase`` opens a phase's span, allocation phase and wall
+    time in one place."""
 
     def test_span_memory_phase_and_seconds(self):
-        tracer = Tracer()
-        rt = Runtime(tracer=tracer)
+        rec = Recorder()
+        rt = Runtime(recorder=rec)
         seconds = {"refine": 0.0}
-        with rt.phase("refine", seconds, "refine", enabled=True) as span:
-            assert memtrack.active_phase() == "refine"
-            assert tracer.span_path() == "refine"
-            span.set(moves=3)
-        assert memtrack.active_phase() == "other"
-        (opened,) = tracer.root.children
+        with rt.phase("refine", seconds, "refine", enabled=True):
+            assert rec.current_phase == "refine"
+            rec.set(moves=3)
+        assert rec.current_phase == "other"
+        (opened,) = trace_tree(rec).children
+        assert opened.name == "refine"
         assert opened.attrs == {"enabled": True, "moves": 3}
         assert seconds["refine"] > 0.0
 
     def test_no_span_keeps_the_open_one(self):
-        tracer = Tracer()
-        rt = Runtime(tracer=tracer)
+        rec = Recorder()
+        rt = Runtime(recorder=rec)
         seconds = {"other": 0.0}
-        with tracer.span("pass", index=0):
-            with rt.phase("other", seconds) as span:
-                assert span is None
-                assert tracer.span_path() == "pass[0]"
-        assert len(tracer.root.children[0].children) == 0
+        with rec.span("pass", index=0):
+            with rt.phase("other", seconds):
+                rec.count("inside")
+        (pass_span,) = trace_tree(rec).children
+        assert pass_span.children == []
+        assert pass_span.counters == {"inside": 1.0}
         assert seconds["other"] > 0.0
 
     def test_raise_restores_and_still_counts(self):
-        tracer = Tracer()
-        rt = Runtime(tracer=tracer)
+        rec = Recorder()
+        rt = Runtime(recorder=rec)
         seconds = {"aggregate": 0.0}
         with pytest.raises(RuntimeError):
             with rt.phase("aggregate", seconds, "aggregate"):
                 raise RuntimeError("boom")
-        assert memtrack.active_phase() == "other"
-        assert tracer.current is tracer.root
-        assert tracer.root.children[0].seconds > 0.0
+        assert rec.current_phase == "other"
+        assert rec.events[-1][0] == "close"
+        assert trace_tree(rec).children[0].seconds > 0.0
         assert seconds["aggregate"] > 0.0

@@ -55,38 +55,38 @@ class TestAdmissionQueue:
     def test_rejections_counted_in_metrics(self):
         # Filling a bounded queue must surface on the
         # queue_rejected_total counter, not just the raised error.
-        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.recorder import Recorder
 
-        registry = MetricsRegistry()
-        q = AdmissionQueue(capacity=3, metrics=registry)
+        registry = Recorder()
+        q = AdmissionQueue(capacity=3, recorder=registry)
         for name in "abc":
             q.submit(QueryRequest(name))
         for name in "xyz":
             with pytest.raises(ServiceOverloadError):
                 q.submit(QueryRequest(name))
-        assert registry.get("queue_rejected_total").value() == 3.0
+        assert registry.families["queue_rejected_total"].value() == 3.0
         assert q.rejected == 3
 
     def test_rejected_counter_registered_eagerly(self):
         # The family must exist (at zero) before any overflow, so
         # scrapes and the exact-match metrics baselines see it.
-        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.recorder import Recorder
 
-        registry = MetricsRegistry()
-        AdmissionQueue(capacity=2, metrics=registry)
-        assert registry.get("queue_rejected_total").value() == 0.0
+        registry = Recorder()
+        AdmissionQueue(capacity=2, recorder=registry)
+        assert registry.families["queue_rejected_total"].value() == 0.0
 
     def test_server_wires_queue_rejections_to_its_registry(self):
-        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.recorder import Recorder
         from repro.service.server import PartitionServer, ServiceConfig
 
-        registry = MetricsRegistry()
+        registry = Recorder()
         srv = PartitionServer(ServiceConfig(queue_capacity=1),
-                              metrics=registry)
+                              recorder=registry)
         srv.submit(QueryRequest("a"))
         with pytest.raises(ServiceOverloadError):
             srv.submit(QueryRequest("b"))
-        assert registry.get("queue_rejected_total").value() == 1.0
+        assert registry.families["queue_rejected_total"].value() == 1.0
 
     def test_detect_dedup(self):
         q = AdmissionQueue()

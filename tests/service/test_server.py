@@ -7,7 +7,8 @@ from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.dynamic.batch import EdgeBatch, apply_batch, random_batch
 from repro.errors import ServiceError, ServiceOverloadError
-from repro.observability.tracer import Tracer
+from repro.observability.recorder import Recorder
+from repro.observability.tracer import derived_metrics, trace_tree
 from repro.service.requests import (
     DetectRequest,
     QueryRequest,
@@ -320,14 +321,15 @@ class TestStats:
 
 class TestTracing:
     def test_spans_and_latency_histogram(self):
-        tracer = Tracer()
+        rec = Recorder()
         srv = PartitionServer(ServiceConfig(leiden=LeidenConfig(seed=1)),
-                              tracer=tracer)
+                              recorder=rec)
         key = srv.detect(two_cliques_graph()).response["key"]
         srv.query(key, "community_of", vertex=0)
-        names = {s.name for s in tracer.root.children}
+        root = trace_tree(rec)
+        names = {s.name for s in root.children}
         assert "service.detect" in names
         assert "service.query" in names
-        derived = tracer.derived_metrics()
+        derived = derived_metrics(root)
         assert "service_request_seconds_p50" in derived
         assert "service_latency_units_p99" in derived
