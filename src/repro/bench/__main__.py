@@ -12,13 +12,12 @@ Observability / CI flags:
   (``benchmarks/baselines/*.json``) and exits non-zero when wall time,
   simulated-clock cost, total work or modularity regress past their
   thresholds — the CI perf gate;
-- ``--trace PATH`` runs the same smoke experiments with the tracing
-  layer enabled and writes the span/counter JSON bundle — the CI
-  artifact;
-- ``--profile PATH`` runs the smoke experiments with the thread-timeline
-  profiler enabled and writes a bundle of Chrome trace documents plus
-  the critical-path/imbalance text reports;
-- ``--mem PATH`` runs the memory-ledger smoke experiment and writes the
+- ``--trace PATH`` records the same smoke experiments and writes their
+  span/counter trace bundle — the CI artifact;
+- ``--profile PATH`` records the smoke experiments and writes a bundle
+  of Chrome trace documents of their thread timelines plus the
+  critical-path/imbalance text reports;
+- ``--mem PATH`` records the memory smoke experiment and writes the
   byte-deterministic ``repro.memory/1`` allocation report — a CI
   artifact next to the trace/profile bundles;
 - ``--update-baselines`` re-records the baseline files after an
@@ -72,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
                              "timelines")
     parser.add_argument("--mem", default=None, dest="mem_path",
                         metavar="PATH",
-                        help="write the memory-ledger smoke report "
+                        help="write the memory smoke report "
                              "(repro.memory/1, byte-deterministic) here")
     parser.add_argument("--baselines", default=None, dest="baseline_dir",
                         metavar="DIR",

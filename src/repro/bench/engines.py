@@ -25,7 +25,7 @@ The report schema (``repro.bench.engines/3``)::
       ]
     }
 
-``peak_logical_bytes`` is each run's memory-ledger peak watermark
+``peak_logical_bytes`` is each run's memory-report peak watermark
 (:mod:`repro.observability.memtrack`) — logical bytes, so it is
 worker-count-invariant and comparable across engines.  ``identical``
 is each engine's membership equality against the batch run, so the

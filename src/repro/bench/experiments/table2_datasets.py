@@ -4,7 +4,7 @@ The paper lists, per graph, |V|, |E| (after adding reverse edges), the
 average degree and the number of communities GVE-Leiden finds.  We print
 the same columns for the scaled-down stand-ins next to the paper's
 original values, plus the run's peak logical bytes from the memory
-ledger (worker-count-invariant, so comparable across graphs).
+report (worker-count-invariant, so comparable across graphs).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class DatasetRow:
     #: the identity the partition-serving store keys on; printing it per
     #: graph makes a drifting stand-in generator visible at a glance.
     fingerprint: str
-    #: Memory-ledger peak watermark of the solve (logical bytes).
+    #: Memory-report peak watermark of the solve (logical bytes).
     peak_logical_bytes: int
     paper_vertices: float
     paper_edges: float
@@ -50,7 +50,7 @@ def run(graphs: Sequence[str] | None = None, *, seed: int = 42) -> List[DatasetR
         g = load_graph(name)
         spec = graph_spec(name)
         # Same solve as the "gve" harness implementation, but through a
-        # ledger-equipped runtime so the row carries peak bytes.
+        # recorded runtime so the row carries peak bytes.
         recorder = Recorder()
         record_csr(recorder, g)  # input graph: loads are memoized
         with Runtime(num_threads=1, seed=seed, recorder=recorder) as rt:

@@ -232,7 +232,7 @@ def _load(arg: str):
 def build_trace_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro trace",
-        description="Run GVE-Leiden with tracing enabled; emit JSON "
+        description="Run GVE-Leiden with a recorder; emit its trace JSON "
                     "(spans: run → pass → phase; counters: atomics, "
                     "barriers, pruning rate, clock skew, batch sizes)",
     )
@@ -256,7 +256,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def trace_main(argv: list[str] | None = None) -> int:
-    """``repro trace`` — run once with tracing on, emit the JSON trace."""
+    """``repro trace`` — run once with a recorder, emit the JSON trace."""
     parser = build_trace_parser()
     args = parser.parse_args(argv)
     if args.diff is not None:
@@ -318,10 +318,10 @@ def _trace_diff(args) -> int:
 def build_profile_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro profile",
-        description="Run GVE-Leiden with the thread-timeline profiler "
-                    "enabled; print the critical-path / barrier-wait / "
-                    "load-imbalance report, optionally exporting the "
-                    "per-thread timeline as Chrome trace-event JSON",
+        description="Run GVE-Leiden with a recorder; print the "
+                    "critical-path / barrier-wait / load-imbalance report "
+                    "of its thread timeline, optionally exporting the "
+                    "timeline as Chrome trace-event JSON",
     )
     p.add_argument("input", help=_INPUT_HELP)
     _add_solve_args(p)
@@ -361,8 +361,8 @@ def profile_main(argv: list[str] | None = None) -> int:
 def build_metrics_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro metrics",
-        description="Run GVE-Leiden with typed metric instruments enabled "
-                    "and emit the byte-deterministic snapshot "
+        description="Run GVE-Leiden with a recorder and emit its "
+                    "byte-deterministic metrics snapshot "
                     "(counters/gauges/histograms with labels; JSON "
                     "repro.metrics/1 or Prometheus text exposition)",
     )

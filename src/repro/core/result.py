@@ -73,22 +73,6 @@ class LeidenResult:
         """Modelled runtime on ``machine`` at ``num_threads`` threads."""
         return self.ledger.simulate(machine, num_threads)
 
-    def membership_at_pass(self, pass_index: int) -> np.ndarray:
-        """Original-vertex membership after pass ``pass_index``.
-
-        Exposes the community hierarchy: pass 0 is the finest level the
-        algorithm committed, the last pass equals ``membership`` (up to
-        renumbering).  Negative indices count from the end.
-        """
-        levels = self.dendrogram.num_levels
-        if pass_index < 0:
-            pass_index += levels
-        if not 0 <= pass_index < levels:
-            raise IndexError(
-                f"pass {pass_index} out of range for {levels} levels"
-            )
-        return self.dendrogram.flatten(upto=pass_index + 1)
-
     def hierarchy(self) -> List[np.ndarray]:
         """All levels of the community hierarchy, finest to coarsest."""
         return self.dendrogram.memberships()

@@ -53,7 +53,7 @@ class SimulatedOutOfMemory(ReproError):
         self.capacity_bytes = int(capacity_bytes)
         self.what = what
         #: Largest-first ``component/what phase=... N B`` lines from the
-        #: device memory ledger, naming what filled the budget (empty
+        #: device's staged allocations, naming what filled the budget (empty
         #: when the failing model did not stage its allocations).
         self.alloc_trace = list(alloc_trace) if alloc_trace else []
         message = (

@@ -48,11 +48,3 @@ def _check_symmetry(src: np.ndarray, dst: np.ndarray, wgt: np.ndarray) -> None:
     if not same:
         raise GraphStructureError("stored edge set is not symmetric")
 
-
-def is_undirected(graph: CSRGraph) -> bool:
-    """True when every stored edge has a matching reverse edge."""
-    try:
-        validate_csr(graph, require_positive_weights=False)
-    except GraphStructureError:
-        return False
-    return True

@@ -32,29 +32,4 @@ from repro.observability.recorder import (
     active,
 )
 
-#: Names resolved lazily from their modules: the projections import the
-#: runtime, which imports the recorder, so eager imports would cycle.
-_LAZY = {
-    "MemoryView": "memtrack",
-    "trace_doc": "tracer",
-    "timeline": "profiler",
-    "to_chrome_trace": "profiler",
-    "validate_chrome_trace": "profiler",
-    "validate_memory_doc": "memtrack",
-    "validate_prometheus": "metrics",
-    "GOLDEN_FAMILIES": "regression",
-    "collect_leiden_metrics": "regression",
-    "run_check": "regression",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
-
-__all__ = ["NULL_RECORDER", "Recorder", "activate", "active", *_LAZY]
+__all__ = ["NULL_RECORDER", "Recorder", "activate", "active"]

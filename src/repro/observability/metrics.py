@@ -75,7 +75,7 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 def bucket_of(value: float) -> int:
-    """Exponent bucket of ``value`` (shared tracer/metrics machinery)."""
+    """Exponent bucket of ``value`` (shared trace/metrics machinery)."""
     if value <= 0.0:
         return BUCKET_ZERO
     exp = math.frexp(value)[1]
@@ -402,7 +402,7 @@ class Histogram(_Instrument):
     """A power-of-two exponent-bucketed distribution (per label set).
 
     Buckets are the shared :func:`bucket_of` exponents — the same layout
-    the tracer's observation histograms use, so the two report identical
+    the trace's observation histograms use, so the two report identical
     :func:`bucket_percentile` estimates for identical samples.
     """
 

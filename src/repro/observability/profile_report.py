@@ -1,4 +1,4 @@
-"""Analysis over profiler timelines: attribution and the text report.
+"""Analysis over thread timelines: attribution and the text report.
 
 Consumes a :class:`~repro.observability.profiler.Timeline` and (for the
 convergence section) a ``repro.trace/2`` trace document, and computes

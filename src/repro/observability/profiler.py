@@ -266,9 +266,9 @@ def _records(recorder):
     return regions, marks, requests, workers
 
 
-def timeline(recorder, num_threads: int = 8,
-             machine: MachineModel | None = None) -> Timeline:
-    """Lay every recorded region out on ``num_threads`` thread lanes.
+def timeline(recorder, num_threads: int = 8) -> Timeline:
+    """Lay every recorded region out on ``num_threads`` thread lanes of
+    the paper machine.
 
     Mirrors :meth:`~repro.parallel.simthread.WorkLedger.simulate`
     region by region: chunk durations pay the machine's per-thread
@@ -280,7 +280,7 @@ def timeline(recorder, num_threads: int = 8,
     T = int(num_threads)
     if T < 1:
         raise ValueError("num_threads must be >= 1")
-    m = machine or PAPER_MACHINE
+    m = PAPER_MACHINE
     records, record_marks, requests, workers = _records(recorder)
     slowdown = m.parallel_slowdown(T)
     unit_sec = m.time_per_unit * slowdown

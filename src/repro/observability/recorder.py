@@ -172,13 +172,14 @@ class Recorder:
 
     # -- values on the open span -----------------------------------------
 
-    def count(self, name: str, value: float = 1.0, *labels) -> None:
+    def count(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` on the innermost open span."""
         self.events.append(("count", name, value))
-        self._mirror("count", name, value, labels)
+        self._mirror("count", name, value, ())
 
     def observe(self, name: str, value: float, *labels) -> None:
-        """Record one sample of distribution ``name`` on the open span."""
+        """Record one sample of distribution ``name`` on the open span
+        (``labels`` label its mirrored metric series)."""
         self.events.append(("observe", name, value))
         self._mirror("observe", name, value, labels)
 
@@ -271,7 +272,6 @@ class Recorder:
         fam = self.families.get(name)
         if fam is None:
             self.families[name] = _KINDS[kind](name, help, labels)
-            self.events.append(("family", name))
         elif fam.kind != kind or fam.labelnames != tuple(labels):
             raise MetricsError(
                 f"instrument {name!r} already registered as "

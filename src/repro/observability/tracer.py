@@ -14,7 +14,6 @@ harness, ``repro trace --diff``) key on it.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.observability.recorder import DISPATCH_ENGINE, MIRRORS
 from repro.parallel.simthread import WorkLedger
 
 __all__ = ["TRACE_SCHEMA", "Span", "bucket_percentile", "derived_metrics",
-           "format_span_path", "trace_doc", "trace_json", "trace_tree"]
+           "format_span_path", "trace_doc", "trace_tree"]
 
 #: Version tag embedded in every emitted trace document.
 TRACE_SCHEMA = "repro.trace/2"
@@ -269,7 +268,3 @@ def trace_doc(recorder, **meta) -> dict:
         "spans": [c.to_dict() for c in root.children],
     }
 
-
-def trace_json(recorder, *, indent: Optional[int] = 2, **meta) -> str:
-    return json.dumps(trace_doc(recorder, **meta), indent=indent,
-                      sort_keys=True)

@@ -40,14 +40,6 @@ def exclusive_scan(values, out=None) -> np.ndarray:
     return out
 
 
-def exclusive_scan_with_total(values) -> tuple[np.ndarray, int]:
-    """Exclusive scan plus the grand total (CSR offsets helper)."""
-    values = np.asarray(values, dtype=OFFSET_DTYPE)
-    out = np.zeros(values.shape[0] + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(values, out=out[1:])
-    return out[:-1], int(out[-1])
-
-
 def csr_offsets_from_counts(counts) -> np.ndarray:
     """Offsets array of length ``n + 1`` from per-row counts."""
     counts = np.asarray(counts, dtype=OFFSET_DTYPE)

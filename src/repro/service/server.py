@@ -61,7 +61,6 @@ from repro.service.requests import (
     AdmissionQueue,
     DetectRequest,
     QueryRequest,
-    StatsRequest,
     Ticket,
     UpdateRequest,
     coalesce_update_batches,
@@ -300,13 +299,6 @@ class PartitionServer:
     def update(self, key: str, batch) -> Ticket:
         """Asynchronous UPDATE: accepted now, committed at flush."""
         return self.submit(UpdateRequest(key, batch))
-
-    def stats_snapshot(self) -> dict:
-        """Synchronous STATS."""
-        ticket = self.submit(StatsRequest())
-        while not ticket.done:
-            self.step()
-        return ticket.response
 
     # -- request processing ----------------------------------------------
 

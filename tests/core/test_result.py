@@ -62,14 +62,8 @@ class TestHierarchy:
 
     def test_last_level_equals_membership(self, result):
         from repro.metrics.comparison import adjusted_rand_index
-        last = result.membership_at_pass(-1)
+        last = result.hierarchy()[-1]
         assert adjusted_rand_index(last, result.membership) == pytest.approx(1.0)
-
-    def test_membership_at_pass_bounds(self, result):
-        with pytest.raises(IndexError):
-            result.membership_at_pass(result.dendrogram.num_levels)
-        with pytest.raises(IndexError):
-            result.membership_at_pass(-result.dendrogram.num_levels - 1)
 
     def test_each_level_nests_in_next(self, result):
         levels = result.hierarchy()

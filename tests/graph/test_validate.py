@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import GraphStructureError
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import is_undirected, validate_csr
+from repro.graph.validate import validate_csr
 
 
 class TestValidate:
@@ -43,7 +43,3 @@ class TestValidate:
     def test_self_loops_fine(self):
         g = CSRGraph.from_coo([0], [0], [2.0])
         validate_csr(g)
-
-    def test_is_undirected_helper(self, two_cliques):
-        assert is_undirected(two_cliques)
-        assert not is_undirected(CSRGraph.from_coo([0], [1], num_vertices=2))

@@ -14,7 +14,6 @@ from repro.observability.tracer import (
     derived_metrics,
     format_span_path,
     trace_doc,
-    trace_json,
     trace_tree,
 )
 from repro.parallel.runtime import Runtime
@@ -285,7 +284,7 @@ class TestJsonEmission:
         t = Recorder()
         with t.span("leiden"):
             t.count("c", 1)
-        doc = json.loads(trace_json(t, experiment="x", seed=42))
+        doc = trace_doc(t, experiment="x", seed=42)
         assert doc["schema"] == TRACE_SCHEMA
         assert doc["meta"] == {"experiment": "x", "seed": 42}
         assert doc["counters"] == {"c": 1.0}
@@ -295,8 +294,8 @@ class TestJsonEmission:
         t = Recorder()
         t.count("b", 1)
         t.count("a", 1)
-        one = trace_json(t, z=1, a=2)
-        two = trace_json(t, z=1, a=2)
+        one = json.dumps(trace_doc(t, z=1, a=2), sort_keys=True)
+        two = json.dumps(trace_doc(t, z=1, a=2), sort_keys=True)
         assert one == two
         assert one.index('"a"') < one.index('"b"')
 

@@ -7,7 +7,6 @@ from repro.parallel.scan import (
     blocked_exclusive_scan,
     csr_offsets_from_counts,
     exclusive_scan,
-    exclusive_scan_with_total,
     inclusive_scan,
 )
 from repro.parallel.simthread import WorkLedger
@@ -26,11 +25,6 @@ class TestSequential:
 
     def test_inclusive_basic(self):
         assert inclusive_scan(np.array([3, 1, 4])).tolist() == [3, 4, 8]
-
-    def test_with_total(self):
-        out, total = exclusive_scan_with_total(np.array([2, 3]))
-        assert out.tolist() == [0, 2]
-        assert total == 5
 
     def test_csr_offsets(self):
         offs = csr_offsets_from_counts(np.array([2, 0, 3]))

@@ -291,7 +291,10 @@ class TestStats:
         srv = make_server()
         key = srv.detect(two_cliques_graph()).response["key"]
         srv.query(key, "community_of", vertex=1)
-        doc = srv.stats_snapshot()
+        ticket = srv.submit(StatsRequest())
+        while not ticket.done:
+            srv.step()
+        doc = ticket.response
         assert doc["schema"] == STATS_SCHEMA
         assert doc["requests"]["detect"] == 1
         assert doc["requests"]["query"] == 1
