@@ -231,8 +231,9 @@ def leiden(
                     num_comms = int(ref_ids.shape[0])
                     # Convergence monitor: aggregation shrink ratio
                     # (communities per vertex — 1.0 means no shrink)
-                    # on the pass span, and the community count as a
-                    # counter track on the timeline.
+                    # on the pass span, and the community count as the
+                    # pass's attribute and a counter track of the
+                    # timeline.
                     if rec.enabled:
                         rec.series("aggregation_shrink",
                                    num_comms / max(n, 1))
@@ -289,8 +290,8 @@ def leiden(
                 stats.move_iterations = li
                 stats.refine_moves = lj
                 stats.tolerance = tau
-                rec.set(communities=num_comms, move_iterations=li,
-                        refine_moves=lj, converged=bool(converged),
+                rec.set(move_iterations=li, refine_moves=lj,
+                        converged=bool(converged),
                         low_shrink=bool(low_shrink))
             if done:
                 break

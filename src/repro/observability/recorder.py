@@ -110,7 +110,7 @@ MIRRORS: Dict[Tuple[str, str],
         ("leiden_aggregate_edge_writes_total", (), None, False),
     ("series", "aggregation_shrink"):
         ("leiden_aggregation_shrink", (), None, False),
-    # The run's community count (the last ``communities`` set wins).
+    # The community count of the run (its last set, at the run's end).
     ("set", "communities"): ("leiden_communities", (), None, False),
     ("observe", "service_latency_units"):
         ("service_latency_units", (), None, False),
@@ -214,9 +214,10 @@ class Recorder:
         self.events.append(("dispatch", kernel))
         self._update("kernel_dispatch_total", 1.0, (DISPATCH_ENGINE, kernel))
 
-    def mark(self, name: str, value: float = 1.0) -> None:
-        """A point annotation of the timeline between two regions."""
-        self.events.append(("mark", name, float(value)))
+    def mark(self, name: str, value) -> None:
+        """A point annotation of the timeline between two regions; the
+        trace shows it as attribute ``name`` of the open span."""
+        self.events.append(("mark", name, value))
 
     def request(self, name: str, units: float, seconds: float,
                 **args) -> None:

@@ -171,7 +171,8 @@ def trace_tree(recorder) -> Span:
     """Replay ``recorder``'s events into a span tree; returns its root.
 
     Values land on the span open when they were recorded (the root when
-    none was).  A ledger region adds the region counters, a kernel
+    none was); a mark becomes an attribute of that span.  A ledger
+    region adds the region counters, a kernel
     dispatch its ``kernel_count_<kernel>`` counter, a served request its
     ``service_request_seconds`` observation, and the workspace's
     allocation its ``mem_workspace_alloc_slots``.
@@ -189,6 +190,8 @@ def trace_tree(recorder) -> Span:
             stack.pop().seconds = ev[1]
         elif kind == "set":
             top.attrs.update(ev[1])
+        elif kind == "mark":
+            top.attrs[ev[1]] = ev[2]
         elif kind == "count":
             top.count(ev[1], ev[2])
         elif kind == "observe":
