@@ -146,8 +146,6 @@ def local_move_process(
     split = Schedule("static", 1)
     with _build_arena(graph, membership, K, Q, community_weights,
                       phase=phase) as arena:
-        if rec.enabled:
-            rec.metric("mem_shm_bytes_total", arena.nbytes, phase)
         batch_buf = arena["batch"]
         best_c_buf = arena["best_community"]
         best_dq_buf = arena["best_delta"]

@@ -86,7 +86,8 @@ DISPATCH_FAMILY = ("counter", "kernel_dispatch_total",
 #: Values that more than one document shows, so each site writes them
 #: once: ``(event, name) -> (metric family, its label values, trace
 #: counter the value is also added to, whether the timeline marks it)``.
-#: A ``count``, ``observe``, ``series`` or ``set`` of ``name`` updates the
+#: A ``count``, ``observe``, ``series`` or ``set`` of ``name`` (for an
+#: ``alloc``, of component ``name``, by its bytes and phase) updates the
 #: family when it is registered; label values the call passes follow
 #: the fixed ones.
 MIRRORS: Dict[Tuple[str, str],
@@ -114,6 +115,8 @@ MIRRORS: Dict[Tuple[str, str],
     ("set", "communities"): ("leiden_communities", (), None, False),
     ("observe", "service_latency_units"):
         ("service_latency_units", (), None, False),
+    # A shared-memory segment's bytes, labelled by the allocation phase.
+    ("alloc", "shm"): ("mem_shm_bytes_total", (), None, False),
 }
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -244,10 +247,10 @@ class Recorder:
         returns its handle for :meth:`resize` and :meth:`free`."""
         handle = self._handles
         self._handles += 1
-        self.events.append((
-            "alloc", handle, component, what,
-            self.current_phase if phase is None else phase,
-            int(nbytes), dtype, int(replicas)))
+        phase = self.current_phase if phase is None else phase
+        self.events.append(("alloc", handle, component, what, phase,
+                            int(nbytes), dtype, int(replicas)))
+        self._mirror("alloc", component, int(nbytes), (phase,))
         return handle
 
     def resize(self, handle: int, nbytes: int) -> None:
