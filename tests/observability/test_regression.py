@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.observability import regression
+from repro.observability.recorder import Recorder
 from repro.observability.regression import (
     BASELINE_SCHEMA,
     GOLDEN_FAMILIES,
@@ -24,7 +25,6 @@ from repro.observability.regression import (
     run_trace,
     write_json,
 )
-from repro.observability.recorder import Recorder
 from repro.observability.tracer import trace_doc, trace_tree
 
 GRAPH = "asia_osm"  # smallest smoke graph in the registry
