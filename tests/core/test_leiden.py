@@ -491,3 +491,54 @@ class TestPinnedRecorderDocuments:
             a.format(doc=doc, other=other) for a in argv[1:]]) == 0
         digest = hashlib.blake2b(doc.read_bytes(), digest_size=16)
         assert digest.hexdigest() == self.PINNED_CLI[key]
+
+    #: Digests of the documents of a recorded ``asia_osm --seed 42`` solve
+    #: and of a recorded ``serve --workload tiny --seed 0 --no-verify``
+    #: run: each trace with its wall-clock fields zeroed, the other
+    #: documents byte for byte.
+    PINNED_RECORD = {
+        "run/trace.json": "b03fa47904ba8fa0888717dfe4520352",
+        "run/profile.chrome.json": "f6e2a39a0b8ebe455185d2f164225fec",
+        "run/metrics.json": "7722fa71bbb18c58dac5546f97db9779",
+        "run/memory.json": "2c71e3e22d29635ddfb0006ba74b4b6d",
+        "serve/trace.json": "cad5efabf8954aebfeade266c7b5ec17",
+        "serve/profile.chrome.json": "cf710b19d16fd20295aa0332f7cc0a8d",
+        "serve/metrics.json": "ac42a2172e615aa64055ac0c896cc442",
+        "serve/memory.json": "0eb940ddf5496df85532eeea7098119c",
+    }
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """Directory of each recorded run's documents, by command."""
+        from repro.cli import main
+
+        run = tmp_path_factory.mktemp("run")
+        base = ["asia_osm", "--seed", "42"]
+        assert main(["trace", *base, "--output", str(run / "trace.json")]) == 0
+        assert main(["profile", *base, "--output", str(run / "profile.txt"),
+                     "--chrome", str(run / "profile.chrome.json")]) == 0
+        assert main(["metrics", *base,
+                     "--output", str(run / "metrics.json")]) == 0
+        assert main(["mem", *base, "--output", str(run / "memory.json")]) == 0
+        serve = tmp_path_factory.mktemp("serve")
+        assert main([
+            "serve", "--workload", "tiny", "--seed", "0", "--no-verify",
+            "--output", str(serve / "stats.json"),
+            "--trace", str(serve / "trace.json"),
+            "--profile", str(serve / "profile.chrome.json"),
+            "--metrics", str(serve / "metrics.json"),
+            "--mem", str(serve / "memory.json")]) == 0
+        return {"run": run, "serve": serve}
+
+    @pytest.mark.parametrize("key", sorted(PINNED_RECORD))
+    def test_recorded_document(self, recorded, key):
+        from tests.observability.test_independence import zero_wall
+
+        command, name = key.split("/")
+        path = recorded[command] / name
+        if name == "trace.json":
+            digest = self._digest(zero_wall(json.loads(path.read_text())))
+        else:
+            digest = hashlib.blake2b(path.read_bytes(),
+                                     digest_size=16).hexdigest()
+        assert digest == self.PINNED_RECORD[key]
