@@ -12,18 +12,10 @@ Observability / CI flags:
   (``benchmarks/baselines/*.json``) and exits non-zero when wall time,
   simulated-clock cost, total work or modularity regress past their
   thresholds — the CI perf gate;
-- ``--trace PATH`` records the same smoke experiments and writes their
-  span/counter trace bundle — the CI artifact;
-- ``--profile PATH`` records the smoke experiments and writes a bundle
-  of Chrome trace documents of their thread timelines plus the
-  critical-path/imbalance text reports;
-- ``--mem PATH`` records the memory smoke experiment and writes the
-  byte-deterministic ``repro.memory/1`` allocation report — a CI
-  artifact next to the trace/profile bundles;
 - ``--update-baselines`` re-records the baseline files after an
   intentional performance or quality change.  ``--seed`` applies to the
-  perf baselines (and ``--mem``) only; every golden file is recorded at
-  its :data:`~repro.observability.regression.GOLDEN_FAMILIES` params;
+  perf baselines only; every golden file is recorded at its
+  :data:`~repro.observability.regression.GOLDEN_FAMILIES` params;
 - ``--kernels`` times the production kernels against their sort
   oracles and exits 1 if any pair's outputs differ bitwise (``--quick``
   for the smaller CI timing variant);
@@ -59,20 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare smoke runs against the committed "
                              "baselines; exit 1 on regression")
-    parser.add_argument("--trace", default=None, dest="trace_path",
-                        metavar="PATH",
-                        help="write the traced smoke-run JSON bundle here")
-    parser.add_argument("--profile", default=None, dest="profile_path",
-                        metavar="PATH",
-                        help="write the profiled smoke-run bundle here "
-                             "(Chrome traces + imbalance reports)")
-    parser.add_argument("--threads", type=positive_int, default=8,
-                        help="simulated thread count for --profile "
-                             "timelines")
-    parser.add_argument("--mem", default=None, dest="mem_path",
-                        metavar="PATH",
-                        help="write the memory smoke report "
-                             "(repro.memory/1, byte-deterministic) here")
     parser.add_argument("--baselines", default=None, dest="baseline_dir",
                         metavar="DIR",
                         help="baseline directory (default: "
@@ -100,8 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.filters:
         modes = [flag for flag, given in (
             ("--kernels", args.kernels), ("--engines", args.engines_ab),
-            ("--check", args.check), ("--trace", args.trace_path),
-            ("--profile", args.profile_path), ("--mem", args.mem_path),
+            ("--check", args.check),
             ("--update-baselines", args.update_baselines),
             ("--output", args.output), ("--json", args.json_path),
         ) if given]
@@ -123,8 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             output=args.engines_output,
         )
 
-    if (args.check or args.trace_path or args.profile_path
-            or args.mem_path or args.update_baselines):
+    if args.check or args.update_baselines:
         from repro.observability import regression
 
         baseline_dir = (Path(args.baseline_dir) if args.baseline_dir
@@ -140,18 +116,6 @@ def main(argv: list[str] | None = None) -> int:
                     regression.record_golden(baseline_dir, family, name,
                                              params)
                     print(f"recorded {family.label} baseline {name}")
-        if args.trace_path:
-            regression.write_json(args.trace_path,
-                                  regression.run_trace(seed=args.seed))
-            print(f"trace bundle written to {args.trace_path}")
-        if args.profile_path:
-            regression.write_json(args.profile_path, regression.run_profile(
-                seed=args.seed, num_threads=args.threads))
-            print(f"profile bundle written to {args.profile_path}")
-        if args.mem_path:
-            regression.write_json(args.mem_path,
-                                  regression.measure_memory(seed=args.seed))
-            print(f"memory report written to {args.mem_path}")
         if args.check:
             return regression.run_check(baseline_dir, require_complete=True)
         return 0

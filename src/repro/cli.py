@@ -6,33 +6,18 @@ Subcommands:
   a subcommand name, so ``gve-leiden graph.mtx`` keeps working) — detect
   communities in a graph file (MatrixMarket, METIS or edge list) or a
   named registry dataset and print a summary, optionally writing the
-  membership vector to a file;
-- ``repro trace <input>`` — run GVE-Leiden with a recorder and emit the
-  span/counter trace as JSON
-  (see docs/OBSERVABILITY.md for the schema); ``repro trace --diff A B``
-  compares two saved traces field by field;
-- ``repro profile <input>`` — run once with a recorder and lay out its
-  thread timeline; print the critical-path/imbalance report and optionally write
-  a Chrome trace-event JSON (``--chrome out.json``, loadable in
-  chrome://tracing or Perfetto);
-- ``repro metrics <input>`` — run GVE-Leiden with a recorder and emit its
-  byte-deterministic metric families as JSON
-  (``repro.metrics/1``) or Prometheus text exposition (``--format
-  prom``);
+  membership vector to a file; ``--record DIR`` records the run and
+  writes every observability document into ``DIR``
+  (:func:`write_record`; see docs/OBSERVABILITY.md);
+- ``repro trace --diff A B`` — compare two saved traces field by field;
 - ``repro bench …`` — the evaluation harness
   (:mod:`repro.bench.__main__`), including the ``--check`` perf-
-  regression gate and ``--trace`` artifact writer used by CI;
+  regression gate used by CI;
 - ``repro serve --workload <profile>`` — drive the partition-serving
   subsystem (:mod:`repro.service`) through a seeded closed-loop
   workload and emit its deterministic stats document
-  (see docs/SERVICE.md); ``--trace``, ``--profile``, ``--metrics`` and
-  ``--mem`` attach one recorder and write each document from it;
-- ``repro mem <input>`` — run GVE-Leiden with a recorder and emit the
-  byte-deterministic ``repro.memory/1`` allocation report
-  (:mod:`repro.observability.memtrack`); ``--chrome``
-  writes the memory counter lanes as Chrome trace JSON, ``--rss``
-  prints the informational logical-vs-real ratio.  ``repro serve
-  --mem`` writes the serving-side report.
+  (see docs/SERVICE.md); ``--record DIR`` records the run and writes
+  the same documents as ``run --record``.
 """
 
 from __future__ import annotations
@@ -74,17 +59,13 @@ from repro.observability.tracer import TRACE_SCHEMA, trace_doc, trace_tree
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
-#: Engine choices shared by every subcommand that runs a detection.
+#: Engine choices of a detection run.
 ENGINE_CHOICES = ("batch", "loop", "process")
-
-#: Help text of the positional graph argument.
-_INPUT_HELP = ("graph file (.mtx, .graph or edge list) or a registry "
-               "dataset name")
 
 
 def positive_int(text: str) -> int:
     """argparse ``type`` for counts that must be at least 1, so a bad
-    ``--workers``/``--threads``/``--max-passes`` exits 2 at parse time."""
+    ``--workers``/``--max-passes`` exits 2 at parse time."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
@@ -100,30 +81,9 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _add_solve_args(p: argparse.ArgumentParser) -> None:
-    """The detection flags every solving subcommand shares."""
-    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                   default="batch")
-    p.add_argument("--workers", type=positive_int, default=2,
-                   help="worker-process count for --engine process "
-                        "(ignored by the other engines; default 2)")
-    p.add_argument("--quality", choices=["modularity", "cpm"],
-                   default="modularity")
-    p.add_argument("--max-passes", type=positive_int, default=10)
-    p.add_argument("--seed", type=int, default=42)
-
-
-def _solve(args, graph, config: LeidenConfig | None = None, *,
-           algo=leiden, recorder=None):
-    """One detection run sized by the solve flags.
-
-    ``config`` defaults to the flags' :class:`LeidenConfig`; ``recorder``
-    attaches to the runtime, which — with any worker pool — is closed
-    before returning.
-    """
-    if config is None:
-        config = LeidenConfig(engine=args.engine, quality=args.quality,
-                              max_passes=args.max_passes, seed=args.seed)
+def _solve(args, graph, config: LeidenConfig, algo, recorder):
+    """One detection run on the engine the flags pick; any worker pool
+    is closed before returning."""
     if args.engine == "process":
         rt = Runtime(num_threads=args.workers, executor="process",
                      seed=args.seed, recorder=recorder)
@@ -144,18 +104,61 @@ def _write_text(path: Path | None, text: str, what: str) -> None:
         print(text)
 
 
-def _write_json(path: Path | None, doc: dict, what: str,
-                compact: bool) -> None:
-    """Key-sorted JSON, indented unless ``--compact``."""
-    _write_text(path, json.dumps(doc, sort_keys=True,
-                                 indent=None if compact else 2), what)
+def _json(doc: dict, compact: bool = False) -> str:
+    """Key-sorted JSON, indented unless ``compact``."""
+    return json.dumps(doc, sort_keys=True, indent=None if compact else 2)
 
 
-def _write_chrome(path: Path, doc: dict, what: str, compact: bool) -> None:
-    """Validate a Chrome trace-event document, then write it."""
-    validate_chrome_trace(doc)
-    _write_text(path, chrome_trace_json(doc, indent=None if compact else 1),
-                what)
+#: Thread count of the timeline a recorded run lays out (one Chrome lane
+#: per thread) and the regions its profile report lists.
+PROFILE_THREADS = 8
+PROFILE_TOP = 5
+
+
+def write_record(directory: Path, recorder, experiment: str, seed: int, *,
+                 families: dict, memory: MemoryView,
+                 trace_meta: dict | None = None,
+                 metrics_meta: dict | None = None,
+                 memory_meta: dict | None = None) -> None:
+    """Write the seven documents of one recorded run into ``directory``.
+
+    Each is a projection of ``recorder``: the trace (``trace.json``),
+    the timeline at :data:`PROFILE_THREADS` threads as a Chrome document
+    and a text report (``profile.chrome.json``, ``profile.txt``), the
+    metric ``families`` as a snapshot and as Prometheus text
+    (``metrics.json``, ``metrics.prom``) and the ``memory`` view as a
+    report and a Chrome counter lane (``memory.json``,
+    ``memory.chrome.json``).  Every document's meta holds ``experiment``
+    and ``seed``; ``trace_meta``, ``metrics_meta`` and ``memory_meta``
+    add to it.  Both Chrome documents, the memory report and the
+    exposition are validated before any file is written.
+    """
+    meta = {"experiment": experiment, "seed": seed}
+    trace = trace_doc(recorder, **meta, **(trace_meta or {}))
+    tl = timeline(recorder, PROFILE_THREADS)
+    chrome = to_chrome_trace(tl, **meta)
+    prom = to_prometheus(families)
+    memory_doc = memory.to_snapshot(**meta, **(memory_meta or {}))
+    memory_chrome = memory.to_chrome_trace(**meta)
+    validate_chrome_trace(chrome)
+    validate_chrome_trace(memory_chrome)
+    validate_memory_doc(memory_doc)
+    validate_prometheus(prom)
+    docs = {
+        "trace.json": _json(trace),
+        "profile.chrome.json": chrome_trace_json(chrome, indent=1),
+        "profile.txt": format_profile_report(
+            tl, trace_doc=trace, top=PROFILE_TOP, title=experiment),
+        "metrics.json": _json(
+            to_snapshot(families, **meta, **(metrics_meta or {}))),
+        "metrics.prom": prom.rstrip("\n"),
+        "memory.json": _json(memory_doc),
+        "memory.chrome.json": chrome_trace_json(memory_chrome, indent=1),
+    }
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in docs.items():
+        (directory / name).write_text(text + "\n")
+    print(f"{len(docs)} documents written to {directory}")
 
 
 def _read_json_docs(paths, validate) -> list | None:
@@ -197,10 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
                    default="default")
     p.add_argument("--vertex-label", choices=["move", "refine"],
                    default="move")
-    _add_solve_args(p)
+    p.add_argument("--engine", choices=list(ENGINE_CHOICES),
+                   default="batch")
+    p.add_argument("--workers", type=positive_int, default=2,
+                   help="worker-process count for --engine process "
+                        "(ignored by the other engines; default 2)")
+    p.add_argument("--quality", choices=["modularity", "cpm"],
+                   default="modularity")
+    p.add_argument("--max-passes", type=positive_int, default=10)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--resolution", type=positive_float, default=1.0)
     p.add_argument("--output", type=Path, default=None,
                    help="write one community id per line to this file")
+    p.add_argument("--record", type=Path, default=None, metavar="DIR",
+                   help="record the run and write its trace, profile, "
+                        "metrics and memory documents into DIR")
     p.add_argument("--check-connectivity", action="store_true",
                    help="also count internally-disconnected communities")
     p.add_argument("--summary", action="store_true",
@@ -232,64 +246,26 @@ def _load(arg: str):
 def build_trace_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro trace",
-        description="Run GVE-Leiden with a recorder; emit its trace JSON "
-                    "(spans: run → pass → phase; counters: atomics, "
-                    "barriers, pruning rate, clock skew, batch sizes)",
+        description="Compare two saved trace JSON files field by field "
+                    "(counters and derived metrics gate, span seconds "
+                    "are informational); record a trace with "
+                    "'repro run <input> --record DIR'",
     )
-    p.add_argument("input", nargs="?", default=None, help=_INPUT_HELP)
-    _add_solve_args(p)
-    p.add_argument("--threads", type=positive_int, default=64,
-                   help="thread count for the modelled-runtime summary")
-    p.add_argument("--output", type=Path, default=None,
-                   help="write the trace JSON here instead of stdout")
-    p.add_argument("--compact", action="store_true",
-                   help="single-line JSON (default: indented)")
     p.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
-                   default=None,
-                   help="compare two saved trace JSON files instead of "
-                        "running (counters and derived metrics gate, "
-                        "span seconds are informational)")
+                   required=True, help="the two trace JSON files")
     p.add_argument("--strict", action="store_true",
-                   help="with --diff: exit 1 when any deterministic "
-                        "field differs")
+                   help="exit 1 when any deterministic field differs")
+    p.add_argument("--output", type=Path, default=None,
+                   help="write the diff here instead of stdout")
     return p
 
 
 def trace_main(argv: list[str] | None = None) -> int:
-    """``repro trace`` — run once with a recorder, emit the JSON trace."""
-    parser = build_trace_parser()
-    args = parser.parse_args(argv)
-    if args.diff is not None:
-        return _trace_diff(args)
-    if args.input is None:
-        parser.error("the following arguments are required: input")
-    graph = _load(args.input)
-    recorder = Recorder()
-    result = _solve(args, graph, recorder=recorder)
-    sim = result.ledger.simulate(PAPER_MACHINE, args.threads)
-    q = modularity(graph, result.membership)
-    doc = trace_doc(
-        recorder,
-        experiment=str(args.input),
-        seed=args.seed,
-        num_threads=args.threads,
-        machine=PAPER_MACHINE.as_dict(),
-        metrics={
-            "wall_seconds": result.wall_seconds,
-            "modeled_seconds": sim.seconds,
-            "modeled_phase_seconds": sim.phase_seconds,
-            "total_work": result.ledger.total_work,
-            "modularity": q,
-            "num_passes": result.num_passes,
-            "num_communities": result.num_communities,
-        },
-    )
-    _write_json(args.output, doc, "trace", args.compact)
-    return 0
+    """``repro trace --diff A.json B.json`` — field-level trace delta."""
+    return _trace_diff(build_trace_parser().parse_args(argv))
 
 
 def _trace_diff(args) -> int:
-    """``repro trace --diff A.json B.json`` — field-level trace delta."""
     from repro.observability.regression import (
         diff_trace_docs,
         format_trace_diff,
@@ -315,96 +291,6 @@ def _trace_diff(args) -> int:
     return 1 if (args.strict and diffs) else 0
 
 
-def build_profile_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Run GVE-Leiden with a recorder; print the "
-                    "critical-path / barrier-wait / load-imbalance report "
-                    "of its thread timeline, optionally exporting the "
-                    "timeline as Chrome trace-event JSON",
-    )
-    p.add_argument("input", help=_INPUT_HELP)
-    _add_solve_args(p)
-    p.add_argument("--threads", type=positive_int, default=8,
-                   help="simulated thread count the timeline is laid "
-                        "out at (one Chrome lane per thread)")
-    p.add_argument("--top", type=int, default=5,
-                   help="regions listed in the top-N table")
-    p.add_argument("--chrome", type=Path, default=None,
-                   help="write the Chrome trace-event JSON here "
-                        "(open in chrome://tracing or Perfetto)")
-    p.add_argument("--output", type=Path, default=None,
-                   help="write the text report here instead of stdout")
-    p.add_argument("--compact", action="store_true",
-                   help="single-line Chrome JSON (default: indented)")
-    return p
-
-
-def profile_main(argv: list[str] | None = None) -> int:
-    """``repro profile`` — run once with a recorder, emit the report."""
-    args = build_profile_parser().parse_args(argv)
-    graph = _load(args.input)
-    recorder = Recorder()
-    _solve(args, graph, recorder=recorder)
-    tl = timeline(recorder, args.threads)
-    report = format_profile_report(
-        tl, trace_doc=trace_doc(recorder), top=args.top,
-        title=str(args.input))
-    if args.chrome is not None:
-        _write_chrome(args.chrome, to_chrome_trace(
-            tl, experiment=str(args.input), seed=args.seed),
-            "chrome trace", args.compact)
-    _write_text(args.output, report, "report")
-    return 0
-
-
-def build_metrics_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro metrics",
-        description="Run GVE-Leiden with a recorder and emit its "
-                    "byte-deterministic metrics snapshot "
-                    "(counters/gauges/histograms with labels; JSON "
-                    "repro.metrics/1 or Prometheus text exposition)",
-    )
-    p.add_argument("input", help=_INPUT_HELP)
-    _add_solve_args(p)
-    p.add_argument("--format", choices=["json", "prom"], default="json",
-                   dest="fmt",
-                   help="output format: JSON snapshot (default) or "
-                        "Prometheus text exposition")
-    p.add_argument("--output", type=Path, default=None,
-                   help="write the snapshot here instead of stdout")
-    p.add_argument("--compact", action="store_true",
-                   help="single-line JSON (default: indented)")
-    return p
-
-
-def metrics_main(argv: list[str] | None = None) -> int:
-    """``repro metrics`` — run once with a recorder, emit its families."""
-    args = build_metrics_parser().parse_args(argv)
-    graph = _load(args.input)
-    recorder = Recorder()
-    result = _solve(args, graph, recorder=recorder)
-    # The trace's batch/color-class histograms join as trace_* families.
-    families = {**recorder.families,
-                **trace_families(trace_tree(recorder))}
-    if args.fmt == "prom":
-        text = to_prometheus(families)
-        validate_prometheus(text)
-        _write_text(args.output, text.rstrip("\n"), "metrics")
-        return 0
-    _write_json(args.output, to_snapshot(
-        families,
-        experiment=str(args.input),
-        seed=args.seed,
-        modularity=modularity(graph, result.membership),
-        num_passes=result.num_passes,
-        num_communities=result.num_communities,
-        total_work=result.ledger.total_work,
-    ), "metrics", args.compact)
-    return 0
-
-
 def build_serve_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro serve",
@@ -424,24 +310,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    help="skip the served-vs-from-scratch membership check")
     p.add_argument("--output", type=Path, default=None,
                    help="write the result JSON here instead of stdout")
-    p.add_argument("--trace", type=Path, default=None, dest="trace_output",
-                   help="also record the run and write the span/counter "
-                        "trace JSON here")
-    p.add_argument("--profile", type=Path, default=None,
-                   dest="profile_output",
-                   help="also record the run and write the Chrome "
-                        "trace-event JSON of its timeline here (request "
-                        "lane + solve timelines)")
-    p.add_argument("--metrics", type=Path, default=None,
-                   dest="metrics_output",
-                   help="also record the run and write its "
-                        "byte-deterministic metrics snapshot JSON here")
-    p.add_argument("--mem", type=Path, default=None, dest="mem_output",
-                   help="also record the run and write the "
-                        "byte-deterministic repro.memory/1 report of the "
-                        "store (bytes per entry, peak watermarks) here")
+    p.add_argument("--record", type=Path, default=None, metavar="DIR",
+                   help="record the run and write its trace, profile, "
+                        "metrics and memory documents into DIR (the "
+                        "memory report covers the store alone)")
     p.add_argument("--compact", action="store_true",
-                   help="single-line JSON (default: indented)")
+                   help="single-line stats JSON (default: indented)")
     return p
 
 
@@ -461,9 +335,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         return 2
     service_config = ServiceConfig(coalesce_updates=not args.no_coalesce)
     server = recorder = None
-    if (args.trace_output is not None or args.profile_output is not None
-            or args.metrics_output is not None
-            or args.mem_output is not None):
+    if args.record is not None:
         recorder = Recorder()
         server = PartitionServer(service_config, recorder=recorder)
     result = run_workload(
@@ -473,98 +345,21 @@ def serve_main(argv: list[str] | None = None) -> int:
         service_config=service_config,
         verify=not args.no_verify,
     )
-    experiment = f"serve:{args.workload}"
-    _write_json(args.output, result.to_json_dict(), "stats", args.compact)
-    if args.trace_output is not None:
-        _write_json(args.trace_output, trace_doc(
-            recorder, experiment=experiment, seed=args.seed), "trace",
-            args.compact)
-    if args.profile_output is not None:
-        _write_chrome(args.profile_output, to_chrome_trace(
-            timeline(recorder), experiment=experiment,
-            seed=args.seed), "profile", args.compact)
-    if args.metrics_output is not None:
-        _write_json(args.metrics_output, to_snapshot(
-            recorder.families,
-            experiment=experiment,
-            seed=args.seed,
-            clock_units=int(server.clock),
-        ), "metrics", args.compact)
-    if args.mem_output is not None:
-        # The serving-side report: the store's entries, not the
-        # solves' transient buffers.
-        doc = MemoryView(recorder, components=("store",)).to_snapshot(
-            experiment=experiment, seed=args.seed)
-        validate_memory_doc(doc)
-        _write_json(args.mem_output, doc, "memory report", args.compact)
+    _write_text(args.output, _json(result.to_json_dict(), args.compact),
+                "stats")
+    if recorder is not None:
+        # No trace_* families: the trace's request latencies are wall
+        # clock.  The memory report is the serving side's: the store's
+        # entries, not the solves' transient buffers.
+        write_record(args.record, recorder, f"serve:{args.workload}",
+                     args.seed, families=recorder.families,
+                     memory=MemoryView(recorder, components=("store",)),
+                     metrics_meta={"clock_units": int(server.clock)})
     if not args.no_verify and not all(
             result.membership_matches_scratch.values()):
         print("error: served membership diverged from from-scratch solve",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def build_mem_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro mem",
-        description="Run GVE-Leiden with a recorder and "
-                    "emit the byte-deterministic repro.memory/1 report "
-                    "(logical allocation events, per-component and "
-                    "per-phase peak watermarks; the logical section is "
-                    "worker-count-invariant)",
-    )
-    p.add_argument("input", help=_INPUT_HELP)
-    _add_solve_args(p)
-    p.add_argument("--output", type=Path, default=None,
-                   help="write the memory report JSON here instead of "
-                        "stdout")
-    p.add_argument("--chrome", type=Path, default=None,
-                   help="write the Chrome-trace memory counter lanes "
-                        "here (open in chrome://tracing or Perfetto)")
-    p.add_argument("--rss", action="store_true",
-                   help="also print the process RSS peak "
-                        "(resource.getrusage) and the logical-vs-real "
-                        "ratio — informational, never part of the "
-                        "report document")
-    p.add_argument("--compact", action="store_true",
-                   help="single-line JSON (default: indented)")
-    return p
-
-
-def mem_main(argv: list[str] | None = None) -> int:
-    """``repro mem`` — run once with a recorder, emit the memory report."""
-    args = build_mem_parser().parse_args(argv)
-    graph = _load(args.input)
-    recorder = Recorder()
-    # Graph loads are memoized, so the input CSR may predate the
-    # recorder; charge it explicitly so the report covers the input.
-    record_csr(recorder, graph)
-    _solve(args, graph, recorder=recorder)
-    memory = MemoryView(recorder)
-    doc = memory.to_snapshot(
-        experiment=str(args.input),
-        seed=args.seed,
-        engine=args.engine,
-    )
-    validate_memory_doc(doc)
-    _write_json(args.output, doc, "memory report", args.compact)
-    if args.chrome is not None:
-        _write_chrome(args.chrome, memory.to_chrome_trace(
-            experiment=str(args.input), seed=args.seed),
-            "memory chrome trace", args.compact)
-    if args.rss:
-        # Informational only: real RSS is machine- and allocator-
-        # dependent, so it never enters the (gated) report document.
-        import resource
-
-        rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        rss_bytes = int(rss_kib) * 1024
-        peak = doc["logical"]["peak_bytes"]
-        ratio = peak / rss_bytes if rss_bytes else 0.0
-        print(f"rss peak: {rss_bytes} B ({rss_bytes / 2**20:.1f} MiB); "
-              f"logical peak {peak} B is {ratio:.1%} of real "
-              f"(informational, not gated)")
     return 0
 
 
@@ -577,10 +372,8 @@ def bench_main(argv: list[str] | None = None) -> int:
 
 #: First-token subcommands understood by :func:`main`; anything else
 #: (including ``run``) is the detection run.
-_SUBCOMMANDS = {
-    "trace": trace_main, "profile": profile_main, "metrics": metrics_main,
-    "bench": bench_main, "serve": serve_main, "mem": mem_main,
-}
+_SUBCOMMANDS = {"trace": trace_main, "bench": bench_main,
+                "serve": serve_main}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -610,8 +403,15 @@ def main(argv: list[str] | None = None) -> int:
         max_passes=args.max_passes,
         seed=args.seed,
     )
+    recorder = None
+    if args.record is not None:
+        recorder = Recorder()
+        # Graph loads are memoized, so the input CSR may predate the
+        # recorder; charge it explicitly so the memory report covers it.
+        record_csr(recorder, graph)
     result = _solve(args, graph, config,
-                    algo=leiden if args.algorithm == "leiden" else louvain)
+                    leiden if args.algorithm == "leiden" else louvain,
+                    recorder)
 
     q = modularity(graph, result.membership, resolution=args.resolution)
     print(f"graph: {args.input}")
@@ -638,7 +438,34 @@ def main(argv: list[str] | None = None) -> int:
         _write_text(args.output,
                     "\n".join(str(int(c)) for c in result.membership),
                     "membership")
+    if recorder is not None:
+        _record_run(args, recorder, result, q)
     return 0
+
+
+def _record_run(args, recorder, result, q: float) -> None:
+    """``run --record``: the run's documents, with the run's summary in
+    the trace and metrics meta.  The trace models the run at the paper
+    machine's full width; the metrics add the trace's observation
+    histograms as ``trace_*`` families."""
+    threads = PAPER_MACHINE.max_threads
+    sim = result.ledger.simulate(PAPER_MACHINE, threads)
+    summary = {"modularity": q, "num_passes": result.num_passes,
+               "num_communities": result.num_communities,
+               "total_work": result.ledger.total_work}
+    write_record(
+        args.record, recorder, str(args.input), args.seed,
+        families={**recorder.families,
+                  **trace_families(trace_tree(recorder))},
+        memory=MemoryView(recorder),
+        trace_meta={"num_threads": threads,
+                    "machine": PAPER_MACHINE.as_dict(),
+                    "metrics": {**summary,
+                                "wall_seconds": result.wall_seconds,
+                                "modeled_seconds": sim.seconds,
+                                "modeled_phase_seconds": sim.phase_seconds}},
+        metrics_meta=summary,
+        memory_meta={"engine": args.engine})
 
 
 if __name__ == "__main__":  # pragma: no cover

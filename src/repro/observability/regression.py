@@ -42,7 +42,7 @@ from repro.datasets.registry import load_graph
 from repro.metrics.modularity import modularity
 from repro.observability.metrics import to_snapshot, trace_families
 from repro.observability.recorder import Recorder
-from repro.observability.tracer import trace_doc, trace_tree
+from repro.observability.tracer import trace_tree
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
@@ -72,19 +72,11 @@ __all__ = [
     "record_baselines",
     "record_golden",
     "run_check",
-    "run_profile",
-    "run_trace",
     "write_json",
 ]
 
 #: Version tag embedded in every baseline file.
 BASELINE_SCHEMA = "repro.baseline/1"
-
-#: Version tag of the multi-experiment bundle written by ``bench --trace``.
-TRACE_BUNDLE_SCHEMA = "repro.trace-bundle/1"
-
-#: Version tag of the profile bundle written by ``bench --profile``.
-PROFILE_BUNDLE_SCHEMA = "repro.profile-bundle/1"
 
 #: Smoke-experiment graphs the committed baselines cover: one road
 #: network (sparse, many passes), one web graph, one social network —
@@ -94,7 +86,7 @@ DEFAULT_BASELINE_GRAPHS = ("asia_osm", "uk-2002", "com-Orkut")
 
 def write_json(path: Path | str, doc: dict) -> None:
     """Write ``doc`` as indented, key-sorted JSON: the byte format of
-    every baseline file and bench bundle."""
+    every baseline file."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -717,77 +709,6 @@ def run_check(
     total = len(paths)
     print_fn(f"{total - failures}/{total} baselines within thresholds")
     return 1 if failures else 0
-
-
-def run_trace(
-    graphs: Sequence[str] = DEFAULT_BASELINE_GRAPHS,
-    *,
-    seed: int = 42,
-    num_threads: int = 64,
-) -> dict:
-    """Traced smoke runs: one ``repro.trace/2`` document per graph.
-
-    The body of ``repro bench --trace``; the result is written as the CI
-    trace artifact.
-    """
-    experiments: Dict[str, dict] = {}
-    for graph_name in graphs:
-        recorder = Recorder()
-        metrics, _ = measure_experiment(
-            graph_name, seed=seed, num_threads=num_threads, recorder=recorder
-        )
-        experiments[graph_name] = trace_doc(
-            recorder,
-            experiment=graph_name,
-            seed=seed,
-            num_threads=num_threads,
-            machine=PAPER_MACHINE.as_dict(),
-            metrics=metrics.to_dict(),
-        )
-    return {
-        "schema": TRACE_BUNDLE_SCHEMA,
-        "version": __version__,
-        "experiments": experiments,
-    }
-
-
-def run_profile(
-    graphs: Sequence[str] = DEFAULT_BASELINE_GRAPHS,
-    *,
-    seed: int = 42,
-    num_threads: int = 8,
-    top: int = 5,
-) -> dict:
-    """Profiled smoke runs: Chrome trace + text report per graph.
-
-    The body of ``repro bench --profile``; written next to the trace
-    bundle as a CI artifact so every benchmark run ships an inspectable
-    thread timeline.
-    """
-    from repro.observability.profile_report import format_profile_report
-    from repro.observability.profiler import timeline, to_chrome_trace
-
-    experiments: Dict[str, dict] = {}
-    for graph_name in graphs:
-        recorder = Recorder()
-        metrics, _ = measure_experiment(
-            graph_name, seed=seed, num_threads=num_threads,
-            recorder=recorder,
-        )
-        tl = timeline(recorder, num_threads)
-        experiments[graph_name] = {
-            "chrome": to_chrome_trace(
-                tl, experiment=graph_name, seed=seed),
-            "report": format_profile_report(
-                tl, trace_doc=trace_doc(recorder), top=top,
-                title=graph_name),
-            "metrics": metrics.to_dict(),
-        }
-    return {
-        "schema": PROFILE_BUNDLE_SCHEMA,
-        "version": __version__,
-        "experiments": experiments,
-    }
 
 
 # -- trace diffing ------------------------------------------------------------

@@ -46,7 +46,6 @@ class TestMain:
 
     @pytest.mark.parametrize("flags", [
         ["--kernels", "--quick"], ["--engines"], ["--check"],
-        ["--trace", "t.json"], ["--profile", "p.json"], ["--mem", "m.json"],
         ["--update-baselines"], ["--output", "r.md"], ["--json", "r.json"],
     ], ids=lambda flags: flags[0])
     def test_filter_with_mode_flag_exits_2(self, flags, monkeypatch,

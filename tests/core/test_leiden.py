@@ -470,25 +470,22 @@ class TestPinnedRecorderDocuments:
         doc = to_chrome_trace(timeline(recorder, 8))
         assert self._digest(doc) == self.PINNED["chrome"]
 
-    #: Digests of three CLI documents' bytes on ``asia_osm`` at seed 42:
-    #: the Prometheus text, the memory Chrome lane and the profile report.
+    #: Digests of three documents' bytes of the recorded ``asia_osm``
+    #: run: the Prometheus text, the memory Chrome lane and the profile
+    #: report.
     PINNED_CLI = {
         "prom": "cea7ca3040116ddcc90579787ab04c00",
         "mem_chrome": "486cc4733d96c7b1f8a3f59ffd7a412c",
         "report": "fee1bd2cc486eeabb1fadcd1bffe91cb",
     }
 
-    @pytest.mark.parametrize("key,argv", [
-        ("prom", ["metrics", "--format", "prom", "--output", "{doc}"]),
-        ("mem_chrome", ["mem", "--output", "{other}", "--chrome", "{doc}"]),
-        ("report", ["profile", "--output", "{doc}"]),
+    @pytest.mark.parametrize("key,name", [
+        ("prom", "metrics.prom"),
+        ("mem_chrome", "memory.chrome.json"),
+        ("report", "profile.txt"),
     ], ids=["prom", "mem_chrome", "report"])
-    def test_cli_document(self, key, argv, tmp_path, capsys):
-        from repro.cli import main
-
-        doc, other = tmp_path / "doc", tmp_path / "other"
-        assert main([argv[0], "asia_osm", "--seed", "42"] + [
-            a.format(doc=doc, other=other) for a in argv[1:]]) == 0
+    def test_cli_document(self, key, name, recorded):
+        doc = recorded["run"] / name
         digest = hashlib.blake2b(doc.read_bytes(), digest_size=16)
         assert digest.hexdigest() == self.PINNED_CLI[key]
 
@@ -509,25 +506,16 @@ class TestPinnedRecorderDocuments:
 
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
-        """Directory of each recorded run's documents, by command."""
+        """Record directory of each recorded run, by command."""
         from repro.cli import main
 
         run = tmp_path_factory.mktemp("run")
-        base = ["asia_osm", "--seed", "42"]
-        assert main(["trace", *base, "--output", str(run / "trace.json")]) == 0
-        assert main(["profile", *base, "--output", str(run / "profile.txt"),
-                     "--chrome", str(run / "profile.chrome.json")]) == 0
-        assert main(["metrics", *base,
-                     "--output", str(run / "metrics.json")]) == 0
-        assert main(["mem", *base, "--output", str(run / "memory.json")]) == 0
+        assert main(["run", "asia_osm", "--seed", "42",
+                     "--record", str(run)]) == 0
         serve = tmp_path_factory.mktemp("serve")
-        assert main([
-            "serve", "--workload", "tiny", "--seed", "0", "--no-verify",
-            "--output", str(serve / "stats.json"),
-            "--trace", str(serve / "trace.json"),
-            "--profile", str(serve / "profile.chrome.json"),
-            "--metrics", str(serve / "metrics.json"),
-            "--mem", str(serve / "memory.json")]) == 0
+        assert main(["serve", "--workload", "tiny", "--seed", "0",
+                     "--no-verify", "--output", str(serve / "stats.json"),
+                     "--record", str(serve)]) == 0
         return {"run": run, "serve": serve}
 
     @pytest.mark.parametrize("key", sorted(PINNED_RECORD))

@@ -7,11 +7,8 @@ recorded too, and a profile labelled its regions by span path only when
 a trace was.  Traces are compared with their wall-clock fields zeroed.
 """
 
-import json
-
 import pytest
 
-from repro.cli import main
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
@@ -21,6 +18,8 @@ from repro.observability.profiler import timeline, to_chrome_trace
 from repro.observability.recorder import Recorder, record_csr
 from repro.observability.tracer import trace_doc
 from repro.parallel.runtime import Runtime
+from repro.service.server import PartitionServer
+from repro.service.workload import run_workload
 
 #: Wall-clock fields of a trace: span seconds and the request latency
 #: observation with its percentiles.
@@ -66,29 +65,28 @@ class TestSolve:
         assert SOLVE_DOCS[name](_recorded_solve()) == together[name]
 
 
-#: ``repro serve`` flag and file of each document.
-SERVE_FLAGS = {"trace": "--trace", "chrome": "--profile",
-               "metrics": "--metrics", "memory": "--mem"}
+#: Each document of a served workload: as ``repro serve --record``
+#: writes them, the memory report covers the store alone.
+SERVE_DOCS = {
+    **SOLVE_DOCS,
+    "memory": lambda rec: MemoryView(
+        rec, components=("store",)).to_snapshot(),
+}
 
 
-def _serve(tmp_path, names):
-    argv = ["serve", "--workload", "tiny", "--seed", "0", "--no-verify",
-            "--output", str(tmp_path / "stats.json")]
-    for name in names:
-        argv += [SERVE_FLAGS[name], str(tmp_path / f"{name}.json")]
-    assert main(argv) == 0
-    docs = {name: json.loads((tmp_path / f"{name}.json").read_text())
-            for name in names}
-    if "trace" in docs:
-        docs["trace"] = zero_wall(docs["trace"])
-    return docs
+def _recorded_serve() -> Recorder:
+    rec = Recorder()
+    run_workload("tiny", seed=0, server=PartitionServer(recorder=rec),
+                 verify=False)
+    return rec
 
 
 class TestServe:
     @pytest.fixture(scope="class")
-    def together(self, tmp_path_factory):
-        return _serve(tmp_path_factory.mktemp("all"), sorted(SERVE_FLAGS))
+    def together(self):
+        rec = _recorded_serve()
+        return {name: build(rec) for name, build in SERVE_DOCS.items()}
 
-    @pytest.mark.parametrize("name", sorted(SERVE_FLAGS))
-    def test_alone_equals_together(self, together, name, tmp_path, capsys):
-        assert _serve(tmp_path, [name])[name] == together[name]
+    @pytest.mark.parametrize("name", sorted(SERVE_DOCS))
+    def test_alone_equals_together(self, together, name):
+        assert SERVE_DOCS[name](_recorded_serve()) == together[name]

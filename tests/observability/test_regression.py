@@ -22,7 +22,6 @@ from repro.observability.regression import (
     record_baselines,
     record_golden,
     run_check,
-    run_trace,
     write_json,
 )
 from repro.observability.tracer import trace_doc, trace_tree
@@ -461,18 +460,6 @@ class TestMemoryBaseline:
         assert "memory_quick.json" in regression.expected_baseline_names()
 
 
-class TestRunTrace:
-    def test_bundle_schema(self):
-        bundle = run_trace([GRAPH], seed=42)
-        assert bundle["schema"] == regression.TRACE_BUNDLE_SCHEMA
-        doc = bundle["experiments"][GRAPH]
-        assert doc["schema"] == "repro.trace/2"
-        assert doc["meta"]["experiment"] == GRAPH
-        assert doc["meta"]["metrics"]["num_passes"] >= 1
-        assert doc["spans"][0]["name"] == "leiden"
-        assert doc["counters"]["parallel_regions"] > 0
-
-
 class TestCommittedBaselines:
     """The real gate: the files under benchmarks/baselines must pass."""
 
@@ -509,29 +496,6 @@ class TestTraceDiffHelpers:
         text, n = regression.format_trace_diff(rows, label_a="a",
                                                label_b="b")
         assert n > 0 and "[DIFF]" in text
-
-
-class TestRunProfile:
-    def test_bundle_schema_and_contents(self):
-        bundle = regression.run_profile([GRAPH], seed=42, num_threads=4)
-        assert bundle["schema"] == regression.PROFILE_BUNDLE_SCHEMA
-        entry = bundle["experiments"][GRAPH]
-        from repro.observability.profiler import validate_chrome_trace
-
-        stats = validate_chrome_trace(entry["chrome"])
-        assert stats["events"] > 0
-        assert "per-phase attribution" in entry["report"]
-        assert entry["metrics"]["modularity"] > 0.0
-
-    def test_bundle_deterministic(self):
-        """Chrome trace and report are byte-identical across runs
-        (metrics carry wall-clock seconds, so they are excluded)."""
-        a = regression.run_profile([GRAPH], seed=42, num_threads=4)
-        b = regression.run_profile([GRAPH], seed=42, num_threads=4)
-        ea, eb = a["experiments"][GRAPH], b["experiments"][GRAPH]
-        assert json.dumps(ea["chrome"], sort_keys=True) == json.dumps(
-            eb["chrome"], sort_keys=True)
-        assert ea["report"] == eb["report"]
 
 
 class TestMissingBaselines:

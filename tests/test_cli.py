@@ -20,6 +20,29 @@ def graph_file(tmp_path):
     return path
 
 
+def _record(directory, *argv) -> Path:
+    """``repro run <argv> --record DIR``; returns ``DIR``."""
+    assert main(["run", *map(str, argv), "--record", str(directory)]) == 0
+    return directory
+
+
+def _read(directory, name):
+    return json.loads((directory / name).read_text())
+
+
+#: ``repro serve`` on the tiny workload, without the from-scratch check.
+SERVE_TINY = ["serve", "--workload", "tiny", "--seed", "0", "--no-verify"]
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """The record directory of one recorded tiny serve run."""
+    directory = tmp_path_factory.mktemp("served")
+    assert main(SERVE_TINY + ["--output", str(directory / "stats.json"),
+                              "--record", str(directory)]) == 0
+    return directory
+
+
 class TestCli:
     def test_list_datasets(self, capsys):
         assert main(["--list"]) == 0
@@ -100,9 +123,11 @@ class TestCli:
 
 
 class TestTraceSubcommand:
-    def test_trace_to_stdout(self, graph_file, capsys):
-        assert main(["trace", str(graph_file)]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    """The trace of a recorded run (``trace.json``), which ``repro
+    trace <input>`` wrote before ``run --record`` replaced it."""
+
+    def test_trace_to_stdout(self, graph_file, tmp_path):
+        doc = _read(_record(tmp_path / "rec", graph_file), "trace.json")
         assert doc["schema"] == "repro.trace/2"
         assert doc["spans"][0]["name"] == "leiden"
         pass_spans = [c for c in doc["spans"][0]["children"]
@@ -112,21 +137,27 @@ class TestTraceSubcommand:
         assert {"local_move", "refine", "aggregate"} <= phase_names
         assert doc["counters"]["barriers"] > 0
         assert doc["meta"]["metrics"]["num_communities"] == 2
+        assert doc["meta"]["num_threads"] == 64
 
     def test_trace_to_file_compact(self, graph_file, tmp_path, capsys):
-        out_file = tmp_path / "trace.json"
-        assert main(["trace", str(graph_file), "--compact",
-                     "--output", str(out_file)]) == 0
-        assert "trace written to" in capsys.readouterr().out
-        text = out_file.read_text()
-        assert len(text.strip().splitlines()) == 1  # compact = one line
-        assert json.loads(text)["schema"] == "repro.trace/2"
+        """The run's summary is printed, then one line naming the
+        directory; every JSON document is indented."""
+        d = _record(tmp_path / "rec", graph_file)
+        out = capsys.readouterr().out
+        assert "communities: 2" in out
+        assert f"7 documents written to {d}" in out
+        assert sorted(p.name for p in d.iterdir()) == [
+            "memory.chrome.json", "memory.json", "metrics.json",
+            "metrics.prom", "profile.chrome.json", "profile.txt",
+            "trace.json"]
+        text = (d / "trace.json").read_text()
+        assert len(text.strip().splitlines()) > 1
 
-    def test_trace_dataset_name(self, capsys):
-        assert main(["trace", "asia_osm", "--max-passes", "2",
-                     "--seed", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_trace_dataset_name(self, tmp_path):
+        doc = _read(_record(tmp_path / "rec", "asia_osm", "--max-passes",
+                            "2", "--seed", "1"), "trace.json")
         assert doc["meta"]["experiment"] == "asia_osm"
+        assert doc["meta"]["seed"] == 1
         assert doc["derived"]["pruning_hit_rate"] >= 0.0
 
 
@@ -155,14 +186,13 @@ class TestBenchSubcommand:
                      "--baselines", str(tmp_path)]) == 0
         assert "7/7 baselines within thresholds" in capsys.readouterr().out
 
-    def test_bench_trace_writes_bundle(self, tmp_path, capsys):
-        out_file = tmp_path / "bundle.json"
-        assert main(["bench", "--trace", str(out_file)]) == 0
-        bundle = json.loads(out_file.read_text())
-        assert bundle["schema"] == "repro.trace-bundle/1"
-        assert set(bundle["experiments"]) == {
-            "asia_osm", "uk-2002", "com-Orkut"
-        }
+    @pytest.mark.parametrize("flag", ["--trace", "--profile", "--mem",
+                                      "--threads"])
+    def test_bench_bundle_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestServeSubcommand:
@@ -182,14 +212,10 @@ class TestServeSubcommand:
         assert "stats written to" in capsys.readouterr().out
         assert a.read_text() == b.read_text()
 
-    def test_serve_trace_output(self, tmp_path, capsys):
-        out = tmp_path / "stats.json"
-        trace = tmp_path / "trace.json"
-        assert main(["serve", "--workload", "tiny", "--seed", "0",
-                     "--no-verify", "--compact",
-                     "--output", str(out), "--trace", str(trace)]) == 0
-        doc = json.loads(trace.read_text())
+    def test_serve_trace_output(self, served):
+        doc = _read(served, "trace.json")
         assert doc["schema"] == "repro.trace/2"
+        assert doc["meta"] == {"experiment": "serve:tiny", "seed": 0}
         span_names = {s["name"] for s in doc["spans"]}
         assert "service.detect" in span_names
         assert "service_request_seconds_p50" in doc["derived"]
@@ -200,38 +226,40 @@ class TestServeSubcommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stats"]["counters"]["updates_coalesced"] == 0
 
-    def test_serve_metrics_output(self, tmp_path, capsys):
-        out = tmp_path / "stats.json"
-        metrics = tmp_path / "metrics.json"
-        assert main(["serve", "--workload", "tiny", "--seed", "0",
-                     "--no-verify", "--output", str(out),
-                     "--metrics", str(metrics)]) == 0
-        doc = json.loads(metrics.read_text())
+    def test_serve_metrics_output(self, served):
+        doc = _read(served, "metrics.json")
         assert doc["schema"] == "repro.metrics/1"
         assert "service_requests_total" in doc["families"]
+        # The request latencies are wall clock, so no trace_* families.
+        assert not any(k.startswith("trace_") for k in doc["families"])
+        assert doc["meta"]["clock_units"] > 0
         # Neither document carries an SLO health block.
-        stats = json.loads(out.read_text())
+        stats = _read(served, "stats.json")
         assert "health" not in doc and "health" not in stats["stats"]
 
-    def test_serve_metrics_deterministic(self, tmp_path, capsys):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for p in paths:
-            assert main(["serve", "--workload", "tiny", "--seed", "0",
-                         "--no-verify", "--output",
-                         str(tmp_path / "stats.json"),
-                         "--metrics", str(p)]) == 0
-        assert paths[0].read_text() == paths[1].read_text()
+    def test_serve_metrics_deterministic(self, served, tmp_path, capsys):
+        """Every document but the trace is byte-identical across runs."""
+        again = tmp_path / "again"
+        assert main(SERVE_TINY + ["--output", str(tmp_path / "stats.json"),
+                                  "--record", str(again)]) == 0
+        for name in ("metrics.json", "metrics.prom", "memory.json",
+                     "memory.chrome.json", "profile.chrome.json",
+                     "profile.txt"):
+            assert (again / name).read_bytes() == \
+                (served / name).read_bytes(), name
 
-    def test_serve_profile_chrome_validates(self, tmp_path, capsys):
+    def test_serve_profile_chrome_validates(self, served):
+        from repro.observability.metrics import validate_prometheus
         from repro.observability.profiler import validate_chrome_trace
 
-        chrome = tmp_path / "serve.chrome.json"
-        assert main(["serve", "--workload", "tiny", "--seed", "0",
-                     "--no-verify", "--output", str(tmp_path / "s.json"),
-                     "--profile", str(chrome)]) == 0
-        doc = json.loads(chrome.read_text())
+        doc = _read(served, "profile.chrome.json")
         assert validate_chrome_trace(doc)["events"] > 0
         assert any(e.get("cat") == "request" for e in doc["traceEvents"])
+        assert validate_chrome_trace(
+            _read(served, "memory.chrome.json"))["events"] > 0
+        assert validate_prometheus(
+            (served / "metrics.prom").read_text())["families"] > 0
+        assert "service lane:" in (served / "profile.txt").read_text()
 
     def test_serve_unknown_profile_exits_2_with_list(self, capsys):
         assert main(["serve", "--workload", "bogus"]) == 2
@@ -247,16 +275,28 @@ class TestServeSubcommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --reqtrace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--profile", "--metrics",
+                                      "--mem"])
+    def test_serve_output_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workload", "tiny", flag, "x.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestRetiredSubcommands:
-    """``fleet``, ``reqtrace`` and ``reorder`` are no subcommands: the
-    first token is the run's graph argument, so their flags fail run's
-    parser.  ``--relabel`` is no flag of any subcommand."""
+    """``fleet``, ``reqtrace``, ``reorder``, ``profile``, ``metrics`` and
+    ``mem`` are no subcommands: the first token is the run's graph
+    argument, so their flags fail run's parser.  ``--relabel`` is no
+    flag of any subcommand."""
 
     @pytest.mark.parametrize("argv", [
         ["fleet", "--shards", "3"],
         ["reqtrace", "doc.json", "--slowest", "5"],
         ["reorder", "asia_osm", "--mode", "community"],
+        ["profile", "asia_osm", "--chrome", "x.json"],
+        ["metrics", "asia_osm", "--format", "prom"],
+        ["mem", "asia_osm", "--rss"],
     ])
     def test_flags_fall_through_to_run(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -273,9 +313,22 @@ class TestRetiredSubcommands:
         with pytest.raises(SystemExit, match="neither a file nor a dataset"):
             main(["reorder"])
 
+    @pytest.mark.parametrize("name", ["profile", "metrics", "mem"])
+    def test_bare_document_subcommand_is_an_unknown_graph(self, name):
+        with pytest.raises(SystemExit, match="neither a file nor a dataset"):
+            main([name])
+
+    def test_trace_takes_no_graph(self, capsys):
+        """``repro trace`` only compares two saved traces."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "asia_osm"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --diff" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run", "asia_osm"],
-        ["profile", "asia_osm"],
+        ["serve", "--workload", "tiny"],
         ["bench", "--engines"],
     ])
     def test_relabel_flag_is_gone(self, argv, capsys):
@@ -288,74 +341,63 @@ class TestRetiredSubcommands:
 
 
 class TestMemSubcommand:
-    def test_mem_json_to_stdout(self, graph_file, capsys):
-        assert main(["mem", str(graph_file)]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    """The memory report of a recorded run (``memory.json``,
+    ``memory.chrome.json``), which ``repro mem`` wrote before ``run
+    --record`` replaced it."""
+
+    def test_mem_json_to_stdout(self, graph_file, tmp_path):
+        doc = _read(_record(tmp_path / "rec", graph_file), "memory.json")
         assert doc["schema"] == "repro.memory/1"
+        assert doc["meta"]["engine"] == "batch"
         assert doc["logical"]["peak_bytes"] > 0
         assert "csr" in doc["logical"]["components"]
         assert "workspace" in doc["logical"]["components"]
+        # The report never carries real RSS fields.
+        assert set(doc) == {"schema", "meta", "logical", "physical",
+                            "events"}
+        assert "rss" not in json.dumps(doc["logical"])
 
-    def test_mem_double_run_byte_identical(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["mem", "asia_osm", "--output", str(a)]) == 0
-        assert main(["mem", "asia_osm", "--output", str(b)]) == 0
-        assert "memory report written to" in capsys.readouterr().out
-        assert a.read_text() == b.read_text()
+    def test_mem_double_run_byte_identical(self, tmp_path):
+        a = _record(tmp_path / "a", "asia_osm")
+        b = _record(tmp_path / "b", "asia_osm")
+        for name in ("memory.json", "memory.chrome.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_mem_chrome_export_validates(self, graph_file, tmp_path,
-                                         capsys):
+    def test_mem_chrome_export_validates(self, graph_file, tmp_path):
         from repro.observability.profiler import validate_chrome_trace
 
-        chrome = tmp_path / "mem_chrome.json"
-        assert main(["mem", str(graph_file), "--compact",
-                     "--chrome", str(chrome)]) == 0
-        doc = json.loads(chrome.read_text())
+        doc = _read(_record(tmp_path / "rec", graph_file),
+                    "memory.chrome.json")
         stats = validate_chrome_trace(doc)
         assert stats["events"] > 0
         assert any(e.get("name") == "mem_live_bytes"
                    for e in doc["traceEvents"])
 
-    def test_mem_rss_line_is_informational(self, graph_file, capsys):
-        assert main(["mem", str(graph_file), "--rss", "--compact"]) == 0
-        out = capsys.readouterr().out
-        assert "rss peak:" in out
-        assert "not gated" in out
-        # The report document itself never carries RSS fields.
-        doc = json.loads(out.splitlines()[0])
-        assert set(doc) == {"schema", "meta", "logical", "physical",
-                            "events"}
-        assert "rss" not in json.dumps(doc["logical"])
-
-    def test_mem_worker_count_invariant_logical_section(self, tmp_path,
-                                                        capsys):
-        docs = []
-        for w in ("1", "2"):
-            p = tmp_path / f"mem_{w}.json"
-            assert main(["mem", "asia_osm", "--engine", "process",
-                         "--workers", w, "--output", str(p)]) == 0
-            docs.append(json.loads(p.read_text()))
-        capsys.readouterr()
+    def test_mem_worker_count_invariant_logical_section(self, tmp_path):
+        docs = [_read(_record(tmp_path / w, "asia_osm", "--engine",
+                              "process", "--workers", w), "memory.json")
+                for w in ("1", "2")]
         assert docs[0]["logical"] == docs[1]["logical"]
 
-    def test_serve_mem_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for p in (a, b):
-            assert main(["serve", "--workload", "tiny", "--seed", "0",
-                         "--no-verify", "--output",
-                         str(tmp_path / "stats.json"),
-                         "--mem", str(p)]) == 0
-        capsys.readouterr()
-        assert a.read_text() == b.read_text()
-        doc = json.loads(a.read_text())
+    def test_serve_mem_output(self, served, tmp_path):
+        again = tmp_path / "again"
+        assert main(SERVE_TINY + ["--output", str(tmp_path / "stats.json"),
+                                  "--record", str(again)]) == 0
+        assert (again / "memory.json").read_bytes() == \
+            (served / "memory.json").read_bytes()
+        doc = _read(served, "memory.json")
         assert doc["schema"] == "repro.memory/1"
+        assert set(doc["logical"]["components"]) == {"store"}
         assert doc["logical"]["components"]["store"]["allocs"] > 0
 
 
 class TestMetricsSubcommand:
-    def test_metrics_json_to_stdout(self, graph_file, capsys):
-        assert main(["metrics", str(graph_file)]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    """The metrics of a recorded run (``metrics.json``,
+    ``metrics.prom``), which ``repro metrics`` wrote before ``run
+    --record`` replaced it."""
+
+    def test_metrics_json_to_stdout(self, graph_file, tmp_path):
+        doc = _read(_record(tmp_path / "rec", graph_file), "metrics.json")
         assert doc["schema"] == "repro.metrics/1"
         assert doc["meta"]["num_communities"] == 2
         assert doc["families"]["leiden_passes_total"]["series"][0][
@@ -363,73 +405,73 @@ class TestMetricsSubcommand:
         assert "runtime_parallel_regions_total" in doc["families"]
         assert any(k.startswith("trace_") for k in doc["families"])
 
-    def test_metrics_prometheus_output(self, graph_file, capsys):
-        assert main(["metrics", str(graph_file), "--format", "prom"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE leiden_passes_total counter" in out
+    def test_metrics_prometheus_output(self, graph_file, tmp_path):
         from repro.observability.metrics import validate_prometheus
 
-        report = validate_prometheus(out)
-        assert report["families"] > 10
+        text = (_record(tmp_path / "rec", graph_file)
+                / "metrics.prom").read_text()
+        assert "# TYPE leiden_passes_total counter" in text
+        assert "# TYPE trace_batch_size histogram" in text
+        assert validate_prometheus(text)["families"] > 10
 
-    def test_metrics_double_run_byte_identical(self, graph_file, tmp_path,
-                                               capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["metrics", str(graph_file), "--output", str(a)]) == 0
-        assert main(["metrics", str(graph_file), "--output", str(b)]) == 0
-        assert "metrics written to" in capsys.readouterr().out
-        assert a.read_text() == b.read_text()
+    def test_metrics_double_run_byte_identical(self, graph_file, tmp_path):
+        a = _record(tmp_path / "a", graph_file)
+        b = _record(tmp_path / "b", graph_file)
+        for name in ("metrics.json", "metrics.prom"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_metrics_dataset_name_compact(self, capsys):
-        assert main(["metrics", "asia_osm", "--max-passes", "2",
-                     "--compact"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1
-        assert json.loads(out)["schema"] == "repro.metrics/1"
+    def test_metrics_dataset_name_compact(self, tmp_path):
+        """The snapshot's meta names the registry graph and the run's
+        own flags; the snapshot is indented JSON."""
+        d = _record(tmp_path / "rec", "asia_osm", "--max-passes", "2")
+        doc = _read(d, "metrics.json")
+        assert doc["meta"]["experiment"] == "asia_osm"
+        assert doc["meta"]["num_passes"] <= 2
+        assert len((d / "metrics.json").read_text().splitlines()) > 1
 
 
 class TestProfileSubcommand:
-    def test_profile_report_to_stdout(self, graph_file, capsys):
-        assert main(["profile", str(graph_file)]) == 0
-        out = capsys.readouterr().out
-        assert "per-phase attribution" in out
-        assert "scheduling-policy attribution" in out
-        assert "convergence monitor" in out
+    """The timeline of a recorded run at 8 threads (``profile.txt``,
+    ``profile.chrome.json``), which ``repro profile`` wrote before
+    ``run --record`` replaced it."""
+
+    def test_profile_report_to_stdout(self, graph_file, tmp_path):
+        text = (_record(tmp_path / "rec", graph_file)
+                / "profile.txt").read_text()
+        assert "per-phase attribution" in text
+        assert "scheduling-policy attribution" in text
+        assert "convergence monitor" in text
 
     def test_profile_chrome_export_is_valid_and_deterministic(
-            self, graph_file, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["profile", str(graph_file), "--chrome", str(a),
-                     "--compact"]) == 0
-        assert main(["profile", str(graph_file), "--chrome", str(b),
-                     "--compact"]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+            self, graph_file, tmp_path):
         from repro.observability.profiler import validate_chrome_trace
 
+        a = _record(tmp_path / "a", graph_file) / "profile.chrome.json"
+        b = _record(tmp_path / "b", graph_file) / "profile.chrome.json"
+        assert a.read_bytes() == b.read_bytes()
         doc = json.loads(a.read_text())
         stats = validate_chrome_trace(doc)
         assert stats["named_lanes"] >= 8
         assert doc["otherData"]["schema"] == "repro.profile/1"
 
-    def test_profile_report_to_file(self, graph_file, tmp_path, capsys):
-        out_file = tmp_path / "report.txt"
-        assert main(["profile", str(graph_file), "--threads", "4",
-                     "--output", str(out_file)]) == 0
-        assert "report written to" in capsys.readouterr().out
-        assert "threads: 4" in out_file.read_text()
+    def test_profile_report_to_file(self, graph_file, tmp_path):
+        text = (_record(tmp_path / "rec", graph_file)
+                / "profile.txt").read_text()
+        assert "threads: 8" in text
+        assert "top 5 regions" in text
 
-    def test_profile_dataset_name(self, capsys):
-        assert main(["profile", "asia_osm", "--max-passes", "1",
-                     "--seed", "1", "--top", "3"]) == 0
-        assert "asia_osm" in capsys.readouterr().out
+    def test_profile_dataset_name(self, tmp_path):
+        d = _record(tmp_path / "rec", "asia_osm", "--max-passes", "1",
+                    "--seed", "1")
+        assert (d / "profile.txt").read_text().startswith(
+            "profile: asia_osm\n")
 
 
 class TestTraceDiff:
     @staticmethod
     def _write_trace(path, graph_file, extra=()):
-        assert main(["trace", str(graph_file), "--compact",
-                     "--output", str(path), *extra]) == 0
+        d = _record(path.with_suffix(""), graph_file, *extra)
+        (d / "trace.json").rename(path)
 
     def test_diff_identical_traces_is_clean(self, graph_file, tmp_path,
                                             capsys):
@@ -481,10 +523,10 @@ class TestTraceDiff:
 
 
 class TestCountFlags:
-    """``--workers``, ``--threads`` and ``--max-passes`` below 1, and a
+    """``--workers`` and ``--max-passes`` below 1, and a
     ``--resolution`` that is not a finite number above 0, exit 2 at parse
     time, with argparse's one-line error instead of a traceback from
-    deep inside."""
+    deep inside, and before a recorded run writes anything."""
 
     @staticmethod
     def _exit_code(argv, capsys):
@@ -495,42 +537,38 @@ class TestCountFlags:
     @pytest.mark.parametrize("argv", [
         ["asia_osm", "--engine", "process"],
         ["run", "asia_osm"],
-        ["trace", "asia_osm"],
-        ["profile", "asia_osm"],
-        ["metrics", "asia_osm"],
-        ["mem", "asia_osm"],
+        ["run", "asia_osm", "--record", "{rec}"],
+        ["asia_osm", "--record", "{rec}"],
+        ["run", "asia_osm", "--engine", "process", "--record", "{rec}"],
+        ["run", "asia_osm", "--algorithm", "louvain", "--record", "{rec}"],
         ["run", "asia_osm", "--engine", "process"],
         ["bench", "--engines"],
     ])
-    def test_workers_below_one_exits_2(self, argv, capsys):
-        code, err = self._exit_code(argv + ["--workers", "0"], capsys)
+    def test_workers_below_one_exits_2(self, argv, tmp_path, capsys):
+        rec = tmp_path / "rec"
+        code, err = self._exit_code(
+            [a.format(rec=rec) for a in argv] + ["--workers", "0"], capsys)
         assert code == 2
         assert "argument --workers: must be >= 1" in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("argv", [
-        ["trace", "asia_osm"],
-        ["profile", "asia_osm"],
-        ["bench", "--profile", "bundle.json"],
-    ])
-    def test_threads_below_one_exits_2(self, argv, capsys):
-        code, err = self._exit_code(argv + ["--threads", "0"], capsys)
-        assert code == 2
-        assert "argument --threads: must be >= 1" in err
-        assert "Traceback" not in err
+        assert not rec.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "asia_osm"],
-        ["trace", "asia_osm"],
-        ["profile", "asia_osm"],
-        ["metrics", "asia_osm"],
-        ["mem", "asia_osm"],
+        ["run", "asia_osm", "--record", "{rec}"],
+        ["asia_osm", "--record", "{rec}"],
+        ["run", "asia_osm", "--engine", "process", "--record", "{rec}"],
+        ["run", "asia_osm", "--algorithm", "louvain", "--record", "{rec}"],
     ])
-    def test_max_passes_below_one_exits_2(self, argv, capsys):
-        code, err = self._exit_code(argv + ["--max-passes", "0"], capsys)
+    def test_max_passes_below_one_exits_2(self, argv, tmp_path, capsys):
+        rec = tmp_path / "rec"
+        code, err = self._exit_code(
+            [a.format(rec=rec) for a in argv] + ["--max-passes", "0"],
+            capsys)
         assert code == 2
         assert "argument --max-passes: must be >= 1" in err
         assert "Traceback" not in err
+        assert not rec.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_resolution_not_positive_finite_exits_2(self, value, capsys):
@@ -544,9 +582,9 @@ class TestCountFlags:
         code, err = self._exit_code(["run", "asia_osm", "--workers", "-2"],
                                     capsys)
         assert code == 2 and "must be >= 1" in err
-        code, err = self._exit_code(["trace", "asia_osm", "--threads", "x"],
-                                    capsys)
-        assert code == 2 and "argument --threads" in err
+        code, err = self._exit_code(
+            ["run", "asia_osm", "--max-passes", "x"], capsys)
+        assert code == 2 and "argument --max-passes" in err
 
     def test_threads_engine_is_gone(self, capsys):
         code, err = self._exit_code(["asia_osm", "--engine", "threads"],
