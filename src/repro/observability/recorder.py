@@ -194,9 +194,9 @@ class Recorder:
 
     # -- the modelled machine ----------------------------------------------
 
-    def region(self, region, machine) -> None:
-        """One work-ledger region, recorded under ``machine``."""
-        self.events.append(("region", region, machine))
+    def region(self, region) -> None:
+        """One work-ledger region."""
+        self.events.append(("region", region))
         phase = region.phase
         if region.kind == "parallel":
             costs = region.chunk_costs

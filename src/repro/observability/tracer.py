@@ -21,6 +21,7 @@ import numpy as np
 from repro.observability.metrics import bucket_of as _bucket_of
 from repro.observability.metrics import bucket_percentile
 from repro.observability.recorder import DISPATCH_ENGINE, MIRRORS
+from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.simthread import WorkLedger
 
 __all__ = ["TRACE_SCHEMA", "Span", "bucket_percentile", "derived_metrics",
@@ -202,7 +203,7 @@ def trace_tree(recorder) -> Span:
             if counter is not None:
                 top.count(counter, ev[2])
         elif kind == "region":
-            _count_region(top, ev[1], ev[2])
+            _count_region(top, ev[1])
         elif kind == "dispatch":
             top.count(f"kernel_{DISPATCH_ENGINE}_{ev[1]}")
         elif kind == "request":
@@ -213,10 +214,11 @@ def trace_tree(recorder) -> Span:
     return root
 
 
-def _count_region(span: Span, region, machine) -> None:
+def _count_region(span: Span, region) -> None:
     """A region's counters: for a parallel region its atomics, barrier,
     work units and modelled clock skew (slowest-thread minus mean work
-    at the machine's full thread count — the load-imbalance signal)."""
+    at the paper machine's full thread count — the load-imbalance
+    signal)."""
     costs = region.chunk_costs
     if region.kind == "serial":
         span.count("serial_regions")
@@ -227,6 +229,7 @@ def _count_region(span: Span, region, machine) -> None:
     span.count("barriers")
     span.count("atomic_ops", region.atomics)
     span.count("work_units", float(costs.sum()))
+    machine = PAPER_MACHINE
     t = machine.max_threads
     slowest = WorkLedger._region_span(region, machine, t, 1.0)
     mean = (float(costs.sum())

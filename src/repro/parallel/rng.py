@@ -100,13 +100,5 @@ class Xorshift32:
             lanes ^= (lanes << np.uint32(5)) & _U32_MASK
         return lanes.astype(np.float64) * _INV_2_32
 
-    def spawn(self, count: int) -> list["Xorshift32"]:
-        """Derive ``count`` per-thread generators with decorrelated seeds."""
-        children = []
-        for _ in range(count):
-            seed = (self.next_uint32() * 0x9E3779B9 + 0x7F4A7C15) & 0xFFFFFFFF
-            children.append(Xorshift32(seed))
-        return children
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Xorshift32(state=0x{self._state:08x})"

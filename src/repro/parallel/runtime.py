@@ -1,9 +1,9 @@
-"""Runtime facade: thread count, schedule, worker pool and accounting.
+"""Runtime facade: thread count, worker pool and accounting.
 
 A :class:`Runtime` is passed through every phase of the algorithms.  It
-owns the work ledger (for modelled time), the per-thread RNGs and
-hashtables and — for the ``process`` engine — the persistent
-worker-process pool, and it builds the per-pass kernel workspaces.
+owns the work ledger (for modelled time), the per-thread hashtables and
+— for the ``process`` engine — the persistent worker-process pool, and
+it builds the per-pass kernel workspaces.
 Every phase executes in the calling process except the process
 engine's local-moving, which fans out through :meth:`Runtime.procpool`.
 """
@@ -16,11 +16,8 @@ from typing import Dict, List
 
 from repro.errors import ConfigError
 from repro.observability.recorder import NULL_RECORDER, REGION_FAMILIES
-from repro.parallel.costmodel import PAPER_MACHINE, MachineModel
 from repro.parallel.hashtable import CollisionFreeHashtable
-from repro.parallel.rng import Xorshift32
-from repro.parallel.schedule import DEFAULT_CHUNK, Schedule
-from repro.parallel.simthread import SimulatedTime, WorkLedger
+from repro.parallel.simthread import WorkLedger
 
 #: Accepted ``executor`` values.  Nothing dispatches on the value any
 #: more: the process engine reaches its pool through :meth:`procpool`.
@@ -34,20 +31,15 @@ class Runtime:
     ----------
     num_threads:
         Thread count the run models; also the :meth:`procpool` worker
-        count.
-    schedule:
-        Loop schedule; the paper uses OpenMP ``dynamic`` (chunked).
+        count.  Parallel regions use OpenMP's ``dynamic`` schedule
+        (chunk 2048), as the paper does.
     seed:
-        Seed for the master xorshift32; per-thread generators are spawned
-        from it.
+        Seed of the worker pool's task-dispatch order.
     executor:
         ``"serial"`` (default) or ``"process"``.  Accepted for
         compatibility and validated; it selects nothing — the engine
         (:attr:`LeidenConfig.engine`) decides whether :meth:`procpool`
         is used.
-    machine:
-        Machine model used by :meth:`simulate`; defaults to the paper's
-        dual-Xeon testbed.
     recorder:
         :class:`~repro.observability.recorder.Recorder` the runtime,
         the phases and the buffer owners write their events to;
@@ -59,10 +51,8 @@ class Runtime:
         self,
         num_threads: int = 1,
         *,
-        schedule: Schedule | None = None,
         seed: int = 12345,
         executor: str = "serial",
-        machine: MachineModel | None = None,
         recorder=None,
     ) -> None:
         if num_threads < 1:
@@ -70,17 +60,13 @@ class Runtime:
         if executor not in _EXECUTORS:
             raise ConfigError(f"executor must be one of {_EXECUTORS}")
         self.num_threads = int(num_threads)
-        self.schedule = schedule or Schedule("dynamic", DEFAULT_CHUNK)
         self.executor = executor
-        self.machine = machine or PAPER_MACHINE
         self.ledger = WorkLedger()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         if self.recorder.enabled:
             for family in REGION_FAMILIES:
                 self.recorder.family(*family)
         self.seed = int(seed)
-        self.master_rng = Xorshift32(seed)
-        self.thread_rngs: List[Xorshift32] = self.master_rng.spawn(self.num_threads)
         self._procpool = None
 
     # -- per-thread resources ------------------------------------------------
@@ -163,7 +149,6 @@ class Runtime:
         *,
         phase: str,
         atomics: float = 0.0,
-        schedule: Schedule | None = None,
         per_item: float = 0.0,
     ) -> None:
         """Record one parallel region's per-item work in the ledger.
@@ -175,15 +160,10 @@ class Runtime:
         """
         regions = self.ledger.regions
         n_before = len(regions)
-        self.ledger.parallel(
-            item_costs,
-            phase=phase,
-            schedule=schedule or self.schedule,
-            atomics=atomics,
-            per_item=per_item,
-        )
+        self.ledger.parallel(item_costs, phase=phase, atomics=atomics,
+                             per_item=per_item)
         if self.recorder.enabled and len(regions) > n_before:
-            self.recorder.region(regions[-1], self.machine)
+            self.recorder.region(regions[-1])
 
     def record_serial(self, cost: float, *, phase: str) -> None:
         """Record sequential work in the ledger (one recorder event)."""
@@ -191,24 +171,10 @@ class Runtime:
         n_before = len(regions)
         self.ledger.serial(cost, phase=phase)
         if self.recorder.enabled and len(regions) > n_before:
-            self.recorder.region(regions[-1], self.machine)
-
-    def simulate(
-        self,
-        *,
-        machine: MachineModel | None = None,
-        num_threads: int | None = None,
-    ) -> SimulatedTime:
-        """Modelled runtime of everything recorded so far."""
-        return self.ledger.simulate(
-            machine or self.machine,
-            num_threads if num_threads is not None else self.num_threads,
-        )
+            self.recorder.region(regions[-1])
 
     # -- misc -------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Runtime(threads={self.num_threads}, schedule={self.schedule.kind}"
-            f"/{self.schedule.chunk}, executor={self.executor})"
-        )
+        return (f"Runtime(threads={self.num_threads}, "
+                f"executor={self.executor})")

@@ -33,6 +33,10 @@ from repro.parallel.schedule import DEFAULT_CHUNK, Schedule, makespan
 #: Cap on stored chunks per region; beyond this, chunks are re-aggregated.
 _MAX_CHUNKS = 16384
 
+#: The schedule of a region recorded without one: OpenMP ``dynamic`` with
+#: the paper's chunk size.
+_DYNAMIC = Schedule("dynamic", DEFAULT_CHUNK)
+
 
 @dataclass
 class Region:
@@ -81,7 +85,7 @@ class WorkLedger:
         loops.
         """
         if schedule is None:
-            schedule = Schedule("dynamic", DEFAULT_CHUNK)
+            schedule = _DYNAMIC
         if isinstance(item_costs, (int, np.integer)):
             if not per_item:
                 raise ValueError(

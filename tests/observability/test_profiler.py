@@ -160,7 +160,7 @@ class TestTimeline:
             schedule = Schedule("static", 1)
             atomics = 0.0
 
-        rec.region(R(), PAPER_MACHINE)
+        rec.region(R())
         tl = timeline(rec, 2)
         owners = [e.tid for e in tl.events if e.cat == CAT_CHUNK]
         assert owners == [0, 1, 0, 1]

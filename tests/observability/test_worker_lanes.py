@@ -8,7 +8,7 @@ at 0 every move batch goes to the pool, and each task must show up as a
 
 import json
 
-from repro.cli import profile_main
+from repro.cli import main
 from repro.observability.profiler import (
     CAT_WORKER,
     PID_WORKERS,
@@ -18,14 +18,13 @@ from tests.conftest import pool_gate
 
 
 def test_move_scan_events_on_every_worker_lane(tmp_path, capsys):
-    chrome = tmp_path / "profile-proc.json"
+    record = tmp_path / "record"
     with pool_gate(0) as batches:
-        assert profile_main([
-            "asia_osm", "--seed", "42", "--engine", "process",
-            "--workers", "2", "--chrome", str(chrome),
-            "--output", str(tmp_path / "report.txt"),
+        assert main([
+            "run", "asia_osm", "--seed", "42", "--engine", "process",
+            "--workers", "2", "--record", str(record),
         ]) == 0
-    doc = json.loads(chrome.read_text())
+    doc = json.loads((record / "profile.chrome.json").read_text())
     validate_chrome_trace(doc)
     scans = [ev for ev in doc["traceEvents"]
              if ev.get("pid") == PID_WORKERS and ev.get("ph") == "X"]

@@ -71,8 +71,3 @@ class TestBatches:
         assert np.array_equal(
             Xorshift32(3).floats_fast(64), Xorshift32(3).floats_fast(64)
         )
-
-    def test_spawn_decorrelated(self):
-        children = Xorshift32(1).spawn(4)
-        states = {c.state for c in children}
-        assert len(states) == 4

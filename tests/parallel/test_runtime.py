@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.observability.recorder import Recorder
 from repro.observability.tracer import trace_tree
+from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
 
@@ -13,7 +14,11 @@ class TestConstruction:
     def test_defaults(self):
         rt = Runtime()
         assert rt.num_threads == 1
-        assert rt.schedule.kind == "dynamic"
+        assert rt.executor == "serial"
+        rt.record_parallel(np.ones(5000), phase="p")
+        (region,) = rt.ledger.regions
+        assert (region.schedule.kind, region.schedule.chunk) == (
+            "dynamic", 2048)
 
     def test_rejects_bad_threads(self):
         with pytest.raises(ConfigError):
@@ -33,11 +38,6 @@ class TestConstruction:
             assert rt.executor == "process"
             assert rt._procpool is None
 
-    def test_thread_rngs_spawned(self):
-        rt = Runtime(4, seed=9)
-        assert len(rt.thread_rngs) == 4
-        assert len({r.state for r in rt.thread_rngs}) == 4
-
     def test_hashtables_per_thread(self):
         rt = Runtime(3)
         tables = rt.hashtables(10)
@@ -50,8 +50,8 @@ class TestAccounting:
         rt = Runtime(8)
         rt.record_parallel(np.ones(10000), phase="p")
         rt.record_serial(100, phase="s")
-        sim1 = rt.simulate(num_threads=1)
-        sim8 = rt.simulate()
+        sim1 = rt.ledger.simulate(PAPER_MACHINE, 1)
+        sim8 = rt.ledger.simulate(PAPER_MACHINE, 8)
         assert sim8.seconds < sim1.seconds
         assert set(sim8.phase_seconds) == {"p", "s"}
 
