@@ -15,7 +15,11 @@ Run with:  PYTHONPATH=src python examples/metrics_smoke.py
 
 from repro.core.config import LeidenConfig
 from repro.datasets.registry import load_graph
-from repro.observability.metrics import to_prometheus, validate_prometheus
+from repro.observability.metrics import (
+    derived_metrics,
+    to_prometheus,
+    validate_prometheus,
+)
 from repro.observability.regression import collect_leiden_metrics
 
 
@@ -33,10 +37,10 @@ def main() -> None:
     report = validate_prometheus(prom)
     print(f"prometheus exposition: {report['families']} families, "
           f"{report['samples']} samples, parses cleanly")
-    moves = families["leiden_local_moves_total"]
-    shrink = families["leiden_aggregation_shrink"]
-    print(f"local moves: {moves.value():.0f}, "
-          f"aggregation shrink p50: {shrink.percentile(50.0):.3f}")
+    moves = families["leiden_local_moves_total"].series[()]
+    derived = derived_metrics(families)
+    print(f"local moves: {moves:.0f}, aggregation shrink p50: "
+          f"{derived['leiden_aggregation_shrink_p50']:.3f}")
 
 
 if __name__ == "__main__":

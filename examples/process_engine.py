@@ -49,8 +49,9 @@ def main() -> None:
     process_wall = time.perf_counter() - t0
 
     edges = recorder.families["proc_worker_edges_total"]
-    pool_edges = sum(edges.value(str(w)) for w in range(WORKERS))
-    parent_edges = edges.value("parent")
+    pool_edges = sum(edges.series.get((str(w),), 0.0)
+                     for w in range(WORKERS))
+    parent_edges = edges.series.get(("parent",), 0.0)
     same = bool((result.membership == oracle.membership).all())
     print(f"batch engine:   {batch_wall:.2f}s wall, "
           f"{oracle.num_communities} communities, "

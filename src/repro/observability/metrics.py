@@ -1,13 +1,14 @@
 """Metric families, their exposition, and the shared bucket machinery.
 
 A :class:`~repro.observability.recorder.Recorder` folds every metric
-update into one of three family kinds as it arrives:
+update into a :class:`Family` as it arrives.  A family is one of three
+kinds:
 
-- :class:`Counter` — monotonically increasing totals (requests served,
+- ``counter`` — monotonically increasing totals (requests served,
   atomic operations, chunks dispatched);
-- :class:`Gauge` — set-to-current values (queue depth, store bytes,
+- ``gauge`` — set-to-current values (queue depth, store bytes,
   community count of the last run);
-- :class:`Histogram` — power-of-two exponent-bucketed distributions
+- ``histogram`` — power-of-two exponent-bucketed distributions
   (request latency in logical-clock units, batch sizes), the same bucket
   machinery the trace's observation histograms use (:func:`bucket_of` /
   :func:`bucket_percentile`), so both report one p50/p99.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import MetricsError
 
@@ -43,9 +44,8 @@ __all__ = [
     "bucket_estimate",
     "bucket_percentile",
     "exact_percentile",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "Family",
+    "KINDS",
     "MAX_SERIES",
     "derived_metrics",
     "to_prometheus",
@@ -152,240 +152,13 @@ def _label_body(labelnames: Tuple[str, ...], key: Tuple[str, ...]) -> str:
     return "{" + inner + "}"
 
 
-# -- instruments ---------------------------------------------------------------
+# -- the metric family ---------------------------------------------------------
+
+#: The kinds a family can be.
+KINDS = ("counter", "gauge", "histogram")
 
 
-class _Bound:
-    """An instrument pre-bound to one label combination.
-
-    Hot call sites resolve their labels once (``c = counter.labels(...)``)
-    and then pay one method call plus one dict update per event.
-    """
-
-    __slots__ = ("_inst", "_key")
-
-    def __init__(self, inst: "_Instrument", key: Tuple[str, ...]) -> None:
-        self._inst = inst
-        self._key = key
-
-    def inc(self, value: float = 1.0) -> None:
-        self._inst._inc(self._key, value)
-
-    def add(self, value: float) -> None:
-        self._inst._add(self._key, value)
-
-    def set(self, value: float) -> None:
-        self._inst._set(self._key, value)
-
-    def observe(self, value: float) -> None:
-        self._inst._observe(self._key, value)
-
-    def update(self, value: float) -> None:
-        """The family kind's one update: inc, set or observe."""
-        self._inst._update(self._key, value)
-
-
-class _Instrument:
-    """Shared series bookkeeping of all three instrument kinds."""
-
-    kind = "untyped"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-    ) -> None:
-        if not _NAME_RE.match(name):
-            raise MetricsError(f"invalid metric name {name!r}")
-        labelnames = tuple(labelnames)
-        for ln in labelnames:
-            if not _LABEL_RE.match(ln) or ln.startswith("__"):
-                raise MetricsError(f"invalid label name {ln!r} on {name!r}")
-        if len(set(labelnames)) != len(labelnames):
-            raise MetricsError(f"duplicate label names on {name!r}")
-        self.name = name
-        self.help = help
-        self.labelnames = labelnames
-        #: Label-routing events that landed in the ``_overflow`` series.
-        self.overflowed = 0
-        self._bound: Dict[Tuple[str, ...], _Bound] = {}
-        if not labelnames:
-            self._new_series(())
-
-    # -- series management -------------------------------------------------
-
-    def _series_keys(self) -> Iterable[Tuple[str, ...]]:
-        raise NotImplementedError
-
-    def _num_series(self) -> int:
-        raise NotImplementedError
-
-    def _new_series(self, key: Tuple[str, ...]) -> None:
-        raise NotImplementedError
-
-    def _has_series(self, key: Tuple[str, ...]) -> bool:
-        raise NotImplementedError
-
-    def labels(self, *values, **kw) -> _Bound:
-        """The series for one label combination (created on first use).
-
-        Values may be positional (in ``labelnames`` order), keyword, or a
-        mix; everything is stringified.  A *new* combination past the
-        :data:`MAX_SERIES` cardinality bound is routed to the single shared
-        ``_overflow`` series instead of growing the instrument.
-        """
-        if kw:
-            tail = tuple(kw[n] for n in self.labelnames[len(values):]
-                         if n in kw)
-            if len(values) + len(tail) != len(self.labelnames):
-                raise MetricsError(
-                    f"{self.name}: expected labels {self.labelnames}, "
-                    f"got {values!r} + {sorted(kw)!r}")
-            values = values + tail
-        elif len(values) != len(self.labelnames):
-            raise MetricsError(
-                f"{self.name}: expected {len(self.labelnames)} label "
-                f"value(s) {self.labelnames}, got {len(values)}")
-        key = tuple(str(v) for v in values)
-        bound = self._bound.get(key)
-        if bound is not None:
-            return bound
-        if not self._has_series(key) and self._num_series() >= MAX_SERIES:
-            self.overflowed += 1
-            over = (OVERFLOW_LABEL,) * len(self.labelnames)
-            if not self._has_series(over):
-                self._new_series(over)
-            # NOT cached under ``key``: later hits on the same key must
-            # keep counting as overflow routing, and caching every
-            # rejected key would itself grow without bound.
-            return _Bound(self, over)
-        if not self._has_series(key):
-            self._new_series(key)
-        bound = _Bound(self, key)
-        self._bound[key] = bound
-        return bound
-
-    # -- mutation entry points (overridden per kind) -----------------------
-
-    def _inc(self, key, value) -> None:
-        raise MetricsError(f"{self.kind} {self.name!r} does not support inc()")
-
-    def _add(self, key, value) -> None:
-        raise MetricsError(f"{self.kind} {self.name!r} does not support add()")
-
-    def _set(self, key, value) -> None:
-        raise MetricsError(f"{self.kind} {self.name!r} does not support set()")
-
-    def _observe(self, key, value) -> None:
-        raise MetricsError(
-            f"{self.kind} {self.name!r} does not support observe()")
-
-    def _check_unlabeled(self) -> None:
-        if self.labelnames:
-            raise MetricsError(
-                f"{self.name} carries labels {self.labelnames}; "
-                "bind them with .labels(...) first")
-
-    # -- emission ----------------------------------------------------------
-
-    def _series_dicts(self) -> List[dict]:
-        raise NotImplementedError
-
-    def _prometheus_lines(self) -> List[str]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"{type(self).__name__}({self.name!r}, "
-                f"series={self._num_series()})")
-
-
-class Counter(_Instrument):
-    """A monotonically increasing total (per label combination)."""
-
-    kind = "counter"
-
-    def __init__(self, name, help="", labelnames=()):
-        self._values: Dict[Tuple[str, ...], float] = {}
-        super().__init__(name, help, labelnames)
-
-    def _series_keys(self):
-        return self._values.keys()
-
-    def _num_series(self):
-        return len(self._values)
-
-    def _new_series(self, key):
-        self._values[key] = 0.0
-
-    def _has_series(self, key):
-        return key in self._values
-
-    def inc(self, value: float = 1.0) -> None:
-        """Increment the (label-less) counter by ``value`` (>= 0)."""
-        self._check_unlabeled()
-        self._inc((), value)
-
-    def _inc(self, key, value=1.0):
-        if value < 0:
-            raise MetricsError(
-                f"counter {self.name!r} cannot decrease (inc {value})")
-        self._values[key] += float(value)
-
-    _update = _inc
-
-    def value(self, *label_values) -> float:
-        """Current total of one series (testing/inspection helper)."""
-        return self._values.get(tuple(str(v) for v in label_values), 0.0)
-
-    def _series_dicts(self):
-        return [
-            {"labels": dict(zip(self.labelnames, key)), "value": v}
-            for key, v in sorted(self._values.items())
-        ]
-
-    def _prometheus_lines(self):
-        return [
-            f"{self.name}{_label_body(self.labelnames, key)} {_fmt_value(v)}"
-            for key, v in sorted(self._values.items())
-        ]
-
-
-class Gauge(_Instrument):
-    """A set-to-current value (per label combination)."""
-
-    kind = "gauge"
-
-    def __init__(self, name, help="", labelnames=()):
-        self._values: Dict[Tuple[str, ...], float] = {}
-        super().__init__(name, help, labelnames)
-
-    _series_keys = Counter._series_keys
-    _num_series = Counter._num_series
-    _new_series = Counter._new_series
-    _has_series = Counter._has_series
-    value = Counter.value
-    _series_dicts = Counter._series_dicts
-    _prometheus_lines = Counter._prometheus_lines
-
-    def set(self, value: float) -> None:
-        self._check_unlabeled()
-        self._set((), value)
-
-    def add(self, value: float) -> None:
-        self._check_unlabeled()
-        self._add((), value)
-
-    def _set(self, key, value):
-        self._values[key] = float(value)
-
-    def _add(self, key, value):
-        self._values[key] += float(value)
-
-    _update = _set
-
-
-class _HistogramData:
+class _Histogram:
     """One histogram series: exponent buckets plus exact summary stats."""
 
     __slots__ = ("count", "sum", "min", "max", "buckets")
@@ -397,80 +170,83 @@ class _HistogramData:
         self.max = -math.inf
         self.buckets: Dict[int, int] = {}
 
+    def observe(self, value: float) -> None:
+        v = float(value)
+        self.count += 1
+        self.sum += v
+        if v < self.min:
+            self.min = v
+        if v > self.max:
+            self.max = v
+        b = bucket_of(v)
+        self.buckets[b] = self.buckets.get(b, 0) + 1
 
-class Histogram(_Instrument):
-    """A power-of-two exponent-bucketed distribution (per label set).
 
-    Buckets are the shared :func:`bucket_of` exponents — the same layout
-    the trace's observation histograms use, so the two report identical
-    :func:`bucket_percentile` estimates for identical samples.
+class Family:
+    """One metric family: its ``kind``, label names and series.
+
+    ``series`` maps each label-value tuple (strings, in ``labelnames``
+    order) to a number (counter, gauge) or a histogram series.
+    :meth:`update` is the one mutation: a counter adds the value, a
+    gauge takes it, a histogram observes it.
     """
 
-    kind = "histogram"
+    def __init__(self, kind: str, name: str, help: str = "",
+                 labelnames: Sequence[str] = ()) -> None:
+        if kind not in KINDS:
+            raise MetricsError(f"unknown metric kind {kind!r}")
+        if not _NAME_RE.match(name):
+            raise MetricsError(f"invalid metric name {name!r}")
+        labelnames = tuple(labelnames)
+        for ln in labelnames:
+            if not _LABEL_RE.match(ln) or ln.startswith("__"):
+                raise MetricsError(f"invalid label name {ln!r} on {name!r}")
+        if len(set(labelnames)) != len(labelnames):
+            raise MetricsError(f"duplicate label names on {name!r}")
+        self.kind = kind
+        self.name = name
+        self.help = help
+        self.labelnames = labelnames
+        #: Updates of a new label combination past :data:`MAX_SERIES`,
+        #: all routed to the one ``_overflow`` series.
+        self.overflowed = 0
+        self.series: Dict[Tuple[str, ...], object] = {}
+        if not labelnames:
+            self.series[()] = self._zero()
 
-    def __init__(self, name, help="", labelnames=()):
-        self._data: Dict[Tuple[str, ...], _HistogramData] = {}
-        super().__init__(name, help, labelnames)
+    def _zero(self):
+        return _Histogram() if self.kind == "histogram" else 0.0
 
-    def _series_keys(self):
-        return self._data.keys()
-
-    def _num_series(self):
-        return len(self._data)
-
-    def _new_series(self, key):
-        self._data[key] = _HistogramData()
-
-    def _has_series(self, key):
-        return key in self._data
-
-    def observe(self, value: float) -> None:
-        self._check_unlabeled()
-        self._observe((), value)
-
-    def _observe(self, key, value):
-        v = float(value)
-        d = self._data[key]
-        d.count += 1
-        d.sum += v
-        if v < d.min:
-            d.min = v
-        if v > d.max:
-            d.max = v
-        b = bucket_of(v)
-        d.buckets[b] = d.buckets.get(b, 0) + 1
-
-    _update = _observe
-
-    def _inject(self, buckets: Dict[int, int],
-                stats: Optional[Dict[str, float]] = None) -> None:
-        """Merge pre-bucketed observations into the unlabeled series (the
-        trace re-export path, :func:`trace_families`).
-
-        ``stats`` carries exact ``count/sum/min/max`` when the producer
-        retained them; otherwise the count comes from the buckets and
-        sum/min/max stay at their bucket-estimate defaults.
-        """
-        d = self._data[()]
-        added = 0
-        for exp, c in buckets.items():
-            d.buckets[exp] = d.buckets.get(exp, 0) + int(c)
-            added += int(c)
-        d.count += added
-        if stats is not None:
-            d.sum += float(stats["sum"])
-            d.min = min(d.min, float(stats["min"]))
-            d.max = max(d.max, float(stats["max"]))
+    def update(self, value: float, labels: Sequence = ()) -> None:
+        """Apply ``value`` to the series of ``labels`` (created on first
+        use; a new combination past :data:`MAX_SERIES` lands in the
+        ``_overflow`` series)."""
+        if len(labels) != len(self.labelnames):
+            raise MetricsError(
+                f"{self.name}: expected {len(self.labelnames)} label "
+                f"value(s) {self.labelnames}, got {len(labels)}")
+        if self.kind == "counter" and value < 0:
+            raise MetricsError(
+                f"counter {self.name!r} cannot decrease (update {value})")
+        key = tuple(str(v) for v in labels)
+        series = self.series
+        if key not in series:
+            if len(series) >= MAX_SERIES:
+                self.overflowed += 1
+                key = (OVERFLOW_LABEL,) * len(self.labelnames)
+            if key not in series:
+                series[key] = self._zero()
+        if self.kind == "counter":
+            series[key] += float(value)
+        elif self.kind == "gauge":
+            series[key] = float(value)
         else:
-            d.sum += sum(bucket_estimate(e) * c for e, c in buckets.items())
+            series[key].observe(value)
 
-    def percentile(self, q: float, *label_values) -> float:
-        """Bucket-estimate percentile of one series."""
-        key = tuple(str(v) for v in label_values)
-        d = self._data.get(key)
-        return bucket_percentile(d.buckets, q) if d is not None else 0.0
-
-    def _series_dicts(self):
+    def _series_dicts(self) -> List[dict]:
+        if self.kind != "histogram":
+            return [{"labels": dict(zip(self.labelnames, key)), "value": v}
+                    for key, v in sorted(self.series.items())]
         return [
             {
                 "labels": dict(zip(self.labelnames, key)),
@@ -480,18 +256,21 @@ class Histogram(_Instrument):
                 "max": d.max if d.count else 0.0,
                 "buckets": {str(e): c for e, c in sorted(d.buckets.items())},
             }
-            for key, d in sorted(self._data.items())
+            for key, d in sorted(self.series.items())
         ]
 
-    def _prometheus_lines(self):
+    def _prometheus_lines(self) -> List[str]:
+        if self.kind != "histogram":
+            return [f"{self.name}{_label_body(self.labelnames, key)} "
+                    f"{_fmt_value(v)}"
+                    for key, v in sorted(self.series.items())]
         lines: List[str] = []
-        for key, d in sorted(self._data.items()):
+        for key, d in sorted(self.series.items()):
             cum = 0
             for exp in sorted(d.buckets):
                 cum += d.buckets[exp]
                 le = "0" if exp == BUCKET_ZERO else _fmt_value(2.0 ** exp)
-                body = _label_body(
-                    self.labelnames + ("le",), key + (le,))
+                body = _label_body(self.labelnames + ("le",), key + (le,))
                 lines.append(f"{self.name}_bucket{body} {cum}")
             body = _label_body(self.labelnames + ("le",), key + ("+Inf",))
             lines.append(f"{self.name}_bucket{body} {d.count}")
@@ -500,11 +279,15 @@ class Histogram(_Instrument):
             lines.append(f"{self.name}_count{base} {d.count}")
         return lines
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"Family({self.kind!r}, {self.name!r}, "
+                f"series={len(self.series)})")
+
 
 # -- projection: the metrics document -----------------------------------------
 
 
-def derived_metrics(families: Dict[str, _Instrument]) -> Dict[str, float]:
+def derived_metrics(families: Dict[str, Family]) -> Dict[str, float]:
     """p50/p99 bucket-estimates for every histogram series.
 
     Label-less series contribute ``{name}_p50`` / ``{name}_p99``;
@@ -513,29 +296,29 @@ def derived_metrics(families: Dict[str, _Instrument]) -> Dict[str, float]:
     document derives for the same distributions.
     """
     out: Dict[str, float] = {}
-    for inst in _sorted(families):
-        if not isinstance(inst, Histogram):
+    for fam in _sorted(families):
+        if fam.kind != "histogram":
             continue
-        for key, d in sorted(inst._data.items()):
+        for key, d in sorted(fam.series.items()):
             tag = "_".join(key)
-            stem = f"{inst.name}_{tag}" if tag else inst.name
+            stem = f"{fam.name}_{tag}" if tag else fam.name
             out[f"{stem}_p50"] = bucket_percentile(d.buckets, 50.0)
             out[f"{stem}_p99"] = bucket_percentile(d.buckets, 99.0)
     return out
 
 
-def to_prometheus(families: Dict[str, _Instrument]) -> str:
+def to_prometheus(families: Dict[str, Family]) -> str:
     """Prometheus text exposition format 0.0.4, byte-deterministic."""
     lines: List[str] = []
-    for inst in _sorted(families):
-        if inst.help:
-            lines.append(f"# HELP {inst.name} {_escape_help(inst.help)}")
-        lines.append(f"# TYPE {inst.name} {inst.kind}")
-        lines.extend(inst._prometheus_lines())
+    for fam in _sorted(families):
+        if fam.help:
+            lines.append(f"# HELP {fam.name} {_escape_help(fam.help)}")
+        lines.append(f"# TYPE {fam.name} {fam.kind}")
+        lines.extend(fam._prometheus_lines())
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def to_snapshot(families: Dict[str, _Instrument], **meta) -> dict:
+def to_snapshot(families: Dict[str, Family], **meta) -> dict:
     """The families as a JSON-ready document (:data:`METRICS_SCHEMA`).
 
     ``meta`` is caller context (experiment name, seed, ...).  No
@@ -543,16 +326,16 @@ def to_snapshot(families: Dict[str, _Instrument], **meta) -> dict:
     families is byte-identical across runs.
     """
     out = {}
-    for inst in _sorted(families):
-        fam = {
-            "type": inst.kind,
-            "help": inst.help,
-            "labels": list(inst.labelnames),
-            "series": inst._series_dicts(),
+    for fam in _sorted(families):
+        doc = {
+            "type": fam.kind,
+            "help": fam.help,
+            "labels": list(fam.labelnames),
+            "series": fam._series_dicts(),
         }
-        if inst.overflowed:
-            fam["overflowed"] = inst.overflowed
-        out[inst.name] = fam
+        if fam.overflowed:
+            doc["overflowed"] = fam.overflowed
+        out[fam.name] = doc
     return {
         "schema": METRICS_SCHEMA,
         "meta": meta,
@@ -561,30 +344,34 @@ def to_snapshot(families: Dict[str, _Instrument], **meta) -> dict:
     }
 
 
-def trace_families(root, prefix: str = "trace_") -> Dict[str, "Histogram"]:
+def trace_families(root, prefix: str = "trace_") -> Dict[str, Family]:
     """A trace tree's observations as ``{prefix}{name}`` histograms.
 
     Every distribution observed anywhere under ``root`` (a
     :class:`~repro.observability.tracer.Span`) becomes one histogram
     whose buckets are the subtree-merged span buckets and whose
-    count/sum/min/max are the exact merged span stats, so ``repro
-    trace`` and ``repro metrics`` report identical p50/p99 for one run.
-    ``repro metrics`` and the metrics golden files add these families to
-    the recorder's own; ``repro serve --metrics`` does not.
+    count/sum/min/max are the exact merged span stats, so a recorded
+    run's trace and metrics report identical p50/p99.  ``run --record``
+    and the metrics golden files add these families to the recorder's
+    own; ``serve --record`` does not.
     """
     buckets = root.bucket_totals()
     stats = root.stats_totals()
-    out: Dict[str, Histogram] = {}
+    out: Dict[str, Family] = {}
     for name in sorted(buckets):
-        hist = Histogram(
-            prefix + name,
-            f"tracer observation histogram {name!r} (re-export)")
-        hist._inject(buckets[name], stats.get(name))
-        out[hist.name] = hist
+        fam = Family("histogram", prefix + name,
+                     f"tracer observation histogram {name!r} (re-export)")
+        d, s = fam.series[()], stats[name]
+        d.buckets = {exp: int(c) for exp, c in buckets[name].items()}
+        d.count = sum(d.buckets.values())
+        d.sum += float(s["sum"])
+        d.min = min(d.min, float(s["min"]))
+        d.max = max(d.max, float(s["max"]))
+        out[fam.name] = fam
     return out
 
 
-def _sorted(families: Dict[str, _Instrument]) -> List[_Instrument]:
+def _sorted(families: Dict[str, Family]) -> List[Family]:
     return [families[n] for n in sorted(families)]
 
 

@@ -40,7 +40,7 @@ from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.errors import MetricsError
-from repro.observability.metrics import Counter, Gauge, Histogram
+from repro.observability.metrics import Family
 
 __all__ = [
     "DISPATCH_ENGINE",
@@ -119,9 +119,6 @@ MIRRORS: Dict[Tuple[str, str],
     ("alloc", "shm"): ("mem_shm_bytes_total", (), None, False),
 }
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class Recorder:
     """The ordered event record of one observed execution.
 
@@ -135,7 +132,7 @@ class Recorder:
 
     def __init__(self) -> None:
         self.events: List[tuple] = []
-        self.families: Dict[str, object] = {}
+        self.families: Dict[str, Family] = {}
         #: Phase that allocations without an explicit phase belong to;
         #: :meth:`phase` sets it for a block.
         self.current_phase = "other"
@@ -275,7 +272,7 @@ class Recorder:
         :class:`~repro.errors.MetricsError`."""
         fam = self.families.get(name)
         if fam is None:
-            self.families[name] = _KINDS[kind](name, help, labels)
+            self.families[name] = Family(kind, name, help, labels)
         elif fam.kind != kind or fam.labelnames != tuple(labels):
             raise MetricsError(
                 f"instrument {name!r} already registered as "
@@ -287,12 +284,12 @@ class Recorder:
         fam = self.families.get(name)
         if fam is None:
             raise MetricsError(f"metric family {name!r} is not registered")
-        fam.labels(*labels).update(value)
+        fam.update(value, labels)
 
     def _update(self, name: str, value: float, labels) -> None:
         fam = self.families.get(name)
         if fam is not None:
-            fam.labels(*labels).update(value)
+            fam.update(value, labels)
 
     def _mirror(self, kind: str, name: str, value, labels) -> None:
         mirror = MIRRORS.get((kind, name))

@@ -148,7 +148,7 @@ class TestKernelEquivalence:
             assert rt.ledger.total_work > 0
             assert rt.procpool().tasks_dispatched == 0
         edges = metrics.families["proc_worker_edges_total"]
-        assert edges.value("parent") >= g.num_edges
+        assert edges.series[("parent",)] >= g.num_edges
 
     def test_worker_edges_fold_into_metrics(self):
         g = random_graph(n=200, avg_degree=8, seed=3)
@@ -168,8 +168,8 @@ class TestKernelEquivalence:
         for path, e in batches:
             by_path[path] += e
         assert by_path["pool"] > 0 and by_path["inline"] > 0
-        assert edges.value("parent") == by_path["inline"]
-        assert edges.value("0") + edges.value("1") == by_path["pool"]
+        assert edges.series[("parent",)] == by_path["inline"]
+        assert edges.series.get(("0",), 0.0) + edges.series.get(("1",), 0.0) == by_path["pool"]
 
 
 class TestEndToEndOracle:

@@ -11,9 +11,7 @@ from repro.observability import metrics
 from repro.observability.metrics import (
     BUCKET_ZERO,
     METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
+    Family,
     bucket_of,
     bucket_percentile,
     derived_metrics,
@@ -31,73 +29,76 @@ from tests.conftest import ring_of_cliques_graph
 
 class TestCounter:
     def test_unlabeled(self):
-        c = Counter("requests_total", "all requests")
-        c.inc()
-        c.inc(2.5)
-        assert c.value() == 3.5
+        c = Family("counter", "requests_total", "all requests")
+        c.update(1.0)
+        c.update(2.5)
+        assert c.series == {(): 3.5}
 
     def test_labeled(self):
-        c = Counter("requests_total", "", ("kind",))
-        c.labels("query").inc(2)
-        c.labels(kind="detect").inc()
-        assert c.value("query") == 2.0
-        assert c.value("detect") == 1.0
+        c = Family("counter", "requests_total", "", ("kind",))
+        c.update(2, ("query",))
+        c.update(1, ("detect",))
+        assert c.series == {("query",): 2.0, ("detect",): 1.0}
 
     def test_negative_inc_rejected(self):
-        c = Counter("c_total")
-        with pytest.raises(MetricsError):
-            c.inc(-1.0)
+        c = Family("counter", "c_total")
+        with pytest.raises(MetricsError, match="cannot decrease"):
+            c.update(-1.0)
 
     def test_unlabeled_use_of_labeled_rejected(self):
-        c = Counter("c_total", "", ("kind",))
+        c = Family("counter", "c_total", "", ("kind",))
         with pytest.raises(MetricsError):
-            c.inc()
+            c.update(1.0)
 
     def test_wrong_label_count_rejected(self):
-        c = Counter("c_total", "", ("a", "b"))
+        c = Family("counter", "c_total", "", ("a", "b"))
         with pytest.raises(MetricsError):
-            c.labels("x")
+            c.update(1.0, ("x",))
 
     def test_invalid_names_rejected(self):
         with pytest.raises(MetricsError):
-            Counter("1bad")
+            Family("counter", "1bad")
         with pytest.raises(MetricsError):
-            Counter("ok_total", "", ("__reserved",))
+            Family("counter", "ok_total", "", ("__reserved",))
         with pytest.raises(MetricsError):
-            Counter("ok_total", "", ("a", "a"))
+            Family("counter", "ok_total", "", ("a", "a"))
+        with pytest.raises(MetricsError):
+            Family("summary", "ok_total")
 
 
 class TestGauge:
     def test_set_and_add(self):
-        g = Gauge("depth")
-        g.set(5)
-        g.add(-2)
-        assert g._values[()] == 3.0
+        """A gauge takes the last value, also a lower or negative one."""
+        g = Family("gauge", "depth")
+        g.update(5)
+        g.update(-2)
+        assert g.series[()] == -2.0
 
     def test_labeled_set(self):
-        g = Gauge("depth", "", ("q",))
-        g.labels("main").set(7)
-        g.labels("main").set(2)
-        assert g._values[("main",)] == 2.0
+        g = Family("gauge", "depth", "", ("q",))
+        g.update(7, ("main",))
+        g.update(2, ("main",))
+        assert g.series[("main",)] == 2.0
 
 
 class TestHistogram:
     def test_observe_and_percentile(self):
-        h = Histogram("lat")
+        h = Family("histogram", "lat")
         for v in (1.0, 2.0, 3.0, 100.0):
-            h.observe(v)
-        d = h._data[()]
+            h.update(v)
+        d = h.series[()]
         assert d.count == 4
         assert d.sum == 106.0
         assert d.min == 1.0 and d.max == 100.0
         # p50 and the tracer's bucket estimate agree by construction.
-        assert h.percentile(50.0) == bucket_percentile(d.buckets, 50.0)
+        assert derived_metrics({"lat": h})["lat_p50"] == \
+            bucket_percentile(d.buckets, 50.0)
 
     def test_zero_and_negative_land_in_zero_bucket(self):
-        h = Histogram("lat")
-        h.observe(0.0)
-        h.observe(-3.0)
-        assert h._data[()].buckets == {BUCKET_ZERO: 2}
+        h = Family("histogram", "lat")
+        h.update(0.0)
+        h.update(-3.0)
+        assert h.series[()].buckets == {BUCKET_ZERO: 2}
         assert bucket_of(0.0) == BUCKET_ZERO
 
 
@@ -110,32 +111,32 @@ class TestCardinalityBound:
 
     def test_overflow_routes_to_single_series(self, bound):
         bound(3)
-        c = Counter("c_total", "", ("user",))
+        c = Family("counter", "c_total", "", ("user",))
         for i in range(10):
-            c.labels(f"user{i}").inc()
+            c.update(1.0, (f"user{i}",))
         # 3 real series plus the shared overflow series.
-        assert c._num_series() == 4
-        assert c.value("_overflow") == 7.0
+        assert len(c.series) == 4
+        assert c.series[("_overflow",)] == 7.0
         assert c.overflowed == 7
 
     def test_existing_series_keep_working_past_bound(self, bound):
         bound(2)
-        c = Counter("c_total", "", ("user",))
-        c.labels("a").inc()
-        c.labels("b").inc()
-        c.labels("c").inc()  # overflow
-        c.labels("a").inc()  # still routed to its own series
-        assert c.value("a") == 2.0
-        assert c.value("_overflow") == 1.0
+        c = Family("counter", "c_total", "", ("user",))
+        c.update(1.0, ("a",))
+        c.update(1.0, ("b",))
+        c.update(1.0, ("c",))  # overflow
+        c.update(1.0, ("a",))  # still routed to its own series
+        assert c.series[("a",)] == 2.0
+        assert c.series[("_overflow",)] == 1.0
 
     def test_overflow_counts_every_rejected_event(self, bound):
         bound(1)
-        c = Counter("c_total", "", ("user",))
-        c.labels("a").inc()
-        c.labels("b").inc()
-        c.labels("b").inc()
+        c = Family("counter", "c_total", "", ("user",))
+        c.update(1.0, ("a",))
+        c.update(1.0, ("b",))
+        c.update(1.0, ("b",))
         assert c.overflowed == 2
-        assert c.value("_overflow") == 2.0
+        assert c.series[("_overflow",)] == 2.0
 
 
 class TestRegistry:
@@ -179,9 +180,9 @@ class TestRegistry:
             r.metric("c_total", v, "a")
             r.metric("g", v)
             r.metric("h", v)
-        assert r.families["c_total"].value("a") == 3.0
-        assert r.families["g"].value() == 2.0
-        assert r.families["h"]._data[()].count == 2
+        assert r.families["c_total"].series == {("a",): 3.0}
+        assert r.families["g"].series == {(): 2.0}
+        assert r.families["h"].series[()].count == 2
         with pytest.raises(MetricsError):
             r.metric("unregistered_total", 1.0)
 
@@ -337,7 +338,7 @@ class TestTracerReexport:
         with t.span("s"):
             t.observe("batch_size", 4.0)
             t.observe("batch_size", 10.0)
-        d = trace_families(trace_tree(t))["trace_batch_size"]._data[()]
+        d = trace_families(trace_tree(t))["trace_batch_size"].series[()]
         assert d.count == 2
         assert d.sum == 14.0
         assert d.min == 4.0 and d.max == 10.0

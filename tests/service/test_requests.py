@@ -64,7 +64,7 @@ class TestAdmissionQueue:
         for name in "xyz":
             with pytest.raises(ServiceOverloadError):
                 q.submit(QueryRequest(name))
-        assert registry.families["queue_rejected_total"].value() == 3.0
+        assert registry.families["queue_rejected_total"].series[()] == 3.0
         assert q.rejected == 3
 
     def test_rejected_counter_registered_eagerly(self):
@@ -74,7 +74,7 @@ class TestAdmissionQueue:
 
         registry = Recorder()
         AdmissionQueue(capacity=2, recorder=registry)
-        assert registry.families["queue_rejected_total"].value() == 0.0
+        assert registry.families["queue_rejected_total"].series[()] == 0.0
 
     def test_server_wires_queue_rejections_to_its_registry(self):
         from repro.observability.recorder import Recorder
@@ -86,7 +86,7 @@ class TestAdmissionQueue:
         srv.submit(QueryRequest("a"))
         with pytest.raises(ServiceOverloadError):
             srv.submit(QueryRequest("b"))
-        assert registry.families["queue_rejected_total"].value() == 1.0
+        assert registry.families["queue_rejected_total"].series[()] == 1.0
 
     def test_detect_dedup(self):
         q = AdmissionQueue()

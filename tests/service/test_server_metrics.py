@@ -26,9 +26,9 @@ class TestServerInstruments:
         srv.query(ticket.response["key"], "community_of", vertex=0)
         srv.query("no-such-key", "community_of", vertex=0)
         req = reg.families.get("service_requests_total")
-        assert req.value("detect", "done") == 1.0
-        assert req.value("query", "done") == 1.0
-        assert req.value("query", "not_found") == 1.0
+        assert req.series[("detect", "done")] == 1.0
+        assert req.series[("query", "done")] == 1.0
+        assert req.series[("query", "not_found")] == 1.0
 
     def test_latency_histogram_per_kind(self):
         reg = Recorder()
@@ -36,11 +36,11 @@ class TestServerInstruments:
         ticket = srv.detect(two_cliques_graph())
         srv.query(ticket.response["key"], "community_of", vertex=0)
         lat = reg.families.get("service_latency_units")
-        assert lat._data[("detect",)].count == 1
-        assert lat._data[("query",)].count == 1
+        assert lat.series[("detect",)].count == 1
+        assert lat.series[("query",)].count == 1
         # Latency is measured on the logical clock: a detect (full
         # solve) costs more units than a store lookup query.
-        assert lat._data[("detect",)].min > lat._data[("query",)].max
+        assert lat.series[("detect",)].min > lat.series[("query",)].max
 
     def test_store_lookup_and_bytes_instruments(self):
         reg = Recorder()
@@ -48,8 +48,8 @@ class TestServerInstruments:
         ticket = srv.detect(two_cliques_graph())
         srv.query(ticket.response["key"], "community_of", vertex=0)
         lookups = reg.families.get("service_store_lookups_total")
-        assert lookups.value("hit") >= 1.0
-        assert reg.families.get("mem_store_bytes").value() > 0.0
+        assert lookups.series[("hit",)] >= 1.0
+        assert reg.families.get("mem_store_bytes").series[()] > 0.0
 
     def test_detect_dedup_counter(self):
         reg = Recorder()
@@ -59,7 +59,7 @@ class TestServerInstruments:
         srv.submit(DetectRequest(g))  # coalesces onto the queued original
         while srv.step() is not None:
             pass
-        assert reg.families.get("service_detect_dedups_total").value() == 1.0
+        assert reg.families.get("service_detect_dedups_total").series[()] == 1.0
 
     def test_queue_depth_gauge_tracks_backlog(self):
         reg = Recorder()
@@ -67,10 +67,10 @@ class TestServerInstruments:
         g = two_cliques_graph()
         srv.submit(DetectRequest(g))
         depth = reg.families.get("service_queue_depth")
-        assert depth.value() == 1.0
+        assert depth.series[()] == 1.0
         while srv.step() is not None:
             pass
-        assert depth.value() == 0.0
+        assert depth.series[()] == 0.0
 
     def test_refresh_mode_counters(self):
         reg = Recorder()
@@ -82,7 +82,7 @@ class TestServerInstruments:
         srv.update(key, batch)
         srv.drain()
         refreshes = reg.families.get("service_refreshes_total")
-        modes = {k[0] for k in refreshes._values if refreshes._values[k]}
+        modes = {k[0] for k in refreshes.series if refreshes.series[k]}
         assert modes  # at least one of full/incremental/reconcile fired
 
     def test_solve_kernels_counted(self):
@@ -90,10 +90,10 @@ class TestServerInstruments:
         srv = make_server(metrics=reg)
         srv.detect(two_cliques_graph())
         passes = reg.families.get("leiden_passes_total")
-        assert passes is not None and passes.value() >= 1.0
+        assert passes is not None and passes.series[()] >= 1.0
         dispatch = reg.families.get("kernel_dispatch_total")
         assert dispatch is not None
-        assert sum(dispatch._values.values()) > 0
+        assert sum(dispatch.series.values()) > 0
 
     def test_latency_count_matches_requests(self):
         reg = Recorder()
