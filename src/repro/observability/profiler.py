@@ -27,7 +27,6 @@ seed produce byte-identical Chrome trace JSON.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -37,7 +36,7 @@ import numpy as np
 from repro.observability.recorder import MIRRORS
 from repro.observability.tracer import Span, format_span_path
 from repro.parallel.costmodel import PAPER_MACHINE, MachineModel
-from repro.parallel.schedule import Schedule
+from repro.parallel.schedule import Schedule, assign_chunks
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -197,39 +196,6 @@ class Timeline:
         return busy
 
 
-def _assign_greedy(costs: np.ndarray, num_threads: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Earliest-free-thread chunk assignment (OpenMP dynamic semantics).
-
-    Ties break toward the lowest thread id, which leaves the makespan
-    identical to :func:`repro.parallel.schedule.makespan` (tied threads
-    are interchangeable).  Returns ``(owner, start_units)`` per chunk.
-    """
-    n = costs.shape[0]
-    owner = np.empty(n, dtype=np.int32)
-    start = np.empty(n, dtype=np.float64)
-    heap = [(0.0, t) for t in range(num_threads)]
-    heapq.heapify(heap)
-    for c in range(n):
-        busy, t = heapq.heappop(heap)
-        owner[c] = t
-        start[c] = busy
-        heapq.heappush(heap, (busy + float(costs[c]), t))
-    return owner, start
-
-
-def _assign_static(costs: np.ndarray, num_threads: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Round-robin chunk assignment (OpenMP static semantics)."""
-    n = costs.shape[0]
-    owner = (np.arange(n, dtype=np.int64) % num_threads).astype(np.int32)
-    start = np.empty(n, dtype=np.float64)
-    busy = np.zeros(num_threads)
-    for c in range(n):
-        t = owner[c]
-        start[c] = busy[t]
-        busy[t] += float(costs[c])
-    return owner, start
-
-
 #: Series whose values the timeline also marks (the convergence monitor).
 _MARKED = frozenset(name for (kind, name), (*_, mark) in MIRRORS.items()
                     if kind == "series" and mark)
@@ -306,10 +272,7 @@ def timeline(recorder, num_threads: int = 8) -> Timeline:
             clock = t0 + dur
             continue
         costs = rec.chunk_costs + m.chunk_overhead_units
-        if rec.schedule.kind == "static":
-            owner, start_units = _assign_static(costs, T)
-        else:
-            owner, start_units = _assign_greedy(costs, T)
+        owner, start_units = assign_chunks(costs, T, rec.schedule)
         finish = np.zeros(T)
         for c in range(costs.shape[0]):
             tid = int(owner[c])

@@ -88,28 +88,35 @@ def assign_chunks(
     chunk_costs: np.ndarray,
     num_threads: int,
     schedule: Schedule,
-) -> np.ndarray:
-    """Which thread runs each chunk, per the schedule semantics.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which thread runs each chunk, and when it starts.
 
     ``static`` assigns chunks round-robin; ``dynamic``/``guided`` hand each
-    chunk to the earliest-free thread (greedy list scheduling, which is
-    what an OpenMP dynamic loop does up to tie-breaking).
-    Returns an int array of thread ids parallel to ``chunk_costs``.
+    chunk to the earliest-free thread, ties to the lowest thread id
+    (greedy list scheduling, which is what an OpenMP dynamic loop does up
+    to tie-breaking, and which leaves :func:`makespan` unchanged).
+    Returns ``(owner, start)`` parallel to ``chunk_costs``: int32 thread
+    ids and float64 start times in the costs' units.
     """
     n = chunk_costs.shape[0]
     owner = np.empty(n, dtype=np.int32)
-    if n == 0:
-        return owner
+    start = np.empty(n, dtype=np.float64)
     if schedule.kind == "static":
         owner[:] = np.arange(n, dtype=np.int32) % num_threads
-        return owner
+        busy = np.zeros(num_threads)
+        for c in range(n):
+            t = owner[c]
+            start[c] = busy[t]
+            busy[t] += float(chunk_costs[c])
+        return owner, start
     heap = [(0.0, t) for t in range(num_threads)]
     heapq.heapify(heap)
     for c in range(n):
         busy_until, t = heapq.heappop(heap)
         owner[c] = t
+        start[c] = busy_until
         heapq.heappush(heap, (busy_until + float(chunk_costs[c]), t))
-    return owner
+    return owner, start
 
 
 def makespan(

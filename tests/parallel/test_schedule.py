@@ -59,18 +59,21 @@ class TestChunkSpans:
 
 class TestAssignChunks:
     def test_static_round_robin(self):
-        owner = assign_chunks(np.ones(6), 3, Schedule("static"))
+        owner, start = assign_chunks(np.ones(6), 3, Schedule("static"))
         assert owner.tolist() == [0, 1, 2, 0, 1, 2]
+        assert start.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
     def test_dynamic_balances_uneven_costs(self):
         costs = np.array([10.0, 1.0, 1.0, 1.0, 1.0])
-        owner = assign_chunks(costs, 2, Schedule("dynamic"))
+        owner, start = assign_chunks(costs, 2, Schedule("dynamic"))
         # all cheap chunks land on the thread not holding the big one
         big_owner = owner[0]
         assert all(o != big_owner for o in owner[1:])
+        assert start.tolist() == [0.0, 0.0, 1.0, 2.0, 3.0]
 
     def test_empty(self):
-        assert assign_chunks(np.empty(0), 2, Schedule()).shape == (0,)
+        owner, start = assign_chunks(np.empty(0), 2, Schedule())
+        assert owner.shape == start.shape == (0,)
 
 
 class TestMakespan:
@@ -137,7 +140,8 @@ class TestEdgeCases:
     def test_dynamic_one_thread(self):
         spans = chunk_spans(10, Schedule("dynamic", 3), num_threads=1)
         self.assert_exact_cover(spans, 10)
-        owner = assign_chunks(np.ones(len(spans)), 1, Schedule("dynamic", 3))
+        owner, _ = assign_chunks(np.ones(len(spans)), 1,
+                                 Schedule("dynamic", 3))
         assert owner.tolist() == [0] * len(spans)
         assert makespan(np.ones(len(spans)), 1,
                         Schedule("dynamic", 3)) == pytest.approx(len(spans))
