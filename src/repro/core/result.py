@@ -83,9 +83,3 @@ class LeidenResult:
         if total <= 0:
             return {p: 0.0 for p in self.wall_phase_seconds}
         return {p: s / total for p, s in self.wall_phase_seconds.items()}
-
-    def pass_fractions_wall(self) -> List[float]:
-        """Wall-clock pass split, normalized (Figure 7(b))."""
-        totals = [p.wall_seconds for p in self.passes]
-        s = sum(totals)
-        return [t / s for t in totals] if s > 0 else [0.0] * len(totals)

@@ -3,7 +3,7 @@
 Heuristic community detection is seed-dependent; a practitioner needs to
 know *how* seed-dependent before trusting a partition.  This module runs
 the algorithm under several seeds and reports the pairwise partition
-similarity (NMI by default) plus the per-vertex co-assignment confidence.
+similarity (NMI by default) with each seed's membership.
 """
 
 from __future__ import annotations
@@ -40,24 +40,6 @@ class StabilityReport:
             return 1.0
         mask = ~np.eye(k, dtype=bool)
         return float(self.similarity[mask].mean())
-
-    @property
-    def min_similarity(self) -> float:
-        k = self.similarity.shape[0]
-        if k < 2:
-            return 1.0
-        mask = ~np.eye(k, dtype=bool)
-        return float(self.similarity[mask].min())
-
-    def community_counts(self) -> List[int]:
-        return [int(len(np.unique(m))) for m in self.memberships]
-
-    def coassignment_confidence(self, u: int, v: int) -> float:
-        """Fraction of runs placing ``u`` and ``v`` together."""
-        together = sum(
-            1 for m in self.memberships if m[u] == m[v]
-        )
-        return together / len(self.memberships)
 
 
 def seed_stability(

@@ -105,11 +105,6 @@ class MachineModel:
             return 0.0
         return self.barrier_base_seconds * float(np.log2(t))
 
-    def region_speedup(self, num_threads: int) -> float:
-        """Ideal speedup of a perfectly balanced parallel region."""
-        t = max(1, int(num_threads))
-        return t / self.parallel_slowdown(t)
-
     def as_dict(self) -> dict:
         """JSON-ready description (embedded in trace document metadata)."""
         return {

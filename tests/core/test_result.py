@@ -28,7 +28,9 @@ class TestLeidenResult:
         assert set(fr) == set(ALL_PHASES)
 
     def test_pass_fractions_normalized(self, result):
-        fr = result.pass_fractions_wall()
+        """The pass split (Figure 7(b)) covers the phase split."""
+        total = sum(result.wall_phase_seconds.values())
+        fr = [p.wall_seconds / total for p in result.passes]
         assert len(fr) == result.num_passes
         assert sum(fr) == pytest.approx(1.0)
 

@@ -38,8 +38,10 @@ class TestMachineModel:
         assert m.numa(64) > m.numa(32)
 
     def test_region_speedup_shape(self):
+        """The ideal speedup of a balanced parallel region,
+        ``T / parallel_slowdown(T)``."""
         m = PAPER_MACHINE
-        s = {t: m.region_speedup(t) for t in (1, 2, 32, 64)}
+        s = {t: t / m.parallel_slowdown(t) for t in (1, 2, 32, 64)}
         assert s[1] == pytest.approx(1.0)
         assert 1.8 < s[2] <= 2.0
         assert s[32] < 32
