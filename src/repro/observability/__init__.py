@@ -14,7 +14,7 @@ is a projection of its event record:
 - :mod:`repro.observability.profiler` — the thread timeline of the
   simulated runtime and its Chrome trace-event view
   (``repro.profile/1``), with :mod:`repro.observability.profile_report`
-  rendering the ``repro profile`` text report;
+  rendering its text report;
 - :mod:`repro.observability.metrics` — counter/gauge/histogram families
   with bounded label cardinality and byte-deterministic Prometheus and
   JSON (``repro.metrics/1``) exposition;
@@ -23,6 +23,9 @@ is a projection of its event record:
 - :mod:`repro.observability.regression` — the baselines under
   ``benchmarks/baselines/`` and the comparison logic behind ``repro
   bench --check``, plus the trace-diff helpers.
+
+``repro run --record DIR`` and ``repro serve --record DIR`` write every
+document of one recorded run into ``DIR`` (:func:`repro.cli.write_record`).
 """
 
 from repro.observability.recorder import (

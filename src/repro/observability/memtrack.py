@@ -54,7 +54,7 @@ class MemoryView:
     """The memory events of a recorder, replayed into watermarks.
 
     With ``components``, only allocations of those components count —
-    ``repro serve --mem`` reports its store alone.  Handles are numbered
+    ``repro serve --record`` reports its store alone.  Handles are numbered
     in allocation order within the view; a free or resize of a handle
     that is not live is ignored and does not advance the clock.
     """

@@ -199,7 +199,8 @@ def format_profile_report(
     top: int = 5,
     title: str = "",
 ) -> str:
-    """Render the deterministic text report behind ``repro profile``."""
+    """Render the deterministic text report of a timeline (a recorded
+    run's ``profile.txt``)."""
     phases, regions, scheds = analyze_timeline(timeline)
     T = timeline.num_threads
     total = timeline.total_seconds

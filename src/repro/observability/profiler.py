@@ -19,7 +19,7 @@ Consumers:
   their own process group);
 - :mod:`repro.observability.profile_report` computes the critical-path /
   barrier-wait / load-imbalance attribution and the top-N text report
-  behind ``repro profile``.
+  (``profile.txt`` of a recorded run).
 
 Everything but the worker lanes is deterministic — two runs at the same
 seed produce byte-identical Chrome trace JSON.

@@ -392,7 +392,7 @@ def collect_leiden_metrics(
     Returns ``(families, recorder, result)``.  The trace's observation
     histograms (batch sizes, color-class sizes — all deterministic
     counts) join the recorder's families as ``trace_*`` histograms, so
-    ``repro metrics`` reports the same p50/p99 as ``repro trace``.
+    the metrics report the same p50/p99 as the trace.
 
     ``num_threads``/``executor`` size the runtime — pass
     ``executor="process"`` for the process engine so its worker pool

@@ -242,8 +242,8 @@ def derived_metrics(root: Span) -> Dict[str, float]:
     observation histograms.
 
     Every observed distribution ``name`` contributes ``{name}_p50`` and
-    ``{name}_p99`` — how the service latency histogram surfaces in
-    ``repro trace`` output with no service-specific plumbing.
+    ``{name}_p99`` — how the service latency histogram surfaces in a
+    recorded serve run's trace with no service-specific plumbing.
     """
     totals = root.counter_totals()
     out: Dict[str, float] = {}
