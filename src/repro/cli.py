@@ -262,10 +262,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 def trace_main(argv: list[str] | None = None) -> int:
     """``repro trace --diff A.json B.json`` — field-level trace delta."""
-    return _trace_diff(build_trace_parser().parse_args(argv))
-
-
-def _trace_diff(args) -> int:
     from repro.observability.regression import (
         diff_trace_docs,
         format_trace_diff,
@@ -277,6 +273,7 @@ def _trace_diff(args) -> int:
                 f"unsupported trace schema {doc.get('schema')!r} "
                 f"(expected {TRACE_SCHEMA!r})")
 
+    args = build_trace_parser().parse_args(argv)
     path_a, path_b = args.diff
     for p in (path_a, path_b):
         if not p.exists():

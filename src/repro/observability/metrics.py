@@ -45,7 +45,6 @@ __all__ = [
     "bucket_percentile",
     "exact_percentile",
     "Family",
-    "KINDS",
     "MAX_SERIES",
     "derived_metrics",
     "to_prometheus",
@@ -155,7 +154,7 @@ def _label_body(labelnames: Tuple[str, ...], key: Tuple[str, ...]) -> str:
 # -- the metric family ---------------------------------------------------------
 
 #: The kinds a family can be.
-KINDS = ("counter", "gauge", "histogram")
+_KINDS = ("counter", "gauge", "histogram")
 
 
 class _Histogram:
@@ -193,7 +192,7 @@ class Family:
 
     def __init__(self, kind: str, name: str, help: str = "",
                  labelnames: Sequence[str] = ()) -> None:
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise MetricsError(f"unknown metric kind {kind!r}")
         if not _NAME_RE.match(name):
             raise MetricsError(f"invalid metric name {name!r}")
