@@ -81,6 +81,15 @@ def positive_float(text: str) -> float:
     return value
 
 
+def record_dir(text: str) -> Path:
+    """argparse ``type`` for ``--record``: a directory, created when the
+    run is done; an existing file exits 2 before anything runs."""
+    path = Path(text)
+    if path.exists() and not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is not a directory")
+    return path
+
+
 def _solve(args, graph, config: LeidenConfig, algo, recorder):
     """One detection run on the engine the flags pick; any worker pool
     is closed before returning."""
@@ -212,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=positive_float, default=1.0)
     p.add_argument("--output", type=Path, default=None,
                    help="write one community id per line to this file")
-    p.add_argument("--record", type=Path, default=None, metavar="DIR",
+    p.add_argument("--record", type=record_dir, default=None, metavar="DIR",
                    help="record the run and write its trace, profile, "
                         "metrics and memory documents into DIR")
     p.add_argument("--check-connectivity", action="store_true",
@@ -307,7 +316,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    help="skip the served-vs-from-scratch membership check")
     p.add_argument("--output", type=Path, default=None,
                    help="write the result JSON here instead of stdout")
-    p.add_argument("--record", type=Path, default=None, metavar="DIR",
+    p.add_argument("--record", type=record_dir, default=None, metavar="DIR",
                    help="record the run and write its trace, profile, "
                         "metrics and memory documents into DIR (the "
                         "memory report covers the store alone)")

@@ -523,10 +523,11 @@ class TestTraceDiff:
 
 
 class TestCountFlags:
-    """``--workers`` and ``--max-passes`` below 1, and a
-    ``--resolution`` that is not a finite number above 0, exit 2 at parse
-    time, with argparse's one-line error instead of a traceback from
-    deep inside, and before a recorded run writes anything."""
+    """``--workers`` and ``--max-passes`` below 1, a ``--resolution``
+    that is not a finite number above 0 and a ``--record`` path that is
+    a file exit 2 at parse time, with argparse's one-line error instead
+    of a traceback from deep inside, and before a recorded run writes
+    anything."""
 
     @staticmethod
     def _exit_code(argv, capsys):
@@ -569,6 +570,16 @@ class TestCountFlags:
         assert "argument --max-passes: must be >= 1" in err
         assert "Traceback" not in err
         assert not rec.exists()
+
+    @pytest.mark.parametrize("argv", [["run", "asia_osm"],
+                                      ["serve", "--workload", "tiny"]])
+    def test_record_onto_a_file_exits_2(self, argv, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, err = self._exit_code(argv + ["--record", str(target)], capsys)
+        assert code == 2
+        assert f"argument --record: {target} is not a directory" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_resolution_not_positive_finite_exits_2(self, value, capsys):
