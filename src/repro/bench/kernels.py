@@ -10,6 +10,10 @@ window and compaction branches against the compaction formula
 aggregation of ``uk-2002`` and ``com-Orkut`` times the range-wise
 :func:`~repro.core.aggregate.aggregate_batch` against one whole-graph
 sort-oracle call (:func:`aggregate_one_shot`) and prints each side's
+tracemalloc peak.  The CSR build (:func:`~repro.graph.builder.
+build_csr_from_edges`, one packed-key sort) is timed against the
+lexsort/argsort formula (:func:`build_csr_sort`) on an edge list of the
+e2e web graph's size, with and without weights, and prints each side's
 tracemalloc peak.  Every timed pair must give bitwise-identical outputs,
 or the run exits 1.  Used to populate
 ``docs/PERFORMANCE.md`` and as the CI kernel-timing step (``--quick``).
@@ -35,18 +39,34 @@ from repro.core._kernels import (
 from repro.core.aggregate import aggregate_batch
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
+from repro.datasets.lfr import lfr_like_graph
 from repro.datasets.registry import load_graph
+from repro.graph.builder import build_csr_from_edges
+from repro.graph.csr import CSRGraph
+from repro.graph.ops import (
+    as_edge_arrays,
+    group_edges_sort,
+    remove_self_loops,
+    row_offsets,
+    vertex_count,
+)
 from repro.graph.segments import gather_rows
 from repro.parallel.runtime import Runtime
 from repro.parallel.scan import csr_offsets_from_counts
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
-__all__ = ["aggregate_one_shot", "main", "scatter_add_compacted"]
+__all__ = ["aggregate_one_shot", "build_csr_sort", "main",
+           "scatter_add_compacted"]
 
 SMOKE_GRAPHS = ("asia_osm", "uk-2002", "com-Orkut")
 
 #: Graphs whose pass-0 aggregation is timed against one whole-graph call.
 AGGREGATION_GRAPHS = ("uk-2002", "com-Orkut")
+
+#: The e2e ``solve-web`` graph (131k V, 1.70M stored edges), whose edge
+#: list the CSR-build rows rebuild.
+E2E_WEB = dict(num_vertices=131072, avg_degree=16.1, mixing=0.06,
+               min_community=80, max_community_fraction=0.06)
 
 
 def _best_of(fn, repeats: int):
@@ -82,6 +102,49 @@ def aggregate_one_shot(graph, membership, num_communities):
     targets[pos] = udst
     weights[pos] = usum
     return offsets, degrees, targets, weights
+
+
+def build_csr_sort(sources, targets, weights=None, *,
+                   num_vertices=None, symmetrize=True, coalesce="sum",
+                   drop_self_loops=False) -> CSRGraph:
+    """:func:`~repro.graph.builder.build_csr_from_edges` by the
+    lexsort/argsort formula.
+
+    The reverse edges are concatenated after the input, parallel edges
+    merged after one ``np.lexsort`` and rows grouped by a stable
+    ``argsort`` (:func:`~repro.graph.ops.group_edges_sort`): the bitwise
+    reference of the packed-key build.
+    """
+    src, dst, wgt = as_edge_arrays(sources, targets, weights)
+    n = vertex_count(src, dst, num_vertices)
+    if drop_self_loops:
+        src, dst, wgt = remove_self_loops(src, dst, wgt)
+    src, dst, wgt = group_edges_sort(src, dst, wgt, symmetrize=symmetrize,
+                                     reduce=coalesce)
+    return CSRGraph(row_offsets(src, n), dst, wgt)
+
+
+def web_edge_list(seed: int):
+    """A raw edge list of the e2e web graph's size, and its vertex count.
+
+    Each undirected edge once, in random order, plus the reverse of a
+    fifth of them (parallel edges to merge), and random float32 weights
+    over 16 decades, the same for both copies of an edge.
+    """
+    graph, _ = lfr_like_graph(E2E_WEB["num_vertices"], seed=seed,
+                              **{k: v for k, v in E2E_WEB.items()
+                                 if k != "num_vertices"})
+    src, dst = graph.endpoints()
+    fwd = src < dst
+    src, dst = src[fwd], dst[fwd]
+    rng = np.random.default_rng(seed)
+    w = (rng.uniform(1.0, 2.0, src.shape[0])
+         * 10.0 ** rng.uniform(-8, 8, src.shape[0])).astype(WEIGHT_DTYPE)
+    dup = rng.random(src.shape[0]) < 0.2
+    order = rng.permutation(src.shape[0] + int(dup.sum()))
+    return (np.concatenate([src, dst[dup]])[order],
+            np.concatenate([dst, src[dup]])[order],
+            np.concatenate([w, w[dup]])[order], graph.num_vertices)
 
 
 def scatter_add_compacted(target, idx, weights) -> None:
@@ -199,6 +262,26 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
                        sort_s, prod_s, same,
                        f" | peak {_traced_peak(one_shot) / 2**20:.1f}/"
                        f"{_traced_peak(ranges) / 2**20:.1f} MiB")
+
+    # -- CSR build: packed-key sort vs lexsort/argsort -------------------
+    src, dst, w, n = web_edge_list(seed)
+    for label, weights in (("unit weights", None), ("weights", w)):
+        def packed():
+            return build_csr_from_edges(src, dst, weights, num_vertices=n)
+
+        def oracle():
+            return build_csr_sort(src, dst, weights, num_vertices=n)
+
+        def arrays(g):
+            return g.offsets, g.targets, g.weights, g.degrees
+
+        sort_s, ref = _best_of(oracle, repeats)
+        prod_s, got = _best_of(packed, repeats)
+        same = _same_bits(arrays(ref), arrays(got))
+        differs += not same
+        _print_row(f"csr build web ({label})", src.shape[0], sort_s, prod_s,
+                   same, f" | peak {_traced_peak(oracle) / 2**20:.1f}/"
+                   f"{_traced_peak(packed) / 2**20:.1f} MiB")
 
     # -- pair sums, synthetic stress shapes ------------------------------
     e = 100_000 if quick else 1_000_000

@@ -74,10 +74,10 @@ def road_network(
         src_parts.append(u)
         dst_parts.append(v)
 
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    graph = build_csr_from_edges(
-        src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE), num_vertices=n
-    )
+    # int32 edges, and no int64 part left alive through the build.
+    src = np.concatenate(src_parts, dtype=VERTEX_DTYPE)
+    dst = np.concatenate(dst_parts, dtype=VERTEX_DTYPE)
+    del src_parts, dst_parts, path_u, inside
+    graph = build_csr_from_edges(src, dst, num_vertices=n)
     membership = np.repeat(np.arange(num_blocks, dtype=VERTEX_DTYPE), block_size)
     return graph, membership

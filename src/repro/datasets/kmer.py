@@ -68,8 +68,8 @@ def kmer_graph(
             src_parts.append(u)
             dst_parts.append(v)
 
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    return build_csr_from_edges(
-        src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE), num_vertices=n
-    )
+    # int32 edges, and no int64 part left alive through the build.
+    src = np.concatenate(src_parts, dtype=VERTEX_DTYPE)
+    dst = np.concatenate(dst_parts, dtype=VERTEX_DTYPE)
+    del src_parts, dst_parts, path_u, inside, interior
+    return build_csr_from_edges(src, dst, num_vertices=n)

@@ -115,12 +115,11 @@ def lfr_like_graph(
         src_parts.append(rng.choice(n, size=m_inter, p=p))
         dst_parts.append(rng.choice(n, size=m_inter, p=p))
 
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
+    # int32 edges, and no int64 part left alive through the build.
+    src = np.concatenate(src_parts, dtype=VERTEX_DTYPE)
+    dst = np.concatenate(dst_parts, dtype=VERTEX_DTYPE)
+    del src_parts, dst_parts
     keep = src != dst
-    graph = build_csr_from_edges(
-        src[keep].astype(VERTEX_DTYPE),
-        dst[keep].astype(VERTEX_DTYPE),
-        num_vertices=n,
-    )
+    src, dst = src[keep], dst[keep]
+    graph = build_csr_from_edges(src, dst, num_vertices=n)
     return graph, membership

@@ -80,9 +80,7 @@ def rmat_graph(
         path = np.arange(n - 1, dtype=np.int64)
         src = np.concatenate([src, path])
         dst = np.concatenate([dst, path + 1])
+    src, dst = src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE)
     keep = src != dst
-    return build_csr_from_edges(
-        src[keep].astype(VERTEX_DTYPE),
-        dst[keep].astype(VERTEX_DTYPE),
-        num_vertices=n,
-    )
+    src, dst = src[keep], dst[keep]
+    return build_csr_from_edges(src, dst, num_vertices=n)

@@ -47,14 +47,12 @@ def planted_partition(
     v = rng.integers(0, community_size, bases.shape[0]) + bases
     uo = rng.integers(0, n, m_inter)
     vo = rng.integers(0, n, m_inter)
-    src = np.concatenate([u, uo])
-    dst = np.concatenate([v, vo])
+    src = np.concatenate([u, uo], dtype=VERTEX_DTYPE)
+    dst = np.concatenate([v, vo], dtype=VERTEX_DTYPE)
+    del bases, u, v, uo, vo
     keep = src != dst
-    graph = build_csr_from_edges(
-        src[keep].astype(VERTEX_DTYPE),
-        dst[keep].astype(VERTEX_DTYPE),
-        num_vertices=n,
-    )
+    src, dst = src[keep], dst[keep]
+    graph = build_csr_from_edges(src, dst, num_vertices=n)
     membership = np.repeat(
         np.arange(num_communities, dtype=VERTEX_DTYPE), community_size
     )
@@ -105,14 +103,13 @@ def stochastic_block_model(
     if m_inter:
         src_parts.append(rng.integers(0, n, m_inter))
         dst_parts.append(rng.integers(0, n, m_inter))
+    src = dst = np.empty(0, dtype=VERTEX_DTYPE)
     if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
+        # int32 edges, and no int64 part left alive through the build.
+        src = np.concatenate(src_parts, dtype=VERTEX_DTYPE)
+        dst = np.concatenate(dst_parts, dtype=VERTEX_DTYPE)
+        del src_parts, dst_parts
         keep = src != dst
         src, dst = src[keep], dst[keep]
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
-    graph = build_csr_from_edges(
-        src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE), num_vertices=n
-    )
+    graph = build_csr_from_edges(src, dst, num_vertices=n)
     return graph, membership

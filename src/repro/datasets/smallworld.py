@@ -96,9 +96,6 @@ def watts_strogatz_graph(
     new_dst = rng.integers(0, n, int(rewire.sum()))
     dst = dst.copy()
     dst[rewire] = new_dst
+    src, dst = src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE)
     keep = src != dst
-    return build_csr_from_edges(
-        src[keep].astype(VERTEX_DTYPE),
-        dst[keep].astype(VERTEX_DTYPE),
-        num_vertices=n,
-    )
+    return build_csr_from_edges(src[keep], dst[keep], num_vertices=n)

@@ -13,14 +13,7 @@ from repro.graph.csr import CSRGraph, empty_csr
 from repro.graph.io_edgelist import read_edgelist, write_edgelist
 from repro.graph.io_metis import read_metis, write_metis
 from repro.graph.io_mtx import read_mtx, write_mtx
-from repro.graph.ops import (
-    coalesce_edges,
-    degree_histogram,
-    induced_subgraph,
-    relabel_compact,
-    remove_self_loops,
-    symmetrize_edges,
-)
+from repro.graph.ops import coalesce_edges, remove_self_loops, symmetrize_edges
 from repro.graph.validate import validate_csr
 
 __all__ = [
@@ -32,9 +25,6 @@ __all__ = [
     "symmetrize_edges",
     "coalesce_edges",
     "remove_self_loops",
-    "relabel_compact",
-    "degree_histogram",
-    "induced_subgraph",
     "read_edgelist",
     "write_edgelist",
     "read_mtx",

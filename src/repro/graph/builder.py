@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-import numpy as np
-
 from repro.errors import GraphStructureError
 from repro.graph.csr import CSRGraph
-from repro.graph.ops import coalesce_edges, remove_self_loops, symmetrize_edges
-from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.graph.ops import as_edge_arrays, group_edges, row_offsets, vertex_count
 
 
 def build_csr_from_edges(
@@ -30,6 +27,10 @@ def build_csr_from_edges(
     drop_self_loops: bool = False,
 ) -> CSRGraph:
     """Normalize an edge list and build a :class:`CSRGraph`.
+
+    One sort of packed keys (:func:`repro.graph.ops.group_edges`)
+    symmetrizes, coalesces and groups the rows, and one ``bincount``
+    gives their offsets.
 
     Parameters
     ----------
@@ -45,24 +46,20 @@ def build_csr_from_edges(
         ``"first"``) or ``None`` to keep multi-edges.
     drop_self_loops:
         Remove ``(i, i)`` edges before anything else.
+
+    Raises :class:`GraphStructureError` for a negative id, an id that
+    does not fit in int32 or one that ``num_vertices`` cannot hold.
     """
-    src = np.asarray(sources, dtype=VERTEX_DTYPE).ravel()
-    dst = np.asarray(targets, dtype=VERTEX_DTYPE).ravel()
-    if weights is None:
-        wgt = np.ones(src.shape[0], dtype=WEIGHT_DTYPE)
-    else:
-        wgt = np.asarray(weights, dtype=WEIGHT_DTYPE).ravel()
-    if src.size and (src.min() < 0 or dst.min() < 0):
-        raise GraphStructureError("vertex ids must be non-negative")
+    src, dst, wgt = as_edge_arrays(sources, targets, weights)
+    num_vertices = vertex_count(src, dst, num_vertices)
     if drop_self_loops:
-        src, dst, wgt = remove_self_loops(src, dst, wgt)
-    if symmetrize:
-        src, dst, wgt = symmetrize_edges(src, dst, wgt)
-    if coalesce is not None:
-        src, dst, wgt = coalesce_edges(src, dst, wgt, reduce=coalesce)
-    if num_vertices is None:
-        num_vertices = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    return CSRGraph.from_coo(src, dst, wgt, num_vertices=num_vertices)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        if wgt is not None:
+            wgt = wgt[keep]
+    src, dst, wgt = group_edges(src, dst, wgt, symmetrize=symmetrize,
+                                reduce=coalesce)
+    return CSRGraph(row_offsets(src, num_vertices), dst, wgt)
 
 
 class GraphBuilder:
@@ -102,10 +99,6 @@ class GraphBuilder:
                 self.add_edge(u, v, w)
         return self
 
-    @property
-    def num_buffered_edges(self) -> int:
-        return len(self._src)
-
     def build(
         self,
         *,
@@ -121,9 +114,9 @@ class GraphBuilder:
                 inferred = max(max(self._src), max(self._dst)) + 1
             num_vertices = max(self._min_vertices, inferred)
         return build_csr_from_edges(
-            np.asarray(self._src, dtype=VERTEX_DTYPE),
-            np.asarray(self._dst, dtype=VERTEX_DTYPE),
-            np.asarray(self._wgt, dtype=WEIGHT_DTYPE),
+            self._src,
+            self._dst,
+            self._wgt,
             num_vertices=num_vertices,
             symmetrize=symmetrize,
             coalesce=coalesce,

@@ -21,6 +21,12 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.errors import GraphStructureError
+from repro.graph.ops import (
+    as_edge_arrays,
+    group_edges,
+    row_offsets,
+    vertex_count,
+)
 from repro.observability.recorder import active, record_csr
 from repro.types import (
     ACCUM_DTYPE,
@@ -108,26 +114,16 @@ class CSRGraph:
         """Build a CSR graph from a COO edge list (already symmetric).
 
         Edges are *not* deduplicated or symmetrized here; use
-        :func:`repro.graph.builder.build_csr_from_edges` for that.
+        :func:`repro.graph.builder.build_csr_from_edges` for that.  Each
+        row keeps its edges in input order: one sort of packed keys
+        (:func:`repro.graph.ops.group_edges`) groups them by source.
+        Raises :class:`GraphStructureError` for an id outside
+        ``[0, num_vertices)``.
         """
-        src = np.asarray(sources, dtype=VERTEX_DTYPE)
-        dst = np.asarray(targets, dtype=VERTEX_DTYPE)
-        if src.shape != dst.shape:
-            raise GraphStructureError("sources and targets must have equal length")
-        if weights is None:
-            wgt = np.ones(src.shape[0], dtype=WEIGHT_DTYPE)
-        else:
-            wgt = np.asarray(weights, dtype=WEIGHT_DTYPE)
-            if wgt.shape != src.shape:
-                raise GraphStructureError("weights must match edge count")
-        if num_vertices is None:
-            num_vertices = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-        n = int(num_vertices)
-        counts = np.bincount(src, minlength=n).astype(OFFSET_DTYPE)
-        offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        order = np.argsort(src, kind="stable")
-        return cls(offsets, dst[order], wgt[order])
+        src, dst, wgt = as_edge_arrays(sources, targets, weights)
+        n = vertex_count(src, dst, num_vertices)
+        src, dst, wgt = group_edges(src, dst, wgt, reduce=None)
+        return cls(row_offsets(src, n), dst, wgt)
 
     # -- invariants ------------------------------------------------------
 

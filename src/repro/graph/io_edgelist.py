@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_csr_from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.ops import MAX_VERTEX_ID
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 PathOrFile = Union[str, Path, TextIO]
@@ -80,6 +81,10 @@ def read_edgelist(
                  else default_weight)
             if u < 0 or v < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex id")
+            if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex id {max(u, v)} does not fit in "
+                    f"{np.dtype(VERTEX_DTYPE)}")
             src.append(u)
             dst.append(v)
             wgt.append(w)

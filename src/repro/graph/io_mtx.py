@@ -17,6 +17,7 @@ from repro.errors import GraphFormatError
 from repro.graph.builder import build_csr_from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.io_edgelist import parse_weight
+from repro.graph.ops import MAX_VERTEX_ID
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 PathOrFile = Union[str, Path, TextIO]
@@ -58,7 +59,7 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     # Skip comments, read the size line.  The header is line 1.
     lines = enumerate(fh, start=2)
     size_line = None
-    for _, line in lines:
+    for size_lineno, line in lines:
         text = line.strip()
         if not text or text.startswith("%"):
             continue
@@ -77,11 +78,14 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
         raise GraphFormatError(f"negative entry count: {size_line!r}")
     if rows != cols:
         raise GraphFormatError("adjacency matrix must be square")
+    if rows - 1 > MAX_VERTEX_ID:
+        raise GraphFormatError(
+            f"line {size_lineno}: {rows} rows, but vertex ids must fit in "
+            f"{np.dtype(VERTEX_DTYPE)}")
 
+    # Sized by the entries read, not by the size line's claim.
     pattern = field == "pattern"
-    src = np.empty(nnz, dtype=VERTEX_DTYPE)
-    dst = np.empty(nnz, dtype=VERTEX_DTYPE)
-    wgt = np.ones(nnz, dtype=WEIGHT_DTYPE)
+    src, dst, wgt = [], [], []
     count = 0
     for lineno, line in lines:
         text = line.strip()
@@ -101,9 +105,10 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
         w = 1.0 if pattern else parse_weight(parts[2], f"line {lineno}")
         if not (1 <= u <= rows and 1 <= v <= cols):
             raise GraphFormatError(f"entry out of bounds: {text!r}")
-        src[count] = u - 1
-        dst[count] = v - 1
-        wgt[count] = w
+        src.append(u - 1)
+        dst.append(v - 1)
+        if not pattern:
+            wgt.append(w)
         count += 1
     if count != nnz:
         raise GraphFormatError(f"declared {nnz} entries but found {count}")
@@ -112,7 +117,11 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     # symmetrize step of the build pipeline.
     do_symmetrize = symmetrize or symmetry == "symmetric"
     return build_csr_from_edges(
-        src, dst, wgt, num_vertices=rows, symmetrize=do_symmetrize
+        np.asarray(src, dtype=VERTEX_DTYPE),
+        np.asarray(dst, dtype=VERTEX_DTYPE),
+        None if pattern else np.asarray(wgt, dtype=WEIGHT_DTYPE),
+        num_vertices=rows,
+        symmetrize=do_symmetrize,
     )
 
 

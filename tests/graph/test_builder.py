@@ -1,5 +1,6 @@
 """Tests for the edge-list -> CSR build pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphStructureError
@@ -48,6 +49,19 @@ class TestBuildCsrFromEdges:
         with pytest.raises(GraphStructureError):
             build_csr_from_edges([-1], [0])
 
+    def test_id_beyond_num_vertices_rejected(self):
+        with pytest.raises(GraphStructureError,
+                           match="vertex id 5 out of range for 3 vertices"):
+            build_csr_from_edges([0, 5], [1, 2], num_vertices=3)
+
+    def test_id_beyond_int32_rejected_not_wrapped(self):
+        big = np.array([0, 2 ** 32 + 1], dtype=np.int64)
+        with pytest.raises(GraphStructureError,
+                           match=f"vertex id {2 ** 32 + 1} does not fit"):
+            build_csr_from_edges(big, [1, 2])
+        with pytest.raises(GraphStructureError, match="does not fit"):
+            build_csr_from_edges([0, 3_000_000_000], [1, 2])
+
     def test_num_vertices_inferred(self):
         g = build_csr_from_edges([3], [7])
         assert g.num_vertices == 8
@@ -83,10 +97,6 @@ class TestGraphBuilder:
     def test_min_vertices_respected(self):
         g = GraphBuilder(num_vertices=6).add_edge(0, 1).build()
         assert g.num_vertices == 6
-
-    def test_num_buffered_edges(self):
-        b = GraphBuilder().add_edge(0, 1).add_edge(1, 2)
-        assert b.num_buffered_edges == 2
 
     def test_negative_rejected(self):
         with pytest.raises(GraphStructureError):

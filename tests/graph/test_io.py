@@ -1,10 +1,11 @@
 """Tests for edge-list and MatrixMarket I/O."""
 
 import io
+import tracemalloc
 
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, GraphStructureError
 from repro.graph.io_edgelist import (
     edgelist_from_string,
     read_edgelist,
@@ -46,6 +47,16 @@ class TestEdgelistRead:
     def test_negative_id(self):
         with pytest.raises(GraphFormatError):
             edgelist_from_string("-1 0\n")
+
+    def test_id_beyond_int32_names_line(self):
+        with pytest.raises(GraphFormatError,
+                           match="line 2: vertex id 3000000000 does not fit"):
+            edgelist_from_string("0 1\n3000000000 1\n")
+
+    def test_id_beyond_num_vertices_is_structural(self):
+        with pytest.raises(GraphStructureError,
+                           match="vertex id 5 out of range for 3 vertices"):
+            edgelist_from_string("0 5\n1 2\n", num_vertices=3)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-5", "1e39"])
     def test_rejects_bad_weight_naming_line(self, weight):
@@ -151,6 +162,36 @@ class TestMtx:
         )
         with pytest.raises(GraphFormatError, match="line 3: bad entry"):
             read_mtx(io.StringIO(text))
+
+    def test_rejects_rows_beyond_int32_naming_line(self):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% ids past int32\n"
+            "3000000000 3000000000 1\n"
+            "3000000000 1 1.0\n"
+        )
+        with pytest.raises(GraphFormatError,
+                           match="line 3: 3000000000 rows"):
+            read_mtx(io.StringIO(text))
+
+    def test_allocates_by_entries_read_not_declared(self):
+        """A size line's nnz is a claim: the reader allocates for the
+        entries it reads, so a 3-line file declaring 50M entries fails
+        without ~400 MB of arrays."""
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 50000000\n"
+            "1 2 1.0\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError,
+                               match="declared 50000000 entries but found 1"):
+                read_mtx(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_rejects_non_numeric_size(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 x 1\n"

@@ -1,16 +1,9 @@
-"""Tests for COO edge transforms and subgraph extraction."""
+"""Tests for COO edge transforms."""
 
 import pytest
 
 from repro.errors import GraphStructureError
-from repro.graph.ops import (
-    coalesce_edges,
-    degree_histogram,
-    induced_subgraph,
-    relabel_compact,
-    remove_self_loops,
-    symmetrize_edges,
-)
+from repro.graph.ops import coalesce_edges, remove_self_loops, symmetrize_edges
 
 
 class TestSymmetrize:
@@ -57,50 +50,3 @@ class TestRemoveSelfLoops:
         src, dst, _ = remove_self_loops([0, 1, 2], [0, 2, 2])
         assert src.tolist() == [1]
         assert dst.tolist() == [2]
-
-
-class TestRelabelCompact:
-    def test_compacts_sparse_ids(self):
-        (src, dst, _), ids = relabel_compact([10, 30], [30, 50])
-        assert ids.tolist() == [10, 30, 50]
-        assert src.tolist() == [0, 1]
-        assert dst.tolist() == [1, 2]
-
-    def test_roundtrip_via_ids(self):
-        (src, dst, _), ids = relabel_compact([7, 3], [3, 9])
-        assert ids[src].tolist() == [7, 3]
-        assert ids[dst].tolist() == [3, 9]
-
-
-class TestDegreeHistogram:
-    def test_path(self, path10):
-        h = degree_histogram(path10)
-        assert h[1] == 2  # endpoints
-        assert h[2] == 8  # interior
-
-    def test_empty_graph(self):
-        from repro.graph.csr import empty_csr
-        h = degree_histogram(empty_csr(3))
-        assert h[0] == 3
-
-
-class TestInducedSubgraph:
-    def test_extracts_clique(self, two_cliques):
-        sub, ids = induced_subgraph(two_cliques, range(5))
-        assert sub.num_vertices == 5
-        assert sub.num_edges == 20  # clique of 5 stored both ways
-        assert ids.tolist() == [0, 1, 2, 3, 4]
-
-    def test_cross_edges_dropped(self, two_cliques):
-        sub, _ = induced_subgraph(two_cliques, [0, 5])
-        # only the bridge edge survives
-        assert sub.num_edges == 2
-
-    def test_empty_selection(self, two_cliques):
-        sub, ids = induced_subgraph(two_cliques, [])
-        assert sub.num_vertices == 0
-
-    def test_weights_preserved(self, weighted_triangle):
-        sub, ids = induced_subgraph(weighted_triangle, [0, 1])
-        assert sub.num_edges == 2
-        assert float(sub.weights.max()) == pytest.approx(1.0)

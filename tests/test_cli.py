@@ -620,8 +620,15 @@ class TestMalformedGraphFiles:
         ("token.graph", "2 1\n2\n2 x\n", "line 3: vertex 2: neighbor 'x'"),
         ("nan.txt", "0 1 nan\n", "line 1: weight 'nan'"),
         ("negative.txt", "0 1 -5\n", "line 1: weight '-5'"),
+        ("wide.txt", "0 1\n3000000000 1\n",
+         "line 2: vertex id 3000000000 does not fit in int32"),
+        ("wide.mtx",
+         "%%MatrixMarket matrix coordinate real general\n"
+         "3000000000 3000000000 1\n3000000000 1 1.0\n",
+         "line 2: 3000000000 rows, but vertex ids must fit in int32"),
     ], ids=["mtx", "metis", "edgelist", "mtx-token", "metis-token",
-            "edgelist-nan", "edgelist-negative"])
+            "edgelist-nan", "edgelist-negative", "edgelist-wide-id",
+            "mtx-wide-rows"])
     def test_reader_error_is_one_line(self, tmp_path, name, text, reason):
         path = tmp_path / name
         path.write_text(text)
