@@ -3,10 +3,10 @@
 
 Demonstrates the memory document of the recorder:
 
-1. one GVE-Leiden detection run with a recorder attached to the runtime
-   — the CSR arrays, the kernel workspace and the aggregation transients
-   all record logical alloc/resize/free events, which the report replays
-   on its own logical clock;
+1. one GVE-Leiden detection run, recorded as ``repro run --record``
+   records it — the CSR arrays, the kernel workspace and the aggregation
+   transients all record logical alloc/resize/free events, which the
+   report replays on its own logical clock;
 2. the per-component and per-phase peak watermarks, and the replay
    validator (:func:`validate_memory_doc` re-derives every watermark
    from the event stream);
@@ -23,28 +23,21 @@ Run with:  PYTHONPATH=src python examples/memory_smoke.py
 
 from repro.baselines.cugraph_leiden import A100_DEVICE
 from repro.core.config import LeidenConfig
-from repro.core.leiden import leiden
 from repro.datasets.registry import graph_spec, load_graph
 from repro.errors import SimulatedOutOfMemory
-from repro.observability.memtrack import MemoryView, validate_memory_doc
+from repro.observability.memtrack import validate_memory_doc
 from repro.observability.profiler import validate_chrome_trace
-from repro.observability.recorder import Recorder, record_csr
-from repro.parallel.runtime import Runtime
+from repro.observability.record import record_solve
 
 
-def record(graph, seed: int = 42) -> Recorder:
-    """One recorded detection run."""
-    recorder = Recorder()
-    record_csr(recorder, graph)  # charge the input CSR to the report
-    with Runtime(num_threads=1, seed=seed, recorder=recorder) as rt:
-        leiden(graph, LeidenConfig(seed=seed), runtime=rt)
-    return recorder
+def record(graph, seed: int = 42):
+    """One recorded detection run (the input CSR charged first)."""
+    return record_solve(graph, LeidenConfig(seed=seed))[0]
 
 
 def run_once(graph, seed: int = 42) -> dict:
     """One recorded detection run -> a ``repro.memory/1`` report."""
-    return MemoryView(record(graph, seed)).to_snapshot(
-        experiment="asia_osm", seed=seed)
+    return record(graph, seed).memory_doc(experiment="asia_osm", seed=seed)
 
 
 def main() -> None:
@@ -87,7 +80,7 @@ def main() -> None:
             print(f"  {line}")
 
     # 5. Chrome counter lane, validated against the trace-event schema.
-    chrome = MemoryView(record(graph)).to_chrome_trace(
+    chrome = record(graph).memory.to_chrome_trace(
         experiment="asia_osm", seed=42)
     report = validate_chrome_trace(chrome)
     counters = sum(1 for ev in chrome["traceEvents"]

@@ -3,10 +3,11 @@
 
 Demonstrates the metrics document end to end:
 
-1. one GVE-Leiden detection run with a recorder attached to the runtime
-   — every hot layer (parallel runtime, local move, refinement,
-   aggregation, kernel dispatch) updates its metric families, and the
-   trace's observations join as ``trace_*`` histograms;
+1. one GVE-Leiden detection run, recorded as ``repro run --record``
+   records it — every hot layer (parallel runtime, local move,
+   refinement, aggregation, kernel dispatch) updates its metric
+   families, and the trace's observations join as ``trace_*``
+   histograms;
 2. both byte-deterministic exports — the ``repro.metrics/1`` JSON
    snapshot and Prometheus text exposition (validated).
 
@@ -20,14 +21,14 @@ from repro.observability.metrics import (
     to_prometheus,
     validate_prometheus,
 )
-from repro.observability.regression import collect_leiden_metrics
+from repro.observability.record import record_solve
 
 
 def main() -> None:
     # 1. One recorded detection run.
     graph = load_graph("asia_osm")
-    families, _, result = collect_leiden_metrics(
-        graph, LeidenConfig(seed=42))
+    record, result = record_solve(graph, LeidenConfig(seed=42))
+    families = record.families
     print(f"asia_osm: {result.num_communities} communities in "
           f"{result.num_passes} passes, "
           f"{len(families)} metric families\n")

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """Process engine: worker processes over shared memory, batch-exact.
 
-Runs GVE-Leiden on a registry graph twice — once on the single-process
+Runs GVE-Leiden on a generated graph twice — once on the single-process
 ``batch`` engine and once on the ``process`` engine, whose workers are
 separate interpreter processes mapping the CSR arrays through
 ``multiprocessing.shared_memory`` — and shows that the memberships are
 bitwise identical.  It also prints how many local-moving batches the
 pool scanned: a batch goes to the workers only when it holds at least
 ``POOL_MIN_EDGES`` edges, and the parent scans every smaller one itself,
-as the batch engine does.  On this graph most batches are small.
+as the batch engine does.  The graph is a ring lattice of degree 20
+with 5% of its edges rewired: its colour classes hold thousands of
+vertices, so the first passes' batches reach the gate.  The script
+exits 1 if no batch reached the pool.
 
 Run with:  python examples/process_engine.py
 """
@@ -17,17 +20,16 @@ import time
 
 from repro import LeidenConfig, leiden, modularity
 from repro.core.local_move_process import POOL_MIN_EDGES
-from repro.datasets.registry import load_graph
+from repro.datasets.smallworld import watts_strogatz_graph
 from repro.observability.recorder import Recorder
 from repro.parallel.runtime import Runtime
 
-GRAPH = "com-LiveJournal"
 WORKERS = 2
 
 
 def main() -> None:
-    graph = load_graph(GRAPH, seed=1)
-    print(f"graph: {GRAPH} "
+    graph = watts_strogatz_graph(65536, 10, 0.05, seed=1)
+    print(f"graph: ring lattice, 10 neighbours a side, 5% rewired "
           f"({graph.num_vertices} vertices, {graph.num_edges} edges)")
 
     # Oracle: the single-process batch engine.
@@ -64,6 +66,8 @@ def main() -> None:
     print(f"membership bitwise-identical to the simulated oracle: {same}")
     if not same:
         raise SystemExit("process engine diverged from the batch oracle")
+    if not pooled:
+        raise SystemExit("no move batch reached the pool")
 
 
 if __name__ == "__main__":

@@ -18,11 +18,13 @@ Observability / CI flags:
   :data:`~repro.observability.regression.GOLDEN_FAMILIES` params;
 - ``--kernels`` times the production kernels against their sort
   oracles and exits 1 if any pair's outputs differ bitwise (``--quick``
-  for the smaller CI timing variant);
-- ``--engines`` runs the real-wall-clock engine A/B (``batch`` vs the
-  shared-memory ``process`` pool) on registry graphs, checks the
-  process membership against the batch run, and writes the JSON report
-  CI uploads (``--engines-output``, ``--workers``).
+  for the smaller CI timing variant).
+
+``--quick``, ``--baselines`` and ``--seed`` exit 2 without a mode that
+reads them: ``--quick`` needs ``--kernels``, ``--baselines`` needs
+``--check`` or ``--update-baselines``, and ``--seed`` needs
+``--kernels``, ``--update-baselines``, ``--output`` or ``--json`` (the
+experiments and ``--check`` run at their recorded seeds).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.cli import positive_int
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,7 +48,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="write a consolidated markdown report here")
     parser.add_argument("--json", default=None, dest="json_path",
                         help="write a JSON summary here")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of --kernels, --update-baselines' perf "
+                             "baselines and the report (default 42)")
     parser.add_argument("--check", action="store_true",
                         help="compare smoke runs against the committed "
                              "baselines; exit 1 on regression")
@@ -63,42 +66,32 @@ def main(argv: list[str] | None = None) -> int:
                              "their sort oracles")
     parser.add_argument("--quick", action="store_true",
                         help="smaller/faster --kernels run (CI smoke)")
-    parser.add_argument("--engines", action="store_true",
-                        dest="engines_ab",
-                        help="run the wall-clock engine A/B "
-                             "(batch vs process pool)")
-    parser.add_argument("--engines-output", default=None, metavar="PATH",
-                        help="write the engine A/B JSON report here")
-    parser.add_argument("--engines-graphs", default=None, metavar="NAMES",
-                        help="comma-separated registry graphs for "
-                             "--engines (default: the largest graphs)")
-    parser.add_argument("--workers", type=positive_int, default=4,
-                        help="worker count for --engines (default 4)")
     args = parser.parse_args(argv)
     if args.filters:
         modes = [flag for flag, given in (
-            ("--kernels", args.kernels), ("--engines", args.engines_ab),
-            ("--check", args.check),
+            ("--kernels", args.kernels), ("--check", args.check),
             ("--update-baselines", args.update_baselines),
             ("--output", args.output), ("--json", args.json_path),
         ) if given]
         if modes:
             parser.error(f"experiment filters do not apply to {modes[0]}")
+    for flag, given, readers, names in (
+        ("--quick", args.quick, [args.kernels], "--kernels"),
+        ("--baselines", args.baseline_dir is not None,
+         [args.check, args.update_baselines],
+         "--check and --update-baselines"),
+        ("--seed", args.seed is not None,
+         [args.kernels, args.update_baselines, args.output, args.json_path],
+         "--kernels, --update-baselines, --output and --json"),
+    ):
+        if given and not any(readers):
+            parser.error(f"{flag} applies only to {names}")
+    seed = 42 if args.seed is None else args.seed
 
     if args.kernels:
         from repro.bench.kernels import main as kernels_main
 
-        return kernels_main(seed=args.seed, quick=args.quick)
-
-    if args.engines_ab:
-        from repro.bench.engines import main as engines_main
-
-        graphs = (args.engines_graphs.split(",")
-                  if args.engines_graphs else None)
-        return engines_main(
-            graphs=graphs, workers=args.workers, seed=args.seed,
-            output=args.engines_output,
-        )
+        return kernels_main(seed=seed, quick=args.quick)
 
     if args.check or args.update_baselines:
         from repro.observability import regression
@@ -106,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         baseline_dir = (Path(args.baseline_dir) if args.baseline_dir
                         else regression.default_baseline_dir())
         if args.update_baselines:
-            for b in regression.record_baselines(baseline_dir,
-                                                 seed=args.seed):
+            for b in regression.record_baselines(baseline_dir, seed=seed):
                 print(f"recorded baseline {b.name} "
                       f"(modeled {b.metrics.modeled_seconds:.4f}s, "
                       f"Q={b.metrics.modularity:.4f})")
@@ -123,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.output or args.json_path:
         from repro.bench.report import generate_report, write_report
 
-        report = generate_report(seed=args.seed)
+        report = generate_report(seed=seed)
         write_report(report, markdown_path=args.output,
                      json_path=args.json_path)
         for target in (args.output, args.json_path):

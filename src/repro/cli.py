@@ -8,7 +8,7 @@ Subcommands:
   named registry dataset and print a summary, optionally writing the
   membership vector to a file; ``--record DIR`` records the run and
   writes every observability document into ``DIR``
-  (:func:`write_record`; see docs/OBSERVABILITY.md);
+  (:class:`repro.observability.record.Record`; see docs/OBSERVABILITY.md);
 - ``repro trace --diff A B`` — compare two saved traces field by field;
 - ``repro bench …`` — the evaluation harness
   (:mod:`repro.bench.__main__`), including the ``--check`` perf-
@@ -40,24 +40,8 @@ from repro.graph.io_mtx import read_mtx
 from repro.metrics.connectivity import disconnected_communities
 from repro.metrics.modularity import modularity
 from repro.metrics.summary import summarize_partition
-from repro.observability.memtrack import MemoryView, validate_memory_doc
-from repro.observability.metrics import (
-    to_prometheus,
-    to_snapshot,
-    trace_families,
-    validate_prometheus,
-)
-from repro.observability.profile_report import format_profile_report
-from repro.observability.profiler import (
-    chrome_trace_json,
-    timeline,
-    to_chrome_trace,
-    validate_chrome_trace,
-)
-from repro.observability.recorder import Recorder, record_csr
-from repro.observability.tracer import TRACE_SCHEMA, trace_doc, trace_tree
-from repro.parallel.costmodel import PAPER_MACHINE
-from repro.parallel.runtime import Runtime
+from repro.observability.record import record_solve, record_workload, solve
+from repro.observability.tracer import TRACE_SCHEMA
 
 #: Engine choices of a detection run.
 ENGINE_CHOICES = ("batch", "loop", "process")
@@ -90,20 +74,6 @@ def record_dir(text: str) -> Path:
     return path
 
 
-def _solve(args, graph, config: LeidenConfig, algo, recorder):
-    """One detection run on the engine the flags pick; any worker pool
-    is closed before returning."""
-    if args.engine == "process":
-        rt = Runtime(num_threads=args.workers, executor="process",
-                     seed=args.seed, recorder=recorder)
-    else:
-        rt = Runtime(num_threads=1, seed=args.seed, recorder=recorder)
-    try:
-        return algo(graph, config, runtime=rt)
-    finally:
-        rt.close()
-
-
 def _write_text(path: Path | None, text: str, what: str) -> None:
     """Write ``text`` to ``path`` and say so, or print it when no path."""
     if path is not None:
@@ -116,58 +86,6 @@ def _write_text(path: Path | None, text: str, what: str) -> None:
 def _json(doc: dict, compact: bool = False) -> str:
     """Key-sorted JSON, indented unless ``compact``."""
     return json.dumps(doc, sort_keys=True, indent=None if compact else 2)
-
-
-#: Thread count of the timeline a recorded run lays out (one Chrome lane
-#: per thread) and the regions its profile report lists.
-PROFILE_THREADS = 8
-PROFILE_TOP = 5
-
-
-def write_record(directory: Path, recorder, experiment: str, seed: int, *,
-                 families: dict, memory: MemoryView,
-                 trace_meta: dict | None = None,
-                 metrics_meta: dict | None = None,
-                 memory_meta: dict | None = None) -> None:
-    """Write the seven documents of one recorded run into ``directory``.
-
-    Each is a projection of ``recorder``: the trace (``trace.json``),
-    the timeline at :data:`PROFILE_THREADS` threads as a Chrome document
-    and a text report (``profile.chrome.json``, ``profile.txt``), the
-    metric ``families`` as a snapshot and as Prometheus text
-    (``metrics.json``, ``metrics.prom``) and the ``memory`` view as a
-    report and a Chrome counter lane (``memory.json``,
-    ``memory.chrome.json``).  Every document's meta holds ``experiment``
-    and ``seed``; ``trace_meta``, ``metrics_meta`` and ``memory_meta``
-    add to it.  Both Chrome documents, the memory report and the
-    exposition are validated before any file is written.
-    """
-    meta = {"experiment": experiment, "seed": seed}
-    trace = trace_doc(recorder, **meta, **(trace_meta or {}))
-    tl = timeline(recorder, PROFILE_THREADS)
-    chrome = to_chrome_trace(tl, **meta)
-    prom = to_prometheus(families)
-    memory_doc = memory.to_snapshot(**meta, **(memory_meta or {}))
-    memory_chrome = memory.to_chrome_trace(**meta)
-    validate_chrome_trace(chrome)
-    validate_chrome_trace(memory_chrome)
-    validate_memory_doc(memory_doc)
-    validate_prometheus(prom)
-    docs = {
-        "trace.json": _json(trace),
-        "profile.chrome.json": chrome_trace_json(chrome, indent=1),
-        "profile.txt": format_profile_report(
-            tl, trace_doc=trace, top=PROFILE_TOP, title=experiment),
-        "metrics.json": _json(
-            to_snapshot(families, **meta, **(metrics_meta or {}))),
-        "metrics.prom": prom.rstrip("\n"),
-        "memory.json": _json(memory_doc),
-        "memory.chrome.json": chrome_trace_json(memory_chrome, indent=1),
-    }
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, text in docs.items():
-        (directory / name).write_text(text + "\n")
-    print(f"{len(docs)} documents written to {directory}")
 
 
 def _read_json_docs(paths, validate) -> list | None:
@@ -327,7 +245,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv: list[str] | None = None) -> int:
     """``repro serve`` — drive the partition server through a workload."""
-    from repro.service.server import PartitionServer, ServiceConfig
+    from repro.service.server import ServiceConfig
     from repro.service.workload import PROFILES, run_workload
 
     args = build_serve_parser().parse_args(argv)
@@ -339,28 +257,17 @@ def serve_main(argv: list[str] | None = None) -> int:
         print(f"error: unknown workload profile {args.workload!r} — pick "
               f"one of the profiles listed above", file=sys.stderr)
         return 2
-    service_config = ServiceConfig(coalesce_updates=not args.no_coalesce)
-    server = recorder = None
-    if args.record is not None:
-        recorder = Recorder()
-        server = PartitionServer(service_config, recorder=recorder)
-    result = run_workload(
-        args.workload,
-        seed=args.seed,
-        server=server,
-        service_config=service_config,
-        verify=not args.no_verify,
-    )
+    opts = {"seed": args.seed, "verify": not args.no_verify,
+           "service_config": ServiceConfig(
+               coalesce_updates=not args.no_coalesce)}
+    if args.record is None:
+        result = run_workload(args.workload, **opts)
+    else:
+        record, result = record_workload(args.workload, **opts)
     _write_text(args.output, _json(result.to_json_dict(), args.compact),
                 "stats")
-    if recorder is not None:
-        # No trace_* families: the trace's request latencies are wall
-        # clock.  The memory report is the serving side's: the store's
-        # entries, not the solves' transient buffers.
-        write_record(args.record, recorder, f"serve:{args.workload}",
-                     args.seed, families=recorder.families,
-                     memory=MemoryView(recorder, components=("store",)),
-                     metrics_meta={"clock_units": int(server.clock)})
+    if args.record is not None:
+        record.write(args.record, f"serve:{args.workload}", args.seed)
     if not args.no_verify and not all(
             result.membership_matches_scratch.values()):
         print("error: served membership diverged from from-scratch solve",
@@ -409,17 +316,14 @@ def main(argv: list[str] | None = None) -> int:
         max_passes=args.max_passes,
         seed=args.seed,
     )
-    recorder = None
-    if args.record is not None:
-        recorder = Recorder()
-        # Graph loads are memoized, so the input CSR may predate the
-        # recorder; charge it explicitly so the memory report covers it.
-        record_csr(recorder, graph)
-    result = _solve(args, graph, config,
-                    leiden if args.algorithm == "leiden" else louvain,
-                    recorder)
-
-    q = modularity(graph, result.membership, resolution=args.resolution)
+    algo = leiden if args.algorithm == "leiden" else louvain
+    if args.record is None:
+        result = solve(graph, config, algo=algo, workers=args.workers)
+        q = modularity(graph, result.membership, resolution=args.resolution)
+    else:
+        record, result = record_solve(graph, config, algo=algo,
+                                      workers=args.workers)
+        q = record.summary["modularity"]
     print(f"graph: {args.input}")
     print(f"vertices: {graph.num_vertices}  edges: {graph.num_edges}")
     print(f"algorithm: {args.algorithm} ({args.refinement}, {args.variant})")
@@ -444,34 +348,10 @@ def main(argv: list[str] | None = None) -> int:
         _write_text(args.output,
                     "\n".join(str(int(c)) for c in result.membership),
                     "membership")
-    if recorder is not None:
-        _record_run(args, recorder, result, q)
+    if args.record is not None:
+        record.write(args.record, str(args.input), args.seed,
+                     engine=args.engine)
     return 0
-
-
-def _record_run(args, recorder, result, q: float) -> None:
-    """``run --record``: the run's documents, with the run's summary in
-    the trace and metrics meta.  The trace models the run at the paper
-    machine's full width; the metrics add the trace's observation
-    histograms as ``trace_*`` families."""
-    threads = PAPER_MACHINE.max_threads
-    sim = result.ledger.simulate(PAPER_MACHINE, threads)
-    summary = {"modularity": q, "num_passes": result.num_passes,
-               "num_communities": result.num_communities,
-               "total_work": result.ledger.total_work}
-    write_record(
-        args.record, recorder, str(args.input), args.seed,
-        families={**recorder.families,
-                  **trace_families(trace_tree(recorder))},
-        memory=MemoryView(recorder),
-        trace_meta={"num_threads": threads,
-                    "machine": PAPER_MACHINE.as_dict(),
-                    "metrics": {**summary,
-                                "wall_seconds": result.wall_seconds,
-                                "modeled_seconds": sim.seconds,
-                                "modeled_phase_seconds": sim.phase_seconds}},
-        metrics_meta=summary,
-        memory_meta={"engine": args.engine})
 
 
 if __name__ == "__main__":  # pragma: no cover

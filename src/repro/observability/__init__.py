@@ -20,12 +20,16 @@ is a projection of its event record:
   JSON (``repro.metrics/1``) exposition;
 - :mod:`repro.observability.memtrack` — logical allocation watermarks
   (``repro.memory/1``) and their Chrome lane;
+- :mod:`repro.observability.record` — the recorded run: a recorded
+  solve or served workload and the documents projected from it;
 - :mod:`repro.observability.regression` — the baselines under
   ``benchmarks/baselines/`` and the comparison logic behind ``repro
   bench --check``, plus the trace-diff helpers.
 
 ``repro run --record DIR`` and ``repro serve --record DIR`` write every
-document of one recorded run into ``DIR`` (:func:`repro.cli.write_record`).
+document of one recorded run into ``DIR``
+(:meth:`repro.observability.record.Record.write`), and the golden
+baselines are documents of the same recorded runs.
 """
 
 from repro.observability.recorder import (

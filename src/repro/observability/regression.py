@@ -18,7 +18,10 @@ compared against relative thresholds:
 
 *Golden baselines* pin a whole deterministic document (service stats,
 metrics snapshots, the memory report) and gate on exact equality.  Each
-family is one :class:`GoldenFamily` entry in :data:`GOLDEN_FAMILIES`.
+family is one :class:`GoldenFamily` entry in :data:`GOLDEN_FAMILIES`,
+and each document comes from the recorded run that ``repro run
+--record`` or ``repro serve --record`` makes
+(:mod:`repro.observability.record`).
 
 ``run_check`` validates every file, re-runs it and exits non-zero on any
 regression, printing a readable diff — the artifact CI gates on.
@@ -40,9 +43,7 @@ from repro.core.leiden import leiden
 from repro.core.result import LeidenResult
 from repro.datasets.registry import load_graph
 from repro.metrics.modularity import modularity
-from repro.observability.metrics import to_snapshot, trace_families
-from repro.observability.recorder import Recorder
-from repro.observability.tracer import trace_tree
+from repro.observability.record import record_solve, record_workload
 from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
@@ -54,7 +55,6 @@ __all__ = [
     "MetricCheck",
     "RunMetrics",
     "Thresholds",
-    "collect_leiden_metrics",
     "compare_docs",
     "compare_metrics",
     "default_baseline_dir",
@@ -66,9 +66,6 @@ __all__ = [
     "load_baseline",
     "measure_baseline",
     "measure_experiment",
-    "measure_memory",
-    "measure_metrics",
-    "measure_service_metrics",
     "record_baselines",
     "record_golden",
     "run_check",
@@ -219,18 +216,16 @@ def measure_experiment(
     seed: int = 42,
     num_threads: int = 64,
     config: Optional[dict] = None,
-    recorder: Optional[Recorder] = None,
 ) -> Tuple[RunMetrics, LeidenResult]:
     """Run one smoke experiment and collect its gated metrics.
 
     ``num_threads`` selects the thread count the *modelled* runtime is
     evaluated at (the execution itself is the deterministic simulated
-    runtime).  Pass a :class:`~repro.observability.recorder.Recorder`
-    to also record the run.
+    runtime).
     """
     graph = load_graph(graph_name)
     cfg = LeidenConfig(**{"seed": seed, **(config or {})})
-    rt = Runtime(num_threads=1, seed=cfg.seed, recorder=recorder)
+    rt = Runtime(num_threads=1, seed=cfg.seed)
     t0 = time.perf_counter()
     result = leiden(graph, cfg, runtime=rt)
     wall = time.perf_counter() - t0
@@ -379,113 +374,31 @@ def record_baselines(
 # -- golden baselines (exact-match gate) -------------------------------------
 
 
-def collect_leiden_metrics(
-    graph,
-    config: Optional[LeidenConfig] = None,
-    *,
-    seed: int = 42,
-    num_threads: int = 1,
-    executor: str = "serial",
-):
-    """One recorded detection run and its metric families.
-
-    Returns ``(families, recorder, result)``.  The trace's observation
-    histograms (batch sizes, color-class sizes — all deterministic
-    counts) join the recorder's families as ``trace_*`` histograms, so
-    the metrics report the same p50/p99 as the trace.
-
-    ``num_threads``/``executor`` size the runtime — pass
-    ``executor="process"`` for the process engine so its worker pool
-    (reaped here before returning) matches the requested width.
-    """
-    cfg = config or LeidenConfig(seed=seed)
-    recorder = Recorder()
-    rt = Runtime(num_threads=num_threads, executor=executor,
-                 seed=cfg.seed, recorder=recorder)
-    try:
-        result = leiden(graph, cfg, runtime=rt)
-    finally:
-        rt.close()
-    families = {**recorder.families,
-                **trace_families(trace_tree(recorder))}
-    return families, recorder, result
+def _served_stats(profile: str, seed: int) -> dict:
+    """The stats document of one recorded, verified workload: what
+    ``repro serve --record --output`` writes."""
+    return record_workload(profile, seed=seed)[1].to_json_dict()
 
 
-def measure_metrics(
-    graph_name: str,
-    *,
-    seed: int = 42,
-    config: Optional[LeidenConfig] = None,
-) -> dict:
-    """Deterministic ``repro.metrics/1`` snapshot of one detection run."""
-    graph = load_graph(graph_name)
-    cfg = config or LeidenConfig(seed=seed)
-    families, _, result = collect_leiden_metrics(graph, cfg, seed=seed)
-    q = modularity(graph, result.membership)
-    return to_snapshot(
-        families,
-        experiment=graph_name,
-        seed=cfg.seed,
-        modularity=q,
-        num_passes=result.num_passes,
-        num_communities=result.num_communities,
-        total_work=result.ledger.total_work,
-    )
+def _solve_record(graph: str, seed: int):
+    return record_solve(load_graph(graph), LeidenConfig(seed=seed))[0]
 
 
-def measure_service_metrics(profile: str = "quick", *, seed: int = 0) -> dict:
-    """Deterministic metrics snapshot of one service workload.
-
-    The server runs with a recorder attached.  No ``trace_*`` families:
-    the trace's service histograms observe wall-clock seconds, which
-    would break byte-determinism.
-    """
-    from repro.service.server import PartitionServer
-    from repro.service.workload import run_workload
-
-    recorder = Recorder()
-    server = PartitionServer(recorder=recorder)
-    run_workload(profile, seed=seed, server=server, verify=False)
-    return to_snapshot(
-        recorder.families,
-        profile=profile,
-        seed=seed,
-        clock_units=int(server.clock),
-    )
-
-
-def measure_memory(graph: str = "asia_osm", *, seed: int = 42) -> dict:
-    """Deterministic ``repro.memory/1`` report of one detection run.
-
-    Single-thread run on registry graph ``graph`` with a recorder
-    attached; the input graph's CSR arrays are charged explicitly (loads
-    are memoized, so construction may predate the recorder).  The
-    document is validated (event replay must reproduce the watermarks)
-    before it is returned.
-    """
-    from repro.observability.memtrack import MemoryView, validate_memory_doc
-    from repro.observability.recorder import record_csr
-
-    csr = load_graph(graph)
-    recorder = Recorder()
-    record_csr(recorder, csr)
-    with Runtime(num_threads=1, seed=seed, recorder=recorder) as rt:
-        leiden(csr, LeidenConfig(seed=seed), runtime=rt)
-    doc = MemoryView(recorder).to_snapshot(experiment=graph, seed=seed)
-    validate_memory_doc(doc)
-    return doc
-
-
-def _service_doc(profile: str, seed: int) -> dict:
-    from repro.service.workload import run_workload
-
-    return run_workload(profile, seed=seed).to_json_dict()
-
-
-def _metrics_doc(kind: str, target: str, seed: int) -> dict:
+def _metrics_snapshot(kind: str, target: str, seed: int) -> dict:
+    """The metrics document of ``run <target> --record`` (kind
+    ``leiden``) or of ``serve --workload <target> --record`` (kind
+    ``service``, with the profile in the meta)."""
     if kind == "service":
-        return measure_service_metrics(target, seed=seed)
-    return measure_metrics(target, seed=seed)
+        record, _ = record_workload(target, seed=seed, verify=False)
+        return record.metrics_doc(profile=target, seed=seed)
+    return _solve_record(target, seed).metrics_doc(experiment=target,
+                                                   seed=seed)
+
+
+def _memory_report(graph: str, seed: int) -> dict:
+    """The memory report of ``run <graph> --record``, without its
+    ``engine`` meta."""
+    return _solve_record(graph, seed).memory_doc(experiment=graph, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -518,19 +431,19 @@ class GoldenFamily:
 #: requires and re-runs them.
 GOLDEN_FAMILIES: Tuple[GoldenFamily, ...] = (
     # The full deterministic stats document of one service workload.
-    GoldenFamily("service", "repro.service-baseline/1", _service_doc, {
+    GoldenFamily("service", "repro.service-baseline/1", _served_stats, {
         "service_quick": {"profile": "quick", "seed": 0},
     }),
     # Metrics snapshots: an instrumented detection run (kind "leiden")
     # and an instrumented service workload (kind "service").
-    GoldenFamily("metrics", "repro.metrics-baseline/1", _metrics_doc, {
+    GoldenFamily("metrics", "repro.metrics-baseline/1", _metrics_snapshot, {
         "metrics_asia_osm":
             {"kind": "leiden", "target": "asia_osm", "seed": 42},
         "metrics_service_quick":
             {"kind": "service", "target": "quick", "seed": 0},
     }),
     # The full repro.memory/1 report of one single-thread detection run.
-    GoldenFamily("memory", "repro.memory-baseline/1", measure_memory, {
+    GoldenFamily("memory", "repro.memory-baseline/1", _memory_report, {
         "memory_quick": {"graph": "asia_osm", "seed": 42},
     }),
 )

@@ -8,8 +8,8 @@ provides the equivalent abstractions for a pure-Python reproduction:
 - :mod:`repro.parallel.hashtable` — the collision-free per-thread
   hashtables of Algorithms 2-4;
 - :mod:`repro.parallel.scan` — (parallel) exclusive prefix sums;
-- :mod:`repro.parallel.schedule` — OpenMP-style static/dynamic/guided
-  loop schedules;
+- :mod:`repro.parallel.schedule` — OpenMP-style static/dynamic loop
+  schedules;
 - :mod:`repro.parallel.simthread` — a work ledger recording every parallel
   region so runtimes can be *modelled* for any thread count after a single
   execution (the GIL makes real thread scaling unobservable in Python);

@@ -43,12 +43,6 @@ class AtomicArray:
         self.op_count += 1
         return float(self.values[idx])
 
-    def add_many(self, idx: np.ndarray, deltas) -> None:
-        """Batch of atomic adds (duplicate indices accumulate, as atomics do)."""
-        idx = np.asarray(idx)
-        np.add.at(self.values, idx, deltas)
-        self.op_count += int(idx.shape[0])
-
     def compare_and_swap(self, idx: int, expected: float, new: float) -> float:
         """Atomic CAS: if ``values[idx] == expected`` store ``new``.
 

@@ -120,30 +120,6 @@ class MachineModel:
             "chunk_overhead_units": self.chunk_overhead_units,
         }
 
-    def scaled(self, work_scale: float) -> "MachineModel":
-        """Model a ``work_scale``-times larger input on this machine.
-
-        Per-unit and per-atomic costs scale with the work (there are
-        simply more of them); per-region fixed costs (barriers, the
-        dynamic-schedule handshake per chunk) do not — large inputs have
-        proportionally more chunks, which the chunked ledger regions
-        already capture, but not proportionally more barriers.
-        """
-        return MachineModel(
-            name=f"{self.name}x{work_scale:g}",
-            cores_per_socket=self.cores_per_socket,
-            sockets=self.sockets,
-            smt=self.smt,
-            smt_gain=self.smt_gain,
-            contention_beta=self.contention_beta,
-            numa_factor=self.numa_factor,
-            smt_pressure=self.smt_pressure,
-            time_per_unit=self.time_per_unit * work_scale,
-            chunk_overhead_units=self.chunk_overhead_units,
-            atomic_seconds=self.atomic_seconds * work_scale,
-            barrier_base_seconds=self.barrier_base_seconds,
-        )
-
 
 @dataclass(frozen=True)
 class ImplementationProfile:
@@ -176,9 +152,6 @@ class ImplementationProfile:
             atomic_seconds=base.atomic_seconds * self.unit_cost,
             barrier_base_seconds=base.barrier_base_seconds,
         )
-
-    def effective_threads(self, requested: int) -> int:
-        return requested if self.parallel else 1
 
 
 #: The paper's CPU testbed (Section 5.1.1).

@@ -82,15 +82,6 @@ class CollisionFreeHashtable:
         for k, v in zip(keys.tolist(), vals.tolist()):
             yield k, v
 
-    def max_key(self) -> Tuple[int, float]:
-        """``(key, value)`` of the maximum value; raises if empty."""
-        if self._count == 0:
-            raise KeyError("hashtable is empty")
-        keys = self.keys()
-        vals = self._values[keys]
-        pos = int(np.argmax(vals))
-        return int(keys[pos]), float(vals[pos])
-
     def clear(self) -> None:
         """Reset, touching only the used slots (O(len), not O(capacity))."""
         keys = self.keys()

@@ -19,13 +19,13 @@ DEFAULT_CHUNK = 2048
 
 @dataclass(frozen=True)
 class Schedule:
-    """A loop schedule: ``kind`` is ``"static"``, ``"dynamic"`` or ``"guided"``."""
+    """A loop schedule: ``kind`` is ``"static"`` or ``"dynamic"``."""
 
     kind: str = "dynamic"
     chunk: int = DEFAULT_CHUNK
 
     def __post_init__(self) -> None:
-        if self.kind not in ("static", "dynamic", "guided"):
+        if self.kind not in ("static", "dynamic"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
@@ -35,8 +35,7 @@ def chunk_spans(n_items: int, schedule: Schedule, num_threads: int) -> List[Tupl
     """Split ``[0, n_items)`` into ``(start, stop)`` chunks per the schedule.
 
     - ``static``: ``num_threads`` contiguous near-equal blocks;
-    - ``dynamic``: fixed-size chunks of ``schedule.chunk`` items;
-    - ``guided``: exponentially shrinking chunks with floor ``schedule.chunk``.
+    - ``dynamic``: fixed-size chunks of ``schedule.chunk`` items.
     """
     if n_items <= 0:
         return []
@@ -47,19 +46,8 @@ def chunk_spans(n_items: int, schedule: Schedule, num_threads: int) -> List[Tupl
             for t in range(num_threads)
             if bounds[t + 1] > bounds[t]
         ]
-    if schedule.kind == "dynamic":
-        starts = list(range(0, n_items, schedule.chunk))
-        return [(s, min(s + schedule.chunk, n_items)) for s in starts]
-    # guided
-    spans: List[Tuple[int, int]] = []
-    remaining, start = n_items, 0
-    while remaining > 0:
-        size = max(schedule.chunk, remaining // (2 * num_threads))
-        size = min(size, remaining)
-        spans.append((start, start + size))
-        start += size
-        remaining -= size
-    return spans
+    starts = range(0, n_items, schedule.chunk)
+    return [(s, min(s + schedule.chunk, n_items)) for s in starts]
 
 
 def seeded_chunk_order(n_chunks: int, seed: int) -> np.ndarray:
@@ -91,8 +79,8 @@ def assign_chunks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Which thread runs each chunk, and when it starts.
 
-    ``static`` assigns chunks round-robin; ``dynamic``/``guided`` hand each
-    chunk to the earliest-free thread, ties to the lowest thread id
+    ``static`` assigns chunks round-robin; ``dynamic`` hands each chunk
+    to the earliest-free thread, ties to the lowest thread id
     (greedy list scheduling, which is what an OpenMP dynamic loop does up
     to tie-breaking, and which leaves :func:`makespan` unchanged).
     Returns ``(owner, start)`` parallel to ``chunk_costs``: int32 thread
@@ -142,7 +130,7 @@ def makespan(
         owner = np.arange(costs.shape[0], dtype=np.int64) % num_threads
         per_thread = np.bincount(owner, weights=costs, minlength=num_threads)
         return float(per_thread.max())
-    # dynamic/guided: greedy earliest-free assignment
+    # dynamic: greedy earliest-free assignment
     heap = [0.0] * num_threads
     heapq.heapify(heap)
     for c in costs:

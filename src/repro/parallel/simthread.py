@@ -24,7 +24,7 @@ sums of the per-item costs bit for bit, in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -225,15 +225,3 @@ class SimulatedTime:
     phase_seconds: Dict[str, float]
     num_threads: int
 
-    def phase_fraction(self, phase: str) -> float:
-        """Fraction of modelled time spent in ``phase``."""
-        if self.seconds <= 0:
-            return 0.0
-        return self.phase_seconds.get(phase, 0.0) / self.seconds
-
-
-def scaling_curve(
-    ledger: WorkLedger, machine, thread_counts: Iterable[int]
-) -> Dict[int, SimulatedTime]:
-    """Modelled time for each thread count (Figure 9 helper)."""
-    return {t: ledger.simulate(machine, t) for t in thread_counts}

@@ -45,7 +45,7 @@ class TestMain:
         assert len(lines) == 3 and captured.out == ""
 
     @pytest.mark.parametrize("flags", [
-        ["--kernels", "--quick"], ["--engines"], ["--check"],
+        ["--kernels", "--quick"], ["--check"],
         ["--update-baselines"], ["--output", "r.md"], ["--json", "r.json"],
     ], ids=lambda flags: flags[0])
     def test_filter_with_mode_flag_exits_2(self, flags, monkeypatch,
@@ -59,6 +59,30 @@ class TestMain:
         assert _StubModule.calls == 0
         assert (f"experiment filters do not apply to {flags[0]}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--quick"], ["--baselines", "d"], ["--kernels", "--baselines", "d"],
+        ["--seed", "7"], ["figure 8", "--seed", "7"],
+        ["--check", "--seed", "7"],
+    ], ids=" ".join)
+    def test_flag_outside_its_mode_exits_2(self, argv, monkeypatch, capsys):
+        """``--quick``, ``--baselines`` and ``--seed`` without a mode
+        that reads them exit 2 before any experiment runs."""
+        flag = next(a for a in argv if a in ("--quick", "--baselines",
+                                             "--seed"))
+        _StubModule.calls = 0
+        monkeypatch.setattr(bench_main, "ALL_EXPERIMENTS",
+                            [("Figure 8", _StubModule)])
+        with pytest.raises(SystemExit) as exc:
+            bench_main.main(argv)
+        assert exc.value.code == 2
+        assert _StubModule.calls == 0
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert f"error: {flag} applies only to " in errors[0]
+        assert captured.out == ""
 
     def test_no_filter_runs_all(self, monkeypatch, capsys):
         _StubModule.calls = 0

@@ -8,8 +8,6 @@ from repro.observability.regression import (
     GOLDEN_FAMILIES,
     golden_doc,
     load_baseline,
-    measure_metrics,
-    measure_service_metrics,
     record_golden,
     run_check,
     write_json,
@@ -39,13 +37,14 @@ class TestMetricsBaselineRoundTrip:
 
 class TestMeasureDeterminism:
     def test_leiden_snapshot_repeatable(self):
-        a = measure_metrics("asia_osm", seed=42)
-        b = measure_metrics("asia_osm", seed=42)
+        a = METRICS.produce(**LEIDEN)
+        b = METRICS.produce(**LEIDEN)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_service_snapshot_repeatable(self):
-        a = measure_service_metrics("tiny", seed=0)
-        b = measure_service_metrics("tiny", seed=0)
+        tiny = {"kind": "service", "target": "tiny", "seed": 0}
+        a = METRICS.produce(**tiny)
+        b = METRICS.produce(**tiny)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert "health" not in a
 

@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.config import LeidenConfig
+from repro.datasets.registry import load_graph
 from repro.observability import regression
-from repro.observability.recorder import Recorder
+from repro.observability.record import record_solve
 from repro.observability.regression import (
     BASELINE_SCHEMA,
     GOLDEN_FAMILIES,
@@ -24,7 +26,7 @@ from repro.observability.regression import (
     run_check,
     write_json,
 )
-from repro.observability.tracer import trace_doc, trace_tree
+from repro.observability.tracer import trace_doc
 
 GRAPH = "asia_osm"  # smallest smoke graph in the registry
 
@@ -111,12 +113,6 @@ class TestMeasureExperiment:
         assert a.modeled_seconds == b.modeled_seconds
         assert a.total_work == b.total_work
         assert a.modularity == b.modularity
-
-    def test_tracer_capture(self):
-        rec = Recorder()
-        metrics, result = measure_experiment(GRAPH, seed=42, recorder=rec)
-        assert metrics.num_passes == result.num_passes
-        assert trace_tree(rec).children[0].name == "leiden"
 
 
 class TestRunCheck:
@@ -450,8 +446,8 @@ class TestMemoryBaseline:
         assert "logical.peak_bytes" in out
 
     def test_measure_is_deterministic_and_validated(self):
-        a = regression.measure_memory(GRAPH, seed=42)
-        b = regression.measure_memory(GRAPH, seed=42)
+        a = GOLDEN["memory"].produce(graph=GRAPH, seed=42)
+        b = GOLDEN["memory"].produce(graph=GRAPH, seed=42)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["logical"]["peak_bytes"] > 0
         assert a["logical"]["events_dropped"] == 0
@@ -472,10 +468,9 @@ class TestCommittedBaselines:
 class TestTraceDiffHelpers:
     @staticmethod
     def _trace(**config):
-        rec = Recorder()
-        measure_experiment(GRAPH, seed=42, recorder=rec,
-                           config=config or None)
-        return trace_doc(rec, experiment=GRAPH, seed=42)
+        record, _ = record_solve(load_graph(GRAPH),
+                                 LeidenConfig(seed=42, **config))
+        return trace_doc(record.recorder, experiment=GRAPH, seed=42)
 
     def test_identical_docs_have_no_deterministic_diffs(self):
         a = self._trace()

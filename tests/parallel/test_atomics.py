@@ -13,12 +13,6 @@ class TestAtomicArray:
         assert a.load(1) == 3.0
         assert a.op_count == 2
 
-    def test_add_many_accumulates_duplicates(self):
-        a = AtomicArray(np.zeros(4))
-        a.add_many(np.array([1, 1, 2]), np.array([1.0, 2.0, 5.0]))
-        assert a.values.tolist() == [0.0, 3.0, 5.0, 0.0]
-        assert a.op_count == 3
-
     def test_cas_success(self):
         a = AtomicArray(np.array([4.0]))
         old = a.compare_and_swap(0, 4.0, 0.0)

@@ -51,13 +51,6 @@ class TestMachineModel:
         assert PAPER_MACHINE.barrier_seconds(1) == 0.0
         assert PAPER_MACHINE.barrier_seconds(64) > 0
 
-    def test_scaled_machine(self):
-        m = PAPER_MACHINE.scaled(1000.0)
-        assert m.time_per_unit == pytest.approx(
-            PAPER_MACHINE.time_per_unit * 1000
-        )
-        assert m.barrier_base_seconds == PAPER_MACHINE.barrier_base_seconds
-
     def test_gpu_machine_flat(self):
         assert GPU_MACHINE.numa(100) == 1.0
         assert GPU_MACHINE.capacity(108) == 108
@@ -88,7 +81,3 @@ class TestProfiles:
         assert m.time_per_unit == pytest.approx(
             PAPER_MACHINE.time_per_unit * prof.unit_cost
         )
-
-    def test_effective_threads(self):
-        assert IMPLEMENTATION_PROFILES["original"].effective_threads(64) == 1
-        assert IMPLEMENTATION_PROFILES["gve"].effective_threads(64) == 64

@@ -39,17 +39,6 @@ class TestBasics:
         assert dict(h.items()) == {4: 2.0, 0: 3.0}
         assert h.values().tolist() == [2.0, 3.0]
 
-    def test_max_key(self):
-        h = CollisionFreeHashtable(6)
-        h.accumulate(1, 1.0)
-        h.accumulate(5, 9.0)
-        h.accumulate(2, 3.0)
-        assert h.max_key() == (5, 9.0)
-
-    def test_max_key_empty_raises(self):
-        with pytest.raises(KeyError):
-            CollisionFreeHashtable(3).max_key()
-
     def test_clear_only_touches_used(self):
         h = CollisionFreeHashtable(8)
         h.accumulate(2, 5.0)

@@ -13,8 +13,9 @@ class TestSchedule:
         assert s.chunk == 2048
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Schedule("fair")
+        for kind in ("fair", "guided"):
+            with pytest.raises(ValueError):
+                Schedule(kind)
 
     def test_rejects_bad_chunk(self):
         with pytest.raises(ValueError):
@@ -38,18 +39,11 @@ class TestChunkSpans:
         total = sum(hi - lo for lo, hi in spans)
         assert total == 2
 
-    def test_guided_shrinks(self):
-        spans = chunk_spans(1000, Schedule("guided", 16), num_threads=4)
-        sizes = [hi - lo for lo, hi in spans]
-        assert sizes[0] >= sizes[-1]
-        assert sum(sizes) == 1000
-        assert spans[-1][1] == 1000
-
     def test_empty_loop(self):
         assert chunk_spans(0, Schedule(), 4) == []
 
     def test_spans_cover_exactly(self):
-        for kind in ("static", "dynamic", "guided"):
+        for kind in ("static", "dynamic"):
             spans = chunk_spans(77, Schedule(kind, 8), 5)
             covered = []
             for lo, hi in spans:
@@ -126,14 +120,13 @@ class TestEdgeCases:
         assert covered == list(range(n_items))  # cover, ordered, no overlap
 
     def test_empty_range_every_kind(self):
-        for kind in ("static", "dynamic", "guided"):
+        for kind in ("static", "dynamic"):
             for threads in (1, 4):
                 assert chunk_spans(0, Schedule(kind, 8), threads) == []
 
     def test_chunk_larger_than_range(self):
-        for kind in ("dynamic", "guided"):
-            spans = chunk_spans(5, Schedule(kind, 100), num_threads=4)
-            assert spans == [(0, 5)]
+        spans = chunk_spans(5, Schedule("dynamic", 100), num_threads=4)
+        assert spans == [(0, 5)]
         self.assert_exact_cover(
             chunk_spans(5, Schedule("static", 100), num_threads=4), 5)
 
@@ -146,12 +139,8 @@ class TestEdgeCases:
         assert makespan(np.ones(len(spans)), 1,
                         Schedule("dynamic", 3)) == pytest.approx(len(spans))
 
-    def test_guided_one_thread_exact_cover(self):
-        spans = chunk_spans(1000, Schedule("guided", 16), num_threads=1)
-        self.assert_exact_cover(spans, 1000)
-
     def test_exact_cover_sweep(self):
-        for kind in ("static", "dynamic", "guided"):
+        for kind in ("static", "dynamic"):
             for n in (1, 2, 7, 100):
                 for chunk in (1, 3, 7, 101):
                     for threads in (1, 3, 8):

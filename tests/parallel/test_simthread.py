@@ -5,7 +5,7 @@ import pytest
 
 from repro.parallel.costmodel import PAPER_MACHINE, MachineModel
 from repro.parallel.schedule import Schedule
-from repro.parallel.simthread import _MAX_CHUNKS, WorkLedger, scaling_curve
+from repro.parallel.simthread import _MAX_CHUNKS, WorkLedger
 
 
 def flat_machine():
@@ -94,14 +94,6 @@ class TestSimulate:
         sim = led.simulate(PAPER_MACHINE, 8)
         assert sum(sim.phase_seconds.values()) == pytest.approx(sim.seconds)
 
-    def test_phase_fraction(self):
-        led = WorkLedger()
-        led.serial(30, phase="a")
-        led.serial(70, phase="b")
-        sim = led.simulate(flat_machine(), 1)
-        assert sim.phase_fraction("a") == pytest.approx(0.3)
-        assert sim.phase_fraction("missing") == 0.0
-
     def test_work_scale_scales_serial(self):
         led = WorkLedger()
         led.serial(10.0, phase="s")
@@ -118,13 +110,6 @@ class TestSimulate:
         # unscaled: 2 chunks cap speedup at 2; scaled: near 64.
         assert unscaled == pytest.approx(2048.0)
         assert scaled == pytest.approx(4096.0 * 1000 / 64, rel=0.05)
-
-    def test_scaling_curve_helper(self):
-        led = WorkLedger()
-        led.parallel(np.ones(100000), phase="p")
-        curve = scaling_curve(led, PAPER_MACHINE, [1, 2, 4])
-        assert set(curve) == {1, 2, 4}
-        assert curve[1].seconds > curve[4].seconds
 
 
 def _chunk_costs(item_costs, chunk, **kwargs):

@@ -61,7 +61,7 @@ class TestScanProperties:
 
 class TestScheduleProperties:
     @given(st.integers(0, 500), st.integers(1, 32),
-           st.sampled_from(["static", "dynamic", "guided"]),
+           st.sampled_from(["static", "dynamic"]),
            st.integers(1, 64))
     @settings(max_examples=80, deadline=None)
     def test_spans_partition_range(self, n, threads, kind, chunk):

@@ -10,6 +10,10 @@ import pytest
 
 from repro.cli import main
 from repro.graph.io_edgelist import write_edgelist
+from repro.observability.regression import (
+    GOLDEN_FAMILIES,
+    default_baseline_dir,
+)
 from tests.conftest import two_cliques_graph
 
 
@@ -175,6 +179,8 @@ class TestBenchSubcommand:
         assert "no baselines" in capsys.readouterr().out
 
     def test_bench_update_then_check_roundtrip(self, tmp_path, capsys):
+        """Re-recording writes every golden file byte for byte as
+        committed, and the re-recorded directory passes the gate."""
         assert main(["bench", "--update-baselines",
                      "--baselines", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -182,6 +188,13 @@ class TestBenchSubcommand:
         assert "recorded service baseline" in out
         assert "recorded metrics baseline" in out
         assert "recorded memory baseline" in out
+        committed = default_baseline_dir()
+        names = [f"{name}.json" for family in GOLDEN_FAMILIES
+                 for name in family.files]
+        assert len(names) == 4
+        for name in names:
+            assert ((tmp_path / name).read_bytes()
+                    == (committed / name).read_bytes()), name
         assert main(["bench", "--check",
                      "--baselines", str(tmp_path)]) == 0
         assert "7/7 baselines within thresholds" in capsys.readouterr().out
@@ -329,7 +342,7 @@ class TestRetiredSubcommands:
     @pytest.mark.parametrize("argv", [
         ["run", "asia_osm"],
         ["serve", "--workload", "tiny"],
-        ["bench", "--engines"],
+        ["bench"],
     ])
     def test_relabel_flag_is_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -543,7 +556,6 @@ class TestCountFlags:
         ["run", "asia_osm", "--engine", "process", "--record", "{rec}"],
         ["run", "asia_osm", "--algorithm", "louvain", "--record", "{rec}"],
         ["run", "asia_osm", "--engine", "process"],
-        ["bench", "--engines"],
     ])
     def test_workers_below_one_exits_2(self, argv, tmp_path, capsys):
         rec = tmp_path / "rec"
